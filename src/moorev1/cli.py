@@ -4,7 +4,9 @@ verification, table export, chart rendering, and cached artifacts.
 Every output is a deterministic function of the resolved configuration.
 Artifacts land in the output directory; a result cache under
 `<out>/.cache` is keyed by a hash of the configuration and the package
-version, and writes are atomic so concurrent invocations are safe.
+version, and writes are atomic so concurrent invocations are safe.  A
+malformed cache entry, or one naming a file outside the output directory,
+is a cache miss.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 usage or configuration error.
@@ -132,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("page", parents=[common], help="export a page dimension table")
-    sub.add_parser("ext", parents=[common], help="export cobar Ext dimension tables")
+    sub.add_parser("ext", parents=[common], help="export Ext dimension tables (Koszul complex)")
     sub.add_parser("mahowald", parents=[common], help="export Z/B/H tables and classes")
     sub.add_parser("verify", parents=[common], help="run the verification battery")
     sub.add_parser("decompose", parents=[common], help="check the pattern decomposition")
@@ -288,8 +290,8 @@ def _cmd_page(cfg: RunConfig) -> Artifacts:
 
 
 def _cmd_ext(cfg: RunConfig) -> Artifacts:
-    # the cobar complex is small by design; its verified envelope is
-    # s <= 8, -1 <= t <= 16
+    # the table window stays s <= 8, -1 <= t <= 16 (the envelope the cobar
+    # oracle cross-checks), so the default tables keep their bytes
     s_max = min(cfg.s_max, 8)
     t_range = (-1, min(cfg.t_max, 16))
     comodule = _COMODULES[cfg.spectrum]()
@@ -483,6 +485,28 @@ _DISPATCH = {
 # ---- entry points ----
 
 
+def _inside_out(rel: str) -> bool:
+    """Whether a manifest file name stays inside the output directory
+    (string checks only)."""
+    norm = os.path.normpath(rel)
+    return not (os.path.isabs(rel) or norm.startswith("..") or norm == "." or "\0" in rel)
+
+
+def _replayable(manifest) -> bool:
+    """A cache manifest as run() writes it: an exit code of 0 or 1, the
+    stdout text, and text files named inside the output directory."""
+    if not isinstance(manifest, dict):
+        return False
+    code, stdout, files = (manifest.get(k) for k in ("exit_code", "stdout", "files"))
+    return (
+        type(code) is int
+        and code in (0, 1)
+        and isinstance(stdout, str)
+        and isinstance(files, dict)
+        and all(isinstance(v, str) and _inside_out(rel) for rel, v in files.items())
+    )
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -496,23 +520,23 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
 
     cache_entry = os.path.join(cfg.out, ".cache", cfg.cache_key() + ".json")
+    manifest = None
     if not cfg.no_cache and os.path.exists(cache_entry):
         try:
             with open(cache_entry, "r", encoding="utf-8") as f:
                 manifest = json.load(f)
         except (OSError, ValueError):
-            manifest = None
-        if manifest is not None:
-            for rel in sorted(manifest["files"]):
-                _atomic_write(os.path.join(cfg.out, rel), manifest["files"][rel].encode())
-            sys.stdout.write(manifest["stdout"])
-            return manifest["exit_code"]
-
-    try:
-        code, stdout, files = _DISPATCH[cfg.cmd](cfg)
-    except GF2PolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            pass
+    # an unreadable or malformed entry is a miss and gets recomputed
+    hit = _replayable(manifest)
+    if hit:
+        code, stdout, files = manifest["exit_code"], manifest["stdout"], manifest["files"]
+    else:
+        try:
+            code, stdout, files = _DISPATCH[cfg.cmd](cfg)
+        except GF2PolyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     try:
         for rel in sorted(files):
@@ -521,7 +545,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot write output under {cfg.out}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(stdout)
-    if not cfg.no_cache:
+    if not (hit or cfg.no_cache):
         manifest = {"exit_code": code, "stdout": stdout, "files": files}
         try:
             _atomic_write(cache_entry, _json_text(manifest).encode())

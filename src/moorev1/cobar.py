@@ -1,5 +1,5 @@
-"""Cobar-complex Ext calculator over the four-dimensional quotient
-coalgebra on xi1 (xi1^4 = 0), with coefficients in small comodules.
+"""Ext over the four-dimensional quotient coalgebra on xi1 (xi1^4 = 0),
+with coefficients in small comodules.
 
 The two comodules of interest are the homology of the two-cell complex
 (cells x0, x1) and of its endomorphism algebra (basis 1, alpha, gamma,
@@ -7,8 +7,12 @@ alpha*gamma).  The latter is not written down by hand: it is derived from
 the cell-pair model x_i y_j with its multiplication rule, and the basis
 change is checked for consistency on the way.
 
-Ext^{s,t} is computed directly as cobar cohomology by GF(2) linear algebra
-in each bidegree.
+xi1 and xi1^2 are both primitive, so the coalgebra is E[xi1] (x) E[xi1^2]
+and Ext^{s,t} is the cohomology of Priddy's Koszul complex M (x) F2[h10, h11]
+(Priddy, Koszul resolutions, Trans. AMS 152, 1970): at most dim M cells per
+bidegree.  The reduced cobar complex stays as the cochain-level checker
+(d-squared, coboundary tests for named cochains) and as the independent
+oracle for the Koszul dimensions.
 """
 from __future__ import annotations
 
@@ -39,9 +43,10 @@ __all__ = [
 Tensor = FrozenSet[Tuple[int, str]]
 
 
-def _xor(pairs: Iterable[Tuple[int, str]]) -> Tensor:
+def _xor(items: Iterable) -> FrozenSet:
+    """GF(2) sum of basis items: those occurring an odd number of times."""
     acc = set()
-    for p in pairs:
+    for p in items:
         if p in acc:
             acc.discard(p)
         else:
@@ -144,18 +149,14 @@ class Comodule:
         for a in self.labels:
             for b in self.labels:
                 lhs = _xor(p for m in self.product(a, b) for p in self.coact(m))
-                rhs = set()
-                for i, m in self.coact(a):
-                    for j, m2 in self.coact(b):
-                        if i + j >= coalgebra.height:
-                            continue
-                        for m3 in self.product(m, m2):
-                            p = (i + j, m3)
-                            if p in rhs:
-                                rhs.discard(p)
-                            else:
-                                rhs.add(p)
-                if lhs != frozenset(rhs):
+                rhs = _xor(
+                    (i + j, m3)
+                    for i, m in self.coact(a)
+                    for j, m2 in self.coact(b)
+                    if i + j < coalgebra.height
+                    for m3 in self.product(m, m2)
+                )
+                if lhs != rhs:
                     return False
         return True
 
@@ -185,7 +186,6 @@ def moore_comodule() -> Comodule:
 
 # cell-pair model: basis x_i y_j, deg = i + j, and (x_i y_j)(x_k y_l) is
 # x_i y_l when j + k = 0 and zero otherwise
-_CELLS = (("x0", "y-1"), ("x0", "y0"), ("x1", "y-1"), ("x1", "y0"))
 _XDEG = {"x0": 0, "x1": 1}
 _YDEG = {"y-1": -1, "y0": 0}
 
@@ -221,18 +221,12 @@ def endomorphism_comodule() -> Comodule:
         _XDEG[next(iter(change[l]))[1][0]] + _YDEG[next(iter(change[l]))[1][1]]
         for l in labels
     )
-    coactions = []
-    for label in labels:
-        acc = set()
-        for _, cell in change[label]:
-            for i, cell2 in _cell_coaction(cell):
-                for m in back[cell2]:
-                    p = (i, m)
-                    if p in acc:
-                        acc.discard(p)
-                    else:
-                        acc.add(p)
-        coactions.append(tuple(sorted(acc)))
+    coactions = [
+        tuple(sorted(_xor(
+            (i, m) for _, cell in change[label] for i, c2 in _cell_coaction(cell) for m in back[c2]
+        )))
+        for label in labels
+    ]
     com = Comodule(
         name="endomorphism",
         labels=labels,
@@ -262,17 +256,8 @@ def _endomorphism_products(back) -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]
     table = []
     for a, cells_a in change.items():
         for b, cells_b in change.items():
-            acc = set()
-            for ca in cells_a:
-                for cb in cells_b:
-                    cell = _cell_product(ca, cb)
-                    if cell is None:
-                        continue
-                    for m in back[cell]:
-                        if m in acc:
-                            acc.discard(m)
-                        else:
-                            acc.add(m)
+            cells = (_cell_product(ca, cb) for ca in cells_a for cb in cells_b)
+            acc = _xor(m for cell in cells if cell is not None for m in back[cell])
             table.append((a, b, tuple(sorted(acc))))
     return tuple(table)
 
@@ -288,7 +273,7 @@ class CobarCochain:
 
     def __init__(self, comodule: Comodule, terms: Iterable[Term] = ()):
         self.comodule = comodule
-        self.terms: FrozenSet[Term] = terms if isinstance(terms, frozenset) else _xor_terms(terms)
+        self.terms: FrozenSet[Term] = terms if isinstance(terms, frozenset) else _xor(terms)
 
     @classmethod
     def basis_element(cls, comodule: Comodule, powers: Sequence[int], label: str) -> "CobarCochain":
@@ -341,16 +326,6 @@ class CobarCochain:
         return f"CobarCochain({self})"
 
 
-def _xor_terms(terms: Iterable[Term]) -> FrozenSet[Term]:
-    acc = set()
-    for t in terms:
-        if t in acc:
-            acc.discard(t)
-        else:
-            acc.add(t)
-    return frozenset(acc)
-
-
 def cobar_differential(c: CobarCochain, coalgebra: QuotientCoalgebra = COALGEBRA) -> CobarCochain:
     """Insert the reduced diagonal at every bar slot and the reduced
     coaction at the coefficient slot; all signs vanish over GF(2)."""
@@ -362,7 +337,7 @@ def cobar_differential(c: CobarCochain, coalgebra: QuotientCoalgebra = COALGEBRA
                 out.append((powers[:slot] + (j, k) + powers[slot + 1 :], label))
         for i, m in com.coact_reduced(label):
             out.append((powers + (i,), m))
-    return CobarCochain(com, _xor_terms(out))
+    return CobarCochain(com, _xor(out))
 
 
 class CobarComplex:
@@ -434,17 +409,41 @@ def _compositions(total: int, slots: int, part_max: int) -> List[Tuple[int, ...]
     return out
 
 
+def _koszul_slice(comodule: Comodule, s: int, t: int) -> Tuple[int, int]:
+    """Cell count at (s, t) and rank of d to (s + 1, t).  A cell m (x) h10^a
+    h11^b is named by its label m (b = t - |m| - s in [0, s] fixes a, b),
+    and d sends it to the cells of the labels in psi(m) at xi1 and xi1^2."""
+    rows: Dict[str, int] = {}
+    cells = 0
+    for j, deg in enumerate(comodule.degree_of):
+        if not 0 <= t - deg - s <= s:
+            continue
+        cells += 1
+        for i, m in comodule.coaction_table[j]:
+            if i in (1, 2):
+                rows[m] = rows.get(m, 0) ^ (1 << j)
+    return cells, rank(rows.values())
+
+
 def ext_dimensions(
     comodule: Comodule,
     s_max: int,
     t_range: Tuple[int, int],
     coalgebra: QuotientCoalgebra = COALGEBRA,
 ) -> DimensionTable:
-    cx = CobarComplex(comodule, coalgebra)
+    """Ext^{s,t} dimensions as the cohomology of the Koszul complex, where
+    d(m (x) p) = sum of m' (x) h10 p over (1, m') in psi(m)
+               + sum of m' (x) h11 p over (2, m') in psi(m)."""
+    if coalgebra.height != 4 or coalgebra.delta_reduced(2):
+        raise GF2PolyError("the Koszul complex needs xi1^4 = 0 with xi1 and xi1^2 primitive")
+    t_lo, t_hi = t_range
+    below = dict.fromkeys(range(t_lo, t_hi + 1), 0)  # rank of d into (s, t)
     rows: Dict[Tuple[int, ...], int] = {}
     for s in range(s_max + 1):
-        for t in range(t_range[0], t_range[1] + 1):
-            n = cx.ext_dim(s, t)
+        for t in range(t_lo, t_hi + 1):
+            cells, r = _koszul_slice(comodule, s, t)
+            n = cells - r - below[t]
+            below[t] = r
             if n:
                 rows[(s, t)] = n
     return DimensionTable(

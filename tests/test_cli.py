@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -232,3 +234,131 @@ def test_cache_key_depends_on_config_not_out():
     c = RunConfig(**{**base, "t_max": 10})
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != c.cache_key()
+
+
+def _cache_entry(out):
+    """The one cache manifest under out."""
+    entries = list((out / ".cache").iterdir())
+    assert len(entries) == 1, entries
+    return entries[0]
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"stdout": "x"},
+        {"exit_code": 0, "stdout": "x"},
+        {"exit_code": "0", "stdout": "x", "files": {}},
+        {"exit_code": True, "stdout": "x", "files": {}},
+        {"exit_code": 0, "stdout": ["x"], "files": {}},
+        {"exit_code": 0, "stdout": "x", "files": ["a.json"]},
+        {"exit_code": 0, "stdout": "x", "files": {"a.json": 1}},
+        ["not", "a", "manifest"],
+    ],
+)
+def test_malformed_manifest_is_a_miss(tmp_path, capsys, manifest):
+    argv = ["ext", "--spectrum", "M"]
+    assert run_in(tmp_path, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (tmp_path / "ext-M.json").read_bytes()
+    entry = _cache_entry(tmp_path)
+    entry.write_text(json.dumps(manifest))
+    (tmp_path / "ext-M.json").unlink()
+    assert run_in(tmp_path, *argv) == 0
+    assert capsys.readouterr().out == fresh_out
+    assert (tmp_path / "ext-M.json").read_bytes() == fresh
+    # the recomputed run rewrites a valid entry
+    assert json.loads(entry.read_text())["stdout"] == fresh_out
+
+
+def test_malformed_manifest_keeps_failure_exit_code(tmp_path, monkeypatch):
+    bad = Report("w-grading", [CheckRow("w-step", (0, 0, 0), 1, 2, "mismatch")], True)
+    monkeypatch.setattr(Workbench, "verify_w_grading", lambda self: bad)
+    argv = ["verify", *SMALL]
+    assert run_in(tmp_path, *argv) == 1
+    _cache_entry(tmp_path).write_text('{"stdout": "x"}')
+    assert run_in(tmp_path, *argv) == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["../escape.txt", "sub/../../escape.txt", "{tmp}/escape.txt", ".", "nul\0.txt"]
+)
+def test_manifest_names_outside_out_are_a_miss(tmp_path, capsys, name):
+    name = name.format(tmp=tmp_path)
+    out = tmp_path / "out"
+    argv = ["ext", "--spectrum", "S"]
+    assert run_in(out, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    entry = _cache_entry(out)
+    entry.write_text(json.dumps({"exit_code": 0, "stdout": "replayed\n", "files": {name: "x"}}))
+    assert run_in(out, *argv) == 0
+    assert capsys.readouterr().out == fresh_out
+    assert not (tmp_path / "escape.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == [".cache", "ext-S.json"]
+
+
+def test_manifest_names_inside_out_replay(tmp_path, capsys):
+    argv = ["ext", "--spectrum", "S"]
+    assert run_in(tmp_path, *argv) == 0
+    capsys.readouterr()
+    entry = _cache_entry(tmp_path)
+    files = {"sub/../a.txt": "a", "sub/b.txt": "b"}
+    entry.write_text(json.dumps({"exit_code": 0, "stdout": "replayed\n", "files": files}))
+    assert run_in(tmp_path, *argv) == 0
+    assert capsys.readouterr().out == "replayed\n"
+    assert (tmp_path / "a.txt").read_text() == "a"
+    assert (tmp_path / "sub" / "b.txt").read_text() == "b"
+
+
+def test_replay_write_error_exits_two(tmp_path, capsys):
+    argv = ["ext", "--spectrum", "M"]
+    assert run_in(tmp_path, *argv) == 0
+    capsys.readouterr()
+    (tmp_path / "ext-M.json").unlink()
+    (tmp_path / "ext-M.json").mkdir()
+    assert run_in(tmp_path, *argv) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_SEEDED_RUNS = (
+    "ext --spectrum S",
+    "ext --spectrum M",
+    "ext --spectrum EndM",
+    "page --spectrum M --t-max 24",
+)
+# one interpreter per hash seed runs every command, to pay the import once
+_DRIVER = (
+    "import sys; from moorev1.cli import run; "
+    "sys.exit(max(run(a.split() + ['--out', sys.argv[1]]) for a in sys.argv[2:]))"
+)
+
+
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    procs = {}
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+        procs[seed] = subprocess.Popen(
+            [sys.executable, "-c", _DRIVER, str(tmp_path / seed), *_SEEDED_RUNS],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+    results = {seed: p.communicate(timeout=120) + (p.returncode,) for seed, p in procs.items()}
+    for out, err, code in results.values():
+        assert code == 0, err.decode()
+    assert results["0"][0] == results["12345"][0]
+    assert results["0"][0].decode().count("->") == len(_SEEDED_RUNS)
+    trees = {seed: _tree_bytes(tmp_path / seed) for seed in procs}
+    assert {"ext-S.json", "ext-M.json", "ext-EndM.json", "page-M-r2.json"} <= set(trees["0"])
+    assert trees["0"] == trees["12345"]
+

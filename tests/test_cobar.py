@@ -4,6 +4,8 @@ from moorev1.cobar import (
     COALGEBRA,
     CobarCochain,
     CobarComplex,
+    Comodule,
+    QuotientCoalgebra,
     class_identity_check,
     cobar_differential,
     endomorphism_comodule,
@@ -112,29 +114,81 @@ class TestDifferential:
 
 
 class TestExtDimensions:
+    # the Koszul complex is cheap, so the closed forms are checked on a box
+    # far past the cobar envelope
+    S_MAX, T_RANGE = 40, (-1, 100)
+
+    def check(self, com, expected):
+        table = ext_dimensions(com, self.S_MAX, self.T_RANGE)
+        assert table.meta == {"comodule": com.name, "s_max": "40", "t_range": "-1..100"}
+        for s in range(self.S_MAX + 1):
+            for t in range(self.T_RANGE[0], self.T_RANGE[1] + 1):
+                assert table.dim(s, t) == expected(s, t), (s, t)
+        return table
+
     def test_trivial_closed_form(self):
         # polynomial algebra on classes in bidegrees (1,1) and (1,2)
-        table = ext_dimensions(trivial_comodule(), 6, (0, 12))
-        for s in range(7):
-            for t in range(0, 13):
-                expected = sum(1 for a in range(s + 1) if a + 2 * (s - a) == t)
-                assert table.dim(s, t) == expected
+        table = self.check(trivial_comodule(), lambda s, t: int(s <= t <= 2 * s))
         assert table.dim(2, 3) == 1
 
     def test_endomorphism_closed_form(self, endo):
-        table = ext_dimensions(endo, 8, (-1, 16))
-        for s in range(9):
-            for t in range(-1, 17):
-                expected = int(t == 2 * s) + int(t == 2 * s - 1)
-                assert table.dim(s, t) == expected
+        table = self.check(endo, lambda s, t: int(t == 2 * s) + int(t == 2 * s - 1))
         assert table.dim(1, 2) == 1
 
     def test_moore_closed_form(self, moore):
-        table = ext_dimensions(moore, 8, (-1, 16))
+        table = self.check(moore, lambda s, t: int(t == 2 * s))
+        assert table.dim(1, 1) == 0
+
+
+def eta_cone_comodule():
+    """Cells in degrees 0 and 2 joined by xi1^2 alone: Ext is F2[h10]."""
+    return Comodule("eta-cone", ("y0", "y2"), (0, 2), (((0, "y0"),), ((0, "y2"), (2, "y0"))))
+
+
+def cofree_comodule():
+    """The coalgebra coacting on itself: Ext is F2 in bidegree (0, 0)."""
+    labels = tuple(f"xi1^{i}" for i in COALGEBRA.basis())
+    coaction = tuple(
+        tuple((j, labels[k]) for j, k in COALGEBRA.delta_full(i)) for i in COALGEBRA.basis()
+    )
+    return Comodule("cofree", labels, tuple(COALGEBRA.basis()), coaction)
+
+
+class TestKoszulAgainstCobar:
+    """ext_dimensions uses the Koszul complex; the cobar complex is the
+    independent oracle on the envelope the CLI exports, for the three
+    comodules of the workbench and two that exercise the xi1^2 and xi1^3
+    coaction terms."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [trivial_comodule, moore_comodule, endomorphism_comodule, eta_cone_comodule, cofree_comodule],
+    )
+    def test_matches_cobar_on_envelope(self, make):
+        com = make()
+        assert com.verify()
+        table = ext_dimensions(com, 8, (-1, 16))
+        cx = CobarComplex(com)
         for s in range(9):
             for t in range(-1, 17):
-                assert table.dim(s, t) == int(t == 2 * s)
-        assert table.dim(1, 1) == 0
+                assert table.dim(s, t) == cx.ext_dim(s, t), (com.name, s, t)
+
+    def test_test_comodules_closed_forms(self):
+        eta = ext_dimensions(eta_cone_comodule(), 8, (-1, 16))
+        assert eta.rows == {(s, s): 1 for s in range(9)}
+        assert ext_dimensions(cofree_comodule(), 8, (-1, 16)).rows == {(0, 0): 1}
+
+    def test_guard_rejects_non_primitive_square(self, moore):
+        class AllSplittings(QuotientCoalgebra):
+            # xi1^i -> sum of every xi1^j (x) xi1^(i-j): coassociative, but
+            # xi1^2 is not primitive, so there is no Koszul complex
+            def delta_full(self, i):
+                return tuple((j, i - j) for j in range(i + 1))
+
+        assert AllSplittings().verify()
+        assert AllSplittings().delta_reduced(2) == ((1, 1),)
+        with pytest.raises(GF2PolyError):
+            ext_dimensions(moore, 2, (0, 4), AllSplittings())
 
 
 class TestClassIdentity:
