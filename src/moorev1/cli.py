@@ -3,10 +3,10 @@ verification, table export, chart rendering, and cached artifacts.
 
 Every output is a deterministic function of the resolved configuration.
 Artifacts land in the output directory; a result cache under
-`<out>/.cache` is keyed by a hash of the configuration and the package
-version, and writes are atomic so concurrent invocations are safe.  A
-malformed cache entry, or one naming a file outside the output directory,
-is a cache miss.
+`<out>/.cache` is keyed by a hash of the configuration, the package
+version and a digest of the package source, and writes are atomic so
+concurrent invocations are safe.  A malformed cache entry, or one naming a
+file outside the output directory, is a cache miss.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 usage or configuration error.
@@ -14,6 +14,7 @@ still written), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -103,12 +104,30 @@ class RunConfig:
 
     def cache_key(self) -> str:
         payload = asdict(self)
-        # the output directory and the cache switch do not affect content
+        # the output directory, the cache switch and the worker count do
+        # not affect content
         del payload["out"]
         del payload["no_cache"]
+        del payload["workers"]
         payload["version"] = __version__
+        payload["source"] = _source_digest()
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the package's own modules (sorted names plus bytes), so
+    an edited program never replays results cached by an older one.  Read
+    once per process."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as f:
+            data = f.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 # ---- configuration ----

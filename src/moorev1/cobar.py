@@ -21,7 +21,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .dga import D2Report, DimensionTable
-from .gf2linalg import Subspace, rank
+from .gf2linalg import Subspace, column_space_basis, rank
 from .gf2poly import GF2PolyError
 
 __all__ = [
@@ -199,31 +199,31 @@ def _cell_coaction(cell: Tuple[str, str]) -> Tensor:
     )
 
 
+# the basis change read by both the coaction and the multiplication table:
+# 1 = x1 y-1 + x0 y0, alpha = x0 y-1, gamma = x1 y0, alpha*gamma = x0 y0,
+# and its inverse on the cells
+_ENDO_BASIS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "1": (("x1", "y-1"), ("x0", "y0")),
+    "alpha": (("x0", "y-1"),),
+    "gamma": (("x1", "y0"),),
+    "alpha*gamma": (("x0", "y0"),),
+}
+_ENDO_CELLS: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("x0", "y-1"): ("alpha",),
+    ("x0", "y0"): ("alpha*gamma",),
+    ("x1", "y0"): ("gamma",),
+    ("x1", "y-1"): ("1", "alpha*gamma"),
+}
+
+
 def endomorphism_comodule() -> Comodule:
     """Four-dimensional endomorphism comodule, derived from the cell-pair
     model and rebased to 1, alpha, gamma, alpha*gamma."""
-    # basis change: 1 = x1 y-1 + x0 y0, alpha = x0 y-1, gamma = x1 y0,
-    # alpha*gamma = x0 y0
-    change: Dict[str, Tensor] = {
-        "1": frozenset({(0, ("x1", "y-1")), (0, ("x0", "y0"))}),
-        "alpha": frozenset({(0, ("x0", "y-1"))}),
-        "gamma": frozenset({(0, ("x1", "y0"))}),
-        "alpha*gamma": frozenset({(0, ("x0", "y0"))}),
-    }
-    back: Dict[Tuple[str, str], FrozenSet[str]] = {
-        ("x0", "y-1"): frozenset({"alpha"}),
-        ("x0", "y0"): frozenset({"alpha*gamma"}),
-        ("x1", "y0"): frozenset({"gamma"}),
-        ("x1", "y-1"): frozenset({"1", "alpha*gamma"}),
-    }
-    labels = ("1", "alpha", "gamma", "alpha*gamma")
-    degrees = tuple(
-        _XDEG[next(iter(change[l]))[1][0]] + _YDEG[next(iter(change[l]))[1][1]]
-        for l in labels
-    )
+    labels = tuple(_ENDO_BASIS)
+    degrees = tuple(_XDEG[_ENDO_BASIS[l][0][0]] + _YDEG[_ENDO_BASIS[l][0][1]] for l in labels)
     coactions = [
         tuple(sorted(_xor(
-            (i, m) for _, cell in change[label] for i, c2 in _cell_coaction(cell) for m in back[c2]
+            (i, m) for cell in _ENDO_BASIS[label] for i, c2 in _cell_coaction(cell) for m in _ENDO_CELLS[c2]
         )))
         for label in labels
     ]
@@ -232,7 +232,7 @@ def endomorphism_comodule() -> Comodule:
         labels=labels,
         degree_of=degrees,
         coaction_table=tuple(coactions),
-        multiplication=_endomorphism_products(back),
+        multiplication=_endomorphism_products(),
     )
     # the basis change must make the unit grouplike
     if com.coact("1") != frozenset({(0, "1")}):
@@ -246,18 +246,12 @@ def _cell_product(a: Tuple[str, str], b: Tuple[str, str]) -> Optional[Tuple[str,
     return (a[0], b[1]) if j + k == 0 else None
 
 
-def _endomorphism_products(back) -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
-    change = {
-        "1": (("x1", "y-1"), ("x0", "y0")),
-        "alpha": (("x0", "y-1"),),
-        "gamma": (("x1", "y0"),),
-        "alpha*gamma": (("x0", "y0"),),
-    }
+def _endomorphism_products() -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
     table = []
-    for a, cells_a in change.items():
-        for b, cells_b in change.items():
+    for a, cells_a in _ENDO_BASIS.items():
+        for b, cells_b in _ENDO_BASIS.items():
             cells = (_cell_product(ca, cb) for ca in cells_a for cb in cells_b)
-            acc = _xor(m for cell in cells if cell is not None for m in back[cell])
+            acc = _xor(m for cell in cells if cell is not None for m in _ENDO_CELLS[cell])
             table.append((a, b, tuple(sorted(acc))))
     return tuple(table)
 
@@ -461,22 +455,15 @@ def class_identity_check(comodule: Comodule, c: CobarCochain) -> str:
     if not cobar_differential(c).is_zero():
         return "not-a-cycle"
     s, t = c.bidegree()
+    if s == 0:
+        return "nonzero"
     cx = CobarComplex(comodule)
-    basis = cx.basis(s, t)
-    index = {term: i for i, term in enumerate(basis)}
+    index = {term: i for i, term in enumerate(cx.basis(s, t))}
     v = 0
     for term in c.terms:
         v |= 1 << index[term]
-    if s == 0:
-        return "nonzero"
-    columns = []
-    for term in cx.basis(s - 1, t):
-        img = cobar_differential(CobarCochain(comodule, frozenset({term})))
-        col = 0
-        for out_term in img.terms:
-            col |= 1 << index[out_term]
-        columns.append(col)
-    return "zero-in-cohomology" if v in Subspace(columns) else "nonzero"
+    image = column_space_basis(cx.matrix(s - 1, t), len(cx.basis(s - 1, t)))
+    return "zero-in-cohomology" if v in Subspace(image) else "nonzero"
 
 
 def verify_cobar_d_squared(

@@ -60,6 +60,10 @@ class WindowOverflowError(GF2PolyError):
     """A differential left the window, so the truncated answer is incomplete."""
 
 
+class _OutsideTargetBasis(GF2PolyError):
+    """An image term of differential_matrix is not a target basis monomial."""
+
+
 class PagePresentation:
     """A presented page: polynomial algebra, monomial relations, differential.
 
@@ -88,6 +92,7 @@ class PagePresentation:
             k: self._reduce_raw(v) for k, v in differentials.items()
         }
         self._dval_cache: Dict[Tuple[int, int], Polynomial] = {}
+        self._basis_cache: Dict[TruncationWindow, WindowBasis] = {}
         if validate:
             self._validate()
 
@@ -171,7 +176,13 @@ class PagePresentation:
         return total
 
     def basis(self, window: TruncationWindow) -> WindowBasis:
-        return enumerate_window(self.alphabet, window).filtered(self.is_reduced_monomial)
+        """The reduced monomial basis over a window, enumerated once per
+        window and shared by every page and check built on it."""
+        got = self._basis_cache.get(window)
+        if got is None:
+            got = enumerate_window(self.alphabet, window).filtered(self.is_reduced_monomial)
+            self._basis_cache[window] = got
+        return got
 
 
 def apply_derivation(
@@ -254,7 +265,7 @@ def differential_matrix(
         for term in diff_fn(m).terms:
             i = index.get(term)
             if i is None:
-                raise GF2PolyError(
+                raise _OutsideTargetBasis(
                     f"differential image term falls outside the target basis at column {j}"
                 )
             rows[i] |= 1 << j
@@ -404,63 +415,41 @@ def homology_page(
     conditional: bool = False,
 ) -> ComputedPage:
     """Compute cycles, boundaries, and representatives at every degree with
-    a nonempty basis, trusting only degrees whose neighbors are complete."""
+    a nonempty basis, trusting only degrees whose neighbors are complete.
+
+    The matrix of d from degree c is built once: it is the outgoing map at
+    c and the incoming map at c + shift.  With workers > 1 the matrices are
+    still built serially and only the linear algebra is spread out."""
     fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     shift = pres.degree_shift
-    degrees = wb.degrees()
-    images: Dict[Multidegree, List[Polynomial]] = {}
+    wanted = [
+        d for d in wb.degrees() if wb.complete(d - shift) and wb.complete(d + shift) and wb.complete(d)
+    ]
+    matrices: Dict[Multidegree, List[int]] = {}
+    for d in wanted:
+        for c in (d - shift, d):
+            if c in matrices:
+                continue
+            try:
+                matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), fn)
+            except _OutsideTargetBasis:
+                raise GF2PolyError(
+                    f"{pres.name or 'page'}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}"
+                ) from None
 
-    def images_at(d: Multidegree) -> List[Polynomial]:
-        if d not in images:
-            images[d] = [fn(m) for m in wb.basis(d)]
-        return images[d]
-
-    def compute(d: Multidegree) -> Tuple[Multidegree, _DegreeHomology]:
+    def compute(d: Multidegree) -> _DegreeHomology:
         basis = wb.basis(d)
-        target = wb.basis(d + shift)
-        index = {m: i for i, m in enumerate(target)}
-        out_rows = [0] * len(target)
-        for j, img in enumerate(images_at(d)):
-            for term in img.terms:
-                i = index.get(term)
-                if i is None:
-                    raise GF2PolyError(
-                        f"{pres.name or 'page'}: image of a degree {tuple(d)} monomial misses the basis at {tuple(d + shift)}"
-                    )
-                out_rows[i] |= 1 << j
-        cycles = kernel_basis(out_rows, len(basis))
-        src = wb.basis(d - shift)
-        index_d = {m: i for i, m in enumerate(basis)}
-        in_rows = [0] * len(basis)
-        for j, img in enumerate(images_at(d - shift)):
-            for term in img.terms:
-                i = index_d.get(term)
-                if i is None:
-                    raise GF2PolyError(
-                        f"{pres.name or 'page'}: image of a degree {tuple(d - shift)} monomial misses the basis at {tuple(d)}"
-                    )
-                in_rows[i] |= 1 << j
-        boundaries = Subspace(column_space_basis(in_rows, len(src)))
+        cycles = kernel_basis(matrices[d], len(basis))
+        boundaries = Subspace(column_space_basis(matrices[d - shift], len(wb.basis(d - shift))))
         reps = tuple(subquotient_basis(cycles, boundaries))
-        return d, _DegreeHomology(
-            basis=basis, cycles=Subspace(cycles), boundaries=boundaries, reps=reps
-        )
+        return _DegreeHomology(basis=basis, cycles=Subspace(cycles), boundaries=boundaries, reps=reps)
 
-    wanted = [d for d in degrees if wb.complete(d - shift) and wb.complete(d + shift) and wb.complete(d)]
-    data: Dict[Multidegree, _DegreeHomology] = {}
     if workers > 1:
-        # precompute image lists serially (shared cache), then assemble
-        for d in wanted:
-            images_at(d)
-            images_at(d - shift)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for d, h in pool.map(compute, wanted):
-                data[d] = h
+            data = dict(zip(wanted, pool.map(compute, wanted)))
     else:
-        for d in wanted:
-            d2, h = compute(d)
-            data[d2] = h
+        data = {d: compute(d) for d in wanted}
     return ComputedPage(pres, window, wb, data, name=name, conditional=conditional)
 
 

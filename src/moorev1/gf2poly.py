@@ -198,25 +198,40 @@ def mono_degree(alphabet: Alphabet, mono: Monomial) -> Multidegree:
 
 
 def mono_mul(alphabet: Alphabet, a: Monomial, b: Monomial) -> Optional[Monomial]:
-    """Product of two monomials, or None when a square of a nilpotent appears."""
+    """Product of two monomials, or None when a square of a nilpotent appears.
+
+    A merge of the two index-sorted factor tuples: only a generator present
+    in both factors can vanish, square a nilpotent or turn negative."""
     if not a:
         return b
     if not b:
         return a
-    exps: Dict[int, int] = dict(a)
-    for gi, e in b:
-        exps[gi] = exps.get(gi, 0) + e
+    gens = alphabet.generators
     out = []
-    for gi in sorted(exps):
-        e = exps[gi]
-        if e == 0:
-            continue
-        g = alphabet[gi]
-        if g.nilpotent_square and e > 1:
-            return None
-        if e < 0 and not g.invertible:
-            raise GF2PolyError(f"negative exponent on {g.name}")
-        out.append((gi, e))
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ga, ea = a[i]
+        gb, eb = b[j]
+        if ga < gb:
+            out.append(a[i])
+            i += 1
+        elif gb < ga:
+            out.append(b[j])
+            j += 1
+        else:
+            i += 1
+            j += 1
+            e = ea + eb
+            if e == 0:
+                continue
+            g = gens[ga]
+            if g.nilpotent_square and e > 1:
+                return None
+            if e < 0 and not g.invertible:
+                raise GF2PolyError(f"negative exponent on {g.name}")
+            out.append((ga, e))
+    out.extend(a[i:] if i < na else b[j:])
     return tuple(out)
 
 

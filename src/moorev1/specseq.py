@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .dga import (
     ComputedPage,
@@ -194,6 +194,10 @@ def _can_sum(count: int, total: int) -> bool:
     return any(_can_sum(count - 1, total - part) for part in _parts_menu(total))
 
 
+# how project_to_m rewrites one EndM generator (see Workbench._projection_rules)
+_ProjectionRule = Union[None, str, Tuple[int, Optional[int]]]
+
+
 class Workbench:
     """All pages, actions, and verification reports over one window."""
 
@@ -205,6 +209,7 @@ class Workbench:
         self._pages: Dict[Tuple[str, int], Union[PresentationPage, ComputedPage]] = {}
         self._zbh: Optional[ZBHTables] = None
         self._d3m_cache: Dict[Monomial, Polynomial] = {}
+        self._proj_rules: Dict[int, List[_ProjectionRule]] = {}
         self._slice_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
         self._slice_mat_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
 
@@ -366,31 +371,62 @@ class Workbench:
 
     # ---- module structure ----
 
+    def _projection_rules(self, r: int) -> List[_ProjectionRule]:
+        """Per EndM generator, how project_to_m rewrites it: None kills the
+        term, a string is the error for a target the M alphabet lacks, and
+        (k, i) turns g^e into v1^(k*e) * (M generator i)^e (i None: v1 only).
+
+        Apart from v1 the targets are distinct and rise with the source
+        order (h(n,1) -> h(n,1) on page 2; h(1,1) -> h(1,1) and x(n) ->
+        h(n+1,1) on page 3), so a term's image comes out canonically sorted."""
+        got = self._proj_rules.get(r)
+        if got is not None:
+            return got
+        dst = self.alphabet("M", 2)
+        rules: List[_ProjectionRule] = []
+        for g in self.alphabet("EndM", r):
+            if g.name in ("alpha", "alphap"):
+                rules.append(None)
+                continue
+            k, target = (1, f"h({int(g.name[2:-1]) + 1},1)") if g.name.startswith("x(") else (0, g.name)
+            if target == "v1":
+                rules.append((1, None))
+            elif target in dst.names():
+                rules.append((k, dst.index(target)))
+            else:
+                rules.append(f"generator {target!r} not in alphabet")
+        self._proj_rules[r] = rules
+        return rules
+
     def project_to_m(self, r: int, e: Polynomial) -> Polynomial:
         """Quotient map from an EndM page element to the M page: kill the
         monomials divisible by a torsion generator, rewrite each x(n)
         factor as v1*h(n+1,1)."""
-        src = self.alphabet("EndM", r)
-        if e.alphabet != src:
+        if e.alphabet != self.alphabet("EndM", r):
             raise GF2PolyError("element does not live on the EndM page of this workbench")
         dst = self.alphabet("M", 2)
-        out = Polynomial.zero(dst)
+        v1i = dst.v1_index
+        rules = self._projection_rules(r)
+        acc: Set[Monomial] = set()
         for mono in e.terms:
-            term = Polynomial.one(dst)
+            k = 0
+            rest: List[Tuple[int, int]] = []
             for gi, exp in mono:
-                name = src[gi].name
-                if name in ("alpha", "alphap"):
-                    term = Polynomial.zero(dst)
+                rule = rules[gi]
+                if rule is None:
                     break
-                if name.startswith("x("):
-                    n = int(name[2:-1])
-                    term = term * Polynomial.gen(dst, "v1", exp) * Polynomial.gen(
-                        dst, f"h({n + 1},1)", exp
-                    )
+                if type(rule) is str:
+                    raise GF2PolyError(rule)
+                k += rule[0] * exp
+                if rule[1] is not None:
+                    rest.append((rule[1], exp))
+            else:
+                term = ((v1i, k), *rest) if k else tuple(rest)
+                if term in acc:
+                    acc.discard(term)
                 else:
-                    term = term * Polynomial.gen(dst, name, exp)
-            out = out + term
-        return out
+                    acc.add(term)
+        return Polynomial(dst, frozenset(acc))
 
     def act(self, r: int, e: Polynomial, m: Polynomial) -> Polynomial:
         """Action of an EndM page element on an M page element."""
@@ -442,7 +478,7 @@ class Workbench:
             image = self.presentation("EndM", 3).apply_monomial(lifted)
             got = self.project_to_m(3, image)
             if eps:
-                got = got * Polynomial.gen(got.alphabet, "v1", 1)
+                got = got.mul_monomial(((got.alphabet.v1_index, 1),))
             self._d3m_cache[mono] = got
         return got
 

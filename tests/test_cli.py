@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import moorev1.cli as cli
 from moorev1.cli import (
     RunConfig,
     export_dimension_table,
@@ -234,6 +235,22 @@ def test_cache_key_depends_on_config_not_out():
     c = RunConfig(**{**base, "t_max": 10})
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != c.cache_key()
+
+
+def test_cache_key_ignores_workers():
+    base = dict(cmd="verify", t_max=8, s_max=2, v1_min=-2, v1_max=2, page=2,
+                spectrum="M", format="json", out=".", workers=1, no_cache=False,
+                what="page")
+    assert RunConfig(**base).cache_key() == RunConfig(**{**base, "workers": 3}).cache_key()
+
+
+def test_cache_key_follows_package_source(monkeypatch):
+    cfg = RunConfig(cmd="page", t_max=8, s_max=2, v1_min=-2, v1_max=2, page=2,
+                    spectrum="M", format="json", out=".", workers=1, no_cache=False,
+                    what="page")
+    before = cfg.cache_key()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cfg.cache_key() != before
 
 
 def _cache_entry(out):

@@ -14,6 +14,7 @@ from moorev1.dga import (
     page_dimension_table,
     verify_d_squared,
 )
+from moorev1.gf2linalg import Subspace, column_space_basis, kernel_basis, subquotient_basis
 from moorev1.gf2poly import (
     Alphabet,
     Generator,
@@ -22,6 +23,7 @@ from moorev1.gf2poly import (
     Polynomial,
     TruncationWindow,
     default_window,
+    enumerate_window,
 )
 
 SHIFT2 = Multidegree(2, 1, -1)
@@ -201,6 +203,32 @@ class TestDSquared:
         assert report.ok
 
 
+def reference_homology(pres, window):
+    """Cycles, boundaries and representatives at every degree homology_page
+    computes, from matrices assembled straight from apply_monomial, two per
+    degree."""
+    wb = enumerate_window(pres.alphabet, window).filtered(pres.is_reduced_monomial)
+    shift = pres.degree_shift
+
+    def matrix(source, target):
+        index = {m: i for i, m in enumerate(target)}
+        rows = [0] * len(target)
+        for j, m in enumerate(source):
+            for term in pres.apply_monomial(m).terms:
+                rows[index[term]] |= 1 << j
+        return rows
+
+    out = {}
+    for d in wb.degrees():
+        if not (wb.complete(d - shift) and wb.complete(d) and wb.complete(d + shift)):
+            continue
+        basis, below = wb.basis(d), wb.basis(d - shift)
+        cycles = kernel_basis(matrix(basis, wb.basis(d + shift)), len(basis))
+        boundaries = Subspace(column_space_basis(matrix(below, basis), len(below)))
+        out[d] = (Subspace(cycles), boundaries, subquotient_basis(cycles, boundaries))
+    return out
+
+
 @pytest.fixture(scope="module")
 def page():
     w = default_window(t_max=40, s_max=8, v1_min=-8, v1_max=8)
@@ -242,6 +270,27 @@ class TestHomology:
             assert [str(p) for p in one.representatives(d)] == [
                 str(p) for p in two.representatives(d)
             ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_reference_assembly(self, workers):
+        w = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
+        for pres in (quotient_presentation(3), stride_presentation()):
+            page = homology_page(pres, w, workers=workers)
+            want = reference_homology(pres, w)
+            assert page.degrees() == sorted(want)
+            assert any(boundaries.dim for _, boundaries, _ in want.values())
+            assert any(reps for _, _, reps in want.values())
+            for d, (cycles, boundaries, reps) in want.items():
+                assert page.cycles_subspace(d) == cycles
+                assert page.boundaries_subspace(d) == boundaries
+                assert [page.vector_of(p, d) for p in page.representatives(d)] == reps
+
+    def test_image_outside_basis_names_page_and_degree(self):
+        pres = quotient_presentation(2, name="broken")
+        w = default_window(t_max=12, s_max=3, v1_min=-3, v1_max=3)
+        identity = lambda m: Polynomial.monomial(pres.alphabet, m)  # keeps the degree
+        with pytest.raises(GF2PolyError, match=r"^broken: image of a degree \(.+\) monomial misses the basis at \(.+\)$"):
+            homology_page(pres, w, diff_fn=identity)
 
     def test_euler_characteristic_consistency(self, page):
         # dim H = dim Z - dim B at every trusted degree

@@ -16,10 +16,12 @@ from moorev1.gf2poly import (
     enumerate_basis,
     enumerate_window,
     mono_divides,
+    mono_mul,
     mono_str,
     sufficient_h_index,
     sufficient_x_index,
 )
+from moorev1.specseq import Workbench
 
 
 def laurent_alphabet(n_max=5):
@@ -341,3 +343,46 @@ class TestMonomialHelpers:
         small = Polynomial.parse(a, "h(1,1)^2").monomials_sorted()[0]
         assert mono_divides(small, big)
         assert not mono_divides(big, small)
+
+
+def reference_mono_mul(alphabet, a, b):
+    """Monomial product through an exponent dict, the definition mono_mul's
+    merge must agree with."""
+    exps = dict(a)
+    for gi, e in b:
+        exps[gi] = exps.get(gi, 0) + e
+    out = []
+    for gi in sorted(exps):
+        e = exps[gi]
+        if e == 0:
+            continue
+        g = alphabet[gi]
+        if g.nilpotent_square and e > 1:
+            return None
+        if e < 0 and not g.invertible:
+            raise GF2PolyError(f"negative exponent on {g.name}")
+        out.append((gi, e))
+    return tuple(out)
+
+
+class TestMonoMulOracle:
+    @pytest.mark.parametrize("tag, r", [("EndM", 2), ("EndM", 3), ("S", 2)])
+    def test_all_pairs_of_a_small_window(self, tag, r):
+        wb = Workbench(default_window(t_max=16, s_max=4, v1_min=-4, v1_max=4))
+        a = wb.alphabet(tag, r)
+        basis = enumerate_window(a, wb.window)
+        monos = [m for d in basis.degrees() for m in basis.basis(d)]
+        v1i = a.v1_index
+        seen = {"unit": 0, "nilpotent square": 0, "v1 cancels": 0}
+        for x in monos:
+            for y in monos:
+                got = mono_mul(a, x, y)
+                assert got == reference_mono_mul(a, x, y), (x, y)
+                if not x or not y:
+                    seen["unit"] += 1
+                elif got is None:
+                    seen["nilpotent square"] += 1
+                elif any(gi == v1i for gi, _ in x) and not any(gi == v1i for gi, _ in got):
+                    seen["v1 cancels"] += 1
+        assert seen["unit"] and seen["v1 cancels"]
+        assert seen["nilpotent square"] or tag == "S"

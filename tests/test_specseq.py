@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from moorev1.dga import ComputedPage, PresentationPage, UntrustedDegreeError
+import moorev1.dga as dga
+from moorev1.dga import ComputedPage, PagePresentation, PresentationPage, UntrustedDegreeError
 from moorev1.gf2poly import (
     GF2PolyError,
     InvalidWindowError,
@@ -129,6 +131,60 @@ def test_project_to_m(wb):
     assert wb.project_to_m(3, parse(wb, "EndM", 3, "alphap*h(1,1)")).is_zero()
     got = wb.project_to_m(3, parse(wb, "EndM", 3, "v1^-4*h(1,1)*x(1)*x(2)^2"))
     assert str(got) == "v1^-1*h(1,1)*h(2,1)*h(3,1)^2"
+
+
+def reference_project_to_m(wb, r, e):
+    """The EndM -> M quotient as a product of generator images, the
+    definition project_to_m must agree with."""
+    src = wb.alphabet("EndM", r)
+    dst = wb.alphabet("M", 2)
+    out = Polynomial.zero(dst)
+    for mono in e.terms:
+        term = Polynomial.one(dst)
+        for gi, exp in mono:
+            name = src[gi].name
+            if name in ("alpha", "alphap"):
+                term = Polynomial.zero(dst)
+                break
+            if name.startswith("x("):
+                n = int(name[2:-1])
+                term = term * Polynomial.gen(dst, "v1", exp) * Polynomial.gen(dst, f"h({n + 1},1)", exp)
+            else:
+                term = term * Polynomial.gen(dst, name, exp)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_project_to_m_matches_product_definition(r):
+    bench = Workbench(default_window(24))
+    a = bench.alphabet("EndM", r)
+    basis = bench.presentation("EndM", r).basis(bench.window)
+    monos = [m for d in basis.degrees() for m in basis.basis(d)]
+    for mono in monos:
+        e = Polynomial.monomial(a, mono)
+        assert bench.project_to_m(r, e) == reference_project_to_m(bench, r, e), mono
+    # sums of overlapping pieces: the shared terms cancel before projecting
+    rng = random.Random(5)
+    for _ in range(300):
+        shared = rng.sample(monos, 3)
+        p = Polynomial(a, shared + rng.sample(monos, 4))
+        q = Polynomial(a, shared + rng.sample(monos, 4))
+        got = bench.project_to_m(r, p + q)
+        assert got == reference_project_to_m(bench, r, p + q)
+        assert got == bench.project_to_m(r, p) + bench.project_to_m(r, q)
+
+
+def test_project_to_m_missing_target_raises():
+    # this window keeps x(2) on the EndM page but h(3,1) off the M page
+    bench = Workbench(default_window(8, 12, -1, 1))
+    a3 = bench.alphabet("EndM", 3)
+    assert "h(3,1)" not in bench.alphabet("M", 2).names()
+    for proj in (bench.project_to_m, lambda r, e: reference_project_to_m(bench, r, e)):
+        with pytest.raises(GF2PolyError, match=r"h\(3,1\)"):
+            proj(3, Polynomial.parse(a3, "x(2)"))
+        # a torsion factor kills the term before its x(2) is looked at
+        assert proj(3, Polynomial.parse(a3, "alpha*x(2)")).is_zero()
 
 
 def test_act_rejects_wrong_alphabet(wb):
@@ -388,3 +444,52 @@ def test_report_failure_surfacing():
     rep = Report("demo", [CheckRow("c", (0,), 1, 2, "mismatch")])
     assert not rep.ok
     assert len(rep.failures()) == 1
+
+
+# ---- sharing within one Workbench ----
+
+VERIFY_SEQUENCE = (
+    "verify_differentials_square_to_zero",
+    "verify_e3_presentation",
+    "verify_w_grading",
+    "verify_module_isomorphisms",
+    "verify_e4_claims",
+    "verify_e4_dimensions",
+    "survival_report",
+)
+
+
+def test_each_basis_enumerated_once_per_workbench(monkeypatch):
+    """Over the verify sequence each (presentation, window) is enumerated
+    at most once, and a second Workbench enumerates everything again: no
+    basis outlives the Workbench that built it."""
+    enumerating = []  # the presentation whose basis is being built
+    calls = Counter()
+    real_basis = PagePresentation.basis
+    real_enumerate = dga.enumerate_window
+
+    def basis(self, window):
+        enumerating.append(self)
+        try:
+            return real_basis(self, window)
+        finally:
+            enumerating.pop()
+
+    def counting(alphabet, window):
+        calls[(enumerating[-1], window)] += 1
+        return real_enumerate(alphabet, window)
+
+    monkeypatch.setattr(PagePresentation, "basis", basis)
+    monkeypatch.setattr(dga, "enumerate_window", counting)
+    window = default_window(16, 4, -4, 4)
+    bench = Workbench(window)
+    for name in VERIFY_SEQUENCE:
+        getattr(bench, name)()
+    first = dict(calls)
+    assert first and set(first.values()) == {1}
+    assert {pres for pres, _ in first} >= set(bench._presentations.values())
+    again = Workbench(window)
+    for name in VERIFY_SEQUENCE:
+        getattr(again, name)()
+    assert sum(calls.values()) == 2 * len(first)
+    assert set(calls.values()) == {1}
