@@ -14,7 +14,6 @@ from .gf2poly import (
     TruncationWindow,
     UnknownGeneratorError,
     default_window,
-    enumerate_basis,
     enumerate_window,
 )
 from .dga import (
@@ -74,7 +73,6 @@ __all__ = [
     "decomposition_chart",
     "default_window",
     "endomorphism_comodule",
-    "enumerate_basis",
     "enumerate_window",
     "ext_dimensions",
     "homology_page",

@@ -64,12 +64,11 @@ _DEFAULTS = {
     "spectrum": "EndM",
     "format": None,  # filled per subcommand
     "out": ".",
-    "workers": 1,
     "no_cache": False,
     "what": "page",
 }
 
-_INT_KEYS = ("t_max", "s_max", "v1_min", "v1_max", "page", "workers")
+_INT_KEYS = ("t_max", "s_max", "v1_min", "v1_max", "page")
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -89,7 +88,6 @@ class RunConfig:
     spectrum: str
     format: str
     out: str
-    workers: int
     no_cache: bool
     what: str
 
@@ -104,11 +102,9 @@ class RunConfig:
 
     def cache_key(self) -> str:
         payload = asdict(self)
-        # the output directory, the cache switch and the worker count do
-        # not affect content
+        # the output directory and the cache switch do not affect content
         del payload["out"]
         del payload["no_cache"]
-        del payload["workers"]
         payload["version"] = __version__
         payload["source"] = _source_digest()
         blob = json.dumps(payload, sort_keys=True)
@@ -144,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spectrum", choices=TAGS)
     common.add_argument("--format", choices=_TABLE_FORMATS + _CHART_FORMATS)
     common.add_argument("--out", metavar="DIR")
-    common.add_argument("--workers", type=int)
     common.add_argument("--no-cache", action="store_const", const=True, dest="no_cache")
 
     parser = argparse.ArgumentParser(
@@ -217,8 +212,6 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"page must be 2, 3, or 4, got {merged['page']!r}")
     if merged["what"] not in ("page", "decomposition"):
         raise ConfigError(f"chart target must be page or decomposition")
-    if merged["workers"] < 1:
-        raise ConfigError("workers must be at least 1")
     allowed = _CHART_FORMATS if ns.cmd == "chart" else _TABLE_FORMATS
     if merged["format"] is None:
         merged["format"] = allowed[0]
@@ -293,7 +286,7 @@ Artifacts = Tuple[int, str, Dict[str, str]]  # exit code, stdout, files
 
 
 def _cmd_page(cfg: RunConfig) -> Artifacts:
-    wb = Workbench(cfg.window(), workers=cfg.workers)
+    wb = Workbench(cfg.window())
     pg = wb.page(cfg.spectrum, cfg.page)
     meta = {
         "window": cfg.window_label(),
@@ -324,7 +317,7 @@ def _cmd_ext(cfg: RunConfig) -> Artifacts:
 
 
 def _cmd_mahowald(cfg: RunConfig) -> Artifacts:
-    wb = Workbench(cfg.window(), workers=cfg.workers)
+    wb = Workbench(cfg.window())
     tables = wb.mahowald_tables()
     extra = {"window": cfg.window_label(), "conditional": "false"}
     files: Dict[str, str] = {}
@@ -383,7 +376,7 @@ def _report_summary(name: str, ok: bool, conditional: bool, checked: int, failur
 
 
 def _cmd_verify(cfg: RunConfig) -> Artifacts:
-    wb = Workbench(cfg.window(), workers=cfg.workers)
+    wb = Workbench(cfg.window())
     summaries: List[dict] = []
     lines: List[str] = []
 
@@ -446,7 +439,7 @@ def _cmd_verify(cfg: RunConfig) -> Artifacts:
 
 
 def _cmd_decompose(cfg: RunConfig) -> Artifacts:
-    wb = Workbench(cfg.window(), workers=cfg.workers)
+    wb = Workbench(cfg.window())
     report = wb.mahowald_decomposition_check()
     counts = {"ok": 0, "mismatch": 0, "insufficient": 0}
     for row in report.rows:
@@ -477,7 +470,7 @@ def _cmd_decompose(cfg: RunConfig) -> Artifacts:
 
 
 def _cmd_chart(cfg: RunConfig) -> Artifacts:
-    wb = Workbench(cfg.window(), workers=cfg.workers)
+    wb = Workbench(cfg.window())
     if cfg.what == "page":
         doc = page_chart(wb.page(cfg.spectrum, cfg.page), title=f"{cfg.spectrum} r={cfg.page}")
         fname = f"chart-page-{cfg.spectrum}-r{cfg.page}.{cfg.format}"

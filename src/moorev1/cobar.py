@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .dga import D2Report, DimensionTable
 from .gf2linalg import Subspace, column_space_basis, rank
-from .gf2poly import GF2PolyError
+from .gf2poly import GF2PolyError, _xor
 
 __all__ = [
     "COALGEBRA",
@@ -41,17 +41,6 @@ __all__ = [
 
 # a coaction or tensor element of C (x) V is a set of (xi1 power, label) pairs
 Tensor = FrozenSet[Tuple[int, str]]
-
-
-def _xor(items: Iterable) -> FrozenSet:
-    """GF(2) sum of basis items: those occurring an odd number of times."""
-    acc = set()
-    for p in items:
-        if p in acc:
-            acc.discard(p)
-        else:
-            acc.add(p)
-    return frozenset(acc)
 
 
 class QuotientCoalgebra:

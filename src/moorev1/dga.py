@@ -13,7 +13,6 @@ so every reported dimension is exact rather than an artifact of truncation.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -410,7 +409,6 @@ def homology_page(
     pres: PagePresentation,
     window: TruncationWindow,
     diff_fn: Optional[Callable[[Monomial], Polynomial]] = None,
-    workers: int = 1,
     name: str = "",
     conditional: bool = False,
 ) -> ComputedPage:
@@ -418,8 +416,7 @@ def homology_page(
     a nonempty basis, trusting only degrees whose neighbors are complete.
 
     The matrix of d from degree c is built once: it is the outgoing map at
-    c and the incoming map at c + shift.  With workers > 1 the matrices are
-    still built serially and only the linear algebra is spread out."""
+    c and the incoming map at c + shift."""
     fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     shift = pres.degree_shift
@@ -445,11 +442,7 @@ def homology_page(
         reps = tuple(subquotient_basis(cycles, boundaries))
         return _DegreeHomology(basis=basis, cycles=Subspace(cycles), boundaries=boundaries, reps=reps)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            data = dict(zip(wanted, pool.map(compute, wanted)))
-    else:
-        data = {d: compute(d) for d in wanted}
+    data = {d: compute(d) for d in wanted}
     return ComputedPage(pres, window, wb, data, name=name, conditional=conditional)
 
 

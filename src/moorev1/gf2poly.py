@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class GF2PolyError(Exception):
@@ -268,6 +268,17 @@ def mono_str(alphabet: Alphabet, mono: Monomial) -> str:
     return "*".join(parts)
 
 
+def _xor(items: Iterable) -> FrozenSet:
+    """GF(2) sum of basis items: those occurring an odd number of times."""
+    acc = set()
+    for p in items:
+        if p in acc:
+            acc.discard(p)
+        else:
+            acc.add(p)
+    return frozenset(acc)
+
+
 class Polynomial:
     """A GF(2) polynomial: a frozenset of monomials over one alphabet."""
 
@@ -275,17 +286,8 @@ class Polynomial:
 
     def __init__(self, alphabet: Alphabet, terms: Iterable[Monomial] = ()):
         self.alphabet = alphabet
-        if isinstance(terms, frozenset):
-            self.terms = terms
-        else:
-            # duplicate terms cancel in characteristic 2
-            acc: Set[Monomial] = set()
-            for m in terms:
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-            self.terms = frozenset(acc)
+        # duplicate terms cancel in characteristic 2
+        self.terms = terms if isinstance(terms, frozenset) else _xor(terms)
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "Polynomial":
@@ -339,29 +341,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_alphabet(other)
-        acc: Set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                m = mono_mul(self.alphabet, a, b)
-                if m is None:
-                    continue
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return Polynomial(self.alphabet, frozenset(acc))
+        products = (mono_mul(self.alphabet, a, b) for a in self.terms for b in other.terms)
+        return Polynomial(self.alphabet, (m for m in products if m is not None))
 
     def mul_monomial(self, mono: Monomial) -> "Polynomial":
-        acc: Set[Monomial] = set()
-        for a in self.terms:
-            m = mono_mul(self.alphabet, a, mono)
-            if m is None:
-                continue
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-        return Polynomial(self.alphabet, frozenset(acc))
+        # exponents add, so distinct terms keep distinct products: nothing cancels
+        terms = frozenset([mono_mul(self.alphabet, x, mono) for x in self.terms])
+        return Polynomial(self.alphabet, terms - {None})
 
     def monomials_sorted(self) -> List[Monomial]:
         return sorted(self.terms, key=lambda m: mono_sort_key(self.alphabet, m))
@@ -418,7 +404,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text", 0)
-    terms: Set[Monomial] = set()
+    terms: List[Monomial] = []
     i = 0
 
     def parse_term(i: int) -> Tuple[Optional[Monomial], int]:
@@ -473,10 +459,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
     while True:
         mono, i = parse_term(i)
         if mono is not None:
-            if mono in terms:
-                terms.discard(mono)
-            else:
-                terms.add(mono)
+            terms.append(mono)
         if i < len(tokens):
             tok, pos = tokens[i]
             if tok != "+":
@@ -484,7 +467,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
             i += 1
             continue
         break
-    return Polynomial(alphabet, frozenset(terms))
+    return Polynomial(alphabet, terms)
 
 
 @dataclass(frozen=True)
@@ -557,94 +540,6 @@ def sufficient_x_index(t_max: int, v1_min: int) -> int:
     return n
 
 
-def _solve_v1_exponent(v1deg: Multidegree, rem: Multidegree) -> Optional[int]:
-    """The unique j with j*v1deg == rem, or None."""
-    for c in range(3):
-        if v1deg[c]:
-            if rem[c] % v1deg[c]:
-                return None
-            j = rem[c] // v1deg[c]
-            if all(j * v1deg[k] == rem[k] for k in range(3)):
-                return j
-            return None
-    return 0 if rem == Multidegree(0, 0, 0) else None
-
-
-def enumerate_basis(
-    alphabet: Alphabet, window: TruncationWindow, degree: Multidegree
-) -> List[Monomial]:
-    """All monomials of the given multidegree inside the window, in the
-    canonical order.  Exact: nothing of that degree is missed as long as the
-    alphabet satisfies the generator sufficiency bound for the window."""
-    v1_lo, v1_hi = window.v1_exponent_range
-    if v1_lo > v1_hi:
-        raise InvalidWindowError("empty v1 exponent range")
-    v1 = alphabet.v1
-    others = [(i, g) for i, g in enumerate(alphabet.generators) if not g.invertible]
-    # largest-degree generators first prunes best
-    others.sort(key=lambda ig: (-ig[1].degree.t, ig[0]))
-    # slack from negative internal degrees (nilpotent generators only)
-    neg_slack = [0] * (len(others) + 1)
-    for k in range(len(others) - 1, -1, -1):
-        g = others[k][1]
-        neg_slack[k] = neg_slack[k + 1] + max(0, -g.degree.t)
-    if v1 is not None:
-        t_budget_hi = degree.t - v1.degree.t * v1_lo
-        t_budget_lo = degree.t - v1.degree.t * v1_hi
-    else:
-        t_budget_hi = degree.t
-        t_budget_lo = degree.t
-    out: List[Monomial] = []
-
-    def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int):
-        if s > degree.s:
-            return
-        if t - neg_slack[k] > t_budget_hi:
-            return
-        if k == len(others):
-            rem = Multidegree(degree.s - s, degree.t - t, degree.u - u)
-            if v1 is None:
-                if rem == Multidegree(0, 0, 0):
-                    out.append(tuple(sorted(acc)))
-                return
-            j = _solve_v1_exponent(v1.degree, rem)
-            if j is None or j % v1.stride or not (v1_lo <= j <= v1_hi):
-                return
-            mono = list(acc)
-            if j != 0:
-                mono.append((alphabet.v1_index, j))
-            out.append(tuple(sorted(mono)))
-            return
-        gi, g = others[k]
-        e_max = None
-        if g.nilpotent_square:
-            e_max = 1
-        if g.degree.s > 0:
-            cap = (degree.s - s) // g.degree.s
-            e_max = cap if e_max is None else min(e_max, cap)
-        if g.degree.t > 0:
-            cap = (t_budget_hi + neg_slack[k + 1] - t) // g.degree.t
-            e_max = cap if e_max is None else min(e_max, cap)
-        if e_max is None:
-            raise GF2PolyError(f"{g.name}: cannot bound exponent during enumeration")
-        e = 0
-        while e <= e_max:
-            if e == 0:
-                recurse(k + 1, acc, s, t, u)
-            else:
-                acc.append((gi, e))
-                recurse(k + 1, acc, s + g.degree.s * e, t + g.degree.t * e, u + g.degree.u * e)
-                acc.pop()
-            e += 1
-
-    # note: without v1 the t budget is exact, extra pruning via t_budget_lo
-    # is unnecessary because all remaining degrees are nonnegative
-    del t_budget_lo
-    recurse(0, [], 0, 0, 0)
-    out.sort(key=lambda m: mono_sort_key(alphabet, m))
-    return out
-
-
 class WindowBasis:
     """Monomial bases of every degree in a window, with completeness flags.
 
@@ -656,16 +551,13 @@ class WindowBasis:
     def __init__(
         self,
         window: TruncationWindow,
-        buckets: Dict[Multidegree, List[Monomial]],
+        buckets: Dict[Multidegree, Tuple[Monomial, ...]],
         truncated: Set[Multidegree],
         alphabet: Alphabet,
     ):
         self.window = window
         self.alphabet = alphabet
-        self._buckets: Dict[Multidegree, Tuple[Monomial, ...]] = {
-            d: tuple(sorted(monos, key=lambda m: mono_sort_key(alphabet, m)))
-            for d, monos in buckets.items()
-        }
+        self._buckets = buckets  # each bucket already in the canonical order
         self._truncated = truncated
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
@@ -683,7 +575,7 @@ class WindowBasis:
     def filtered(self, keep: Callable[[Monomial], bool]) -> "WindowBasis":
         kept = {}
         for d, monos in self._buckets.items():
-            sub = [m for m in monos if keep(m)]
+            sub = tuple(m for m in monos if keep(m))
             if sub:
                 kept[d] = sub
         return WindowBasis(self.window, kept, set(self._truncated), self.alphabet)
@@ -781,4 +673,8 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
             e += 1
 
     recurse(0, [], 0, 0, 0)
-    return WindowBasis(window, buckets, truncated, alphabet)
+    ordered = {
+        d: tuple(sorted(monos, key=lambda m: mono_sort_key(alphabet, m)))
+        for d, monos in buckets.items()
+    }
+    return WindowBasis(window, ordered, truncated, alphabet)

@@ -173,12 +173,12 @@ class ZBHTables:
         return [f"{p} {q} {poly}" for p, q, poly in self.export_classes(kind)]
 
 
-def zbh_bases(p_max: int, q_max: int, workers: int = 1) -> ZBHTables:
+def zbh_bases(p_max: int, q_max: int) -> ZBHTables:
     """Exact Z/B/H bases for every bidegree with p <= p_max, q <= q_max."""
     alphabet = x_alphabet(q_max)
     window = _box_window(alphabet, p_max, q_max)
     pres = mahowald_presentation(alphabet)
-    page = homology_page(pres, window, workers=workers)
+    page = homology_page(pres, window)
     return ZBHTables(page, p_max, q_max)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dga import (
     ComputedPage,
@@ -43,6 +43,7 @@ from .gf2poly import (
     Multidegree,
     Polynomial,
     TruncationWindow,
+    _name_rank,
     mono_exponent,
     sufficient_h_index,
     sufficient_x_index,
@@ -201,15 +202,15 @@ _ProjectionRule = Union[None, str, Tuple[int, Optional[int]]]
 class Workbench:
     """All pages, actions, and verification reports over one window."""
 
-    def __init__(self, window: TruncationWindow, workers: int = 1):
+    def __init__(self, window: TruncationWindow):
         self.window = window
-        self.workers = workers
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
         self._pages: Dict[Tuple[str, int], Union[PresentationPage, ComputedPage]] = {}
         self._zbh: Optional[ZBHTables] = None
         self._d3m_cache: Dict[Monomial, Polynomial] = {}
         self._proj_rules: Dict[int, List[_ProjectionRule]] = {}
+        self._roles: Optional[List[Tuple[int, int]]] = None
         self._slice_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
         self._slice_mat_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
 
@@ -355,7 +356,6 @@ class Workbench:
                 self.presentation("M", 3),
                 self.window,
                 diff_fn=self.induced_d3m_monomial,
-                workers=self.workers,
                 name="two-cell r=4",
                 conditional=True,
             )
@@ -364,7 +364,6 @@ class Workbench:
         return homology_page(
             self.presentation("EndM", r - 1),
             self.window,
-            workers=self.workers,
             name=f"endomorphism r={r}",
             conditional=True,
         )
@@ -388,7 +387,8 @@ class Workbench:
             if g.name in ("alpha", "alphap"):
                 rules.append(None)
                 continue
-            k, target = (1, f"h({int(g.name[2:-1]) + 1},1)") if g.name.startswith("x(") else (0, g.name)
+            kind, n, _ = _name_rank(g.name)
+            k, target = (1, f"h({n + 1},1)") if kind == 4 else (0, g.name)
             if target == "v1":
                 rules.append((1, None))
             elif target in dst.names():
@@ -407,7 +407,7 @@ class Workbench:
         dst = self.alphabet("M", 2)
         v1i = dst.v1_index
         rules = self._projection_rules(r)
-        acc: Set[Monomial] = set()
+        terms: List[Monomial] = []
         for mono in e.terms:
             k = 0
             rest: List[Tuple[int, int]] = []
@@ -421,12 +421,8 @@ class Workbench:
                 if rule[1] is not None:
                     rest.append((rule[1], exp))
             else:
-                term = ((v1i, k), *rest) if k else tuple(rest)
-                if term in acc:
-                    acc.discard(term)
-                else:
-                    acc.add(term)
-        return Polynomial(dst, frozenset(acc))
+                terms.append(((v1i, k), *rest) if k else tuple(rest))
+        return Polynomial(dst, terms)
 
     def act(self, r: int, e: Polynomial, m: Polynomial) -> Polynomial:
         """Action of an EndM page element on an M page element."""
@@ -434,31 +430,37 @@ class Workbench:
             raise GF2PolyError("second factor does not live on the M page")
         return self.project_to_m(r, e) * m
 
+    def _m_roles(self) -> List[Tuple[int, int]]:
+        """Per M generator, read once off the name grammar: (n, i) with n = 0
+        for v1 and n >= 1 for h(n,1), and i the index of the page-3 EndM
+        generator it lifts to (v1, h(1,1), or x(n-1))."""
+        if self._roles is None:
+            dst = self.alphabet("EndM", 3)
+            self._roles = []
+            for g in self.alphabet("M", 2):
+                kind, n, _ = _name_rank(g.name)
+                target = "v1" if kind == 0 else "h(1,1)" if n == 1 else f"x({n - 1})"
+                self._roles.append((n, dst.index(target)))
+        return self._roles
+
     def lift_to_endm(self, mono: Monomial) -> Tuple[Monomial, int]:
         """Write an M monomial as (page-3 EndM monomial) * v1^epsilon with
         epsilon in {0,1}: each h(n,1) with n >= 2 becomes v1^-1*x(n-1) and
         the leftover odd v1 power is the second module generator."""
-        src = self.alphabet("M", 2)
-        dst = self.alphabet("EndM", 3)
-        k = a = 0
-        bs: List[Tuple[int, int]] = []
-        for gi, exp in mono:
-            name = src[gi].name
-            if name == "v1":
-                k = exp
-            elif name == "h(1,1)":
-                a = exp
-            else:
-                bs.append((int(name[2:name.index(",")]), exp))
-        j = k - sum(e for _, e in bs)
-        eps = j % 2
+        roles = self._m_roles()
+        j = 0
         parts: List[Tuple[int, int]] = []
+        for gi, exp in mono:
+            n, target = roles[gi]
+            if n == 0:
+                j += exp
+                continue
+            if n > 1:
+                j -= exp
+            parts.append((target, exp))
+        eps = j % 2
         if j - eps != 0:
-            parts.append((dst.index("v1"), j - eps))
-        if a:
-            parts.append((dst.index("h(1,1)"), a))
-        for n, exp in bs:
-            parts.append((dst.index(f"x({n - 1})"), exp))
+            parts.append((self.alphabet("EndM", 3).v1_index, j - eps))
         return tuple(sorted(parts)), eps
 
     def induced_d3m(self, poly: Polynomial) -> Polynomial:
@@ -488,17 +490,17 @@ class Workbench:
         """w of an M monomial: each h(n,1) with n >= 2 is a v1^-1*x(n-1)
         in disguise and x factors carry no w, so only the corrected v1
         exponent and the h(1,1) exponent count."""
-        src = self.alphabet("M", 2)
-        k = a = big_b = 0
+        roles = self._m_roles()
+        j = a = 0
         for gi, exp in mono:
-            name = src[gi].name
-            if name == "v1":
-                k = exp
-            elif name == "h(1,1)":
+            n = roles[gi][0]
+            if n == 0:
+                j += exp
+            elif n == 1:
                 a = exp
             else:
-                big_b += exp
-        return w_of_v1_exponent(k - big_b) + a
+                j -= exp
+        return w_of_v1_exponent(j) + a
 
     def verify_w_grading(self) -> Report:
         """d3 raises w by exactly 1 on every in-window M basis monomial."""
@@ -644,7 +646,7 @@ class Workbench:
             w = self.window
             q_max = w.t_range[1] - 2 * w.u_range[0] + 3 * w.s_range[1] + 20
             p_max = 2 * w.s_range[1] + 8
-            self._zbh = zbh_bases(p_max, q_max, workers=self.workers)
+            self._zbh = zbh_bases(p_max, q_max)
         return self._zbh
 
     def _pattern_count(self, kind: str, d: Multidegree, a: int, residues: Tuple[int, int]) -> int:
@@ -921,6 +923,6 @@ class Workbench:
         return rhs, exact
 
 
-def build_page(tag: str, r: int, window: TruncationWindow, workers: int = 1):
+def build_page(tag: str, r: int, window: TruncationWindow):
     """One-shot page construction; use a Workbench to share caches."""
-    return Workbench(window, workers=workers).page(tag, r)
+    return Workbench(window).page(tag, r)

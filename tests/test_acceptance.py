@@ -24,7 +24,7 @@ from moorev1.specseq import Workbench
 
 @pytest.fixture(scope="module")
 def wb():
-    return Workbench(default_window(), workers=3)
+    return Workbench(default_window())
 
 
 def _record(num: int, label: str, ok: bool) -> None:
@@ -156,7 +156,7 @@ def test_criterion_10_decomposition(wb):
 
 def test_criterion_11_determinism(tmp_path):
     argv_sets = [
-        ["verify", "--workers", "3"],
+        ["verify"],
         ["page", "--spectrum", "EndM", "--page", "4"],
         ["decompose"],
         ["mahowald"],

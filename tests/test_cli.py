@@ -104,7 +104,7 @@ def test_ext_closed_form_spots(tmp_path):
 
 
 def test_verify_small_window(tmp_path, capsys):
-    code = run_in(tmp_path, "verify", *SMALL, "--workers", "2")
+    code = run_in(tmp_path, "verify", *SMALL)
     out = capsys.readouterr().out
     assert code == 0
     assert "verify: PASS" in out
@@ -222,13 +222,25 @@ def test_config_file_errors(tmp_path, capsys):
     assert run_in(tmp_path, "page", "--config", str(tmp_path / "missing.cfg")) == 2
 
 
-def test_workers_must_be_positive(tmp_path, capsys):
-    assert run_in(tmp_path, "page", *SMALL, "--workers", "0") == 2
+def test_workers_flag_is_a_usage_error(tmp_path, capsys):
+    assert run_in(tmp_path, "page", *SMALL, "--workers", "2") == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err
+    assert "Traceback" not in err
+
+
+def test_workers_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers=2\n")
+    assert run_in(tmp_path, "page", *SMALL, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'workers'" in err
+    assert "Traceback" not in err
 
 
 def test_cache_key_depends_on_config_not_out():
     base = dict(cmd="page", t_max=8, s_max=2, v1_min=-2, v1_max=2, page=2,
-                spectrum="M", format="json", out=".", workers=1, no_cache=False,
+                spectrum="M", format="json", out=".", no_cache=False,
                 what="page")
     a = RunConfig(**base)
     b = RunConfig(**{**base, "out": "/elsewhere", "no_cache": True})
@@ -237,16 +249,9 @@ def test_cache_key_depends_on_config_not_out():
     assert a.cache_key() != c.cache_key()
 
 
-def test_cache_key_ignores_workers():
-    base = dict(cmd="verify", t_max=8, s_max=2, v1_min=-2, v1_max=2, page=2,
-                spectrum="M", format="json", out=".", workers=1, no_cache=False,
-                what="page")
-    assert RunConfig(**base).cache_key() == RunConfig(**{**base, "workers": 3}).cache_key()
-
-
 def test_cache_key_follows_package_source(monkeypatch):
     cfg = RunConfig(cmd="page", t_max=8, s_max=2, v1_min=-2, v1_max=2, page=2,
-                    spectrum="M", format="json", out=".", workers=1, no_cache=False,
+                    spectrum="M", format="json", out=".", no_cache=False,
                     what="page")
     before = cfg.cache_key()
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)

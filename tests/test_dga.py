@@ -259,23 +259,10 @@ class TestHomology:
                 assert page.presentation.apply(rep).is_zero()
                 assert page.class_is_nonzero(rep, d)
 
-    def test_workers_agree(self):
-        w = default_window(t_max=24, s_max=5, v1_min=-5, v1_max=5)
-        pres = quotient_presentation(3)
-        one = homology_page(pres, w, workers=1)
-        two = homology_page(pres, w, workers=3)
-        assert one.degrees() == two.degrees()
-        for d in one.degrees():
-            assert one.dim(d) == two.dim(d)
-            assert [str(p) for p in one.representatives(d)] == [
-                str(p) for p in two.representatives(d)
-            ]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_reference_assembly(self, workers):
+    def test_matches_reference_assembly(self):
         w = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
         for pres in (quotient_presentation(3), stride_presentation()):
-            page = homology_page(pres, w, workers=workers)
+            page = homology_page(pres, w)
             want = reference_homology(pres, w)
             assert page.degrees() == sorted(want)
             assert any(boundaries.dim for _, boundaries, _ in want.values())

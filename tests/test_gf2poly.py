@@ -1,6 +1,8 @@
-import random
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moorev1.gf2poly import (
     Alphabet,
@@ -13,10 +15,11 @@ from moorev1.gf2poly import (
     TruncationWindow,
     UnknownGeneratorError,
     default_window,
-    enumerate_basis,
     enumerate_window,
+    mono_degree,
     mono_divides,
     mono_mul,
+    mono_sort_key,
     mono_str,
     sufficient_h_index,
     sufficient_x_index,
@@ -236,35 +239,128 @@ class TestWindow:
         assert w.v1_exponent_range == w.u_range == (-16, 16)
 
 
+def basis_of(alphabet, window, d):
+    return enumerate_window(alphabet, window).basis(d)
+
+
+def brute_force_window(alphabet, w):
+    """Oracle for enumerate_window: itertools.product over every generator's
+    exponent range, keeping the monomials whose degree the window contains.
+    Returns the sorted buckets and the in-window degrees that some monomial
+    with a v1 exponent outside the window's v1 range lands on."""
+    s_max = w.s_range[1]
+    (v1_lo, v1_hi), (u_lo, u_hi) = w.v1_exponent_range, w.u_range
+
+    def top(g):  # largest exponent of a non-invertible generator
+        return 1 if g.nilpotent_square else s_max // g.degree.s
+
+    rest_u = [g.degree.u * top(g) for g in alphabet if not g.invertible]
+    ranges = []
+    for g in alphabet:
+        if not g.invertible:
+            ranges.append(range(top(g) + 1))
+            continue
+        # wide enough that every exponent beyond it misses the u range
+        j_lo = min(v1_lo, (u_lo - sum(x for x in rest_u if x > 0)) // g.degree.u)
+        j_hi = max(v1_hi, -(-(u_hi - sum(x for x in rest_u if x < 0)) // g.degree.u))
+        ranges.append([j for j in range(j_lo, j_hi + 1) if j % g.stride == 0])
+    v1i = alphabet.v1_index
+    buckets, clipped = {}, set()
+    for exps in itertools.product(*ranges):
+        mono = tuple((gi, e) for gi, e in enumerate(exps) if e)
+        d = mono_degree(alphabet, mono)
+        if not w.contains(d):
+            continue
+        if v1i is None or v1_lo <= exps[v1i] <= v1_hi:
+            buckets.setdefault(d, []).append(mono)
+        else:
+            clipped.add(d)
+    for monos in buckets.values():
+        monos.sort(key=lambda m: mono_sort_key(alphabet, m))
+    return buckets, clipped
+
+
+def assert_matches_oracle(alphabet, w):
+    wb = enumerate_window(alphabet, w)
+    buckets, clipped = brute_force_window(alphabet, w)
+    assert wb.degrees() == sorted(buckets)
+    for d, monos in buckets.items():
+        assert wb.basis(d) == tuple(monos), d
+    for s in range(w.s_range[0], w.s_range[1] + 1):
+        for t in range(w.t_range[0], w.t_range[1] + 1):
+            for u in range(w.u_range[0], w.u_range[1] + 1):
+                d = Multidegree(s, t, u)
+                assert wb.complete(d) == (d not in clipped), d
+    return buckets
+
+
+# the generator shapes of the workbench alphabets: S, M, EndM r=2 and r=3
+_GENERATOR_POOL = (
+    Generator("alpha", Multidegree(0, -1, 0), nilpotent_square=True),
+    Generator("alphap", Multidegree(0, 1, 1), nilpotent_square=True),
+    Generator("h(1,0)", Multidegree(1, 1, 0)),
+    Generator("h(1,1)", Multidegree(1, 2, 0)),
+    Generator("h(2,1)", Multidegree(1, 6, 0)),
+    Generator("h(3,1)", Multidegree(1, 14, 0)),
+    Generator("x(1)", Multidegree(1, 8, 1)),
+    Generator("x(2)", Multidegree(1, 16, 1)),
+)
+
+
+def _range_around_zero(lo, hi):
+    return st.tuples(st.integers(lo, 0), st.integers(0, hi))
+
+
+@st.composite
+def small_alphabets_and_windows(draw):
+    gens = draw(st.lists(st.sampled_from(_GENERATOR_POOL), unique=True, max_size=5))
+    stride = draw(st.sampled_from((None, 1, 2)))
+    if stride is not None:
+        gens.append(Generator("v1", Multidegree(0, 2, 1), invertible=True, stride=stride))
+    window = TruncationWindow(
+        max_generator_index=3,
+        v1_exponent_range=draw(_range_around_zero(-4, 4)),
+        s_range=(draw(st.integers(0, 1)), draw(st.integers(1, 4))),
+        t_range=draw(_range_around_zero(-12, 24)),
+        u_range=draw(_range_around_zero(-4, 4)),
+    )
+    return Alphabet(gens), window
+
+
+class TestEnumerateWindowOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(small_alphabets_and_windows())
+    def test_random_windows_match_brute_force(self, case):
+        assert_matches_oracle(*case)
+
+
 class TestEnumerateBasis:
+    """The basis of one degree, read off the whole-window enumeration."""
+
     def test_single_degree(self):
         a = laurent_alphabet()
-        w = default_window()
-        basis = enumerate_basis(a, w, Multidegree(3, 6, 0))
+        basis = basis_of(a, default_window(), Multidegree(3, 6, 0))
         assert [mono_str(a, m) for m in basis] == ["h(1,1)^3"]
 
     def test_laurent_solution(self):
         a = laurent_alphabet()
-        w = default_window()
-        basis = enumerate_basis(a, w, Multidegree(1, 0, -1))
+        basis = basis_of(a, default_window(), Multidegree(1, 0, -1))
         assert [mono_str(a, m) for m in basis] == ["v1^-1*h(1,1)"]
 
     def test_empty_degree(self):
         a = laurent_alphabet()
-        w = default_window()
-        assert enumerate_basis(a, w, Multidegree(0, 1, 0)) == []
+        assert basis_of(a, default_window(), Multidegree(0, 1, 0)) == ()
 
     def test_respects_v1_range(self):
         a = laurent_alphabet()
         w = TruncationWindow(5, (0, 4), (0, 12), (-33, 64), (-16, 16))
-        assert enumerate_basis(a, w, Multidegree(1, 0, -1)) == []
+        assert basis_of(a, w, Multidegree(1, 0, -1)) == ()
 
     def test_nilpotent_capped(self):
         a = nilpotent_alphabet()
-        w = default_window()
-        basis = enumerate_basis(a, w, Multidegree(0, -1, 0))
-        assert [mono_str(a, m) for m in basis] == ["alpha"]
-        assert enumerate_basis(a, w, Multidegree(0, -2, 0)) == []
+        wb = enumerate_window(a, default_window())
+        assert [mono_str(a, m) for m in wb.basis(Multidegree(0, -1, 0))] == ["alpha"]
+        assert wb.basis(Multidegree(0, -2, 0)) == ()
 
     def test_counts_match_compositions(self):
         # with only h generators, a basis of (s, t, 0) is the set of ways to
@@ -277,31 +373,21 @@ class TestEnumerateBasis:
             ]
         )
         w = TruncationWindow(3, (0, 0), (0, 6), (0, 40), (0, 0))
-        assert len(enumerate_basis(a, w, Multidegree(3, 10, 0))) == 1  # 2+2+6
-        assert len(enumerate_basis(a, w, Multidegree(4, 24, 0))) == 2  # 2+2+6+14, 6+6+6+6
+        wb = enumerate_window(a, w)
+        assert len(wb.basis(Multidegree(3, 10, 0))) == 1  # 2+2+6
+        assert len(wb.basis(Multidegree(4, 24, 0))) == 2  # 2+2+6+14, 6+6+6+6
 
 
 class TestEnumerateWindow:
     def test_matches_per_degree_enumeration(self):
         a = nilpotent_alphabet()
         w = TruncationWindow(2, (-6, 6), (0, 8), (-13, 30), (-6, 6))
-        wb = enumerate_window(a, w)
-        rng = random.Random(7)
-        degrees = wb.degrees()
-        assert degrees
-        for d in rng.sample(degrees, min(40, len(degrees))):
-            assert wb.basis(d) == tuple(enumerate_basis(a, w, d))
+        assert len(assert_matches_oracle(a, w)) == 880
 
     def test_no_in_window_degree_missed(self):
         a = laurent_alphabet(2)
         w = TruncationWindow(2, (-4, 4), (0, 4), (-9, 12), (-4, 4))
-        wb = enumerate_window(a, w)
-        # exhaustive scan over the whole box
-        for s in range(0, 5):
-            for t in range(-9, 13):
-                for u in range(-4, 5):
-                    d = Multidegree(s, t, u)
-                    assert wb.basis(d) == tuple(enumerate_basis(a, w, d)), d
+        assert len(assert_matches_oracle(a, w)) == 83
 
     def test_truncation_flagged_for_clipped_degrees(self):
         a = Alphabet(

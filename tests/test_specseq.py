@@ -417,7 +417,7 @@ def test_decomposition_report(wb):
 
 def test_decomposition_positive_quadrant_covered():
     # the full default window settles every cell with stem and filtration >= 0
-    rep = Workbench(default_window(), workers=3).mahowald_decomposition_check()
+    rep = Workbench(default_window()).mahowald_decomposition_check()
     bad = [
         r.degree
         for r in rep.rows
