@@ -48,16 +48,28 @@ class QuotientCoalgebra:
 
     height = 4
 
+    def __init__(self):
+        # both diagonals once per instance; the reduced one is read off
+        # delta_full, so a subclass that redefines delta_full changes both
+        self._full: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._reduced: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+
     def basis(self) -> range:
         return range(self.height)
 
     def delta_full(self, i: int) -> Tuple[Tuple[int, int], ...]:
-        if not 0 <= i < self.height:
-            raise GF2PolyError(f"xi1^{i} is not a basis element")
-        return tuple((j, i - j) for j in range(i + 1) if comb(i, j) % 2)
+        got = self._full.get(i)
+        if got is None:
+            if not 0 <= i < self.height:
+                raise GF2PolyError(f"xi1^{i} is not a basis element")
+            got = self._full[i] = tuple((j, i - j) for j in range(i + 1) if comb(i, j) % 2)
+        return got
 
     def delta_reduced(self, i: int) -> Tuple[Tuple[int, int], ...]:
-        return tuple((j, k) for j, k in self.delta_full(i) if j and k)
+        got = self._reduced.get(i)
+        if got is None:
+            got = self._reduced[i] = tuple((j, k) for j, k in self.delta_full(i) if j and k)
+        return got
 
     def verify(self) -> bool:
         """Exhaustive coassociativity of the full diagonal."""

@@ -552,7 +552,7 @@ class WindowBasis:
         self,
         window: TruncationWindow,
         buckets: Dict[Multidegree, Tuple[Monomial, ...]],
-        truncated: Set[Multidegree],
+        truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
         self.window = window
@@ -610,42 +610,20 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     else:
         t_part_hi = t_hi
         u_part_hi = u_hi
-    buckets: Dict[Multidegree, List[Monomial]] = {}
-    truncated: Set[Multidegree] = set()
-
-    def emit(mono: Monomial, d: Multidegree):
-        buckets.setdefault(d, []).append(mono)
-
-    def leaf(acc: List[Tuple[int, int]], s: int, t: int, u: int):
-        if v1 is None:
-            if s_lo <= s <= s_hi and t_lo <= t <= t_hi and u_lo <= u <= u_hi:
-                emit(tuple(sorted(acc)), Multidegree(s, t, u))
-            return
-        if not (s_lo <= s <= s_hi):
-            return
-        vu = v1.degree.u
-        j_min = -((u - u_lo + vu - 1) // vu)  # smallest j with u + j*vu >= u_lo
-        j_max = (u_hi - u) // vu
-        for j in range(j_min, j_max + 1):
-            if j % v1.stride:
-                continue
-            tt = t + v1.degree.t * j
-            if not (t_lo <= tt <= t_hi):
-                continue
-            d = Multidegree(s, tt, u + vu * j)
-            if v1_lo <= j <= v1_hi:
-                if j == 0:
-                    emit(tuple(sorted(acc)), d)
-                else:
-                    emit(tuple(sorted(acc + [(alphabet.v1_index, j)])), d)
-            else:
-                truncated.add(d)
+    # One record per non-v1 part: (-u, dense exponents, s, t, factors).  In
+    # a bucket of fixed u, a larger u of the non-v1 part means a smaller v1
+    # exponent, so emitting the records in their natural sorted order fills
+    # every bucket in the canonical order (v1 exponent, then the others)
+    # with no sort per bucket.  v1 is index 0, so its factor goes in front.
+    leaves: List[Tuple[int, Tuple[int, ...], int, int, Monomial]] = []
+    exps = [0] * len(alphabet)
 
     def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int):
         if s > s_hi or u > u_part_hi or t - neg_slack[k] > t_part_hi:
             return
         if k == len(others):
-            leaf(acc, s, t, u)
+            if s_lo <= s and (v1 is not None or (t_lo <= t <= t_hi and u_lo <= u <= u_hi)):
+                leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
             return
         gi, g = others[k]
         e_max = None
@@ -662,19 +640,46 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
             e_max = cap if e_max is None else min(e_max, cap)
         if e_max is None:
             raise GF2PolyError(f"{g.name}: cannot bound exponent during enumeration")
-        e = 0
-        while e <= e_max:
-            if e == 0:
-                recurse(k + 1, acc, s, t, u)
-            else:
-                acc.append((gi, e))
-                recurse(k + 1, acc, s + g.degree.s * e, t + g.degree.t * e, u + g.degree.u * e)
-                acc.pop()
-            e += 1
+        recurse(k + 1, acc, s, t, u)
+        for e in range(1, e_max + 1):
+            acc.append((gi, e))
+            exps[gi] = e
+            recurse(k + 1, acc, s + g.degree.s * e, t + g.degree.t * e, u + g.degree.u * e)
+            acc.pop()
+        exps[gi] = 0
 
     recurse(0, [], 0, 0, 0)
-    ordered = {
-        d: tuple(sorted(monos, key=lambda m: mono_sort_key(alphabet, m)))
-        for d, monos in buckets.items()
-    }
+    leaves.sort()
+    buckets: Dict[Tuple[int, int, int], List[Monomial]] = {}
+    truncated: Set[Tuple[int, int, int]] = set()
+    if v1 is None:
+        for neg_u, _, s, t, base in leaves:
+            key = (s, t, -neg_u)
+            got = buckets.get(key)
+            if got is None:
+                buckets[key] = [base]
+            else:
+                got.append(base)
+    else:
+        vi, vt, vu, stride = alphabet.v1_index, v1.degree.t, v1.degree.u, v1.stride
+        for neg_u, _, s, t, base in leaves:
+            u = -neg_u
+            j_min = -((u - u_lo + vu - 1) // vu)  # smallest j with u + j*vu >= u_lo
+            j_min += -j_min % stride
+            for j in range(j_min, (u_hi - u) // vu + 1, stride):
+                tt = t + vt * j
+                if not (t_lo <= tt <= t_hi):
+                    continue
+                key = (s, tt, u + vu * j)
+                if not (v1_lo <= j <= v1_hi):
+                    truncated.add(key)
+                    continue
+                mono = ((vi, j),) + base if j else base
+                got = buckets.get(key)
+                if got is None:
+                    buckets[key] = [mono]
+                else:
+                    got.append(mono)
+    leaves.clear()  # drop the records before the bucket tuples are built
+    ordered = {Multidegree(*d): tuple(buckets.pop(d)) for d in list(buckets)}
     return WindowBasis(window, ordered, truncated, alphabet)

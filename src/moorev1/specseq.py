@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dga import (
     ComputedPage,
@@ -43,7 +43,9 @@ from .gf2poly import (
     Multidegree,
     Polynomial,
     TruncationWindow,
+    WindowBasis,
     _name_rank,
+    _xor,
     mono_exponent,
     sufficient_h_index,
     sufficient_x_index,
@@ -206,6 +208,8 @@ class Workbench:
         self.window = window
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
+        # M r=2 and M r=3 share one alphabet and no relations: one basis
+        self._m_bases: Dict[TruncationWindow, WindowBasis] = {}
         self._pages: Dict[Tuple[str, int], Union[PresentationPage, ComputedPage]] = {}
         self._zbh: Optional[ZBHTables] = None
         self._d3m_cache: Dict[Monomial, Polynomial] = {}
@@ -292,11 +296,15 @@ class Workbench:
             if r == 2:
                 zero = Polynomial.zero(a)
                 diffs = {g.name: zero for g in a}
-                return PagePresentation(a, D2_SHIFT, diffs, name="two-cell r=2")
+                return PagePresentation(
+                    a, D2_SHIFT, diffs, name="two-cell r=2", basis_cache=self._m_bases
+                )
             if r == 3:
                 # same algebra as r=2; the differential is induced through
                 # the module structure, not a derivation in these generators
-                return PagePresentation(a, D3_SHIFT, {}, name="two-cell r=3")
+                return PagePresentation(
+                    a, D3_SHIFT, {}, name="two-cell r=3", basis_cache=self._m_bases
+                )
             raise GF2PolyError(f"no presentation for (M, r={r})")
         if r == 2:
             a = self.alphabet("EndM", 2)
@@ -404,12 +412,15 @@ class Workbench:
         factor as v1*h(n+1,1)."""
         if e.alphabet != self.alphabet("EndM", r):
             raise GF2PolyError("element does not live on the EndM page of this workbench")
-        dst = self.alphabet("M", 2)
-        v1i = dst.v1_index
+        return Polynomial(self.alphabet("M", 2), self._project_terms(r, e.terms))
+
+    def _project_terms(self, r: int, terms: Iterable[Monomial], eps: int = 0) -> FrozenSet[Monomial]:
+        """The terms of project_to_m(r, sum of terms) * v1^eps, summed mod 2."""
+        v1i = self.alphabet("M", 2).v1_index
         rules = self._projection_rules(r)
-        terms: List[Monomial] = []
-        for mono in e.terms:
-            k = 0
+        out: List[Monomial] = []
+        for mono in terms:
+            k = eps
             rest: List[Tuple[int, int]] = []
             for gi, exp in mono:
                 rule = rules[gi]
@@ -421,8 +432,8 @@ class Workbench:
                 if rule[1] is not None:
                     rest.append((rule[1], exp))
             else:
-                terms.append(((v1i, k), *rest) if k else tuple(rest))
-        return Polynomial(dst, terms)
+                out.append(((v1i, k), *rest) if k else tuple(rest))
+        return _xor(out)
 
     def act(self, r: int, e: Polynomial, m: Polynomial) -> Polynomial:
         """Action of an EndM page element on an M page element."""
@@ -478,9 +489,7 @@ class Workbench:
         if got is None:
             lifted, eps = self.lift_to_endm(mono)
             image = self.presentation("EndM", 3).apply_monomial(lifted)
-            got = self.project_to_m(3, image)
-            if eps:
-                got = got.mul_monomial(((got.alphabet.v1_index, 1),))
+            got = Polynomial(self.alphabet("M", 2), self._project_terms(3, image.terms, eps))
             self._d3m_cache[mono] = got
         return got
 
@@ -761,21 +770,23 @@ class Workbench:
     def survival_report(self) -> Report:
         """The four named survivors of page 4 of EndM, then the fate of
         every in-window v1^m x(n) class (n >= 2): each must support or be
-        hit by a nonzero d2 or d3."""
+        hit by a nonzero d2 or d3.  A row whose degree the window does not
+        trust is insufficient, not a mismatch."""
         rows: List[CheckRow] = []
         page4 = self.page("EndM", 4)
         a3 = self.alphabet("EndM", 3)
         for text in ("alpha", "alphap", "h(1,1)", "x(1)"):
             poly = Polynomial.parse(a3, text)
             d = poly.multidegree()
-            alive = page4.trusted(d) and page4.class_is_nonzero(poly, d)
+            trusted = page4.trusted(d)
+            alive = trusted and page4.class_is_nonzero(poly, d)
             rows.append(
                 CheckRow(
                     claim=f"survives-to-e4:{text}",
                     degree=tuple(d),
                     lhs=int(alive),
                     rhs=1,
-                    status="ok" if alive else "mismatch",
+                    status="ok" if alive else "mismatch" if trusted else "insufficient",
                 )
             )
         rows.extend(self._xn_fates())
@@ -805,17 +816,20 @@ class Workbench:
                     e3 = Polynomial.gen(a3, "v1", m) * Polynomial.gen(a3, f"x({n})")
                     if not pres3.apply(e3).is_zero():
                         fate = "supports-d3"
-                    elif page3.trusted(d) and not page3.class_is_nonzero(e2, d):
+                    elif not page3.trusted(d):
+                        fate = "undecided"
+                    elif not page3.class_is_nonzero(e2, d):
                         fate = "hit-by-d2"
                     else:
                         fate = "missed"
+                status = {"missed": "mismatch", "undecided": "insufficient"}.get(fate, "ok")
                 rows.append(
                     CheckRow(
                         claim=f"dies:v1^{m}*x({n})",
                         degree=tuple(d),
-                        lhs=int(fate != "missed"),
+                        lhs=int(status == "ok"),
                         rhs=1,
-                        status="ok" if fate != "missed" else "mismatch",
+                        status=status,
                     )
                 )
         return rows

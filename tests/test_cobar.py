@@ -39,6 +39,17 @@ class TestCoalgebra:
     def test_full_diagonal_has_primitive_parts(self):
         assert set(COALGEBRA.delta_full(2)) == {(0, 2), (2, 0)}
 
+    def test_diagonals_built_once_per_instance(self):
+        c = QuotientCoalgebra()
+        for i in c.basis():
+            assert c.delta_full(i) is c.delta_full(i)
+            assert c.delta_reduced(i) is c.delta_reduced(i)
+            assert c.delta_full(i) == COALGEBRA.delta_full(i)
+        with pytest.raises(GF2PolyError):
+            c.delta_full(c.height)
+        with pytest.raises(GF2PolyError):
+            c.delta_reduced(-1)
+
 
 class TestComodules:
     def test_all_verify(self, endo, moore):

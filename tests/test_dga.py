@@ -25,9 +25,28 @@ from moorev1.gf2poly import (
     default_window,
     enumerate_window,
 )
+from moorev1.specseq import Workbench
 
 SHIFT2 = Multidegree(2, 1, -1)
 SHIFT3 = Multidegree(3, 2, -2)
+
+
+def leibniz_reference(pres, mono):
+    """d(mono) summed with Polynomial arithmetic: the reduced sum over the
+    factors g^e of d(g^e) * (mono without g^e), products by __mul__."""
+    a = pres.alphabet
+    total = Polynomial.zero(a)
+    for pos, (gi, e) in enumerate(mono):
+        rest = Polynomial.monomial(a, mono[:pos] + mono[pos + 1 :])
+        total = total + pres.derivation_value(gi, e) * rest
+    return pres.reduce(total)
+
+
+def leibniz_reference_poly(pres, poly):
+    total = Polynomial.zero(pres.alphabet)
+    for m in poly.terms:
+        total = total + leibniz_reference(pres, m)
+    return total
 
 
 def quotient_alphabet(n_max=4):
@@ -192,6 +211,10 @@ class TestDSquared:
         pres = PagePresentation(a, SHIFT2, broken, validate=False)
         report = verify_d_squared(pres, default_window(t_max=20, s_max=5, v1_min=-4, v1_max=4))
         assert not report.ok
+        for m, twice in report.failures:
+            once = leibniz_reference(pres, m)
+            assert twice == leibniz_reference_poly(pres, once)
+            assert not twice.is_zero()
 
     def test_skips_unknown_differentials(self):
         a = quotient_alphabet(1)
@@ -201,6 +224,41 @@ class TestDSquared:
         # d(v1^odd) needs d(alpha) and d(h) downstream, so nothing fully checks
         # except monomials with even v1 exponent, whose d is zero outright
         assert report.ok
+
+
+class TestApplyMonomialOracle:
+    """apply_monomial against the Polynomial-level Leibniz sum, on every
+    basis monomial of a small window."""
+
+    @staticmethod
+    def presentations():
+        bench = Workbench(default_window(t_max=20, s_max=5, v1_min=-6, v1_max=6))
+        yield bench.window, bench.presentation("EndM", 2)
+        yield bench.window, bench.presentation("EndM", 3)
+        yield bench.window, bench.presentation("S", 2)
+        yield bench.window, bench.presentation("M", 2)
+        small = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
+        yield small, quotient_presentation(3)
+        yield small, stride_presentation()
+
+    def test_matches_leibniz_reference(self):
+        checked = missing = nonzero = 0
+        for window, pres in self.presentations():
+            wb = pres.basis(window)
+            for d in wb.degrees():
+                for m in wb.basis(d):
+                    try:
+                        want = leibniz_reference(pres, m)
+                    except MissingDifferentialError:
+                        with pytest.raises(MissingDifferentialError):
+                            pres.apply_monomial(m)
+                        missing += 1
+                        continue
+                    got = pres.apply_monomial(m)
+                    assert got == want, (pres.name, m)
+                    checked += 1
+                    nonzero += bool(got)
+        assert checked > 1000 and nonzero > 100 and missing > 0
 
 
 def reference_homology(pres, window):

@@ -348,6 +348,35 @@ def test_survival_report(wb):
     assert len(fates) > 10
 
 
+def test_survivors_at_untrusted_degrees_are_insufficient():
+    bench = Workbench(default_window(t_max=8, s_max=2, v1_min=-2, v1_max=2))
+    page4 = bench.page("EndM", 4)
+    rows = bench.survival_report().rows
+    assert [r.claim for r in rows] == [
+        f"survives-to-e4:{g}" for g in ("alpha", "alphap", "h(1,1)", "x(1)")
+    ]
+    for r in rows:
+        assert not page4.trusted(Multidegree(*r.degree))
+        assert (r.status, r.lhs) == ("insufficient", 0)
+
+
+def test_xn_fates_at_untrusted_degrees_are_insufficient(monkeypatch):
+    bench = Workbench(default_window(16, 4, -4, 4))
+    fates = bench._xn_fates()
+    assert {r.status for r in fates} == {"ok"}
+    # every even-m class here supports d3; were it a d3-cycle at a degree
+    # page 3 does not trust, its fate could not be decided
+    pres3 = bench.presentation("EndM", 3)
+    monkeypatch.setattr(pres3, "apply", lambda poly: Polynomial.zero(pres3.alphabet))
+    monkeypatch.setattr(bench.page("EndM", 3), "trusted", lambda d: False)
+    undecided = bench._xn_fates()
+    assert [r.claim for r in undecided] == [r.claim for r in fates]
+    for r in undecided:
+        m = int(r.claim.split("^")[1].split("*")[0])
+        assert (r.status, r.lhs) == (("ok", 1) if m % 2 else ("insufficient", 0))
+    assert {r.status for r in undecided} == {"ok", "insufficient"}
+
+
 # ---- patterns ----
 
 
@@ -460,8 +489,9 @@ VERIFY_SEQUENCE = (
 
 
 def test_each_basis_enumerated_once_per_workbench(monkeypatch):
-    """Over the verify sequence each (presentation, window) is enumerated
-    at most once, and a second Workbench enumerates everything again: no
+    """Over the verify sequence each basis (alphabet, relations, window) is
+    enumerated at most once, also where two presentations share it (M r=2
+    and M r=3), and a second Workbench enumerates everything again: no
     basis outlives the Workbench that built it."""
     enumerating = []  # the presentation whose basis is being built
     calls = Counter()
@@ -476,7 +506,9 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
             enumerating.pop()
 
     def counting(alphabet, window):
-        calls[(enumerating[-1], window)] += 1
+        pres = enumerating[-1]
+        assert pres.alphabet == alphabet
+        calls[(alphabet, pres.relations, window)] += 1
         return real_enumerate(alphabet, window)
 
     monkeypatch.setattr(PagePresentation, "basis", basis)
@@ -487,9 +519,11 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
         getattr(bench, name)()
     first = dict(calls)
     assert first and set(first.values()) == {1}
-    assert {pres for pres, _ in first} >= set(bench._presentations.values())
+    used = {(pres.alphabet, pres.relations) for pres in bench._presentations.values()}
+    assert {(a, rel) for a, rel, _ in first} >= used
+    assert bench.presentation("M", 2).basis(window) is bench.presentation("M", 3).basis(window)
+    calls.clear()
     again = Workbench(window)
     for name in VERIFY_SEQUENCE:
         getattr(again, name)()
-    assert sum(calls.values()) == 2 * len(first)
-    assert set(calls.values()) == {1}
+    assert dict(calls) == first
