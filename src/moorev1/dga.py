@@ -330,7 +330,8 @@ class _DegreeHomology:
 
 
 class ComputedPage:
-    """Degreewise homology of a presented page over a window."""
+    """Degreewise homology of a presented page over a window, with the
+    matrices of d that homology_page built for it."""
 
     def __init__(
         self,
@@ -338,6 +339,7 @@ class ComputedPage:
         window: TruncationWindow,
         wb: WindowBasis,
         data: Dict[Multidegree, _DegreeHomology],
+        matrices: Dict[Multidegree, List[int]],
         name: str = "",
         conditional: bool = False,
     ):
@@ -346,18 +348,25 @@ class ComputedPage:
         self.name = name or pres.name
         self.conditional = conditional or pres.conditional
         self._wb = wb
-        self._data = data
+        self._data = data  # exactly the trusted degrees with a nonempty basis
+        self._matrices = matrices
         self._shift = pres.degree_shift
 
     def trusted(self, d: Multidegree) -> bool:
-        return (
+        return d in self._data or (
             self._wb.complete(d)
             and self._wb.complete(d - self._shift)
             and self._wb.complete(d + self._shift)
         )
 
     def degrees(self) -> List[Multidegree]:
-        return sorted(d for d in self._data if self.trusted(d))
+        return sorted(self._data)
+
+    def matrix(self, c: Multidegree) -> Optional[List[int]]:
+        """Rows (one per target monomial) of d from degree c to c + shift, or
+        None where homology_page built none: it builds one at each trusted
+        degree with a nonempty basis and one shift below it."""
+        return self._matrices.get(c)
 
     def _require(self, d: Multidegree) -> Optional[_DegreeHomology]:
         if not self.trusted(d):
@@ -434,7 +443,7 @@ def homology_page(
     a nonempty basis, trusting only degrees whose neighbors are complete.
 
     The matrix of d from degree c is built once: it is the outgoing map at
-    c and the incoming map at c + shift."""
+    c and the incoming map at c + shift, and the page keeps it."""
     fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     shift = pres.degree_shift
@@ -461,7 +470,7 @@ def homology_page(
         return _DegreeHomology(basis=basis, cycles=Subspace(cycles), boundaries=boundaries, reps=reps)
 
     data = {d: compute(d) for d in wanted}
-    return ComputedPage(pres, window, wb, data, name=name, conditional=conditional)
+    return ComputedPage(pres, window, wb, data, matrices, name=name, conditional=conditional)
 
 
 class DimensionTable:

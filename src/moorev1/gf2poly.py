@@ -236,10 +236,16 @@ def mono_mul(alphabet: Alphabet, a: Monomial, b: Monomial) -> Optional[Monomial]
 
 
 def mono_divides(divisor: Monomial, mono: Monomial) -> bool:
-    """True when divisor's exponents are all covered by mono (positive exponents only)."""
-    exps = dict(mono)
+    """True when divisor's exponents are all covered by mono (positive
+    exponents only), by one walk along both index-sorted factor tuples."""
+    rest = iter(mono)
     for gi, e in divisor:
-        if exps.get(gi, 0) < e:
+        for g, x in rest:
+            if g >= gi:
+                break
+        else:
+            return False
+        if g != gi or x < e:
             return False
     return True
 
@@ -474,8 +480,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
 class TruncationWindow:
     """Finite truncation of an infinite graded algebra.
 
-    Results are exact inside the window; the trusted region for homology is
-    the window shrunk by trusted_margin differential-shifts on each side.
+    Results are exact inside the window.
     """
 
     max_generator_index: int
@@ -483,15 +488,12 @@ class TruncationWindow:
     s_range: Tuple[int, int]
     t_range: Tuple[int, int]
     u_range: Tuple[int, int]
-    trusted_margin: int = 1
 
     def __post_init__(self):
         for name in ("v1_exponent_range", "s_range", "t_range", "u_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidWindowError(f"empty {name}: ({lo}, {hi})")
-        if self.trusted_margin < 0:
-            raise InvalidWindowError("trusted_margin must be nonnegative")
 
     def contains(self, d: Multidegree) -> bool:
         return (
@@ -506,7 +508,6 @@ def default_window(
     s_max: int = 12,
     v1_min: int = -16,
     v1_max: int = 16,
-    trusted_margin: int = 1,
 ) -> TruncationWindow:
     """Window used throughout: u matches the v1 exponent range and the
     internal degree reaches down to the most negative in-window monomial."""
@@ -517,7 +518,6 @@ def default_window(
         s_range=(0, s_max),
         t_range=(t_min, t_max),
         u_range=(v1_min, v1_max),
-        trusted_margin=trusted_margin,
     )
 
 

@@ -212,11 +212,9 @@ class Workbench:
         self._m_bases: Dict[TruncationWindow, WindowBasis] = {}
         self._pages: Dict[Tuple[str, int], Union[PresentationPage, ComputedPage]] = {}
         self._zbh: Optional[ZBHTables] = None
-        self._d3m_cache: Dict[Monomial, Polynomial] = {}
         self._proj_rules: Dict[int, List[_ProjectionRule]] = {}
         self._roles: Optional[List[Tuple[int, int]]] = None
-        self._slice_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
-        self._slice_mat_cache: Dict[Tuple[Multidegree, int], List[int]] = {}
+        self._w_lists: Dict[Multidegree, List[int]] = {}
 
     # ---- alphabets ----
 
@@ -484,14 +482,11 @@ class Workbench:
 
     def induced_d3m_monomial(self, mono: Monomial) -> Polynomial:
         """d3 on the M page through the module structure: both module
-        generators 1 and v1 are cycles, so d3(e * v1^eps) = d3(e) * v1^eps."""
-        got = self._d3m_cache.get(mono)
-        if got is None:
-            lifted, eps = self.lift_to_endm(mono)
-            image = self.presentation("EndM", 3).apply_monomial(lifted)
-            got = Polynomial(self.alphabet("M", 2), self._project_terms(3, image.terms, eps))
-            self._d3m_cache[mono] = got
-        return got
+        generators 1 and v1 are cycles, so d3(e * v1^eps) = d3(e) * v1^eps.
+        Not memoized: page("M", 4) keeps these images as its matrices."""
+        lifted, eps = self.lift_to_endm(mono)
+        image = self.presentation("EndM", 3).apply_monomial(lifted)
+        return Polynomial(self.alphabet("M", 2), self._project_terms(3, image.terms, eps))
 
     # ---- w grading ----
 
@@ -511,17 +506,37 @@ class Workbench:
                 j -= exp
         return w_of_v1_exponent(j) + a
 
+    def _w_list(self, d: Multidegree) -> List[int]:
+        """w of each M basis monomial of degree d, in basis order."""
+        got = self._w_lists.get(d)
+        if got is None:
+            got = self._w_lists[d] = [self.w_degree(m) for m in self.page("M", 3).basis(d)]
+        return got
+
     def verify_w_grading(self) -> Report:
-        """d3 raises w by exactly 1 on every in-window M basis monomial."""
+        """d3 raises w by exactly 1 on every in-window M basis monomial.
+        Images are read off the page-4 matrix of d3 where the page built
+        one, and computed symbolically at the window edge."""
         page = self.page("M", 3)
+        page4 = self.page("M", 4)
         rows = []
         for d in page.degrees():
-            for mono in page.basis(d):
-                image = self.induced_d3m_monomial(mono)
-                if image.is_zero():
+            w_src = self._w_list(d)
+            matrix = page4.matrix(d)
+            if matrix is None:
+                images = [
+                    {self.w_degree(m) for m in self.induced_d3m_monomial(mono).terms}
+                    for mono in page.basis(d)
+                ]
+            else:
+                by_w: Dict[int, int] = {}  # w -> the columns hitting a target of that w
+                for w, row in zip(self._w_list(d + D3_SHIFT), matrix):
+                    by_w[w] = by_w.get(w, 0) | row
+                images = [{w for w, cols in by_w.items() if cols >> j & 1} for j in range(len(w_src))]
+            for w_in, w_out in zip(w_src, images):
+                if not w_out:
                     continue
-                w_in = self.w_degree(mono)
-                w_out = sorted({self.w_degree(m) for m in image.terms})
+                w_out = sorted(w_out)
                 ok = w_out == [w_in + 1]
                 rows.append(
                     CheckRow(
@@ -537,13 +552,12 @@ class Workbench:
     # ---- d squared ----
 
     def verify_differentials_square_to_zero(self) -> Dict[str, D2Report]:
+        d3m = lru_cache(maxsize=None)(self.induced_d3m_monomial)  # for this sweep only
         return {
             "EndM r=2": verify_d_squared(self.presentation("EndM", 2), self.window),
             "M r=2": verify_d_squared(self.presentation("M", 2), self.window),
             "EndM r=3": verify_d_squared(self.presentation("EndM", 3), self.window),
-            "M r=3": verify_d_squared(
-                self.presentation("M", 3), self.window, diff_fn=self.induced_d3m_monomial
-            ),
+            "M r=3": verify_d_squared(self.presentation("M", 3), self.window, diff_fn=d3m),
         }
 
     # ---- page comparisons ----
@@ -601,51 +615,27 @@ class Workbench:
 
     # ---- the w-sliced complex ----
 
-    def _slice_indices(self, d: Multidegree, n: int) -> List[int]:
-        key = (d, n)
-        got = self._slice_cache.get(key)
-        if got is None:
-            basis = self.page("M", 3).basis(d)
-            got = [i for i, mono in enumerate(basis) if self.w_degree(mono) == n]
-            self._slice_cache[key] = got
-        return got
-
-    def _slice_matrix(self, d: Multidegree, n: int) -> List[int]:
-        """Matrix of d3 from slice n at d to slice n+1 at d+shift, in the
-        slice bases.  Raises if d3 breaks the w grading."""
-        key = (d, n)
-        got = self._slice_mat_cache.get(key)
-        if got is not None:
-            return got
-        page = self.page("M", 3)
-        src_basis = page.basis(d)
-        target_basis = page.basis(d + D3_SHIFT)
-        tgt_pos = {
-            target_basis[i]: row
-            for row, i in enumerate(self._slice_indices(d + D3_SHIFT, n + 1))
-        }
-        rows = [0] * len(tgt_pos)
-        for col, i in enumerate(self._slice_indices(d, n)):
-            for mono in self.induced_d3m_monomial(src_basis[i]).terms:
-                row = tgt_pos.get(mono)
-                if row is None:
-                    raise GF2PolyError(
-                        f"d3 image of a w={n} monomial leaves slice {n + 1} at {tuple(d + D3_SHIFT)}"
-                    )
-                rows[row] |= 1 << col
-        self._slice_mat_cache[key] = rows
-        return rows
+    def _slice_rank(self, d: Multidegree, n: int) -> int:
+        """Rank of d3 from slice n at d to slice n+1 at d+shift, read off the
+        page-4 matrix at d (built at every trusted d and one shift below).
+        Raises if d3 breaks the w grading."""
+        cols = sum(1 << j for j, w in enumerate(self._w_list(d)) if w == n)
+        if not cols:
+            return 0
+        rows = list(zip(self._w_list(d + D3_SHIFT), self.page("M", 4).matrix(d)))
+        if any(row & cols and w != n + 1 for w, row in rows):
+            raise GF2PolyError(
+                f"d3 image of a w={n} monomial leaves slice {n + 1} at {tuple(d + D3_SHIFT)}"
+            )
+        return rank([row & cols for w, row in rows if w == n + 1])
 
     def _slice_kernel_dim(self, d: Multidegree, n: int) -> int:
-        return len(self._slice_indices(d, n)) - rank(self._slice_matrix(d, n))
-
-    def _slice_image_dim(self, d: Multidegree, n: int) -> int:
-        return rank(self._slice_matrix(d, n))
+        return self._w_list(d).count(n) - self._slice_rank(d, n)
 
     def _slice_homology_dim(self, d: Multidegree, n: int) -> int:
         h = self._slice_kernel_dim(d, n)
         if n > 0:
-            h -= self._slice_image_dim(d - D3_SHIFT, n - 1)
+            h -= self._slice_rank(d - D3_SHIFT, n - 1)
         return h
 
     # ---- pattern counts off the squares-complex tables ----
@@ -696,10 +686,6 @@ class Workbench:
 
     # ---- the slice claims ----
 
-    def _complete3(self, d: Multidegree) -> bool:
-        page = self.page("M", 3)
-        return page.trusted(d - D3_SHIFT) and page.trusted(d) and page.trusted(d + D3_SHIFT)
-
     def verify_e4_claims(self) -> Report:
         """Per-degree dimension checks of the sliced page-4 description.
 
@@ -710,13 +696,11 @@ class Workbench:
         claim-i: kernel dimensions per slice;
         claim-ii: image dimensions per slice, with im = ker above slice 1.
         """
-        wb = self.page("M", 3)
+        page4 = self.page("M", 4)
         rows: List[CheckRow] = []
-        for d in wb.degrees():
-            if not self._complete3(d):
-                continue
-            n_here = {self.w_degree(m) for m in wb.basis(d)}
-            n_prev = {self.w_degree(m) for m in wb.basis(d - D3_SHIFT)}
+        for d in page4.degrees():
+            n_here = set(self._w_list(d))
+            n_prev = set(self._w_list(d - D3_SHIFT))
             for n in sorted(n_here | {n + 1 for n in n_prev}):
                 h = self._slice_homology_dim(d, n)
                 if n == 0:
@@ -734,9 +718,9 @@ class Workbench:
             # the image claim reads dimensions one shift up, so it needs
             # one more complete degree
             d_next = d + D3_SHIFT
-            if self._complete3(d_next):
+            if page4.trusted(d_next):
                 for n in sorted(n_here):
-                    im = self._slice_image_dim(d, n)
+                    im = self._slice_rank(d, n)
                     if n < 2:
                         expect = self._bf(n + 1, d_next)
                     else:

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line (visible with pytest -s); the test
 outcome itself carries the same verdict.
 """
 import filecmp
+import hashlib
 import json
 import os
 
@@ -20,6 +21,10 @@ from moorev1.cobar import (
 )
 from moorev1.gf2poly import Polynomial, default_window
 from moorev1.specseq import Workbench
+
+
+# sha256 of verify-report.json from `moorev1 verify` on the default window
+VERIFY_REPORT_SHA256 = "d2005ec6a39931887d8ab093d67d77e5d20444ad0ff878e3e350105692956cd3"
 
 
 @pytest.fixture(scope="module")
@@ -173,4 +178,8 @@ def test_criterion_11_determinism(tmp_path):
         ok = ok and filecmp.cmp(
             os.path.join(dirs[0], name), os.path.join(dirs[1], name), shallow=False
         )
+    # the default verify report is pinned byte for byte across changes too
+    with open(os.path.join(dirs[0], "verify-report.json"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    ok = ok and digest == VERIFY_REPORT_SHA256
     _record(11, "two full runs are byte-identical", ok)

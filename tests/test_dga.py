@@ -264,7 +264,7 @@ class TestApplyMonomialOracle:
 def reference_homology(pres, window):
     """Cycles, boundaries and representatives at every degree homology_page
     computes, from matrices assembled straight from apply_monomial, two per
-    degree."""
+    degree; with them, the matrix at every source degree it assembled."""
     wb = enumerate_window(pres.alphabet, window).filtered(pres.is_reduced_monomial)
     shift = pres.degree_shift
 
@@ -277,14 +277,17 @@ def reference_homology(pres, window):
         return rows
 
     out = {}
+    matrices = {}
     for d in wb.degrees():
         if not (wb.complete(d - shift) and wb.complete(d) and wb.complete(d + shift)):
             continue
         basis, below = wb.basis(d), wb.basis(d - shift)
-        cycles = kernel_basis(matrix(basis, wb.basis(d + shift)), len(basis))
-        boundaries = Subspace(column_space_basis(matrix(below, basis), len(below)))
+        matrices[d] = matrix(basis, wb.basis(d + shift))
+        matrices[d - shift] = matrix(below, basis)
+        cycles = kernel_basis(matrices[d], len(basis))
+        boundaries = Subspace(column_space_basis(matrices[d - shift], len(below)))
         out[d] = (Subspace(cycles), boundaries, subquotient_basis(cycles, boundaries))
-    return out
+    return out, matrices
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +324,7 @@ class TestHomology:
         w = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
         for pres in (quotient_presentation(3), stride_presentation()):
             page = homology_page(pres, w)
-            want = reference_homology(pres, w)
+            want, matrices = reference_homology(pres, w)
             assert page.degrees() == sorted(want)
             assert any(boundaries.dim for _, boundaries, _ in want.values())
             assert any(reps for _, _, reps in want.values())
@@ -329,6 +332,28 @@ class TestHomology:
                 assert page.cycles_subspace(d) == cycles
                 assert page.boundaries_subspace(d) == boundaries
                 assert [page.vector_of(p, d) for p in page.representatives(d)] == reps
+            assert any(any(rows) for rows in matrices.values())
+            for c, rows in matrices.items():
+                assert page.matrix(c) == rows
+
+    def test_trusted_is_the_three_complete_rule(self):
+        """trusted(d) answers stored degrees from the page and the rest by
+        completeness at d and d +- shift; the two must agree everywhere,
+        also at the empty-basis degrees the decomposition scan asks about."""
+        w = default_window(t_max=24, s_max=5, v1_min=-5, v1_max=5)
+        for pres in (quotient_presentation(3), stride_presentation()):
+            page = homology_page(pres, w)
+            wb, shift = pres.basis(w), pres.degree_shift
+            empty_trusted = 0
+            for s in range(w.s_range[0] - 4, w.s_range[1] + 5):
+                for t in range(w.t_range[0] - 3, w.t_range[1] + 4):
+                    for u in range(w.u_range[0] - 3, w.u_range[1] + 4):
+                        d = Multidegree(s, t, u)
+                        want = wb.complete(d) and wb.complete(d - shift) and wb.complete(d + shift)
+                        assert page.trusted(d) == want, d
+                        empty_trusted += want and not wb.basis(d)
+            assert empty_trusted
+            assert page.degrees() == [d for d in wb.degrees() if page.trusted(d)]
 
     def test_image_outside_basis_names_page_and_degree(self):
         pres = quotient_presentation(2, name="broken")

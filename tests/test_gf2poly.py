@@ -430,6 +430,22 @@ class TestMonomialHelpers:
         assert mono_divides(small, big)
         assert not mono_divides(big, small)
 
+    def test_divides_matches_exponent_dict(self):
+        # all pairs of a small EndM r=3 window (v1 with stride 2, negative
+        # v1 exponents, nilpotents) against the exponent-dict definition;
+        # divisors carry positive exponents only, as relations do
+        wb = Workbench(default_window(t_max=16, s_max=4, v1_min=-4, v1_max=4))
+        basis = enumerate_window(wb.alphabet("EndM", 3), wb.window)
+        monos = [m for d in basis.degrees() for m in basis.basis(d)]
+        divisors = [m for m in monos if all(e > 0 for _, e in m)]
+        hits = 0
+        for x in divisors:
+            for y in monos:
+                want = all(dict(y).get(gi, 0) >= e for gi, e in x)
+                assert mono_divides(x, y) == want, (x, y)
+                hits += want
+        assert len(divisors) < hits < len(divisors) * len(monos)
+
 
 def reference_mono_mul(alphabet, a, b):
     """Monomial product through an exponent dict, the definition mono_mul's

@@ -5,6 +5,7 @@ import pytest
 
 import moorev1.dga as dga
 from moorev1.dga import ComputedPage, PagePresentation, PresentationPage, UntrustedDegreeError
+from moorev1.gf2linalg import kernel_basis, rank
 from moorev1.gf2poly import (
     GF2PolyError,
     InvalidWindowError,
@@ -16,6 +17,7 @@ from moorev1.gf2poly import (
 from moorev1.specseq import (
     D2_SHIFT,
     D3_SHIFT,
+    CheckRow,
     PatternSpec,
     Report,
     Workbench,
@@ -331,6 +333,83 @@ def test_e4_claims_report(wb):
     spot = [r for r in rep.rows if r.claim == "claim-1" and r.degree == (1, 8, 1)]
     assert spot and spot[0].lhs == spot[0].rhs == 1
     assert all(r.rhs == 0 for r in rep.rows if r.claim == "claim-4")
+
+
+# ---- the w-sliced complex against a per-monomial symbolic reference ----
+
+
+def reference_slice_matrix(bench, d, n):
+    """d3 from slice n at d to slice n+1 at d+shift in the slice bases,
+    assembled one induced_d3m_monomial image at a time; a term outside
+    slice n+1 fails the lookup."""
+    page = bench.page("M", 3)
+    source = [m for m in page.basis(d) if bench.w_degree(m) == n]
+    target = [m for m in page.basis(d + D3_SHIFT) if bench.w_degree(m) == n + 1]
+    index = {m: i for i, m in enumerate(target)}
+    rows = [0] * len(target)
+    for j, mono in enumerate(source):
+        for term in bench.induced_d3m_monomial(mono).terms:
+            rows[index[term]] |= 1 << j
+    return len(source), rows
+
+
+def reference_w_grading_rows(bench):
+    """verify_w_grading's rows with every image computed symbolically."""
+    page = bench.page("M", 3)
+    rows = []
+    for d in page.degrees():
+        for mono in page.basis(d):
+            image = bench.induced_d3m_monomial(mono)
+            if image.is_zero():
+                continue
+            w_in = bench.w_degree(mono)
+            w_out = sorted({bench.w_degree(m) for m in image.terms})
+            rhs = w_out[0] if len(w_out) == 1 else -1
+            status = "ok" if w_out == [w_in + 1] else "mismatch"
+            rows.append(CheckRow("w-shift", tuple(d), w_in + 1, rhs, status))
+    return rows
+
+
+@pytest.mark.parametrize("t_max", [24, 32])
+def test_slice_ranks_match_symbolic_assembly(t_max):
+    # every (d, n) whose slice ranks verify_e4_claims reads: trusted d, and
+    # the degree one shift below it (windows of `--t-max 24` and `32`)
+    bench = Workbench(default_window(t_max))
+    page4 = bench.page("M", 4)
+    checked = nonzero = 0
+    for d in page4.degrees():
+        for c in (d - D3_SHIFT, d):
+            for n in sorted(set(bench._w_list(c))):
+                ncols, rows = reference_slice_matrix(bench, c, n)
+                assert bench._slice_rank(c, n) == rank(rows), (c, n)
+                assert bench._slice_kernel_dim(c, n) == len(kernel_basis(rows, ncols)), (c, n)
+                checked += 1
+                nonzero += rank(rows) > 0
+    assert checked > 1000 and nonzero > 500
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
+    bench = Workbench(default_window(32))
+    if broken:
+        # one extra w on every h(2,1) factor breaks the grading somewhere
+        hi = bench.alphabet("M", 2).index("h(2,1)")
+        w_degree = bench.w_degree
+        monkeypatch.setattr(bench, "w_degree", lambda m: w_degree(m) + sum(e for g, e in m if g == hi))
+    got = bench.verify_w_grading().rows
+    assert got == reference_w_grading_rows(bench)
+    assert any(r.status == "mismatch" for r in got) == broken
+    # both paths ran: page-4 matrices inside, symbolic images at the edge
+    page, page4 = bench.page("M", 3), bench.page("M", 4)
+    built = {page4.matrix(d) is not None for d in page.degrees()}
+    assert built == {True, False}
+
+
+def test_slice_claims_raise_when_d3_leaves_its_slice(monkeypatch):
+    bench = Workbench(default_window(24, 6, -6, 6))
+    monkeypatch.setattr(bench, "w_degree", lambda mono: 0)
+    with pytest.raises(GF2PolyError, match=r"d3 image of a w=0 monomial leaves slice 1 at \("):
+        bench.verify_e4_claims()
 
 
 def test_e4_closed_form_report(wb):
