@@ -164,6 +164,7 @@ def _load_config_file(path: str) -> Dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -174,6 +175,9 @@ def _load_config_file(path: str) -> Dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -220,6 +220,14 @@ def test_config_file_errors(tmp_path, capsys):
     bad_int.write_text("t-max=sixty\n")
     assert run_in(tmp_path, "page", "--config", str(bad_int)) == 2
     assert run_in(tmp_path, "page", "--config", str(tmp_path / "missing.cfg")) == 2
+    capsys.readouterr()
+    # t_max and t-max name one key: a second value is an error, not an override
+    repeated = tmp_path / "bad3.cfg"
+    repeated.write_text("# window\nt_max=16\n\nt-max=32\n")
+    assert run_in(tmp_path, "page", "--config", str(repeated)) == 2
+    err = capsys.readouterr().err
+    assert f"{repeated}:4: key 't_max' repeats line 2" in err
+    assert "Traceback" not in err
 
 
 def test_workers_flag_is_a_usage_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from moorev1.dga import (
     UntrustedDegreeError,
     WindowOverflowError,
     apply_derivation,
+    d_squared_on_generators,
     homology_page,
     page_dimension_table,
     verify_d_squared,
@@ -91,6 +92,40 @@ def stride_presentation():
         "x(3)": p("v1^-4*h(1,1)*x(1)*x(2)^2"),
     }
     return PagePresentation(a, SHIFT3, d, relations=relations)
+
+
+def broken_presentation():
+    a = quotient_alphabet(2)
+    p = lambda s: Polynomial.parse(a, s)
+    d = {
+        "v1": p("alpha*h(1,1)^2"),
+        "alpha": p("0"),
+        "h(1,1)": p("0"),
+        # wrong sign structure: d(h(2,1)) = alpha h^2 h(2,1) without v1^-1
+        # is not even homogeneous, so break it differently: make d(alpha)
+        # nonzero so that d(d(v1)) = d(alpha) h^2 survives
+    }
+    d["h(2,1)"] = p("v1^-1*alpha*h(1,1)^2*h(2,1)")
+    broken = dict(d)
+    broken["alpha"] = p("v1^-1*h(1,1)^2")
+    return PagePresentation(a, SHIFT2, broken, validate=False)
+
+
+def unpreserved_relation_presentation(validate=False):
+    """d(a) = c, d(x) = y, c and y cycles, and the relation c*x = 0, which
+    d does not preserve: d(c*x) = c*y.  So d² = 0 on every generator, yet
+    on the quotient d(d(a*x)) = d(a*y) = c*y."""
+    gens = [
+        Generator("h(1,1)", Multidegree(1, 1, 0)),  # a
+        Generator("h(2,1)", Multidegree(2, 2, 0)),  # c
+        Generator("h(3,1)", Multidegree(1, 3, 0)),  # x
+        Generator("h(4,1)", Multidegree(2, 4, 0)),  # y
+    ]
+    a = Alphabet(gens)
+    p = lambda s: Polynomial.parse(a, s)
+    d = {"h(1,1)": p("h(2,1)"), "h(2,1)": p("0"), "h(3,1)": p("h(4,1)"), "h(4,1)": p("0")}
+    relation = p("h(2,1)*h(3,1)").monomials_sorted()[0]
+    return PagePresentation(a, Multidegree(1, 1, 0), d, relations=(relation,), validate=validate)
 
 
 class TestValidation:
@@ -195,20 +230,7 @@ class TestDSquared:
             assert report.checked > 100
 
     def test_catches_a_broken_differential(self):
-        a = quotient_alphabet(2)
-        p = lambda s: Polynomial.parse(a, s)
-        d = {
-            "v1": p("alpha*h(1,1)^2"),
-            "alpha": p("0"),
-            "h(1,1)": p("0"),
-            # wrong sign structure: d(h(2,1)) = alpha h^2 h(2,1) without v1^-1
-            # is not even homogeneous, so break it differently: make d(alpha)
-            # nonzero so that d(d(v1)) = d(alpha) h^2 survives
-        }
-        d["h(2,1)"] = p("v1^-1*alpha*h(1,1)^2*h(2,1)")
-        broken = dict(d)
-        broken["alpha"] = p("v1^-1*h(1,1)^2")
-        pres = PagePresentation(a, SHIFT2, broken, validate=False)
+        pres = broken_presentation()
         report = verify_d_squared(pres, default_window(t_max=20, s_max=5, v1_min=-4, v1_max=4))
         assert not report.ok
         for m, twice in report.failures:
@@ -224,6 +246,50 @@ class TestDSquared:
         # d(v1^odd) needs d(alpha) and d(h) downstream, so nothing fully checks
         # except monomials with even v1 exponent, whose d is zero outright
         assert report.ok
+
+
+class TestDSquaredOnGenerators:
+    """The generator proof against the verify_d_squared sweep as oracle."""
+
+    @pytest.mark.parametrize("t_max,s_max", [(24, 5), (36, 7)])
+    def test_counts_match_the_sweep(self, t_max, s_max):
+        w = default_window(t_max=t_max, s_max=s_max, v1_min=-7, v1_max=7)
+        for pres in (quotient_presentation(), stride_presentation()):
+            proof = d_squared_on_generators(pres, w)
+            sweep = verify_d_squared(pres, w)
+            assert proof.ok and sweep.ok
+            assert proof.checked == sweep.checked > 100
+
+    def test_broken_differential_fails_both(self):
+        pres = broken_presentation()
+        w = default_window(t_max=20, s_max=5, v1_min=-4, v1_max=4)
+        assert not verify_d_squared(pres, w).ok
+        proof = d_squared_on_generators(pres, w)
+        assert not proof.ok
+        names = {pres.alphabet[m[0][0]].name for m, _ in proof.failures}
+        assert names == {"v1", "alpha", "h(2,1)"}
+        for m, twice in proof.failures:
+            once = leibniz_reference(pres, m)
+            assert twice == leibniz_reference_poly(pres, once) != Polynomial.zero(pres.alphabet)
+
+    def test_unpreserved_relation_fails_both(self):
+        with pytest.raises(GF2PolyError, match="does not preserve the relation"):
+            unpreserved_relation_presentation(validate=True)
+        pres = unpreserved_relation_presentation()
+        w = default_window(t_max=12, s_max=6, v1_min=0, v1_max=0)
+        p = lambda s: Polynomial.parse(pres.alphabet, s)
+        sweep = verify_d_squared(pres, w)
+        assert (p("h(1,1)*h(3,1)").monomials_sorted()[0], p("h(2,1)*h(4,1)")) in sweep.failures
+        proof = d_squared_on_generators(pres, w)
+        assert proof.failures == [(pres.relations[0], p("h(2,1)*h(4,1)"))]
+        assert proof.checked == sweep.checked
+
+    def test_missing_differential_raises(self):
+        a = quotient_alphabet(1)
+        pres = PagePresentation(a, SHIFT2, {"v1": Polynomial.parse(a, "alpha*h(1,1)^2")})
+        w = default_window(t_max=10, s_max=3, v1_min=-2, v1_max=2)
+        with pytest.raises(MissingDifferentialError):
+            d_squared_on_generators(pres, w)
 
 
 class TestApplyMonomialOracle:

@@ -488,3 +488,54 @@ class TestMonoMulOracle:
                     seen["v1 cancels"] += 1
         assert seen["unit"] and seen["v1 cancels"]
         assert seen["nilpotent square"] or tag == "S"
+
+
+def stride_alphabet():
+    return Alphabet(
+        [
+            Generator("v1", Multidegree(0, 2, 1), invertible=True, stride=2),
+            Generator("alpha", Multidegree(0, -1, 0), nilpotent_square=True),
+            Generator("alphap", Multidegree(0, 1, 1), nilpotent_square=True),
+            Generator("h(1,1)", Multidegree(1, 2, 0)),
+            Generator("x(1)", Multidegree(1, 8, 1)),
+        ]
+    )
+
+
+_RING_ALPHABETS = (laurent_alphabet(3), nilpotent_alphabet(), stride_alphabet())
+
+
+@st.composite
+def alphabet_and_polynomials(draw, count=3):
+    """One of the Laurent, nilpotent and stride alphabets and `count` small
+    polynomials over it: up to four terms, v1 exponents in [-3, 3] (stride
+    multiples), nilpotent exponents 0 or 1, the others up to 2."""
+    a = draw(st.sampled_from(_RING_ALPHABETS))
+
+    def exponent(g):
+        if g.invertible:
+            return st.integers(-3, 3).map(lambda k: k * g.stride)
+        return st.integers(0, 1 if g.nilpotent_square else 2)
+
+    monomial = st.tuples(*(exponent(g) for g in a)).map(
+        lambda exps: tuple((gi, e) for gi, e in enumerate(exps) if e)
+    )
+    polys = [Polynomial(a, draw(st.lists(monomial, max_size=4))) for _ in range(count)]
+    return a, polys
+
+
+class TestPolynomialRingAxioms:
+    @settings(max_examples=200, deadline=None)
+    @given(alphabet_and_polynomials())
+    def test_commutative_ring_of_characteristic_two(self, case):
+        a, (p, q, r) = case
+        zero, one = Polynomial.zero(a), Polynomial.one(a)
+        assert (p * q) * r == p * (q * r)
+        assert p * q == q * p
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) + r == p + (q + r)
+        assert p + q == q + p
+        assert p + p == zero
+        assert p + zero == p
+        assert p * one == p
+        assert p * zero == zero

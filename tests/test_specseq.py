@@ -4,7 +4,14 @@ from collections import Counter
 import pytest
 
 import moorev1.dga as dga
-from moorev1.dga import ComputedPage, PagePresentation, PresentationPage, UntrustedDegreeError
+import moorev1.specseq as specseq
+from moorev1.dga import (
+    ComputedPage,
+    PagePresentation,
+    PresentationPage,
+    UntrustedDegreeError,
+    verify_d_squared,
+)
 from moorev1.gf2linalg import kernel_basis, rank
 from moorev1.gf2poly import (
     GF2PolyError,
@@ -309,6 +316,143 @@ def test_d_squared_reports(wb):
         assert rep.checked > 100
 
 
+def d_squared_sweeps(bench):
+    """The four d² reports by the per-monomial sweep, the oracle."""
+    window = bench.window
+    return {
+        "EndM r=2": verify_d_squared(bench.presentation("EndM", 2), window),
+        "M r=2": verify_d_squared(bench.presentation("M", 2), window),
+        "EndM r=3": verify_d_squared(bench.presentation("EndM", 3), window),
+        "M r=3": verify_d_squared(
+            bench.presentation("M", 3), window, diff_fn=bench.induced_d3m_monomial
+        ),
+    }
+
+
+@pytest.mark.parametrize("t_max", [24, 32])
+def test_d_squared_proofs_count_what_the_sweeps_count(t_max):
+    bench = Workbench(default_window(t_max, 6, -8, 8))
+    proofs = bench.verify_differentials_square_to_zero()
+    sweeps = d_squared_sweeps(bench)
+    assert set(proofs) == set(sweeps)
+    for key, sweep in sweeps.items():
+        assert sweep.ok and proofs[key].ok, key
+        assert proofs[key].checked == sweep.checked > 100, key
+
+
+def test_lift_and_projection_round_trip_on_the_m_basis():
+    bench = Workbench(default_window(32, 8, -8, 8))
+    basis = bench.presentation("M", 3).basis(bench.window)
+    v1 = bench.alphabet("EndM", 3).v1_index
+    checked = odd = 0
+    for d in basis.degrees():
+        for mono in basis.basis(d):
+            lifted, eps = bench.lift_to_endm(mono)
+            assert eps in (0, 1) and dict(lifted).get(v1, 0) % 2 == 0, mono
+            assert bench._project_terms(3, [lifted], eps) == {mono}, mono
+            checked += 1
+            odd += eps
+    assert checked > 1000 and 0 < odd < checked
+
+
+def _rule_x1_weight(bench):
+    rules = bench._projection_rules(3)
+    i = bench.alphabet("EndM", 3).index("x(1)")
+    rules[i] = (0, rules[i][1])
+
+
+def _rule_x2_to_h21(bench):
+    rules = bench._projection_rules(3)
+    rules[bench.alphabet("EndM", 3).index("x(2)")] = (1, bench.alphabet("M", 2).index("h(2,1)"))
+
+
+def _role_h21_unshifted(bench):
+    roles = bench._m_roles()
+    i = bench.alphabet("M", 2).index("h(2,1)")
+    roles[i] = (1, roles[i][1])
+
+
+def _role_h31_to_x1(bench):
+    roles = bench._m_roles()
+    i = bench.alphabet("M", 2).index("h(3,1)")
+    roles[i] = (roles[i][0], bench.alphabet("EndM", 3).index("x(1)"))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_rule_x1_weight, _rule_x2_to_h21, _role_h21_unshifted, _role_h31_to_x1]
+)
+def test_m_r3_mutants_fail_proof_and_sweep(mutate):
+    bench = Workbench(default_window(24, 6, -8, 8))
+    mutate(bench)
+    proof = bench.verify_differentials_square_to_zero()
+    assert proof["EndM r=3"].ok and not proof["M r=3"].ok
+    assert not d_squared_sweeps(bench)["M r=3"].ok
+
+
+def test_m_r3_fails_with_endm_r3():
+    bench = Workbench(default_window(24, 6, -8, 8))
+    pres = bench.presentation("EndM", 3)
+    # d(x(1)) = v1^2 gives d²(x(1)) = h(1,1)^3
+    pres.differentials["x(1)"] = Polynomial.parse(pres.alphabet, "v1^2")
+    pres._dval_cache.clear()
+    proof = bench.verify_differentials_square_to_zero()
+    assert not proof["EndM r=3"].ok
+    assert proof["M r=3"].failures == proof["EndM r=3"].failures
+    assert not d_squared_sweeps(bench)["M r=3"].ok
+
+
+def test_m_r3_proof_refuses_a_projection_no_lift_inverts():
+    # this window keeps x(2) on the EndM page but h(3,1) off the M page;
+    # sending x(2) to v1*h(2,1) makes the projection two to one, which no
+    # M monomial's d3 reaches here, so only the proof sees it
+    bench = Workbench(default_window(8, 12, -1, 1))
+    a3, a_m = bench.alphabet("EndM", 3), bench.alphabet("M", 2)
+    bench._projection_rules(3)[a3.index("x(2)")] = (1, a_m.index("h(2,1)"))
+    failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
+    assert failures == [(((a3.index("x(2)"), 1),), Polynomial.parse(a_m, "v1*h(2,1)"))]
+    assert d_squared_sweeps(bench)["M r=3"].ok
+
+
+def test_m_r3_proof_raises_where_the_induced_d3_cannot_project():
+    # this window keeps x(2) on the EndM page but h(3,1) off the M page, so
+    # d(x(1)) = x(2) sends the lift of h(2,1) where the projection is undefined
+    bench = Workbench(default_window(8, 12, -1, 1))
+    pres = bench.presentation("EndM", 3)
+    pres.differentials["x(1)"] = Polynomial.parse(pres.alphabet, "x(2)")
+    pres._dval_cache.clear()
+    with pytest.raises(GF2PolyError, match=r"h\(3,1\)"):
+        bench.verify_differentials_square_to_zero()
+    with pytest.raises(GF2PolyError, match=r"h\(3,1\)"):
+        d_squared_sweeps(bench)
+
+
+def test_m_r3_proof_refuses_a_projection_that_kills_a_lift():
+    # killing x(1) like a torsion class leaves h(2,1) with no preimage; the
+    # d3 this induces still squares to zero on the window, but it is no
+    # longer the module-induced one, so only the proof fails
+    bench = Workbench(default_window(24, 6, -8, 8))
+    bench._projection_rules(3)[bench.alphabet("EndM", 3).index("x(1)")] = None
+    a_m = bench.alphabet("M", 2)
+    failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
+    assert failures == [(((a_m.index("h(2,1)"), 1),), Polynomial.zero(a_m))]
+    assert d_squared_sweeps(bench)["M r=3"].ok
+
+
+def test_m_r3_proof_needs_d3_to_keep_torsion_in_the_torsion_ideal():
+    # d(alphap) = h(1,1)^2*x(1) keeps EndM r=3 a dga (d² = 0 and both
+    # relations preserved) but lets the quotient by (alpha, alphap) see d3
+    # of a class it kills; no M monomial lifts to alphap, so only the
+    # proof can see it
+    bench = Workbench(default_window(24, 6, -8, 8))
+    pres = bench.presentation("EndM", 3)
+    pres.differentials["alphap"] = Polynomial.parse(pres.alphabet, "h(1,1)^2*x(1)")
+    pres._dval_cache.clear()
+    proof = bench.verify_differentials_square_to_zero()
+    assert proof["EndM r=3"].ok
+    alphap = pres.alphabet.index("alphap")
+    assert [m for m, _ in proof["M r=3"].failures] == [((alphap, 1),)]
+
+
 def test_e3_presentation_report(wb):
     rep = wb.verify_e3_presentation()
     assert rep.ok
@@ -403,6 +547,17 @@ def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
     page, page4 = bench.page("M", 3), bench.page("M", 4)
     built = {page4.matrix(d) is not None for d in page.degrees()}
     assert built == {True, False}
+
+
+def test_each_slice_ranked_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(specseq, "rank", lambda rows: calls.append(rows) or rank(rows))
+    bench = Workbench(default_window(24, 6, -6, 6))
+    first = bench.verify_e4_claims()
+    assert len(calls) == len(bench._slice_ranks) > 100
+    # the second pass reads every rank from the first
+    assert bench.verify_e4_claims().rows == first.rows
+    assert len(calls) == len(bench._slice_ranks)
 
 
 def test_slice_claims_raise_when_d3_leaves_its_slice(monkeypatch):
