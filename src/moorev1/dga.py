@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .gf2linalg import Subspace, column_space_basis, kernel_basis, subquotient_basis
+from .gf2linalg import Subspace, column_space_basis, kernel_basis, rank, subquotient_basis
 from .gf2poly import (
     GF2PolyError,
     Monomial,
@@ -361,7 +361,6 @@ class PresentationPage:
 
 @dataclass
 class _DegreeHomology:
-    basis: Tuple[Monomial, ...]
     cycles: Subspace
     boundaries: Subspace
     reps: Tuple[int, ...]
@@ -369,14 +368,17 @@ class _DegreeHomology:
 
 class ComputedPage:
     """Degreewise homology of a presented page over a window, with the
-    matrices of d that homology_page built for it."""
+    matrices of d that homology_page built for it.
+
+    Dimensions are stored; cycle and boundary bases and representatives are
+    built from the matrices at the first degree that asks for them."""
 
     def __init__(
         self,
         pres: PagePresentation,
         window: TruncationWindow,
         wb: WindowBasis,
-        data: Dict[Multidegree, _DegreeHomology],
+        dims: Dict[Multidegree, Tuple[int, int]],
         matrices: Dict[Multidegree, List[int]],
         name: str = "",
         conditional: bool = False,
@@ -386,19 +388,22 @@ class ComputedPage:
         self.name = name or pres.name
         self.conditional = conditional or pres.conditional
         self._wb = wb
-        self._data = data  # exactly the trusted degrees with a nonempty basis
+        # (cycle dim, boundary dim) at exactly the trusted degrees with a
+        # nonempty basis
+        self._dims = dims
         self._matrices = matrices
         self._shift = pres.degree_shift
+        self._homology: Dict[Multidegree, _DegreeHomology] = {}
 
     def trusted(self, d: Multidegree) -> bool:
-        return d in self._data or (
+        return d in self._dims or (
             self._wb.complete(d)
             and self._wb.complete(d - self._shift)
             and self._wb.complete(d + self._shift)
         )
 
     def degrees(self) -> List[Multidegree]:
-        return sorted(self._data)
+        return sorted(self._dims)
 
     def matrix(self, c: Multidegree) -> Optional[List[int]]:
         """Rows (one per target monomial) of d from degree c to c + shift, or
@@ -406,32 +411,45 @@ class ComputedPage:
         degree with a nonempty basis and one shift below it."""
         return self._matrices.get(c)
 
-    def _require(self, d: Multidegree) -> Optional[_DegreeHomology]:
+    def _require(self, d: Multidegree) -> Tuple[int, int]:
         if not self.trusted(d):
             raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
-        return self._data.get(d)
+        return self._dims.get(d, (0, 0))
+
+    def _homology_at(self, d: Multidegree) -> Optional[_DegreeHomology]:
+        """Cycles, boundaries and representatives at a trusted degree, built
+        from the stored matrices once; None where the basis is empty."""
+        self._require(d)
+        if d not in self._dims:
+            return None
+        h = self._homology.get(d)
+        if h is None:
+            below = d - self._shift
+            cycles = kernel_basis(self._matrices[d], len(self._wb.basis(d)))
+            boundaries = Subspace(column_space_basis(self._matrices[below], len(self._wb.basis(below))))
+            reps = tuple(subquotient_basis(cycles, boundaries))
+            h = self._homology[d] = _DegreeHomology(Subspace(cycles), boundaries, reps)
+        return h
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self._wb.basis(d)
 
     def dim(self, d: Multidegree) -> int:
-        h = self._require(d)
-        return 0 if h is None else len(h.reps)
+        cycles, boundaries = self._require(d)
+        return cycles - boundaries
 
     def cycle_dim(self, d: Multidegree) -> int:
-        h = self._require(d)
-        return 0 if h is None else h.cycles.dim
+        return self._require(d)[0]
 
     def boundary_dim(self, d: Multidegree) -> int:
-        h = self._require(d)
-        return 0 if h is None else h.boundaries.dim
+        return self._require(d)[1]
 
     def cycles_subspace(self, d: Multidegree) -> Subspace:
-        h = self._require(d)
+        h = self._homology_at(d)
         return Subspace() if h is None else h.cycles
 
     def boundaries_subspace(self, d: Multidegree) -> Subspace:
-        h = self._require(d)
+        h = self._homology_at(d)
         return Subspace() if h is None else h.boundaries
 
     def vector_of(self, poly: Polynomial, d: Multidegree) -> int:
@@ -451,7 +469,7 @@ class ComputedPage:
         return Polynomial(self.presentation.alphabet, frozenset(terms))
 
     def representatives(self, d: Multidegree) -> List[Polynomial]:
-        h = self._require(d)
+        h = self._homology_at(d)
         if h is None:
             return []
         return [self.poly_of(v, d) for v in h.reps]
@@ -459,7 +477,7 @@ class ComputedPage:
     def class_is_nonzero(self, poly: Polynomial, d: Multidegree) -> bool:
         """True when a cycle polynomial is not a boundary.  Raises if the
         polynomial is not a cycle."""
-        h = self._require(d)
+        h = self._homology_at(d)
         v = self.vector_of(poly, d)
         if h is None:
             if v:
@@ -470,6 +488,20 @@ class ComputedPage:
         return v not in h.boundaries
 
 
+def _composite_is_zero(outgoing: List[int], incoming: List[int]) -> bool:
+    """Whether the product of two matrices is zero: row k of it is the sum
+    of the incoming rows at the set bits of outgoing row k."""
+    for row in outgoing:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= incoming[low.bit_length() - 1]
+            row ^= low
+        if acc:
+            return False
+    return True
+
+
 def homology_page(
     pres: PagePresentation,
     window: TruncationWindow,
@@ -477,14 +509,17 @@ def homology_page(
     name: str = "",
     conditional: bool = False,
 ) -> ComputedPage:
-    """Compute cycles, boundaries, and representatives at every degree with
-    a nonempty basis, trusting only degrees whose neighbors are complete.
+    """Homology at every degree with a nonempty basis, trusting only
+    degrees whose neighbors are complete.
 
-    The matrix of d from degree c is built once: it is the outgoing map at
-    c and the incoming map at c + shift, and the page keeps it."""
+    The matrix of d from degree c is built and ranked once: it is the
+    outgoing map at c and the incoming map at c + shift, and the page keeps
+    it.  With d∘d = 0 checked at each trusted degree (a nonzero product is
+    refused), dim H = dim C - rank(out) - rank(in) exactly."""
     fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     shift = pres.degree_shift
+    label = pres.name or "page"
     wanted = [
         d for d in wb.degrees() if wb.complete(d - shift) and wb.complete(d + shift) and wb.complete(d)
     ]
@@ -497,18 +532,15 @@ def homology_page(
                 matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), fn)
             except _OutsideTargetBasis:
                 raise GF2PolyError(
-                    f"{pres.name or 'page'}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}"
+                    f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}"
                 ) from None
-
-    def compute(d: Multidegree) -> _DegreeHomology:
-        basis = wb.basis(d)
-        cycles = kernel_basis(matrices[d], len(basis))
-        boundaries = Subspace(column_space_basis(matrices[d - shift], len(wb.basis(d - shift))))
-        reps = tuple(subquotient_basis(cycles, boundaries))
-        return _DegreeHomology(basis=basis, cycles=Subspace(cycles), boundaries=boundaries, reps=reps)
-
-    data = {d: compute(d) for d in wanted}
-    return ComputedPage(pres, window, wb, data, matrices, name=name, conditional=conditional)
+    ranks = {c: rank(rows) for c, rows in matrices.items()}
+    dims: Dict[Multidegree, Tuple[int, int]] = {}
+    for d in wanted:
+        if not _composite_is_zero(matrices[d], matrices[d - shift]):
+            raise GF2PolyError(f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}")
+        dims[d] = (len(wb.basis(d)) - ranks[d], ranks[d - shift])
+    return ComputedPage(pres, window, wb, dims, matrices, name=name, conditional=conditional)
 
 
 class DimensionTable:

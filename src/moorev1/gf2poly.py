@@ -250,13 +250,6 @@ def mono_divides(divisor: Monomial, mono: Monomial) -> bool:
     return True
 
 
-def mono_exponent(mono: Monomial, gi: int) -> int:
-    for i, e in mono:
-        if i == gi:
-            return e
-    return 0
-
-
 def mono_sort_key(alphabet: Alphabet, mono: Monomial) -> Tuple[int, ...]:
     key = [0] * len(alphabet)
     for gi, e in mono:
@@ -540,13 +533,29 @@ def sufficient_x_index(t_max: int, v1_min: int) -> int:
     return n
 
 
-class WindowBasis:
-    """Monomial bases of every degree in a window, with completeness flags.
+class _WindowTrust:
+    """The completeness rule shared by the bases and the counts of a window.
 
     A degree is complete when no monomial of that exact multidegree was
     excluded by the v1 exponent range; degrees outside the window ranges are
     never complete since nothing was enumerated there.
     """
+
+    def __init__(self, window: TruncationWindow, truncated: Set[Tuple[int, int, int]], alphabet: Alphabet):
+        self.window = window
+        self.alphabet = alphabet
+        self._truncated = truncated
+        # below s = 0 the whole algebra vanishes, no truncation can hide anything
+        self._vanishes_below_s0 = all(g.degree.s >= 0 for g in alphabet)
+
+    def complete(self, d: Multidegree) -> bool:
+        if d[0] < 0 and self._vanishes_below_s0:
+            return True
+        return self.window.contains(d) and d not in self._truncated
+
+
+class WindowBasis(_WindowTrust):
+    """Monomial bases of every degree in a window, with completeness flags."""
 
     def __init__(
         self,
@@ -555,19 +564,11 @@ class WindowBasis:
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
-        self.window = window
-        self.alphabet = alphabet
+        super().__init__(window, truncated, alphabet)
         self._buckets = buckets  # each bucket already in the canonical order
-        self._truncated = truncated
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self._buckets.get(d, ())
-
-    def complete(self, d: Multidegree) -> bool:
-        # below s = 0 the whole algebra vanishes, no truncation can hide anything
-        if d[0] < 0 and all(g.degree.s >= 0 for g in self.alphabet):
-            return True
-        return self.window.contains(d) and d not in self._truncated
 
     def degrees(self) -> List[Multidegree]:
         return sorted(self._buckets)
@@ -581,6 +582,108 @@ class WindowBasis:
         return WindowBasis(self.window, kept, set(self._truncated), self.alphabet)
 
 
+class WindowCounts(_WindowTrust):
+    """The number of window monomials at every degree, with the
+    completeness flags of the enumeration they count."""
+
+    def __init__(
+        self,
+        window: TruncationWindow,
+        counts: Dict[Multidegree, int],
+        truncated: Set[Tuple[int, int, int]],
+        alphabet: Alphabet,
+    ):
+        super().__init__(window, truncated, alphabet)
+        self._counts = counts  # nonzero counts only
+
+    def count(self, d: Multidegree) -> int:
+        return self._counts.get(d, 0)
+
+
+class _PartPlan:
+    """How a window is walked, shared by enumerate_window and count_window.
+
+    A monomial is v1^j times a part in the other generators.  Parts are
+    built one generator at a time in a fixed order, and pruned by caps on
+    their (s, t, u) degree; each part is then placed at every v1 exponent j
+    consistent with the u range."""
+
+    def __init__(self, alphabet: Alphabet, window: TruncationWindow):
+        v1_lo, v1_hi = window.v1_exponent_range
+        if v1_lo > v1_hi:
+            raise InvalidWindowError("empty v1 exponent range")
+        self.window = window
+        self.s_lo, self.s_hi = window.s_range
+        self.v1 = v1 = alphabet.v1
+        others = [(i, g) for i, g in enumerate(alphabet.generators) if not g.invertible]
+        others.sort(key=lambda ig: (-ig[1].degree.t, ig[0]))
+        self.others = others
+        # the most the generators from k on can lower t
+        self.neg_slack = neg_slack = [0] * (len(others) + 1)
+        for k in range(len(others) - 1, -1, -1):
+            neg_slack[k] = neg_slack[k + 1] + max(0, -others[k][1].degree.t)
+        t_hi, u_hi = window.t_range[1], window.u_range[1]
+        self.t_part_hi, self.u_part_hi = t_hi, u_hi
+        if v1 is not None:
+            if v1.degree.u <= 0:
+                raise GF2PolyError("v1 must carry positive u-degree")
+            j_floor = min(v1_lo, window.u_range[0] - alphabet.max_u_compensation(self.s_hi))
+            if j_floor < 0:
+                self.t_part_hi = t_hi - v1.degree.t * j_floor
+                self.u_part_hi = u_hi - v1.degree.u * j_floor
+
+    def pruned(self, k: int, s: int, t: int, u: int) -> bool:
+        """No part extending this one from generator k on fits the window."""
+        return s > self.s_hi or u > self.u_part_hi or t - self.neg_slack[k] > self.t_part_hi
+
+    def exponent_cap(self, k: int, s: int, t: int, u: int) -> int:
+        """The largest exponent of generator k that a part of degree
+        (s, t, u) so far can take."""
+        g = self.others[k][1]
+        e_max = None
+        if g.nilpotent_square:
+            e_max = 1
+        if g.degree.s > 0:
+            cap = (self.s_hi - s) // g.degree.s
+            e_max = cap if e_max is None else min(e_max, cap)
+        if g.degree.t > 0:
+            cap = (self.t_part_hi + self.neg_slack[k + 1] - t) // g.degree.t
+            e_max = cap if e_max is None else min(e_max, cap)
+        if g.degree.u > 0:
+            cap = (self.u_part_hi - u) // g.degree.u
+            e_max = cap if e_max is None else min(e_max, cap)
+        if e_max is None:
+            raise GF2PolyError(f"{g.name}: cannot bound exponent during enumeration")
+        return e_max
+
+    def keeps(self, s: int, t: int, u: int) -> bool:
+        """Whether a finished part is kept.  Without v1 the part is the
+        monomial, so it must lie in the window; with v1 the placements
+        test the t and u ranges."""
+        if s < self.s_lo:
+            return False
+        w = self.window
+        return self.v1 is not None or (
+            w.t_range[0] <= t <= w.t_range[1] and w.u_range[0] <= u <= w.u_range[1]
+        )
+
+    def placements(self, s: int, t: int, u: int) -> Iterator[Tuple[int, Tuple[int, int, int], bool]]:
+        """(j, degree of v1^j * part, whether the v1 range clips j) for each
+        v1 exponent j that puts a kept part of degree (s, t, u) inside the
+        t and u ranges, in rising j."""
+        w = self.window
+        t_lo, t_hi = w.t_range
+        u_lo, u_hi = w.u_range
+        v1_lo, v1_hi = w.v1_exponent_range
+        vt, vu, stride = self.v1.degree.t, self.v1.degree.u, self.v1.stride
+        j_min = -((u - u_lo + vu - 1) // vu)  # smallest j with u + j*vu >= u_lo
+        j_min += -j_min % stride
+        for j in range(j_min, (u_hi - u) // vu + 1, stride):
+            tt = t + vt * j
+            if t_lo <= tt <= t_hi:
+                yield j, (s, tt, u + vu * j), not (v1_lo <= j <= v1_hi)
+
+
 def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasis:
     """Enumerate every in-window monomial at once, bucketed by multidegree.
 
@@ -588,28 +691,8 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     so a degree whose basis got clipped by the v1 exponent range is flagged
     as truncated rather than silently reported short.
     """
-    v1_lo, v1_hi = window.v1_exponent_range
-    if v1_lo > v1_hi:
-        raise InvalidWindowError("empty v1 exponent range")
-    s_lo, s_hi = window.s_range
-    t_lo, t_hi = window.t_range
-    u_lo, u_hi = window.u_range
-    v1 = alphabet.v1
-    others = [(i, g) for i, g in enumerate(alphabet.generators) if not g.invertible]
-    others.sort(key=lambda ig: (-ig[1].degree.t, ig[0]))
-    neg_slack = [0] * (len(others) + 1)
-    for k in range(len(others) - 1, -1, -1):
-        g = others[k][1]
-        neg_slack[k] = neg_slack[k + 1] + max(0, -g.degree.t)
-    if v1 is not None:
-        if v1.degree.u <= 0:
-            raise GF2PolyError("v1 must carry positive u-degree")
-        j_floor = min(v1_lo, u_lo - alphabet.max_u_compensation(s_hi))
-        t_part_hi = t_hi - v1.degree.t * j_floor if j_floor < 0 else t_hi
-        u_part_hi = u_hi - v1.degree.u * j_floor if j_floor < 0 else u_hi
-    else:
-        t_part_hi = t_hi
-        u_part_hi = u_hi
+    plan = _PartPlan(alphabet, window)
+    others, pruned, exponent_cap, keeps = plan.others, plan.pruned, plan.exponent_cap, plan.keeps
     # One record per non-v1 part: (-u, dense exponents, s, t, factors).  In
     # a bucket of fixed u, a larger u of the non-v1 part means a smaller v1
     # exponent, so emitting the records in their natural sorted order fills
@@ -619,27 +702,14 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     exps = [0] * len(alphabet)
 
     def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int):
-        if s > s_hi or u > u_part_hi or t - neg_slack[k] > t_part_hi:
+        if pruned(k, s, t, u):
             return
         if k == len(others):
-            if s_lo <= s and (v1 is not None or (t_lo <= t <= t_hi and u_lo <= u <= u_hi)):
+            if keeps(s, t, u):
                 leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
             return
         gi, g = others[k]
-        e_max = None
-        if g.nilpotent_square:
-            e_max = 1
-        if g.degree.s > 0:
-            cap = (s_hi - s) // g.degree.s
-            e_max = cap if e_max is None else min(e_max, cap)
-        if g.degree.t > 0:
-            cap = (t_part_hi + neg_slack[k + 1] - t) // g.degree.t
-            e_max = cap if e_max is None else min(e_max, cap)
-        if g.degree.u > 0:
-            cap = (u_part_hi - u) // g.degree.u
-            e_max = cap if e_max is None else min(e_max, cap)
-        if e_max is None:
-            raise GF2PolyError(f"{g.name}: cannot bound exponent during enumeration")
+        e_max = exponent_cap(k, s, t, u)
         recurse(k + 1, acc, s, t, u)
         for e in range(1, e_max + 1):
             acc.append((gi, e))
@@ -652,7 +722,7 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     leaves.sort()
     buckets: Dict[Tuple[int, int, int], List[Monomial]] = {}
     truncated: Set[Tuple[int, int, int]] = set()
-    if v1 is None:
+    if plan.v1 is None:
         for neg_u, _, s, t, base in leaves:
             key = (s, t, -neg_u)
             got = buckets.get(key)
@@ -661,17 +731,10 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
             else:
                 got.append(base)
     else:
-        vi, vt, vu, stride = alphabet.v1_index, v1.degree.t, v1.degree.u, v1.stride
+        vi = alphabet.v1_index
         for neg_u, _, s, t, base in leaves:
-            u = -neg_u
-            j_min = -((u - u_lo + vu - 1) // vu)  # smallest j with u + j*vu >= u_lo
-            j_min += -j_min % stride
-            for j in range(j_min, (u_hi - u) // vu + 1, stride):
-                tt = t + vt * j
-                if not (t_lo <= tt <= t_hi):
-                    continue
-                key = (s, tt, u + vu * j)
-                if not (v1_lo <= j <= v1_hi):
+            for j, key, clipped in plan.placements(s, t, -neg_u):
+                if clipped:
                     truncated.add(key)
                     continue
                 mono = ((vi, j),) + base if j else base
@@ -683,3 +746,45 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     leaves.clear()  # drop the records before the bucket tuples are built
     ordered = {Multidegree(*d): tuple(buckets.pop(d)) for d in list(buckets)}
     return WindowBasis(window, ordered, truncated, alphabet)
+
+
+def count_window(alphabet: Alphabet, window: TruncationWindow, without: Optional[str] = None) -> WindowCounts:
+    """How many monomials enumerate_window finds at each degree, counting
+    only those without the generator named `without` if one is given, and
+    which degrees the v1 range clips (for the whole alphabet).
+
+    No monomial is built: a dynamic program over the non-v1 generators
+    counts the parts of each (s, t, u) under the same caps as the
+    enumeration, then places every part at the same v1 exponents."""
+    plan = _PartPlan(alphabet, window)
+    skip = None if without is None else alphabet.index(without)
+    # part degree -> how many parts free of the skipped generator; a degree
+    # whose parts all contain it stays, at 0, since it may still be clipped
+    parts: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for k, (gi, g) in enumerate(plan.others):
+        ds, dt, du = g.degree
+        grown: Dict[Tuple[int, int, int], int] = {}
+        for (s, t, u), n_free in parts.items():
+            if plan.pruned(k, s, t, u):
+                continue
+            for e in range(plan.exponent_cap(k, s, t, u) + 1):
+                key = (s + ds * e, t + dt * e, u + du * e)
+                grown[key] = grown.get(key, 0) + (0 if e and gi == skip else n_free)
+        parts = grown
+    k_end = len(plan.others)
+    counts: Dict[Multidegree, int] = {}
+    truncated: Set[Tuple[int, int, int]] = set()
+    for (s, t, u), n_free in parts.items():
+        if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
+            continue
+        if plan.v1 is None:
+            if n_free:
+                counts[Multidegree(s, t, u)] = n_free
+            continue
+        for _, key, clipped in plan.placements(s, t, u):
+            if clipped:
+                truncated.add(key)
+            elif n_free:
+                d = Multidegree(*key)
+                counts[d] = counts.get(d, 0) + n_free
+    return WindowCounts(window, counts, truncated, alphabet)

@@ -26,6 +26,27 @@ from moorev1.specseq import Workbench
 # sha256 of verify-report.json from `moorev1 verify` on the default window
 VERIFY_REPORT_SHA256 = "d2005ec6a39931887d8ab093d67d77e5d20444ad0ff878e3e350105692956cd3"
 
+# sha256 of every file the table commands write on the default window
+ARTIFACT_SHA256 = {
+    ("page", "--spectrum", "EndM", "--page", "4"): {
+        "page-EndM-r4.json": "1f9b10888d02e3d29b8de57bc9bdd1ef516234524676a446f7ded6db51cb1f48",
+    },
+    ("page", "--spectrum", "M", "--page", "4", "--format", "tsv"): {
+        "page-M-r4.tsv": "79b9290e8c88f681bacc1f20e881a7f7e36c93d4736695b4d5853c7cbdd4d901",
+    },
+    ("decompose", "--format", "tsv"): {
+        "decomposition.json": "33967d925a0afceb61d867459dd1d5d280a3e8a09f7a9d3d732824ae0ea7b279",
+        "decomposition.tsv": "ae0cd7a10cda533d0e7332d4344182715677a6aa3339775661e092ed9b6f5e78",
+    },
+    ("mahowald",): {
+        "mahowald-B.json": "1194bee5b61b6a4f0d726d8fd5fa8f51e1a118f6004b0d8f8a873ff9e9702211",
+        "mahowald-H.json": "dc0e3cc2a10ef2028520b4f544e354f76ad67c69ac843286df85ac2f6c6c40f2",
+        "mahowald-Z.json": "48e8c1f0ddd9facac29caa7267735301ba6430c5092d8fcf5ea45bb52a71c92d",
+        "mahowald-classes-B.txt": "faee3de9fd78099a48be2ae00f684b940583154bbd0fab3ca9ca29d8e83c8f6a",
+        "mahowald-classes-H.txt": "c72e5c8048d265c1439575c8f528251ea6fa8d3dc606bae53689eff8d979b494",
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def wb():
@@ -183,3 +204,16 @@ def test_criterion_11_determinism(tmp_path):
         digest = hashlib.sha256(fh.read()).hexdigest()
     ok = ok and digest == VERIFY_REPORT_SHA256
     _record(11, "two full runs are byte-identical", ok)
+
+
+@pytest.mark.parametrize("argv", sorted(ARTIFACT_SHA256), ids=" ".join)
+def test_default_tables_are_pinned(tmp_path, argv):
+    """The page, decomposition and Mahowald tables stay byte-identical
+    across changes, like the verify report."""
+    out = str(tmp_path)
+    assert run([*argv, "--no-cache", "--out", out]) == 0
+    digests = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == ARTIFACT_SHA256[argv]

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from moorev1 import dga
 from moorev1.dga import (
     ComputedPage,
     D2Report,
@@ -25,6 +28,7 @@ from moorev1.gf2poly import (
     TruncationWindow,
     default_window,
     enumerate_window,
+    mono_degree,
 )
 from moorev1.specseq import Workbench
 
@@ -432,6 +436,140 @@ class TestHomology:
         # dim H = dim Z - dim B at every trusted degree
         for d in page.degrees()[:200]:
             assert page.dim(d) == page.cycle_dim(d) - page.boundary_dim(d)
+
+
+    def test_nonzero_d_squared_is_refused(self):
+        # d² = 0 on every generator, but d does not preserve the relation,
+        # so on the quotient d(d(h(1,1)*h(3,1))) = h(2,1)*h(4,1)
+        pres = unpreserved_relation_presentation()
+        pres.name = "unpreserved"
+        w = default_window(t_max=12, s_max=6, v1_min=0, v1_max=0)
+        with pytest.raises(
+            GF2PolyError, match=r"^unpreserved: d squared is nonzero from degree \(2, 4, 0\) through \(3, 5, 0\)$"
+        ):
+            homology_page(pres, w)
+
+    def test_broken_presentation_is_refused(self):
+        # its d(alpha) is off-degree, so the matrices themselves cannot be
+        # assembled, before any product of two of them is taken
+        w = default_window(t_max=20, s_max=5, v1_min=-4, v1_max=4)
+        with pytest.raises(GF2PolyError, match=r"^page: image of a degree \(.+\) monomial misses the basis"):
+            homology_page(broken_presentation(), w)
+
+    def test_bases_are_built_only_where_asked(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dga, "kernel_basis", lambda rows, n: calls.append(n) or kernel_basis(rows, n))
+        w = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
+        page = homology_page(quotient_presentation(3), w)
+        for d in page.degrees():
+            page.dim(d), page.cycle_dim(d), page.boundary_dim(d)
+        assert calls == []
+        d = Multidegree(0, 1, 1)
+        first = page.representatives(d)
+        assert page.class_is_nonzero(first[0], d) and page.cycles_subspace(d).dim
+        assert len(calls) == 1
+        assert page.representatives(d) == first and len(calls) == 1
+
+
+# ---- rank-nullity and the Euler characteristic on random complexes ----
+
+
+def _left_kernel(rows, n_rows):
+    """Every b with the sum of the rows at its set bits zero (b·M = 0), by
+    brute force over all 2^n_rows vectors."""
+    out = []
+    for b in range(1 << n_rows):
+        acc = 0
+        for i in range(n_rows):
+            if b >> i & 1:
+                acc ^= rows[i]
+        if not acc:
+            out.append(b)
+    return out
+
+
+@st.composite
+def random_complexes(draw, square_zero=True):
+    """A page over n nilpotent generators of degree (1, 0, 0) with shift
+    (2, 0, 0): two bounded complexes, on even and on odd s, of dimensions
+    C(n, s).  Each map is a random matrix (rows one per target basis
+    monomial); with square_zero each row of a map lies in the left kernel
+    of the map before it, so B·A = 0, and otherwise some B·A is nonzero."""
+    n = draw(st.integers(2, 5))
+    a = Alphabet([Generator(f"h({i},1)", Multidegree(1, 0, 0), nilpotent_square=True) for i in range(1, n + 1)])
+    w = TruncationWindow(n, (0, 0), (0, n + 2), (0, 0), (0, 0))
+    pres = PagePresentation(a, Multidegree(2, 0, 0), {}, name="random")
+    wb = pres.basis(w)
+    dims = [len(wb.basis(Multidegree(s, 0, 0))) for s in range(n + 3)]
+    maps = {}
+    for s in range(n + 1):
+        n_src, n_tgt = dims[s], dims[s + 2]
+        prev = maps.get(s - 2)
+        if square_zero and prev is not None:
+            # rows of this map vanish on the image of the previous one
+            allowed = _left_kernel(prev, n_src)
+            rows = [draw(st.sampled_from(allowed)) for _ in range(n_tgt)]
+        else:
+            rows = [draw(st.integers(0, (1 << n_src) - 1)) for _ in range(n_tgt)]
+        maps[s] = rows
+    if not square_zero:
+        assume(any(any(_composite(maps[s + 2], maps[s])) for s in range(n - 1)))
+    return pres, w, wb, dims, maps
+
+
+def _composite(outgoing, incoming):
+    """Rows of outgoing·incoming."""
+    out = []
+    for row in outgoing:
+        acc = 0
+        for i, r in enumerate(incoming):
+            if row >> i & 1:
+                acc ^= r
+        out.append(acc)
+    return out
+
+
+def _matrix_diff_fn(pres, wb, maps):
+    """d of a basis monomial: the target monomials at the set bits of its
+    column in the map from its degree."""
+    def fn(mono):
+        s = mono_degree(pres.alphabet, mono).s
+        source = wb.basis(Multidegree(s, 0, 0))
+        target = wb.basis(Multidegree(s + 2, 0, 0))
+        j = source.index(mono)
+        return Polynomial(pres.alphabet, [target[i] for i, row in enumerate(maps[s]) if row >> j & 1])
+    return fn
+
+
+class TestRankNullityOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(random_complexes())
+    def test_dimensions_match_bases_and_euler_characteristic(self, case):
+        pres, w, wb, dims, maps = case
+        page = homology_page(pres, w, diff_fn=_matrix_diff_fn(pres, wb, maps))
+        n = len(dims) - 3
+        homology = []
+        for s in range(n + 1):
+            d = Multidegree(s, 0, 0)
+            assert page.trusted(d)
+            incoming = maps.get(s - 2, [0] * dims[s])
+            cycles = kernel_basis(maps[s], dims[s])
+            boundaries = Subspace(column_space_basis(incoming, dims[s - 2] if s >= 2 else 0))
+            assert page.cycle_dim(d) == len(cycles)
+            assert page.boundary_dim(d) == boundaries.dim
+            assert page.dim(d) == len(subquotient_basis(cycles, boundaries))
+            homology.append(page.dim(d))
+        for parity in (0, 1):
+            chain = range(parity, n + 1, 2)
+            euler = sum((-1) ** (s // 2) * dims[s] for s in chain)
+            assert euler == sum((-1) ** (s // 2) * homology[s] for s in chain)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_complexes(square_zero=False))
+    def test_nonzero_product_is_refused(self, case):
+        pres, w, wb, dims, maps = case
+        with pytest.raises(GF2PolyError, match=r"^random: d squared is nonzero from degree"):
+            homology_page(pres, w, diff_fn=_matrix_diff_fn(pres, wb, maps))
 
 
 class TestPresentationPage:

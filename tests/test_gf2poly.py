@@ -14,6 +14,7 @@ from moorev1.gf2poly import (
     Polynomial,
     TruncationWindow,
     UnknownGeneratorError,
+    count_window,
     default_window,
     enumerate_window,
     mono_degree,
@@ -334,6 +335,58 @@ class TestEnumerateWindowOracle:
         assert_matches_oracle(*case)
 
 
+def assert_counts_match_enumeration(alphabet, w, without=None):
+    """count_window against enumerate_window: per-degree counts of the
+    monomials free of `without`, the clipped degrees, and the trust flag
+    on every degree of the window and a margin around it."""
+    wb = enumerate_window(alphabet, w)
+    counts = count_window(alphabet, w, without)
+    skip = None if without is None else alphabet.index(without)
+    want = {}
+    for d in wb.degrees():
+        n = sum(1 for m in wb.basis(d) if all(gi != skip for gi, _ in m))
+        if n:
+            want[d] = n
+    assert counts._truncated == wb._truncated
+    for s in range(w.s_range[0] - 2, w.s_range[1] + 3):
+        for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
+            for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
+                d = Multidegree(s, t, u)
+                assert counts.count(d) == want.get(d, 0), d
+                assert counts.complete(d) == wb.complete(d), d
+    return want, wb._truncated
+
+
+class TestCountWindowOracle:
+    """count_window builds no monomial; enumerate_window is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_alphabets_and_windows(), st.integers(0, 5))
+    def test_random_windows_match_enumeration(self, case, pick):
+        a, w = case
+        names = [g.name for g in a if not g.invertible]
+        assert_counts_match_enumeration(a, w, names[pick] if pick < len(names) else None)
+
+    @pytest.mark.parametrize(
+        "t_max, s_max", [(16, 4), (32, 12), (64, 12), (32, 16)], ids=["t16", "t32", "t64", "t32-s16"]
+    )
+    def test_workbench_alphabets_on_ladder_windows(self, t_max, s_max):
+        bench = Workbench(default_window(t_max, s_max))
+        for tag, r, without in (("S", 2, "h(1,0)"), ("EndM", 2, "alpha"), ("M", 2, None)):
+            want, _ = assert_counts_match_enumeration(bench.alphabet(tag, r), bench.window, without)
+            assert want
+
+    def test_clipping_when_u_range_is_wider_than_v1_range(self):
+        w = TruncationWindow(4, (-3, 3), (0, 6), (-15, 40), (-8, 8))
+        bench = Workbench(default_window(40, 6, -8, 8))
+        for tag, r, without in (("S", 2, "h(1,0)"), ("EndM", 2, "alpha"), ("M", 2, None), ("EndM", 3, "alphap")):
+            want, clipped = assert_counts_match_enumeration(bench.alphabet(tag, r), w, without)
+            assert want and clipped
+        # alphap and x(n) carry u, so one degree mixes kept and clipped
+        # monomials: its count is short, and the degree is not trusted
+        assert any(d in clipped for d in want)
+
+
 class TestEnumerateBasis:
     """The basis of one degree, read off the whole-window enumeration."""
 
@@ -410,6 +463,18 @@ class TestEnumerateWindow:
         w = TruncationWindow(2, (-2, 2), (0, 2), (-5, 8), (-2, 2))
         wb = enumerate_window(a, w)
         assert not wb.complete(Multidegree(3, 6, 0))
+
+    def test_below_s0_is_complete_only_when_nothing_lives_there(self):
+        w = TruncationWindow(2, (0, 0), (0, 3), (-4, 4), (0, 0))
+        below = Multidegree(-1, 0, 0)
+        plain = Alphabet([Generator("h(1,1)", Multidegree(1, 2, 0))])
+        assert enumerate_window(plain, w).complete(below)
+        assert count_window(plain, w).complete(below)
+        # a generator of negative s puts monomials below s = 0, which the
+        # window's s range leaves out
+        sunk = Alphabet(plain.generators + (Generator("alpha", Multidegree(-1, 0, 0), nilpotent_square=True),))
+        assert not enumerate_window(sunk, w).complete(below)
+        assert not count_window(sunk, w).complete(below)
 
     def test_filtered_drops_monomials(self):
         a = nilpotent_alphabet()

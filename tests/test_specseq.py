@@ -753,6 +753,8 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
         getattr(bench, name)()
     first = dict(calls)
     assert first and set(first.values()) == {1}
+    # the module isomorphisms count the S monomials instead
+    assert bench.alphabet("S", 2) not in {a for a, _, _ in first}
     used = {(pres.alphabet, pres.relations) for pres in bench._presentations.values()}
     assert {(a, rel) for a, rel, _ in first} >= used
     assert bench.presentation("M", 2).basis(window) is bench.presentation("M", 3).basis(window)
@@ -761,3 +763,44 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
     for name in VERIFY_SEQUENCE:
         getattr(again, name)()
     assert dict(calls) == first
+
+
+def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
+    """Reports that read dimensions cost one rank per matrix: kernel_basis
+    runs only inside the vector accessors of a ComputedPage, once per
+    degree, and only at degrees whose classes the survival report tests."""
+    asking = []  # (page, degree) of each vector accessor call in progress
+    built = []
+    real_homology = ComputedPage._homology_at
+
+    def homology_at(self, d):
+        asking.append((self.name, tuple(d)))
+        try:
+            return real_homology(self, d)
+        finally:
+            asking.pop()
+
+    def counting_kernel(rows, ncols):
+        assert asking, "kernel_basis outside a vector accessor"
+        built.append(asking[-1])
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(ComputedPage, "_homology_at", homology_at)
+    monkeypatch.setattr(dga, "kernel_basis", counting_kernel)
+    bench = Workbench(default_window(24, 6, -6, 6))
+    assert VERIFY_SEQUENCE[-1] == "survival_report"
+    for name in VERIFY_SEQUENCE[:-1]:
+        getattr(bench, name)()
+    assert built == []
+    rows = bench.survival_report().rows
+    survivors = {
+        ("endomorphism r=4", r.degree)
+        for r in rows
+        if r.claim.startswith("survives-to-e4:") and r.status != "insufficient"
+    }
+    assert len(survivors) == 4
+    assert survivors <= set(built) <= survivors | {("endomorphism r=3", r.degree) for r in rows}
+    assert len(built) == len(set(built))
+    once = len(built)
+    bench.survival_report()
+    assert len(built) == once
