@@ -41,7 +41,7 @@ from .cobar import (
 )
 from .mahowald import ZBHTables, mahowald_presentation, zbh_bases
 from .specseq import CheckRow, Report, Workbench, build_page
-from .chart import ChartDoc, collapse, decomposition_chart, page_chart, render
+from .chart import ChartDoc, decomposition_chart, page_chart, render
 
 __all__ = [
     "Alphabet",
@@ -70,7 +70,6 @@ __all__ = [
     "build_page",
     "class_identity_check",
     "cobar_differential",
-    "collapse",
     "decomposition_chart",
     "default_window",
     "endomorphism_comodule",

@@ -1,9 +1,10 @@
 """Adams-chart coordinates and deterministic chart rendering.
 
 The trigrading collapses to Adams (filtration, internal degree) by
-(s,t,u) -> (s+u, t+u); under it v1 lands at (1,3), h(1,1) at (1,2), and
-v1*h(n+1,1) on the bidegree (2, 2^(n+2)+1) of x(n).  Charts are drawn in
-(stem, filtration) coordinates with stem = t - s.
+specseq.adams_bidegree, (s,t,u) -> (s+u, t+u); under it v1 lands at
+(1,3), h(1,1) at (1,2), and v1*h(n+1,1) on the bidegree (2, 2^(n+2)+1)
+of x(n).  Charts are drawn in (stem, filtration) coordinates with
+stem = t - s.
 
 Rendering is plain SVG 1.1 or a text grid, byte-identical for identical
 input: every collection is sorted before drawing, coordinates are
@@ -13,18 +14,15 @@ colors carry no meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .gf2poly import GF2PolyError, Multidegree
+from .gf2poly import GF2PolyError
 from .mahowald import ZBHTables
-from .specseq import bo_pattern_dim, bu_pattern_dim
+from .specseq import adams_bidegree, bo_pattern_dim, bu_pattern_dim
 
 __all__ = [
-    "AdamsBidegree",
-    "ChartDot",
     "ChartLine",
     "ChartDoc",
-    "collapse",
     "page_chart",
     "decomposition_chart",
     "render",
@@ -52,30 +50,11 @@ PALETTE = (
     "#98df8a",
 )
 
-
-@dataclass(frozen=True)
-class AdamsBidegree:
-    s_adams: int
-    t_adams: int
-
-    @property
-    def stem(self) -> int:
-        return self.t_adams - self.s_adams
+# (stem, filtration, group); a chart maps each cell to its number of dots
+Cell = Tuple[int, int, str]
 
 
-def collapse(d: Multidegree) -> AdamsBidegree:
-    return AdamsBidegree(d.s + d.u, d.t + d.u)
-
-
-@dataclass(frozen=True)
-class ChartDot:
-    stem: int
-    filt: int
-    group: str
-    seq: int = 0  # distinguishes same-group dots on one cell
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ChartLine:
     kind: str  # h11 | v1
     stem1: int
@@ -84,44 +63,33 @@ class ChartLine:
     filt2: int
 
 
-def _structure_lines(dots: Sequence[ChartDot], successor=None) -> List[ChartLine]:
-    """Connect each dot to its h11- and v1-multiple.  The target cell must
-    hold a dot of the group successor(group, kind); by default the same
+def _structure_lines(cells: Mapping[Cell, int], successor=None) -> List[ChartLine]:
+    """Connect each cell to its h11- and v1-multiple.  The target cell must
+    belong to the group successor(group, kind); by default the same
     group."""
-    cells = {(d.stem, d.filt, d.group) for d in dots}
     lines = set()
     for stem, filt, group in cells:
         for kind, (ds, df) in (("h11", H11_STEP), ("v1", V1_STEP)):
             target = group if successor is None else successor(group, kind)
             if target is not None and (stem + ds, filt + df, target) in cells:
                 lines.add(ChartLine(kind, stem, filt, stem + ds, filt + df))
-    return sorted(lines, key=lambda l: (l.kind, l.stem1, l.filt1))
+    return sorted(lines)
 
 
 class ChartDoc:
-    """Dots, structure lines, and a viewport, ready to render."""
+    """Dot counts per cell, structure lines, and a viewport, ready to
+    render.  Cells with no dots are dropped."""
 
-    def __init__(
-        self,
-        dots: Iterable[ChartDot],
-        title: str = "",
-        pad: int = 1,
-        line_successor=None,
-    ):
-        self.dots = sorted(set(dots), key=lambda d: (d.stem, d.filt, d.group, d.seq))
+    def __init__(self, cells: Mapping[Cell, int], title: str = "", line_successor=None):
+        self.cells: Dict[Cell, int] = {c: n for c, n in sorted(cells.items()) if n}
         self.title = title
-        self.lines = _structure_lines(self.dots, line_successor)
-        self.groups = sorted({d.group for d in self.dots})
+        self.lines = _structure_lines(self.cells, line_successor)
+        self.groups = sorted({group for _, _, group in self.cells})
         self._group_index = {g: i for i, g in enumerate(self.groups)}
-        if self.dots:
-            stems = [d.stem for d in self.dots]
-            filts = [d.filt for d in self.dots]
-            self.viewport = (
-                min(stems) - pad,
-                max(stems) + pad,
-                min(filts) - pad,
-                max(filts) + pad,
-            )
+        if self.cells:
+            stems = [stem for stem, _, _ in self.cells]
+            filts = [filt for _, filt, _ in self.cells]
+            self.viewport = (min(stems) - 1, max(stems) + 1, min(filts) - 1, max(filts) + 1)
         else:
             self.viewport = (0, 4, 0, 4)
 
@@ -129,9 +97,10 @@ class ChartDoc:
         return PALETTE[self._group_index[group] % len(PALETTE)]
 
     def counts(self) -> Dict[Tuple[int, int], int]:
+        """Dots per (stem, filtration), over all groups."""
         out: Dict[Tuple[int, int], int] = {}
-        for d in self.dots:
-            out[(d.stem, d.filt)] = out.get((d.stem, d.filt), 0) + 1
+        for (stem, filt, _), n in self.cells.items():
+            out[(stem, filt)] = out.get((stem, filt), 0) + n
         return out
 
 
@@ -143,16 +112,16 @@ def _u_successor(group: str, kind: str) -> str:
 
 
 def page_chart(page, title: str = "") -> ChartDoc:
-    """One dot per basis class of a page, collapsed to the Adams chart.
-    Dots are grouped by the u-degree they came from, so distinct lines
-    landing on the same cell stay distinct dots."""
-    dots = []
+    """page.dim(d) dots for each degree d of a page, collapsed to the Adams
+    chart.  Cells are grouped by the u-degree they came from, so distinct
+    lines landing on the same (stem, filtration) stay distinct; a fixed
+    (stem, filtration, u) is one tridegree."""
+    cells: Dict[Cell, int] = {}
     label = getattr(page, "name", "") or "page"
     for d in page.degrees():
-        ad = collapse(d)
-        for i in range(page.dim(d)):
-            dots.append(ChartDot(ad.stem, ad.s_adams, f"u={d.u}", i))
-    return ChartDoc(dots, title=title or label, line_successor=_u_successor)
+        s_adams, t_adams = adams_bidegree(d)
+        cells[(t_adams - s_adams, s_adams, f"u={d.u}")] = page.dim(d)
+    return ChartDoc(cells, title=title or label, line_successor=_u_successor)
 
 
 def decomposition_chart(
@@ -162,9 +131,9 @@ def decomposition_chart(
     title: str = "",
 ) -> ChartDoc:
     """One group per homology class (a bo pattern suspended by its
-    bidegree) and per boundary class (a bu pattern).  Every dot belongs to
-    the single group that generated it."""
-    dots = []
+    bidegree) and per boundary class (a bu pattern), with one dot on each
+    cell its pattern hits."""
+    cells: Dict[Cell, int] = {}
     specs: List[Tuple[str, int, int]] = []
     for p, q, poly in tables.export_classes("H"):
         specs.append((f"bo[{poly}]", p, q))
@@ -175,8 +144,8 @@ def decomposition_chart(
         for stem in range(stem_range[0], stem_range[1] + 1):
             for filt in range(filt_range[0], filt_range[1] + 1):
                 if pattern(filt - p, stem + filt - q):
-                    dots.append(ChartDot(stem, filt, group))
-    return ChartDoc(dots, title=title or "decomposition")
+                    cells[(stem, filt, group)] = 1
+    return ChartDoc(cells, title=title or "decomposition")
 
 
 # ---- rendering ----
@@ -254,15 +223,15 @@ def render_svg(doc: ChartDoc) -> bytes:
             f'stroke="#555555" stroke-width="1"{dash}/>'
         )
     seen: Dict[Tuple[int, int], int] = {}
-    for dot in doc.dots:
-        cell = (dot.stem, dot.filt)
-        k = seen.get(cell, 0)
-        seen[cell] = k + 1
-        dx, dy = _OFFSETS[k % len(_OFFSETS)]
-        out.append(
-            f'<circle cx="{x(dot.stem) + dx}" cy="{y(dot.filt) + dy}" r="{_DOT_R}" '
-            f'fill="{doc.color_of(dot.group)}"/>'
-        )
+    for (stem, filt, group), n in doc.cells.items():
+        k = seen.get((stem, filt), 0)
+        seen[(stem, filt)] = k + n
+        for i in range(k, k + n):
+            dx, dy = _OFFSETS[i % len(_OFFSETS)]
+            out.append(
+                f'<circle cx="{x(stem) + dx}" cy="{y(filt) + dy}" r="{_DOT_R}" '
+                f'fill="{doc.color_of(group)}"/>'
+            )
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("ascii")
 

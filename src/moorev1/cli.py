@@ -484,7 +484,7 @@ def _cmd_chart(cfg: RunConfig) -> Artifacts:
         fname = f"chart-decomposition.{cfg.format}"
         label = "chart decomposition"
     payload = render(doc, cfg.format).decode()
-    stdout = f"{label}: {len(doc.dots)} dots -> {fname}\n"
+    stdout = f"{label}: {sum(doc.cells.values())} dots -> {fname}\n"
     return 0, stdout, {fname: payload}
 
 

@@ -56,12 +56,10 @@ __all__ = [
     "D2_SHIFT",
     "D3_SHIFT",
     "TAGS",
-    "PatternSpec",
     "CheckRow",
     "Report",
     "Workbench",
     "build_page",
-    "pattern_dims",
     "bo_pattern_dim",
     "bu_pattern_dim",
     "w_of_v1_exponent",
@@ -75,6 +73,10 @@ TAGS = ("S", "M", "EndM")
 V1_DEGREE = Multidegree(0, 2, 1)
 ALPHA_DEGREE = Multidegree(0, -1, 0)
 ALPHAP_DEGREE = Multidegree(0, 1, 1)
+
+# top corner of the Adams box the decomposition check compares
+DECOMPOSITION_STEM_MAX = 24
+DECOMPOSITION_FILT_MAX = 12
 
 
 def h_degree(n: int) -> Multidegree:
@@ -95,19 +97,6 @@ def adams_bidegree(d: Multidegree) -> Tuple[int, int]:
     return (d.s + d.u, d.t + d.u)
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    """A bo- or bu-shaped Adams-chart pattern, optionally suspended by a
-    bidegree shift applied to both Adams coordinates."""
-
-    kind: str
-    suspension: Tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.kind not in ("bo", "bu"):
-            raise GF2PolyError(f"unknown pattern kind {self.kind!r}")
-
-
 def bo_pattern_dim(s: int, t: int) -> int:
     """Classes v1^m h(1,1)^a with a in {0,1,2} and m = 0,1 mod 4 sit at
     Adams bidegree (m+a, 3m+2a); at most one lands on any (s, t)."""
@@ -119,12 +108,6 @@ def bo_pattern_dim(s: int, t: int) -> int:
 def bu_pattern_dim(s: int, t: int) -> int:
     """Classes v1^m at Adams bidegree (m, 3m)."""
     return 1 if t == 3 * s else 0
-
-
-def pattern_dims(spec: PatternSpec, s: int, t: int) -> int:
-    s2 = s - spec.suspension[0]
-    t2 = t - spec.suspension[1]
-    return bo_pattern_dim(s2, t2) if spec.kind == "bo" else bu_pattern_dim(s2, t2)
 
 
 @dataclass(frozen=True)
@@ -887,13 +870,7 @@ class Workbench:
                 return True
         return False
 
-    def mahowald_decomposition_check(
-        self,
-        stem_max: int = 24,
-        filt_max: int = 12,
-        stem_min: Optional[int] = None,
-        filt_min: Optional[int] = None,
-    ) -> Report:
+    def mahowald_decomposition_check(self) -> Report:
         """Adams-cell comparison: total dim of page 4 of M against one bo
         pattern per homology class of the complex of squares plus one bu
         pattern per boundary class, each suspended by its bidegree.
@@ -908,13 +885,9 @@ class Workbench:
         w = self.window
         page4 = self.page("M", 4)
         tables = self.mahowald_tables()
-        if stem_min is None:
-            stem_min = w.t_range[0] - w.s_range[1]
-        if filt_min is None:
-            filt_min = w.u_range[0]
         rows: List[CheckRow] = []
-        for stem in range(stem_min, stem_max + 1):
-            for filt in range(filt_min, filt_max + 1):
+        for stem in range(w.t_range[0] - w.s_range[1], DECOMPOSITION_STEM_MAX + 1):
+            for filt in range(w.u_range[0], DECOMPOSITION_FILT_MAX + 1):
                 lhs, covered = self._cell_lhs(page4, stem, filt)
                 rhs, rhs_exact = self._cell_rhs(tables, filt, stem + filt)
                 if not (covered and rhs_exact):

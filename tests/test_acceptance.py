@@ -26,7 +26,7 @@ from moorev1.specseq import Workbench
 # sha256 of verify-report.json from `moorev1 verify` on the default window
 VERIFY_REPORT_SHA256 = "d2005ec6a39931887d8ab093d67d77e5d20444ad0ff878e3e350105692956cd3"
 
-# sha256 of every file the table commands write on the default window
+# sha256 of every file the table and chart commands write on the default window
 ARTIFACT_SHA256 = {
     ("page", "--spectrum", "EndM", "--page", "4"): {
         "page-EndM-r4.json": "1f9b10888d02e3d29b8de57bc9bdd1ef516234524676a446f7ded6db51cb1f48",
@@ -44,6 +44,15 @@ ARTIFACT_SHA256 = {
         "mahowald-Z.json": "48e8c1f0ddd9facac29caa7267735301ba6430c5092d8fcf5ea45bb52a71c92d",
         "mahowald-classes-B.txt": "faee3de9fd78099a48be2ae00f684b940583154bbd0fab3ca9ca29d8e83c8f6a",
         "mahowald-classes-H.txt": "c72e5c8048d265c1439575c8f528251ea6fa8d3dc606bae53689eff8d979b494",
+    },
+    ("chart", "page", "--spectrum", "M", "--page", "2", "--format", "svg"): {
+        "chart-page-M-r2.svg": "3563c119ef168ade19739fdfe03472e858fb2881a73348ab1f4d318d5a71e0c4",
+    },
+    ("chart", "decomposition", "--format", "svg"): {
+        "chart-decomposition.svg": "3249c1c431c837dfabb0026a2055c7cdac34908967bf5ba29d6596ffe62dde5a",
+    },
+    ("chart", "page", "--spectrum", "EndM", "--page", "3", "--format", "txt"): {
+        "chart-page-EndM-r3.txt": "eb6530ab1537defc699164b6921aaff8266497e945a141e2b975f47ec9311433",
     },
 }
 
@@ -208,8 +217,8 @@ def test_criterion_11_determinism(tmp_path):
 
 @pytest.mark.parametrize("argv", sorted(ARTIFACT_SHA256), ids=" ".join)
 def test_default_tables_are_pinned(tmp_path, argv):
-    """The page, decomposition and Mahowald tables stay byte-identical
-    across changes, like the verify report."""
+    """The page, decomposition and Mahowald tables and the charts stay
+    byte-identical across changes, like the verify report."""
     out = str(tmp_path)
     assert run([*argv, "--no-cache", "--out", out]) == 0
     digests = {}

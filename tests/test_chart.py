@@ -1,13 +1,8 @@
-import random
-
 import pytest
 
 from moorev1.chart import (
     PALETTE,
-    AdamsBidegree,
     ChartDoc,
-    ChartDot,
-    collapse,
     decomposition_chart,
     page_chart,
     render,
@@ -16,14 +11,7 @@ from moorev1.chart import (
 )
 from moorev1.gf2poly import GF2PolyError, Multidegree, default_window
 from moorev1.mahowald import zbh_bases
-from moorev1.specseq import (
-    D2_SHIFT,
-    D3_SHIFT,
-    V1_DEGREE,
-    Workbench,
-    h_degree,
-    x_degree,
-)
+from moorev1.specseq import Workbench
 
 
 @pytest.fixture(scope="module")
@@ -36,33 +24,8 @@ def tables():
     return zbh_bases(8, 40)
 
 
-def test_collapse_examples():
-    assert collapse(Multidegree(0, 0, 0)) == AdamsBidegree(0, 0)
-    assert collapse(V1_DEGREE) == AdamsBidegree(1, 3)
-    assert collapse(h_degree(1)) == AdamsBidegree(1, 2)
-    # v1 * h(n+1, 1) lands on the bidegree of x(n)
-    assert collapse(V1_DEGREE + h_degree(3)) == AdamsBidegree(2, 17)
-    assert collapse(x_degree(2)) == AdamsBidegree(2, 17)
-    assert AdamsBidegree(1, 3).stem == 2
-    assert AdamsBidegree(4, 1).stem == -3
-
-
-def test_collapse_is_additive():
-    rng = random.Random(7)
-    for _ in range(40):
-        a = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
-        b = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
-        ca, cb, cab = collapse(a), collapse(b), collapse(a + b)
-        assert cab == AdamsBidegree(ca.s_adams + cb.s_adams, ca.t_adams + cb.t_adams)
-
-
-def test_differential_shifts_collapse_to_filtration_step():
-    assert collapse(D2_SHIFT) == AdamsBidegree(1, 0)
-    assert collapse(D3_SHIFT) == AdamsBidegree(1, 0)
-
-
 def test_empty_doc_renders_axes():
-    doc = ChartDoc([])
+    doc = ChartDoc({})
     svg = render(doc, "svg")
     txt = render(doc, "txt")
     assert svg.startswith(b"<svg")
@@ -70,10 +33,12 @@ def test_empty_doc_renders_axes():
     assert svg.count(b"<line") == 2  # just the two axes
     assert b"+---" in txt
     assert b"1" not in txt.splitlines()[0]
+    # a cell with no dots is dropped
+    assert render(ChartDoc({(3, 3, "g"): 0}), "svg") == svg
 
 
 def test_single_dot():
-    doc = ChartDoc([ChartDot(1, 1, "g")])
+    doc = ChartDoc({(1, 1, "g"): 1})
     svg = render_svg(doc)
     assert svg.count(b"<circle") == 1
     txt = render_txt(doc).decode()
@@ -82,16 +47,17 @@ def test_single_dot():
 
 
 def test_multiplicity_digits_and_overflow():
-    doc = ChartDoc([ChartDot(0, 0, "g", i) for i in range(12)])
+    doc = ChartDoc({(0, 0, "g"): 12})
     txt = render_txt(doc).decode()
     assert "  +" in [line[6:] for line in txt.splitlines() if line.startswith("   0 |")][0]
-    small = ChartDoc([ChartDot(0, 0, "g", i) for i in range(3)])
+    assert render_svg(doc).count(b"<circle") == 12
+    small = ChartDoc({(0, 0, "g"): 3})
     assert " 3" in render_txt(small).decode()
 
 
 def test_unsupported_format_raises():
     with pytest.raises(GF2PolyError):
-        render(ChartDoc([]), "pdf")
+        render(ChartDoc({}), "pdf")
 
 
 def test_render_is_deterministic(tables):
@@ -102,9 +68,7 @@ def test_render_is_deterministic(tables):
 
 
 def test_structure_lines():
-    doc = ChartDoc(
-        [ChartDot(0, 0, "g"), ChartDot(1, 1, "g"), ChartDot(2, 1, "g")]
-    )
+    doc = ChartDoc({(0, 0, "g"): 1, (1, 1, "g"): 1, (2, 1, "g"): 1})
     kinds = {(l.kind, l.stem1, l.filt1, l.stem2, l.filt2) for l in doc.lines}
     assert ("h11", 0, 0, 1, 1) in kinds
     assert ("v1", 0, 0, 2, 1) in kinds
@@ -114,13 +78,12 @@ def test_structure_lines():
 
 
 def test_lines_connect_within_groups_only():
-    doc = ChartDoc([ChartDot(0, 0, "g"), ChartDot(1, 1, "other")])
+    doc = ChartDoc({(0, 0, "g"): 1, (1, 1, "other"): 1})
     assert doc.lines == []
 
 
 def test_group_colors_cycle_palette():
-    dots = [ChartDot(i, 0, f"g{i:02d}") for i in range(len(PALETTE) + 2)]
-    doc = ChartDoc(dots)
+    doc = ChartDoc({(i, 0, f"g{i:02d}"): 1 for i in range(len(PALETTE) + 2)})
     assert doc.color_of("g00") == PALETTE[0]
     assert doc.color_of(f"g{len(PALETTE):02d}") == PALETTE[0]
     assert doc.color_of("g01") == PALETTE[1]
@@ -129,7 +92,7 @@ def test_group_colors_cycle_palette():
 def test_page_chart_counts_match_dims(wb):
     page = wb.page("M", 2)
     doc = page_chart(page)
-    assert len(doc.dots) == sum(page.dim(d) for d in page.degrees())
+    assert sum(doc.cells.values()) == sum(page.dim(d) for d in page.degrees())
     counts = doc.counts()
     d = Multidegree(0, 2, 1)  # v1 collapses to stem 2, filtration 1
     assert counts[(2, 1)] >= 1
@@ -144,9 +107,9 @@ def test_page_chart_v1_lines_cross_u_groups(wb):
 
 def test_decomposition_chart_groups(tables):
     doc = decomposition_chart(tables, (0, 20), (0, 10))
-    # each dot carries exactly one group, and same-cell dots from
+    # a pattern puts at most one dot on a cell, and same-cell dots from
     # different classes stay distinct
-    assert len(doc.dots) == len(set(doc.dots))
+    assert set(doc.cells.values()) == {1}
     assert any(g.startswith("bo[") for g in doc.groups)
     assert any(g.startswith("bu[") for g in doc.groups)
     unit = [g for g in doc.groups if g == "bo[1]"]
@@ -161,7 +124,7 @@ def test_decomposition_chart_bu_copy_from_boundary(tables):
     bu_groups = [g for g in doc.groups if g.startswith("bu[")]
     assert "bu[x(1)^3]" in bu_groups
     # the bu pattern from x1^3 puts dots on (stem, filt) = (21+2m, 6+m)
-    dots = {(d.stem, d.filt) for d in doc.dots if d.group == "bu[x(1)^3]"}
+    dots = {(stem, filt) for stem, filt, group in doc.cells if group == "bu[x(1)^3]"}
     assert (21, 6) in dots
     assert (23, 7) in dots
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moorev1.cobar import (
     COALGEBRA,
@@ -165,6 +167,49 @@ def cofree_comodule():
     return Comodule("cofree", labels, tuple(COALGEBRA.basis()), coaction)
 
 
+def shifted(com, k):
+    return Comodule(f"{com.name}[{k}]", com.labels, tuple(d + k for d in com.degree_of), com.coaction_table)
+
+
+def direct_sum(a, b):
+    def part(com, tag):
+        table = tuple(tuple((i, tag + m) for i, m in psi) for psi in com.coaction_table)
+        return tuple(tag + m for m in com.labels), table
+
+    (la, ca), (lb, cb) = part(a, "L"), part(b, "R")
+    return Comodule(f"({a.name}+{b.name})", la + lb, a.degree_of + b.degree_of, ca + cb)
+
+
+def tensor(a, b):
+    """psi(m n) = sum of xi1^(i+j) (x) m' n' over xi1^i (x) m' in psi(m) and
+    xi1^j (x) n' in psi(n), with i + j < 4."""
+    labels, degrees, table = [], [], []
+    for m, dm, psi_m in zip(a.labels, a.degree_of, a.coaction_table):
+        for n, dn, psi_n in zip(b.labels, b.degree_of, b.coaction_table):
+            labels.append(f"({m}|{n})")
+            degrees.append(dm + dn)
+            terms = set()
+            for i, m2 in psi_m:
+                for j, n2 in psi_n:
+                    if i + j < COALGEBRA.height:
+                        terms ^= {(i + j, f"({m2}|{n2})")}
+            table.append(tuple(sorted(terms)))
+    return Comodule(f"({a.name}*{b.name})", tuple(labels), tuple(degrees), tuple(table))
+
+
+def random_comodules():
+    base = st.sampled_from([trivial_comodule(), moore_comodule(), endomorphism_comodule()])
+    return st.recursive(
+        base,
+        lambda kids: st.one_of(
+            st.tuples(kids, st.integers(-3, 3)).map(lambda p: shifted(*p)),
+            st.tuples(kids, kids).map(lambda p: direct_sum(*p)),
+            st.tuples(kids, kids).map(lambda p: tensor(*p)),
+        ),
+        max_leaves=3,
+    )
+
+
 class TestKoszulAgainstCobar:
     """ext_dimensions uses the Koszul complex; the cobar complex is the
     independent oracle on the envelope the CLI exports, for the three
@@ -182,6 +227,17 @@ class TestKoszulAgainstCobar:
         cx = CobarComplex(com)
         for s in range(9):
             for t in range(-1, 17):
+                assert table.dim(s, t) == cx.ext_dim(s, t), (com.name, s, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_comodules())
+    def test_matches_cobar_on_random_comodules(self, com):
+        assume(len(com.labels) <= 16)
+        assert com.verify()
+        table = ext_dimensions(com, 4, (-4, 12))
+        cx = CobarComplex(com)
+        for s in range(5):
+            for t in range(-4, 13):
                 assert table.dim(s, t) == cx.ext_dim(s, t), (com.name, s, t)
 
     def test_test_comodules_closed_forms(self):

@@ -1,5 +1,6 @@
 """Rules for the package as a whole."""
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -26,3 +27,18 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_export_resolves():
+    modules = [moorev1] + [
+        importlib.import_module(f"moorev1.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    dangling = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert dangling == []

@@ -24,16 +24,17 @@ from moorev1.gf2poly import (
 from moorev1.specseq import (
     D2_SHIFT,
     D3_SHIFT,
+    V1_DEGREE,
     CheckRow,
-    PatternSpec,
     Report,
     Workbench,
     adams_bidegree,
     bo_pattern_dim,
     bu_pattern_dim,
     build_page,
-    pattern_dims,
+    h_degree,
     w_of_v1_exponent,
+    x_degree,
 )
 
 
@@ -634,23 +635,29 @@ def test_bu_pattern_placement():
 
 
 def test_pattern_suspension():
-    spec = PatternSpec("bo", suspension=(2, 9))
-    assert pattern_dims(spec, 2, 9) == 1
-    assert pattern_dims(spec, 3, 11) == 1
-    assert pattern_dims(spec, 2, 10) == 0
-    assert pattern_dims(PatternSpec("bu", suspension=(6, 27)), 7, 30) == 1
-
-
-def test_pattern_kind_checked():
-    with pytest.raises(GF2PolyError):
-        PatternSpec("ko")
+    # a pattern suspended by (p, q) is read at (s - p, t - q)
+    assert bo_pattern_dim(2 - 2, 9 - 9) == 1
+    assert bo_pattern_dim(3 - 2, 11 - 9) == 1
+    assert bo_pattern_dim(2 - 2, 10 - 9) == 0
+    assert bu_pattern_dim(7 - 6, 30 - 27) == 1
 
 
 def test_adams_collapse():
     assert adams_bidegree(Multidegree(0, 0, 0)) == (0, 0)
-    assert adams_bidegree(Multidegree(0, 2, 1)) == (1, 3)  # v1
-    assert adams_bidegree(Multidegree(1, 2, 0)) == (1, 2)  # h(1,1)
-    assert adams_bidegree(Multidegree(1, 16, 1)) == (2, 17)  # x(2)
+    assert adams_bidegree(V1_DEGREE) == (1, 3)
+    assert adams_bidegree(h_degree(1)) == (1, 2)
+    # v1 * h(n+1, 1) lands on the bidegree of x(n)
+    assert adams_bidegree(V1_DEGREE + h_degree(3)) == (2, 17)
+    assert adams_bidegree(x_degree(2)) == (2, 17)
+    # both differentials raise the Adams filtration by one at fixed t
+    assert adams_bidegree(D2_SHIFT) == (1, 0)
+    assert adams_bidegree(D3_SHIFT) == (1, 0)
+    rng = random.Random(7)
+    for _ in range(40):
+        a = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
+        b = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
+        (sa, ta), (sb, tb) = adams_bidegree(a), adams_bidegree(b)
+        assert adams_bidegree(a + b) == (sa + sb, ta + tb)
 
 
 # ---- decomposition ----
