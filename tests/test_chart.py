@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from moorev1.chart import (
@@ -11,7 +13,15 @@ from moorev1.chart import (
 )
 from moorev1.gf2poly import GF2PolyError, Multidegree, default_window
 from moorev1.mahowald import zbh_bases
-from moorev1.specseq import Workbench
+from moorev1.specseq import (
+    D2_SHIFT,
+    D3_SHIFT,
+    V1_DEGREE,
+    Workbench,
+    adams_bidegree,
+    h_degree,
+    x_degree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +32,35 @@ def wb():
 @pytest.fixture(scope="module")
 def tables():
     return zbh_bases(8, 40)
+
+
+def test_collapse_examples():
+    assert adams_bidegree(Multidegree(0, 0, 0)) == (0, 0)
+    assert adams_bidegree(V1_DEGREE) == (1, 3)
+    assert adams_bidegree(h_degree(1)) == (1, 2)
+    # v1 * h(n+1, 1) lands on the bidegree of x(n)
+    assert adams_bidegree(V1_DEGREE + h_degree(3)) == (2, 17)
+    assert adams_bidegree(x_degree(2)) == (2, 17)
+    # charts place a class at stem t - s
+    s_adams, t_adams = adams_bidegree(V1_DEGREE)
+    assert t_adams - s_adams == 2
+    s_adams, t_adams = adams_bidegree(Multidegree(4, 1, 0))
+    assert t_adams - s_adams == -3
+
+
+def test_collapse_is_additive():
+    rng = random.Random(7)
+    for _ in range(40):
+        a = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
+        b = Multidegree(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-5, 5))
+        (sa, ta), (sb, tb) = adams_bidegree(a), adams_bidegree(b)
+        assert adams_bidegree(a + b) == (sa + sb, ta + tb)
+
+
+def test_differential_shifts_collapse_to_filtration_step():
+    # both differentials raise the Adams filtration by one at fixed t
+    assert adams_bidegree(D2_SHIFT) == (1, 0)
+    assert adams_bidegree(D3_SHIFT) == (1, 0)
 
 
 def test_empty_doc_renders_axes():
