@@ -40,7 +40,7 @@ from .cobar import (
     trivial_comodule,
 )
 from .mahowald import ZBHTables, mahowald_presentation, zbh_bases
-from .specseq import CheckRow, Report, Workbench, build_page
+from .specseq import CheckRow, Report, Workbench
 from .chart import ChartDoc, decomposition_chart, page_chart, render
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "UntrustedDegreeError",
     "Workbench",
     "ZBHTables",
-    "build_page",
     "class_identity_check",
     "cobar_differential",
     "decomposition_chart",

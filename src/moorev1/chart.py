@@ -18,7 +18,13 @@ from typing import Dict, List, Mapping, Tuple
 
 from .gf2poly import GF2PolyError
 from .mahowald import ZBHTables
-from .specseq import adams_bidegree, bo_pattern_dim, bu_pattern_dim
+from .specseq import (
+    DECOMPOSITION_FILT_MAX,
+    DECOMPOSITION_STEM_MAX,
+    adams_bidegree,
+    bo_pattern_dim,
+    bu_pattern_dim,
+)
 
 __all__ = [
     "ChartLine",
@@ -124,15 +130,11 @@ def page_chart(page, title: str = "") -> ChartDoc:
     return ChartDoc(cells, title=title or label, line_successor=_u_successor)
 
 
-def decomposition_chart(
-    tables: ZBHTables,
-    stem_range: Tuple[int, int] = (0, 24),
-    filt_range: Tuple[int, int] = (0, 12),
-    title: str = "",
-) -> ChartDoc:
+def decomposition_chart(tables: ZBHTables) -> ChartDoc:
     """One group per homology class (a bo pattern suspended by its
     bidegree) and per boundary class (a bu pattern), with one dot on each
-    cell its pattern hits."""
+    cell its pattern hits, up to the corner of the box the decomposition
+    check compares."""
     cells: Dict[Cell, int] = {}
     specs: List[Tuple[str, int, int]] = []
     for p, q, poly in tables.export_classes("H"):
@@ -141,11 +143,11 @@ def decomposition_chart(
         specs.append((f"bu[{poly}]", p, q))
     for group, p, q in specs:
         pattern = bo_pattern_dim if group.startswith("bo") else bu_pattern_dim
-        for stem in range(stem_range[0], stem_range[1] + 1):
-            for filt in range(filt_range[0], filt_range[1] + 1):
+        for stem in range(DECOMPOSITION_STEM_MAX + 1):
+            for filt in range(DECOMPOSITION_FILT_MAX + 1):
                 if pattern(filt - p, stem + filt - q):
                     cells[(stem, filt, group)] = 1
-    return ChartDoc(cells, title=title or "decomposition")
+    return ChartDoc(cells, title="decomposition")
 
 
 # ---- rendering ----

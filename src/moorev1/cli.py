@@ -42,8 +42,6 @@ __all__ = [
     "RunConfig",
     "run",
     "main",
-    "export_dimension_table",
-    "import_dimension_table",
 ]
 
 _COMODULES = {
@@ -54,6 +52,11 @@ _COMODULES = {
 
 _TABLE_FORMATS = ("json", "tsv")
 _CHART_FORMATS = ("svg", "txt")
+
+# Ext tables and their closed-form check stay in s <= 8, -1 <= t <= 16,
+# the envelope the cobar oracle cross-checks
+_EXT_S_MAX = 8
+_EXT_T_RANGE = (-1, 16)
 
 _DEFAULTS = {
     "t_max": 64,
@@ -256,30 +259,6 @@ def _table_payload(table: DimensionTable, fmt: str) -> str:
     return _json_text(table.to_json_obj())
 
 
-def export_dimension_table(table: DimensionTable, path: str, fmt: Optional[str] = None) -> None:
-    """Write a table to path as json or tsv (inferred from the extension
-    when fmt is not given)."""
-    if fmt is None:
-        fmt = "tsv" if path.endswith(".tsv") else "json"
-    if fmt not in _TABLE_FORMATS:
-        raise GF2PolyError(f"unsupported table format {fmt!r}")
-    try:
-        _atomic_write(path, _table_payload(table, fmt).encode())
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def import_dimension_table(path: str) -> DimensionTable:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        return DimensionTable.from_json_obj(json.loads(text))
-    return DimensionTable.from_text(text)
-
-
 def _with_meta(table: DimensionTable, extra: Dict[str, str]) -> DimensionTable:
     return DimensionTable(table.coords, table.rows, {**table.meta, **extra})
 
@@ -306,10 +285,8 @@ def _cmd_page(cfg: RunConfig) -> Artifacts:
 
 
 def _cmd_ext(cfg: RunConfig) -> Artifacts:
-    # the table window stays s <= 8, -1 <= t <= 16 (the envelope the cobar
-    # oracle cross-checks), so the default tables keep their bytes
-    s_max = min(cfg.s_max, 8)
-    t_range = (-1, min(cfg.t_max, 16))
+    s_max = min(cfg.s_max, _EXT_S_MAX)
+    t_range = (_EXT_T_RANGE[0], min(cfg.t_max, _EXT_T_RANGE[1]))
     comodule = _COMODULES[cfg.spectrum]()
     table = _with_meta(
         ext_dimensions(comodule, s_max, t_range),
@@ -348,9 +325,9 @@ def _ext_closed_form_report() -> Report:
         ("EndM", lambda s, t: int(t == 2 * s) + int(t == 2 * s - 1)),
         ("M", lambda s, t: int(t == 2 * s)),
     ):
-        table = ext_dimensions(_COMODULES[tag](), 8, (-1, 16))
-        for s in range(9):
-            for t in range(-1, 17):
+        table = ext_dimensions(_COMODULES[tag](), _EXT_S_MAX, _EXT_T_RANGE)
+        for s in range(_EXT_S_MAX + 1):
+            for t in range(_EXT_T_RANGE[0], _EXT_T_RANGE[1] + 1):
                 lhs = table.dim(s, t)
                 rhs = expected(s, t)
                 status = "ok" if lhs == rhs else "mismatch"
@@ -480,7 +457,7 @@ def _cmd_chart(cfg: RunConfig) -> Artifacts:
         fname = f"chart-page-{cfg.spectrum}-r{cfg.page}.{cfg.format}"
         label = f"chart page {cfg.spectrum} r={cfg.page}"
     else:
-        doc = decomposition_chart(wb.mahowald_tables(), (0, 24), (0, 12))
+        doc = decomposition_chart(wb.mahowald_tables())
         fname = f"chart-decomposition.{cfg.format}"
         label = "chart decomposition"
     payload = render(doc, cfg.format).decode()

@@ -14,7 +14,7 @@ so every reported dimension is exact rather than an artifact of truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gf2linalg import Subspace, column_space_basis, kernel_basis, rank, subquotient_basis
 from .gf2poly import (
@@ -25,7 +25,6 @@ from .gf2poly import (
     TruncationWindow,
     WindowBasis,
     enumerate_window,
-    mono_degree,
     mono_divides,
     mono_mul,
     mono_str,
@@ -39,9 +38,7 @@ __all__ = [
     "D2Report",
     "MissingDifferentialError",
     "UntrustedDegreeError",
-    "WindowOverflowError",
     "TruncationWindow",
-    "apply_derivation",
     "d_squared_on_generators",
     "differential_matrix",
     "homology_page",
@@ -55,10 +52,6 @@ class MissingDifferentialError(GF2PolyError):
 
 class UntrustedDegreeError(GF2PolyError):
     """A dimension was requested outside the trusted region of a window."""
-
-
-class WindowOverflowError(GF2PolyError):
-    """A differential left the window, so the truncated answer is incomplete."""
 
 
 class _OutsideTargetBasis(GF2PolyError):
@@ -216,30 +209,6 @@ class PagePresentation:
                 got = got.filtered(self.is_reduced_monomial)
             self._basis_cache[window] = got
         return got
-
-
-def apply_derivation(
-    pres: PagePresentation, poly: Polynomial, window: Optional[TruncationWindow] = None
-) -> Polynomial:
-    """The differential of poly.  With a window, raise if any output term
-    cannot be represented inside it; without one the result is symbolic."""
-    out = pres.apply(poly)
-    if window is not None:
-        v1i = pres.alphabet.v1_index
-        lo, hi = window.v1_exponent_range
-        for m in out.terms:
-            d = mono_degree(pres.alphabet, m)
-            if not window.contains(d):
-                raise WindowOverflowError(
-                    f"term {mono_str(pres.alphabet, m)} of degree {tuple(d)} leaves the window"
-                )
-            if v1i is not None:
-                for gi, e in m:
-                    if gi == v1i and not (lo <= e <= hi):
-                        raise WindowOverflowError(
-                            f"term {mono_str(pres.alphabet, m)} leaves the v1 exponent range"
-                        )
-    return out
 
 
 @dataclass
@@ -545,7 +514,7 @@ def homology_page(
 
 class DimensionTable:
     """A sorted integer table (coordinates -> dimension) with metadata,
-    serializable as aligned text, TSV, or JSON."""
+    serializable as TSV or JSON."""
 
     def __init__(
         self,
@@ -566,26 +535,12 @@ class DimensionTable:
     def sorted_items(self) -> List[Tuple[Tuple[int, ...], int]]:
         return sorted(self.rows.items())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DimensionTable)
-            and self.coords == other.coords
-            and self.rows == other.rows
-            and self.meta == other.meta
-        )
-
-    def _lines(self, sep: str) -> List[str]:
-        lines = [f"# {k}={self.meta[k]}" for k in sorted(self.meta)]
-        lines.append(sep.join(self.coords + ("dim",)))
-        for key, dim in self.sorted_items():
-            lines.append(sep.join(str(x) for x in key + (dim,)))
-        return lines
-
-    def to_text(self) -> str:
-        return "\n".join(self._lines(" ")) + "\n"
-
     def to_tsv(self) -> str:
-        return "\n".join(self._lines("\t")) + "\n"
+        lines = [f"# {k}={self.meta[k]}" for k in sorted(self.meta)]
+        lines.append("\t".join(self.coords + ("dim",)))
+        for key, dim in self.sorted_items():
+            lines.append("\t".join(str(x) for x in key + (dim,)))
+        return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
@@ -593,38 +548,6 @@ class DimensionTable:
             "meta": self.meta,
             "rows": [list(key) + [dim] for key, dim in self.sorted_items()],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DimensionTable":
-        rows = {tuple(row[:-1]): row[-1] for row in obj["rows"]}
-        return cls(obj["coords"], rows, obj.get("meta", {}))
-
-    @classmethod
-    def from_text(cls, text: str) -> "DimensionTable":
-        meta: Dict[str, str] = {}
-        coords: Optional[Tuple[str, ...]] = None
-        rows: Dict[Tuple[int, ...], int] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            parts = line.replace("\t", " ").split()
-            if coords is None:
-                if parts[-1] != "dim":
-                    raise GF2PolyError("table header must end with 'dim'")
-                coords = tuple(parts[:-1])
-                continue
-            *key, dim = (int(x) for x in parts)
-            rows[tuple(key)] = dim
-        if coords is None:
-            raise GF2PolyError("table text has no header")
-        return cls(coords, rows, meta)
 
 
 def page_dimension_table(

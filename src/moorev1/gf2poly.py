@@ -408,6 +408,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
 
     def parse_term(i: int) -> Tuple[Optional[Monomial], int]:
         exps: Dict[int, int] = {}
+        first: Dict[int, int] = {}  # generator -> position of its first factor
         dead = False
         while True:
             if i >= len(tokens):
@@ -434,6 +435,7 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
                     exp = int(tokens[i][0])
                     i += 1
                 exps[gi] = exps.get(gi, 0) + exp
+                first.setdefault(gi, pos)
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
                 continue
@@ -447,9 +449,11 @@ def _parse(alphabet: Alphabet, text: str) -> Polynomial:
                 continue
             g = alphabet[gi]
             if e < 0 and not g.invertible:
-                raise ParseError(f"negative exponent on {g.name}", 0)
+                raise ParseError(f"negative exponent on {g.name}", first[gi])
             if g.invertible and e % g.stride:
-                raise ParseError(f"{g.name}: exponent {e} is not a multiple of its stride {g.stride}", 0)
+                raise ParseError(
+                    f"{g.name}: exponent {e} is not a multiple of its stride {g.stride}", first[gi]
+                )
             if g.nilpotent_square and e > 1:
                 return None, i  # square of a nilpotent: the whole term is zero
             mono.append((gi, e))
@@ -476,7 +480,6 @@ class TruncationWindow:
     Results are exact inside the window.
     """
 
-    max_generator_index: int
     v1_exponent_range: Tuple[int, int]
     s_range: Tuple[int, int]
     t_range: Tuple[int, int]
@@ -506,31 +509,11 @@ def default_window(
     internal degree reaches down to the most negative in-window monomial."""
     t_min = 2 * v1_min - 1 if v1_min < 0 else -1
     return TruncationWindow(
-        max_generator_index=sufficient_h_index(t_max, v1_min),
         v1_exponent_range=(v1_min, v1_max),
         s_range=(0, s_max),
         t_range=(t_min, t_max),
         u_range=(v1_min, v1_max),
     )
-
-
-def sufficient_h_index(t_max: int, v1_min: int) -> int:
-    """Largest n for which h(n,1) can appear in a monomial with internal
-    degree at most t_max, given the most negative v1 exponent allowed."""
-    cap = t_max - 2 * min(v1_min, 0) + 1
-    n = 1
-    while 2 ** (n + 2) - 2 <= cap:
-        n += 1
-    return n
-
-
-def sufficient_x_index(t_max: int, v1_min: int) -> int:
-    """Largest n for which x(n) (internal degree 2^(n+2)) fits under t_max."""
-    cap = t_max - 2 * min(v1_min, 0) + 1
-    n = 0
-    while 2 ** (n + 3) <= cap:
-        n += 1
-    return n
 
 
 class _WindowTrust:

@@ -9,7 +9,7 @@ below q_max.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .dga import (
     ComputedPage,
@@ -71,11 +71,10 @@ def d_P(poly: Polynomial) -> Polynomial:
     return mahowald_presentation(poly.alphabet).apply(poly)
 
 
-def _box_window(alphabet: Alphabet, p_max: int, q_max: int) -> TruncationWindow:
+def _box_window(p_max: int, q_max: int) -> TruncationWindow:
     # one shift of padding above, and reaching below zero so that trust at
     # the bottom edge sees the (structurally empty) degrees there
     return TruncationWindow(
-        max_generator_index=len(alphabet),
         v1_exponent_range=(0, 0),
         s_range=(0, p_max + MAHOWALD_SHIFT.s),
         t_range=(-MAHOWALD_SHIFT.t, q_max + MAHOWALD_SHIFT.t),
@@ -176,7 +175,7 @@ class ZBHTables:
 def zbh_bases(p_max: int, q_max: int) -> ZBHTables:
     """Exact Z/B/H bases for every bidegree with p <= p_max, q <= q_max."""
     alphabet = x_alphabet(q_max)
-    window = _box_window(alphabet, p_max, q_max)
+    window = _box_window(p_max, q_max)
     pres = mahowald_presentation(alphabet)
     page = homology_page(pres, window)
     return ZBHTables(page, p_max, q_max)
@@ -185,4 +184,4 @@ def zbh_bases(p_max: int, q_max: int) -> ZBHTables:
 def verify_mahowald_d_squared(p_max: int, q_max: int) -> D2Report:
     alphabet = x_alphabet(q_max)
     pres = mahowald_presentation(alphabet)
-    return verify_d_squared(pres, _box_window(alphabet, p_max, q_max))
+    return verify_d_squared(pres, _box_window(p_max, q_max))

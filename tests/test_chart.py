@@ -16,6 +16,8 @@ from moorev1.mahowald import zbh_bases
 from moorev1.specseq import (
     D2_SHIFT,
     D3_SHIFT,
+    DECOMPOSITION_FILT_MAX,
+    DECOMPOSITION_STEM_MAX,
     V1_DEGREE,
     Workbench,
     adams_bidegree,
@@ -100,8 +102,8 @@ def test_unsupported_format_raises():
 
 
 def test_render_is_deterministic(tables):
-    doc1 = decomposition_chart(tables, (0, 12), (0, 8))
-    doc2 = decomposition_chart(tables, (0, 12), (0, 8))
+    doc1 = decomposition_chart(tables)
+    doc2 = decomposition_chart(tables)
     assert render_svg(doc1) == render_svg(doc2)
     assert render_txt(doc1) == render_txt(doc2)
 
@@ -145,7 +147,7 @@ def test_page_chart_v1_lines_cross_u_groups(wb):
 
 
 def test_decomposition_chart_groups(tables):
-    doc = decomposition_chart(tables, (0, 20), (0, 10))
+    doc = decomposition_chart(tables)
     # a pattern puts at most one dot on a cell, and same-cell dots from
     # different classes stay distinct
     assert set(doc.cells.values()) == {1}
@@ -159,13 +161,25 @@ def test_decomposition_chart_groups(tables):
 
 
 def test_decomposition_chart_bu_copy_from_boundary(tables):
-    doc = decomposition_chart(tables, (0, 24), (0, 12))
+    doc = decomposition_chart(tables)
     bu_groups = [g for g in doc.groups if g.startswith("bu[")]
     assert "bu[x(1)^3]" in bu_groups
     # the bu pattern from x1^3 puts dots on (stem, filt) = (21+2m, 6+m)
     dots = {(stem, filt) for stem, filt, group in doc.cells if group == "bu[x(1)^3]"}
     assert (21, 6) in dots
     assert (23, 7) in dots
+
+
+def test_decomposition_chart_shares_the_check_corner(wb, tables):
+    # the chart draws the box the decomposition check compares, up to its
+    # top corner and no further
+    counts = decomposition_chart(tables).counts()
+    assert all(
+        stem <= DECOMPOSITION_STEM_MAX and filt <= DECOMPOSITION_FILT_MAX for stem, filt in counts
+    )
+    assert (DECOMPOSITION_STEM_MAX, DECOMPOSITION_FILT_MAX) in counts
+    corner = (DECOMPOSITION_FILT_MAX, DECOMPOSITION_STEM_MAX + DECOMPOSITION_FILT_MAX)
+    assert corner in {row.degree for row in wb.mahowald_decomposition_check().rows}
 
 
 def test_rebuilt_doc_renders_identically(wb):

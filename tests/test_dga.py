@@ -11,8 +11,6 @@ from moorev1.dga import (
     PagePresentation,
     PresentationPage,
     UntrustedDegreeError,
-    WindowOverflowError,
-    apply_derivation,
     d_squared_on_generators,
     homology_page,
     page_dimension_table,
@@ -216,13 +214,12 @@ class TestDerivation:
         assert pres.apply(p("h(1,1)^2")).is_zero()
 
     def test_window_overflow(self):
+        # application is symbolic: d(x(2)) keeps its v1^-4 even where a
+        # window would cut v1 exponents off at -2
         pres = stride_presentation()
         p = lambda s: Polynomial.parse(pres.alphabet, s)
-        w = TruncationWindow(3, (-2, 2), (0, 8), (-5, 40), (-2, 2))
-        with pytest.raises(WindowOverflowError):
-            apply_derivation(pres, p("x(2)"), w)
-        # symbolic application of the same element is fine
-        assert not apply_derivation(pres, p("x(2)")).is_zero()
+        assert not pres.apply(p("x(2)")).is_zero()
+        assert pres.apply(p("x(2)")) == p("v1^-4*h(1,1)*x(1)^3")
 
 
 class TestDSquared:
@@ -497,7 +494,7 @@ def random_complexes(draw, square_zero=True):
     of the map before it, so B·A = 0, and otherwise some B·A is nonzero."""
     n = draw(st.integers(2, 5))
     a = Alphabet([Generator(f"h({i},1)", Multidegree(1, 0, 0), nilpotent_square=True) for i in range(1, n + 1)])
-    w = TruncationWindow(n, (0, 0), (0, n + 2), (0, 0), (0, 0))
+    w = TruncationWindow((0, 0), (0, n + 2), (0, 0), (0, 0))
     pres = PagePresentation(a, Multidegree(2, 0, 0), {}, name="random")
     wb = pres.basis(w)
     dims = [len(wb.basis(Multidegree(s, 0, 0))) for s in range(n + 3)]
@@ -598,9 +595,19 @@ class TestDimensionTable:
             {(0, 1, 1): 1, (2, 3, 0): 2, (-1, -2, -3): 4},
             {"page": "3", "note": "x=1"},
         )
-        assert DimensionTable.from_text(t.to_text()) == t
-        assert DimensionTable.from_text(t.to_tsv()) == t
-        assert DimensionTable.from_json_obj(t.to_json_obj()) == t
+        assert t.to_tsv() == (
+            "# note=x=1\n"
+            "# page=3\n"
+            "s\tt\tu\tdim\n"
+            "-1\t-2\t-3\t4\n"
+            "0\t1\t1\t1\n"
+            "2\t3\t0\t2\n"
+        )
+        assert t.to_json_obj() == {
+            "coords": ["s", "t", "u"],
+            "meta": {"page": "3", "note": "x=1"},
+            "rows": [[-1, -2, -3, 4], [0, 1, 1, 1], [2, 3, 0, 2]],
+        }
 
     def test_missing_rows_are_zero(self):
         t = DimensionTable(("p", "q"), {(2, 9): 1})

@@ -5,8 +5,11 @@ import pathlib
 import sys
 
 import moorev1
+import moorev1.cli
+import moorev1.gf2poly
 
 PACKAGE = pathlib.Path(moorev1.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_package_imports_only_the_standard_library():
@@ -42,3 +45,37 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert dangling == []
+
+
+def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
+    """The benchmark's tracer wraps functions of every layer by name and
+    counts matrix cells with len(); a rename, a changed signature or a
+    generator passed to gf2linalg fails one small op here."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    original = moorev1.gf2poly.enumerate_window
+    ops = [
+        ["page", "--spectrum", "M", "--page", "4"],
+        ["ext", "--spectrum", "EndM"],
+        ["mahowald"],
+        ["verify"],
+        ["decompose", "--format", "tsv"],
+        ["chart", "page", "--spectrum", "EndM", "--page", "3"],
+        ["chart", "decomposition"],
+    ]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        codes = []
+        for i, op in enumerate(ops):
+            tr.op = i
+            out = str(tmp_path / str(i))
+            codes.append(moorev1.cli.run([*op, "--t-max", "16", "--s-max", "3", "--out", out]))
+    finally:
+        tr.uninstall()
+    assert all(code in (0, 1) for code in codes), codes
+    assert tr.counts["cli.run.calls"] == len(ops)
+    assert moorev1.gf2poly.enumerate_window is original

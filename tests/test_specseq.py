@@ -15,10 +15,8 @@ from moorev1.dga import (
 from moorev1.gf2linalg import kernel_basis, rank
 from moorev1.gf2poly import (
     GF2PolyError,
-    InvalidWindowError,
     Multidegree,
     Polynomial,
-    TruncationWindow,
     default_window,
 )
 from moorev1.specseq import (
@@ -29,7 +27,6 @@ from moorev1.specseq import (
     adams_bidegree,
     bo_pattern_dim,
     bu_pattern_dim,
-    build_page,
     w_of_v1_exponent,
 )
 
@@ -62,18 +59,6 @@ def test_x_truncation_tracks_h_truncation(wb):
     assert f"x({n_max - 1})" in wb.alphabet("EndM", 3).names()
 
 
-def test_window_generator_cap_enforced():
-    w = TruncationWindow(
-        max_generator_index=2,
-        v1_exponent_range=(-8, 8),
-        s_range=(0, 8),
-        t_range=(-17, 40),
-        u_range=(-8, 8),
-    )
-    with pytest.raises(InvalidWindowError):
-        Workbench(w).page("M", 2)
-
-
 def test_build_page_kinds(wb):
     assert isinstance(wb.page("S", 2), PresentationPage)
     assert isinstance(wb.page("M", 2), PresentationPage)
@@ -95,7 +80,7 @@ def test_unsupported_pages(wb):
 
 
 def test_build_page_one_shot():
-    page = build_page("EndM", 2, default_window(20, 6, -4, 4))
+    page = Workbench(default_window(20, 6, -4, 4)).page("EndM", 2)
     assert page.dim(Multidegree(0, -1, 0)) == 1
 
 
