@@ -26,7 +26,6 @@ from .dga import (
     d_squared_on_generators,
     homology_page,
     page_dimension_table,
-    verify_d_squared,
 )
 from .cobar import (
     CobarCochain,
@@ -82,7 +81,6 @@ __all__ = [
     "page_dimension_table",
     "render",
     "trivial_comodule",
-    "verify_d_squared",
     "zbh_bases",
     "__version__",
 ]

@@ -49,8 +49,7 @@ class QuotientCoalgebra:
     height = 4
 
     def __init__(self):
-        # both diagonals once per instance; the reduced one is read off
-        # delta_full, so a subclass that redefines delta_full changes both
+        # both diagonals once per instance; the reduced one is read off delta_full
         self._full: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self._reduced: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
@@ -127,7 +126,7 @@ class Comodule:
                 return frozenset(out)
         raise GF2PolyError(f"product {a}*{b} missing from the table")
 
-    def verify(self, coalgebra: QuotientCoalgebra = COALGEBRA) -> bool:
+    def verify(self) -> bool:
         for label in self.labels:
             psi = self.coact(label)
             # counit: the power-0 part is exactly 1 (x) label
@@ -138,15 +137,15 @@ class Comodule:
             if any(i + self.degree(m) != d for i, m in psi):
                 return False
             # coassociativity with the full diagonal
-            left = _xor((a, b, m) for i, m in psi for a, b in coalgebra.delta_full(i))
+            left = _xor((a, b, m) for i, m in psi for a, b in COALGEBRA.delta_full(i))
             right = _xor((i, j, m2) for i, m in psi for j, m2 in self.coact(m))
             if left != right:
                 return False
-        if self.multiplication is not None and not self._verify_multiplicative(coalgebra):
+        if self.multiplication is not None and not self._verify_multiplicative():
             return False
         return True
 
-    def _verify_multiplicative(self, coalgebra: QuotientCoalgebra) -> bool:
+    def _verify_multiplicative(self) -> bool:
         for a in self.labels:
             for b in self.labels:
                 lhs = _xor(p for m in self.product(a, b) for p in self.coact(m))
@@ -154,7 +153,7 @@ class Comodule:
                     (i + j, m3)
                     for i, m in self.coact(a)
                     for j, m2 in self.coact(b)
-                    if i + j < coalgebra.height
+                    if i + j < COALGEBRA.height
                     for m3 in self.product(m, m2)
                 )
                 if lhs != rhs:
@@ -321,14 +320,14 @@ class CobarCochain:
         return f"CobarCochain({self})"
 
 
-def cobar_differential(c: CobarCochain, coalgebra: QuotientCoalgebra = COALGEBRA) -> CobarCochain:
+def cobar_differential(c: CobarCochain) -> CobarCochain:
     """Insert the reduced diagonal at every bar slot and the reduced
     coaction at the coefficient slot; all signs vanish over GF(2)."""
     out: List[Term] = []
     com = c.comodule
     for powers, label in c.terms:
         for slot, a in enumerate(powers):
-            for j, k in coalgebra.delta_reduced(a):
+            for j, k in COALGEBRA.delta_reduced(a):
                 out.append((powers[:slot] + (j, k) + powers[slot + 1 :], label))
         for i, m in com.coact_reduced(label):
             out.append((powers + (i,), m))
@@ -336,14 +335,11 @@ def cobar_differential(c: CobarCochain, coalgebra: QuotientCoalgebra = COALGEBRA
 
 
 class CobarComplex:
-    """Bidegree-sliced cobar complex of one comodule, with cached bases and
-    differential ranks."""
+    """Bidegree-sliced cobar complex of one comodule, with cached bases."""
 
-    def __init__(self, comodule: Comodule, coalgebra: QuotientCoalgebra = COALGEBRA):
+    def __init__(self, comodule: Comodule):
         self.comodule = comodule
-        self.coalgebra = coalgebra
         self._basis_cache: Dict[Tuple[int, int], Tuple[Term, ...]] = {}
-        self._rank_cache: Dict[Tuple[int, int], int] = {}
 
     def basis(self, s: int, t: int) -> Tuple[Term, ...]:
         key = (s, t)
@@ -354,20 +350,10 @@ class CobarComplex:
         if s >= 0:
             for li, label in enumerate(self.comodule.labels):
                 target = t - self.comodule.degree_of[li]
-                out.extend((p, label) for p in _compositions(target, s, self.coalgebra.height - 1))
+                out.extend((p, label) for p in _compositions(target, s, COALGEBRA.height - 1))
         basis = tuple(sorted(out, key=lambda term: (term[0], self.comodule.index(term[1]))))
         self._basis_cache[key] = basis
         return basis
-
-    def differential_rank(self, s: int, t: int) -> int:
-        key = (s, t)
-        got = self._rank_cache.get(key)
-        if got is not None:
-            return got
-        rows = self.matrix(s, t)
-        r = rank(rows)
-        self._rank_cache[key] = r
-        return r
 
     def matrix(self, s: int, t: int) -> List[int]:
         """Rows (target-indexed bitsets over source columns) of d at (s, t)."""
@@ -376,19 +362,10 @@ class CobarComplex:
         index = {term: i for i, term in enumerate(target)}
         rows = [0] * len(target)
         for j, term in enumerate(source):
-            image = cobar_differential(
-                CobarCochain(self.comodule, frozenset({term})), self.coalgebra
-            )
+            image = cobar_differential(CobarCochain(self.comodule, frozenset({term})))
             for out_term in image.terms:
                 rows[index[out_term]] |= 1 << j
         return rows
-
-    def ext_dim(self, s: int, t: int) -> int:
-        if s < 0:
-            return 0
-        cycles = len(self.basis(s, t)) - self.differential_rank(s, t)
-        boundaries = self.differential_rank(s - 1, t) if s > 0 else 0
-        return cycles - boundaries
 
 
 def _compositions(total: int, slots: int, part_max: int) -> List[Tuple[int, ...]]:
@@ -420,17 +397,10 @@ def _koszul_slice(comodule: Comodule, s: int, t: int) -> Tuple[int, int]:
     return cells, rank(rows.values())
 
 
-def ext_dimensions(
-    comodule: Comodule,
-    s_max: int,
-    t_range: Tuple[int, int],
-    coalgebra: QuotientCoalgebra = COALGEBRA,
-) -> DimensionTable:
+def ext_dimensions(comodule: Comodule, s_max: int, t_range: Tuple[int, int]) -> DimensionTable:
     """Ext^{s,t} dimensions as the cohomology of the Koszul complex, where
     d(m (x) p) = sum of m' (x) h10 p over (1, m') in psi(m)
                + sum of m' (x) h11 p over (2, m') in psi(m)."""
-    if coalgebra.height != 4 or coalgebra.delta_reduced(2):
-        raise GF2PolyError("the Koszul complex needs xi1^4 = 0 with xi1 and xi1^2 primitive")
     t_lo, t_hi = t_range
     below = dict.fromkeys(range(t_lo, t_hi + 1), 0)  # rank of d into (s, t)
     rows: Dict[Tuple[int, ...], int] = {}
@@ -480,5 +450,5 @@ def verify_cobar_d_squared(
                 twice = cobar_differential(cobar_differential(c))
                 checked += 1
                 if not twice.is_zero():
-                    failures.append((term, twice))
+                    failures.append((c, twice))
     return D2Report(checked=checked, failures=failures)

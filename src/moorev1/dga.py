@@ -76,7 +76,6 @@ class PagePresentation:
         relations: Sequence[Monomial] = (),
         name: str = "",
         conditional: bool = False,
-        validate: bool = True,
         basis_cache: Optional[Dict[TruncationWindow, WindowBasis]] = None,
     ):
         self.alphabet = alphabet
@@ -89,8 +88,7 @@ class PagePresentation:
         }
         self._dval_cache: Dict[Tuple[int, int], Polynomial] = {}
         self._basis_cache = {} if basis_cache is None else basis_cache
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for name, val in self.differentials.items():
@@ -111,12 +109,11 @@ class PagePresentation:
                     raise GF2PolyError(f"relation {mono_str(self.alphabet, rel)} is not a valid monomial relation")
         unpreserved = self.unpreserved_relations()
         if unpreserved:
-            rel = unpreserved[0][0]
             raise GF2PolyError(
-                f"{self.name or 'page'}: d does not preserve the relation {mono_str(self.alphabet, rel)}"
+                f"{self.name or 'page'}: d does not preserve the relation {unpreserved[0][0]}"
             )
 
-    def unpreserved_relations(self) -> List[Tuple[Monomial, Polynomial]]:
+    def unpreserved_relations(self) -> List[Tuple[Polynomial, Polynomial]]:
         """Each relation whose d leaves the ideal, with that reduced image.
         The ideal must be closed under d; a relation with a factor whose d
         is unknown is skipped."""
@@ -127,7 +124,7 @@ class PagePresentation:
             except MissingDifferentialError:
                 continue
             if image:
-                out.append((rel, image))
+                out.append((Polynomial.monomial(self.alphabet, rel), image))
         return out
 
     def _reduce_raw(self, poly: Polynomial) -> Polynomial:
@@ -213,14 +210,20 @@ class PagePresentation:
 
 @dataclass
 class D2Report:
+    """checked counts the basis elements covered; each failure is a
+    printable (source, nonzero image) pair: Polynomials named over their
+    own alphabet, or cochains in the cobar report."""
+
     checked: int
-    failures: List[Tuple[Monomial, Polynomial]] = field(default_factory=list)
+    failures: List[Tuple[object, object]] = field(default_factory=list)
+    conditional: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
+# a test oracle, not exported from moorev1: the benchmark tracer wraps it by name
 def verify_d_squared(
     pres: PagePresentation, window: TruncationWindow, diff_fn: Optional[Callable[[Monomial], Polynomial]] = None
 ) -> D2Report:
@@ -233,7 +236,7 @@ def verify_d_squared(
     fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     checked = 0
-    failures: List[Tuple[Monomial, Polynomial]] = []
+    failures: List[Tuple[Polynomial, Polynomial]] = []
     for d in wb.degrees():
         for m in wb.basis(d):
             try:
@@ -248,8 +251,9 @@ def verify_d_squared(
                 continue
             checked += 1
             if twice:
-                failures.append((m, Polynomial(pres.alphabet, frozenset(twice))))
-    return D2Report(checked=checked, failures=failures)
+                a = pres.alphabet
+                failures.append((Polynomial.monomial(a, m), Polynomial(a, frozenset(twice))))
+    return D2Report(checked=checked, failures=failures, conditional=pres.conditional)
 
 
 def d_squared_on_generators(pres: PagePresentation, window: TruncationWindow) -> D2Report:
@@ -267,14 +271,15 @@ def d_squared_on_generators(pres: PagePresentation, window: TruncationWindow) ->
     (g^stride, d²(g^stride)), or (relation, its reduced d) for a relation
     that d does not preserve.  Raises MissingDifferentialError when a
     generator has no differential."""
-    failures: List[Tuple[Monomial, Polynomial]] = []
+    failures: List[Tuple[Polynomial, Polynomial]] = []
     for gi, g in enumerate(pres.alphabet):
         twice = pres.apply(pres.derivation_value(gi, g.stride))
         if twice:
-            failures.append((((gi, g.stride),), twice))
+            failures.append((Polynomial.monomial(pres.alphabet, ((gi, g.stride),)), twice))
     failures.extend(pres.unpreserved_relations())
     wb = pres.basis(window)
-    return D2Report(checked=sum(len(wb.basis(d)) for d in wb.degrees()), failures=failures)
+    checked = sum(len(wb.basis(d)) for d in wb.degrees())
+    return D2Report(checked=checked, failures=failures, conditional=pres.conditional)
 
 
 def differential_matrix(
@@ -365,11 +370,7 @@ class ComputedPage:
         self._homology: Dict[Multidegree, _DegreeHomology] = {}
 
     def trusted(self, d: Multidegree) -> bool:
-        return d in self._dims or (
-            self._wb.complete(d)
-            and self._wb.complete(d - self._shift)
-            and self._wb.complete(d + self._shift)
-        )
+        return d in self._dims or _complete_around(self._wb, d, self._shift)
 
     def degrees(self) -> List[Multidegree]:
         return sorted(self._dims)
@@ -413,10 +414,6 @@ class ComputedPage:
     def boundary_dim(self, d: Multidegree) -> int:
         return self._require(d)[1]
 
-    def cycles_subspace(self, d: Multidegree) -> Subspace:
-        h = self._homology_at(d)
-        return Subspace() if h is None else h.cycles
-
     def boundaries_subspace(self, d: Multidegree) -> Subspace:
         h = self._homology_at(d)
         return Subspace() if h is None else h.boundaries
@@ -457,6 +454,12 @@ class ComputedPage:
         return v not in h.boundaries
 
 
+def _complete_around(wb: WindowBasis, d: Multidegree, shift: Multidegree) -> bool:
+    """The trust rule of a computed page: the basis is complete at d, d -
+    shift and d + shift, so both maps through d are known in full."""
+    return wb.complete(d) and wb.complete(d - shift) and wb.complete(d + shift)
+
+
 def _composite_is_zero(outgoing: List[int], incoming: List[int]) -> bool:
     """Whether the product of two matrices is zero: row k of it is the sum
     of the incoming rows at the set bits of outgoing row k."""
@@ -489,9 +492,7 @@ def homology_page(
     wb = pres.basis(window)
     shift = pres.degree_shift
     label = pres.name or "page"
-    wanted = [
-        d for d in wb.degrees() if wb.complete(d - shift) and wb.complete(d + shift) and wb.complete(d)
-    ]
+    wanted = [d for d in wb.degrees() if _complete_around(wb, d, shift)]
     matrices: Dict[Multidegree, List[int]] = {}
     for d in wanted:
         for c in (d - shift, d):
@@ -550,13 +551,11 @@ class DimensionTable:
         }
 
 
-def page_dimension_table(
-    page, coords: Sequence[str] = ("s", "t", "u"), meta: Optional[Dict[str, str]] = None
-) -> DimensionTable:
+def page_dimension_table(page, meta: Optional[Dict[str, str]] = None) -> DimensionTable:
     """Nonzero dimensions of a page over its trusted degrees."""
     rows: Dict[Tuple[int, ...], int] = {}
     for d in page.degrees():
         n = page.dim(d)
         if n:
             rows[tuple(d)] = n
-    return DimensionTable(coords, rows, meta)
+    return DimensionTable(("s", "t", "u"), rows, meta)

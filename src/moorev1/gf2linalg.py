@@ -88,14 +88,6 @@ def column_space_basis(rows: List[int], ncols: int) -> List[int]:
     return rref(transpose(rows, ncols))
 
 
-def apply_matrix(rows: List[int], v: int) -> int:
-    """Image of the source vector v: bit i of the result is <row i, v>."""
-    out = 0
-    for i, r in enumerate(rows):
-        out |= (bin(r & v).count("1") & 1) << i
-    return out
-
-
 class Subspace:
     """A subspace of GF(2)^n held as a canonical reduced echelon basis."""
 

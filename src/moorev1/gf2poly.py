@@ -351,10 +351,6 @@ class Polynomial:
     def monomials_sorted(self) -> List[Monomial]:
         return sorted(self.terms, key=lambda m: mono_sort_key(self.alphabet, m))
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_degree(self.alphabet, m) for m in self.terms}
-        return len(degs) <= 1
-
     def multidegree(self) -> Optional[Multidegree]:
         """Common multidegree of all terms; None for the zero polynomial."""
         degs = {mono_degree(self.alphabet, m) for m in self.terms}

@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .dga import (
-    ComputedPage,
-    D2Report,
-    DimensionTable,
-    PagePresentation,
-    UntrustedDegreeError,
-    homology_page,
-    verify_d_squared,
-)
+from .dga import ComputedPage, DimensionTable, PagePresentation, UntrustedDegreeError, homology_page
 from .gf2poly import (
     Alphabet,
     Generator,
@@ -35,9 +27,7 @@ __all__ = [
     "x_alphabet",
     "x_degree",
     "mahowald_presentation",
-    "d_P",
     "zbh_bases",
-    "verify_mahowald_d_squared",
 ]
 
 MAHOWALD_SHIFT = Multidegree(4, 10, 0)
@@ -64,11 +54,6 @@ def mahowald_presentation(alphabet: Alphabet) -> PagePresentation:
     for i in range(2, len(alphabet) + 1):
         diffs[f"x({i})"] = Polynomial.parse(alphabet, f"x(1)*x({i-1})^2")
     return PagePresentation(alphabet, MAHOWALD_SHIFT, diffs, name="mahowald complex")
-
-
-def d_P(poly: Polynomial) -> Polynomial:
-    """The derivation on a polynomial in the x-alphabet."""
-    return mahowald_presentation(poly.alphabet).apply(poly)
 
 
 def _box_window(p_max: int, q_max: int) -> TruncationWindow:
@@ -111,26 +96,6 @@ class ZBHTables:
     def h_representatives(self, p: int, q: int) -> List[Polynomial]:
         return self._page.representatives(self._degree(p, q))
 
-    def _locate(self, poly: Polynomial) -> Tuple[Multidegree, int]:
-        if poly.is_zero():
-            raise GF2PolyError("the zero polynomial has no bidegree")
-        deg = poly.multidegree()
-        d = self._degree(deg.s, deg.t)
-        return d, self._page.vector_of(poly, d)
-
-    def is_cycle(self, poly: Polynomial) -> bool:
-        d, v = self._locate(poly)
-        return v in self._page.cycles_subspace(d)
-
-    def b_contains(self, poly: Polynomial) -> bool:
-        d, v = self._locate(poly)
-        return v in self._page.boundaries_subspace(d)
-
-    def h_class_nonzero(self, poly: Polynomial) -> bool:
-        """True when poly is a cycle representing a nonzero homology class."""
-        d, _ = self._locate(poly)
-        return self._page.class_is_nonzero(poly, d)
-
     def dimension_table(self, kind: str = "H") -> DimensionTable:
         picker = {"Z": self.z_dim, "B": self.b_dim, "H": self.h_dim}.get(kind)
         if picker is None:
@@ -159,9 +124,6 @@ class ZBHTables:
             elif kind == "B":
                 sub = self._page.boundaries_subspace(d)
                 polys = [self._page.poly_of(v, d) for v in sub.rows]
-            elif kind == "Z":
-                sub = self._page.cycles_subspace(d)
-                polys = [self._page.poly_of(v, d) for v in sub.rows]
             else:
                 raise GF2PolyError(f"unknown table kind {kind!r}")
             out.extend((p, q, str(poly)) for poly in polys)
@@ -180,8 +142,3 @@ def zbh_bases(p_max: int, q_max: int) -> ZBHTables:
     page = homology_page(pres, window)
     return ZBHTables(page, p_max, q_max)
 
-
-def verify_mahowald_d_squared(p_max: int, q_max: int) -> D2Report:
-    alphabet = x_alphabet(q_max)
-    pres = mahowald_presentation(alphabet)
-    return verify_d_squared(pres, _box_window(p_max, q_max))

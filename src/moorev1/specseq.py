@@ -192,7 +192,7 @@ def _can_sum(count: int, total: int) -> bool:
     return any(_can_sum(count - 1, total - part) for part in _parts_menu(total))
 
 
-# how project_to_m rewrites one EndM generator (see Workbench._projection_rules)
+# how the projection to M rewrites one EndM generator (see Workbench._projection_rules)
 _ProjectionRule = Union[None, str, Tuple[int, Optional[int]]]
 
 
@@ -367,7 +367,7 @@ class Workbench:
     # ---- module structure ----
 
     def _projection_rules(self, r: int) -> List[_ProjectionRule]:
-        """Per EndM generator, how project_to_m rewrites it: None kills the
+        """Per EndM generator, how _project_terms rewrites it: None kills the
         term, a string is the error for a target the M alphabet lacks, and
         (k, i) turns g^e into v1^(k*e) * (M generator i)^e (i None: v1 only).
 
@@ -394,16 +394,11 @@ class Workbench:
         self._proj_rules[r] = rules
         return rules
 
-    def project_to_m(self, r: int, e: Polynomial) -> Polynomial:
-        """Quotient map from an EndM page element to the M page: kill the
-        monomials divisible by a torsion generator, rewrite each x(n)
-        factor as v1*h(n+1,1)."""
-        if e.alphabet != self.alphabet("EndM", r):
-            raise GF2PolyError("element does not live on the EndM page of this workbench")
-        return Polynomial(self.alphabet("M", 2), self._project_terms(r, e.terms))
-
     def _project_terms(self, r: int, terms: Iterable[Monomial], eps: int = 0) -> FrozenSet[Monomial]:
-        """The terms of project_to_m(r, sum of terms) * v1^eps, summed mod 2."""
+        """The quotient map from the EndM page r to the M page, times v1^eps,
+        on a sum of EndM monomials: kill the monomials divisible by a
+        torsion generator, rewrite each x(n) factor as v1*h(n+1,1), and sum
+        the images mod 2."""
         v1i = self.alphabet("M", 2).v1_index
         rules = self._projection_rules(r)
         out: List[Monomial] = []
@@ -422,12 +417,6 @@ class Workbench:
             else:
                 out.append(((v1i, k), *rest) if k else tuple(rest))
         return _xor(out)
-
-    def act(self, r: int, e: Polynomial, m: Polynomial) -> Polynomial:
-        """Action of an EndM page element on an M page element."""
-        if m.alphabet != self.alphabet("M", 2):
-            raise GF2PolyError("second factor does not live on the M page")
-        return self.project_to_m(r, e) * m
 
     def _m_roles(self) -> List[Tuple[int, int]]:
         """Per M generator, read once off the name grammar: (n, i) with n = 0
@@ -461,14 +450,6 @@ class Workbench:
         if j - eps != 0:
             parts.append((self.alphabet("EndM", 3).v1_index, j - eps))
         return tuple(sorted(parts)), eps
-
-    def induced_d3m(self, poly: Polynomial) -> Polynomial:
-        if poly.alphabet != self.alphabet("M", 2):
-            raise GF2PolyError("polynomial does not live on the M page")
-        out = Polynomial.zero(poly.alphabet)
-        for mono in poly.terms:
-            out = out + self.induced_d3m_monomial(mono)
-        return out
 
     def induced_d3m_monomial(self, mono: Monomial) -> Polynomial:
         """d3 on the M page through the module structure: both module
@@ -558,7 +539,8 @@ class Workbench:
               generator g that p keeps;
         for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  Failures
         are endm3's, (torsion generator, its d), and (generator, its round
-        trip).  checked is the size of the M r=3 basis."""
+        trip).  checked is the size of the M r=3 basis, and the report is
+        conditional with endm3, whose d3 it is built on."""
         pres = self.presentation("EndM", 3)
         a_e = pres.alphabet
         a_m = self.alphabet("M", 2)
@@ -571,22 +553,23 @@ class Workbench:
             image = pres.derivation_value(*g[0])
             if rule is None:
                 if any(all(rules[i] is not None for i, _ in term) for term in image.terms):
-                    failures.append((g, image))
+                    failures.append((Polynomial.monomial(a_e, g), image))
                 continue
             # p must be defined on d_E(g) too: raises, as d_M would, when a
             # term needs a generator the M alphabet lacks
             self._project_terms(3, image.terms)
             (back,) = self._project_terms(3, [g])
             if self.lift_to_endm(back) != (g, 0):
-                failures.append((g, Polynomial(a_m, [back])))
+                failures.append((Polynomial.monomial(a_e, g), Polynomial(a_m, [back])))
         for gi in range(len(a_m)):
             g = ((gi, 1),)
             lifted, eps = self.lift_to_endm(g)
             back = self._project_terms(3, [lifted], eps)
             if back != {g}:
-                failures.append((g, Polynomial(a_m, back)))
+                failures.append((Polynomial.monomial(a_m, g), Polynomial(a_m, back)))
         wb = self.presentation("M", 3).basis(self.window)
-        return D2Report(checked=sum(len(wb.basis(d)) for d in wb.degrees()), failures=failures)
+        checked = sum(len(wb.basis(d)) for d in wb.degrees())
+        return D2Report(checked=checked, failures=failures, conditional=endm3.conditional)
 
     # ---- page comparisons ----
 

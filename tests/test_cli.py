@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import moorev1.cli as cli
+import moorev1.specseq as specseq
+from moorev1.cobar import CobarCochain, CobarComplex, cobar_differential, verify_cobar_d_squared
 from moorev1.cli import RunConfig, run
 from moorev1.dga import DimensionTable
 from moorev1.gf2poly import Multidegree, default_window
@@ -102,8 +104,10 @@ def test_verify_small_window(tmp_path, capsys):
             "cobar-identity", "e3-presentation", "w-grading", "e4-claims",
             "e4-closed-form", "survival"} <= names
     by_name = {r["name"]: r for r in doc["reports"]}
-    assert by_name["d-squared:EndM r=2"]["conditional"] is False
-    assert by_name["d-squared:EndM r=3"]["conditional"] is True
+    d2_conditional = {key: by_name[f"d-squared:{key}"]["conditional"]
+                      for key in ("EndM r=2", "M r=2", "EndM r=3", "M r=3", "cobar")}
+    assert d2_conditional == {"EndM r=2": False, "M r=2": False, "EndM r=3": True,
+                              "M r=3": True, "cobar": False}
     assert by_name["e4-claims"]["conditional"] is True
     assert all(r["failures"] == [] for r in doc["reports"])
 
@@ -119,6 +123,35 @@ def test_verify_failure_exits_one(tmp_path, monkeypatch):
     assert by_name["w-grading"]["failures"] == [
         {"claim": "w-step", "degree": [0, 0, 0], "lhs": 1, "rhs": 2, "status": "mismatch"}
     ]
+
+
+def test_d_squared_failures_are_written_by_name(tmp_path, monkeypatch):
+    # make d(d(v1)) = d(v1) on EndM r=2, so that the generator proof finds
+    # one failure; the report names its source, not its index tuple
+    real = specseq.d_squared_on_generators
+
+    def broken(pres, window):
+        if pres.name == "endomorphism r=2":
+            d_v1, apply = pres.differentials["v1"], pres.apply
+            pres.apply = lambda p: p if p == d_v1 else apply(p)
+        return real(pres, window)
+
+    # and report one cobar cochain as failing, which is written the same way
+    def broken_cobar(comodule, s_max, t_range):
+        rep = verify_cobar_d_squared(comodule, s_max, t_range)
+        c = CobarCochain(comodule, CobarComplex(comodule).basis(1, 2)[:1])
+        rep.failures.append((c, cobar_differential(c)))
+        return rep
+
+    monkeypatch.setattr(specseq, "d_squared_on_generators", broken)
+    monkeypatch.setattr(cli, "verify_cobar_d_squared", broken_cobar)
+    assert run_in(tmp_path, "verify", *SMALL, "--no-cache") == 1
+    doc = json.loads((tmp_path / "verify-report.json").read_text())
+    failures = {r["name"]: r["failures"] for r in doc["reports"] if r["failures"]}
+    assert failures == {
+        "d-squared:EndM r=2": ["v1 -> alpha*h(1,1)^2"],
+        "d-squared:cobar": ["xi1|gamma -> xi1|xi1|1 + xi1|xi1^2|alpha"],
+    }
 
 
 def test_decompose_report(tmp_path):

@@ -2,7 +2,6 @@ import random
 
 from moorev1.gf2linalg import (
     Subspace,
-    apply_matrix,
     column_space_basis,
     kernel_basis,
     rank,
@@ -10,6 +9,7 @@ from moorev1.gf2linalg import (
     subquotient_basis,
     transpose,
 )
+from oracles import apply_matrix
 
 
 def random_matrix(rng, nrows, ncols, density=0.4):

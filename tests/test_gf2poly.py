@@ -122,7 +122,6 @@ class TestPolynomial:
         p = Polynomial.parse(a, "h(1,1)+h(2,1)")
         with pytest.raises(GF2PolyError):
             p.multidegree()
-        assert not p.is_homogeneous()
 
     def test_zero_multidegree_is_none(self):
         a = laurent_alphabet()

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import pathlib
+import re
 import sys
 
 import moorev1
@@ -79,3 +80,31 @@ def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
     assert all(code in (0, 1) for code in codes), codes
     assert tr.counts["cli.run.calls"] == len(ops)
     assert moorev1.gf2poly.enumerate_window is original
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    """Each function or method of the package (dunders aside) is named in
+    src/moorev1 or perfbench outside its own def and __all__: loaded, read
+    as an attribute, or written in a string, as the benchmark tracer patches
+    functions by name.  Code that only tests call does not belong there."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    defs, used = [], set()
+    for path in modules + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        exports = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and "__all__" in (getattr(t, "id", None) for t in stmt.targets)
+            for node in ast.walk(stmt.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exports:
+                used.update(re.findall(r"\w+", node.value))
+            elif isinstance(node, ast.FunctionDef) and path in modules:
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs.append((path.name, node.name))
+    assert [f"{module}: {name}" for module, name in defs if name not in used] == []

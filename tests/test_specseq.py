@@ -29,6 +29,7 @@ from moorev1.specseq import (
     bu_pattern_dim,
     w_of_v1_exponent,
 )
+from oracles import act, induced_d3m, project_to_m
 
 
 @pytest.fixture(scope="module")
@@ -112,21 +113,21 @@ def test_sphere_page_quotient_dims(wb):
 
 def test_act_examples(wb):
     one_m = Polynomial.one(wb.alphabet("M", 2))
-    assert wb.act(2, parse(wb, "EndM", 2, "alpha"), one_m).is_zero()
-    assert str(wb.act(3, parse(wb, "EndM", 3, "x(1)"), parse(wb, "M", 2, "v1"))) == "v1^2*h(2,1)"
-    assert str(wb.act(2, parse(wb, "EndM", 2, "v1*h(1,1)"), one_m)) == "v1*h(1,1)"
+    assert act(wb, 2, parse(wb, "EndM", 2, "alpha"), one_m).is_zero()
+    assert str(act(wb, 3, parse(wb, "EndM", 3, "x(1)"), parse(wb, "M", 2, "v1"))) == "v1^2*h(2,1)"
+    assert str(act(wb, 2, parse(wb, "EndM", 2, "v1*h(1,1)"), one_m)) == "v1*h(1,1)"
 
 
 def test_project_to_m(wb):
-    assert str(wb.project_to_m(3, parse(wb, "EndM", 3, "x(2)"))) == "v1*h(3,1)"
-    assert wb.project_to_m(3, parse(wb, "EndM", 3, "alphap*h(1,1)")).is_zero()
-    got = wb.project_to_m(3, parse(wb, "EndM", 3, "v1^-4*h(1,1)*x(1)*x(2)^2"))
+    assert str(project_to_m(wb, 3, parse(wb, "EndM", 3, "x(2)"))) == "v1*h(3,1)"
+    assert project_to_m(wb, 3, parse(wb, "EndM", 3, "alphap*h(1,1)")).is_zero()
+    got = project_to_m(wb, 3, parse(wb, "EndM", 3, "v1^-4*h(1,1)*x(1)*x(2)^2"))
     assert str(got) == "v1^-1*h(1,1)*h(2,1)*h(3,1)^2"
 
 
 def reference_project_to_m(wb, r, e):
     """The EndM -> M quotient as a product of generator images, the
-    definition project_to_m must agree with."""
+    definition Workbench._project_terms must agree with."""
     src = wb.alphabet("EndM", r)
     dst = wb.alphabet("M", 2)
     out = Polynomial.zero(dst)
@@ -154,16 +155,16 @@ def test_project_to_m_matches_product_definition(r):
     monos = [m for d in basis.degrees() for m in basis.basis(d)]
     for mono in monos:
         e = Polynomial.monomial(a, mono)
-        assert bench.project_to_m(r, e) == reference_project_to_m(bench, r, e), mono
+        assert project_to_m(bench, r, e) == reference_project_to_m(bench, r, e), mono
     # sums of overlapping pieces: the shared terms cancel before projecting
     rng = random.Random(5)
     for _ in range(300):
         shared = rng.sample(monos, 3)
         p = Polynomial(a, shared + rng.sample(monos, 4))
         q = Polynomial(a, shared + rng.sample(monos, 4))
-        got = bench.project_to_m(r, p + q)
+        got = project_to_m(bench, r, p + q)
         assert got == reference_project_to_m(bench, r, p + q)
-        assert got == bench.project_to_m(r, p) + bench.project_to_m(r, q)
+        assert got == project_to_m(bench, r, p) + project_to_m(bench, r, q)
 
 
 def test_project_to_m_missing_target_raises():
@@ -171,18 +172,11 @@ def test_project_to_m_missing_target_raises():
     bench = Workbench(default_window(8, 12, -1, 1))
     a3 = bench.alphabet("EndM", 3)
     assert "h(3,1)" not in bench.alphabet("M", 2).names()
-    for proj in (bench.project_to_m, lambda r, e: reference_project_to_m(bench, r, e)):
+    for proj in (project_to_m, reference_project_to_m):
         with pytest.raises(GF2PolyError, match=r"h\(3,1\)"):
-            proj(3, Polynomial.parse(a3, "x(2)"))
+            proj(bench, 3, Polynomial.parse(a3, "x(2)"))
         # a torsion factor kills the term before its x(2) is looked at
-        assert proj(3, Polynomial.parse(a3, "alpha*x(2)")).is_zero()
-
-
-def test_act_rejects_wrong_alphabet(wb):
-    with pytest.raises(GF2PolyError):
-        wb.act(2, parse(wb, "M", 2, "v1"), parse(wb, "M", 2, "v1"))
-    with pytest.raises(GF2PolyError):
-        wb.act(2, parse(wb, "EndM", 2, "alpha"), parse(wb, "EndM", 2, "alpha"))
+        assert proj(bench, 3, Polynomial.parse(a3, "alpha*x(2)")).is_zero()
 
 
 def test_action_compatible_with_d2(wb):
@@ -201,9 +195,9 @@ def test_action_compatible_with_d2(wb):
         m_mono = rng.choice(m_page.basis(rng.choice(m_degrees)))
         e = Polynomial.monomial(pres2.alphabet, e_mono)
         m = Polynomial.monomial(a_m, m_mono)
-        product = wb.act(2, e, m)
+        product = act(wb, 2, e, m)
         assert pres_m2.apply(product).is_zero()
-        assert wb.act(2, pres2.apply(e), m).is_zero()
+        assert act(wb, 2, pres2.apply(e), m).is_zero()
         assert (product * pres_m2.apply(m)).is_zero()
 
 
@@ -223,7 +217,7 @@ def test_induced_d3m_values(wb):
     ]
     a_m = wb.alphabet("M", 2)
     for text, want in cases:
-        got = wb.induced_d3m(Polynomial.parse(a_m, text))
+        got = induced_d3m(wb, Polynomial.parse(a_m, text))
         assert got == Polynomial.parse(a_m, want), text
 
 
@@ -231,8 +225,8 @@ def test_induced_d3m_not_naive_leibniz(wb):
     # v1 is not a cycle lift: d3(v1*h(3,1)) differs from v1*d3(h(3,1))
     a_m = wb.alphabet("M", 2)
     v1 = Polynomial.parse(a_m, "v1")
-    naive = v1 * wb.induced_d3m(Polynomial.parse(a_m, "h(3,1)"))
-    actual = wb.induced_d3m(Polynomial.parse(a_m, "v1*h(3,1)"))
+    naive = v1 * induced_d3m(wb, Polynomial.parse(a_m, "h(3,1)"))
+    actual = induced_d3m(wb, Polynomial.parse(a_m, "v1*h(3,1)"))
     assert naive != actual
 
 
@@ -243,16 +237,16 @@ def test_induced_d3m_squares_to_zero(wb):
     for _ in range(60):
         mono = rng.choice(page.basis(rng.choice(degrees)))
         once = wb.induced_d3m_monomial(mono)
-        assert wb.induced_d3m(once).is_zero()
+        assert induced_d3m(wb, once).is_zero()
 
 
 def test_induced_d3m_is_additive(wb):
     a_m = wb.alphabet("M", 2)
     p = Polynomial.parse(a_m, "h(2,1) + h(3,1)")
-    want = wb.induced_d3m(Polynomial.parse(a_m, "h(2,1)")) + wb.induced_d3m(
-        Polynomial.parse(a_m, "h(3,1)")
+    want = induced_d3m(wb, Polynomial.parse(a_m, "h(2,1)")) + induced_d3m(
+        wb, Polynomial.parse(a_m, "h(3,1)")
     )
-    assert wb.induced_d3m(p) == want
+    assert induced_d3m(wb, p) == want
 
 
 # ---- w grading ----
@@ -391,7 +385,7 @@ def test_m_r3_proof_refuses_a_projection_no_lift_inverts():
     a3, a_m = bench.alphabet("EndM", 3), bench.alphabet("M", 2)
     bench._projection_rules(3)[a3.index("x(2)")] = (1, a_m.index("h(2,1)"))
     failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
-    assert failures == [(((a3.index("x(2)"), 1),), Polynomial.parse(a_m, "v1*h(2,1)"))]
+    assert failures == [(Polynomial.parse(a3, "x(2)"), Polynomial.parse(a_m, "v1*h(2,1)"))]
     assert d_squared_sweeps(bench)["M r=3"].ok
 
 
@@ -416,7 +410,7 @@ def test_m_r3_proof_refuses_a_projection_that_kills_a_lift():
     bench._projection_rules(3)[bench.alphabet("EndM", 3).index("x(1)")] = None
     a_m = bench.alphabet("M", 2)
     failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
-    assert failures == [(((a_m.index("h(2,1)"), 1),), Polynomial.zero(a_m))]
+    assert failures == [(Polynomial.parse(a_m, "h(2,1)"), Polynomial.zero(a_m))]
     assert d_squared_sweeps(bench)["M r=3"].ok
 
 
@@ -431,8 +425,7 @@ def test_m_r3_proof_needs_d3_to_keep_torsion_in_the_torsion_ideal():
     pres._dval_cache.clear()
     proof = bench.verify_differentials_square_to_zero()
     assert proof["EndM r=3"].ok
-    alphap = pres.alphabet.index("alphap")
-    assert [m for m, _ in proof["M r=3"].failures] == [((alphap, 1),)]
+    assert [m for m, _ in proof["M r=3"].failures] == [Polynomial.parse(pres.alphabet, "alphap")]
 
 
 def test_e3_presentation_report(wb):
