@@ -24,6 +24,8 @@ from .gf2poly import (
     Polynomial,
     TruncationWindow,
     WindowBasis,
+    _WindowTrust,
+    count_window,
     enumerate_window,
     mono_divides,
     mono_mul,
@@ -277,8 +279,12 @@ def d_squared_on_generators(pres: PagePresentation, window: TruncationWindow) ->
         if twice:
             failures.append((Polynomial.monomial(pres.alphabet, ((gi, g.stride),)), twice))
     failures.extend(pres.unpreserved_relations())
-    wb = pres.basis(window)
-    checked = sum(len(wb.basis(d)) for d in wb.degrees())
+    if pres.relations:
+        wb = pres.basis(window)
+        checked = sum(len(wb.basis(d)) for d in wb.degrees())
+    else:
+        # with no relation to filter the basis, counting it is enough
+        checked = count_window(pres.alphabet, window).total()
     return D2Report(checked=checked, failures=failures, conditional=pres.conditional)
 
 
@@ -340,7 +346,51 @@ class _DegreeHomology:
     reps: Tuple[int, ...]
 
 
-class ComputedPage:
+class _PageDims:
+    """A page known by (cycle dim, boundary dim) at exactly the trusted
+    degrees with a nonempty basis.  A degree is trusted when the basis is
+    complete at it and one differential shift to either side."""
+
+    def __init__(
+        self,
+        pres: PagePresentation,
+        window: TruncationWindow,
+        trust: _WindowTrust,
+        dims: Dict[Multidegree, Tuple[int, int]],
+        name: str = "",
+        conditional: bool = False,
+    ):
+        self.presentation = pres
+        self.window = window
+        self.name = name or pres.name
+        self.conditional = conditional or pres.conditional
+        self._trust = trust
+        self._dims = dims
+        self._shift = pres.degree_shift
+
+    def trusted(self, d: Multidegree) -> bool:
+        return d in self._dims or self._trust.complete_around(d, self._shift)
+
+    def degrees(self) -> List[Multidegree]:
+        return sorted(self._dims)
+
+    def _require(self, d: Multidegree) -> Tuple[int, int]:
+        if not self.trusted(d):
+            raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
+        return self._dims.get(d, (0, 0))
+
+    def dim(self, d: Multidegree) -> int:
+        cycles, boundaries = self._require(d)
+        return cycles - boundaries
+
+    def cycle_dim(self, d: Multidegree) -> int:
+        return self._require(d)[0]
+
+    def boundary_dim(self, d: Multidegree) -> int:
+        return self._require(d)[1]
+
+
+class ComputedPage(_PageDims):
     """Degreewise homology of a presented page over a window, with the
     matrices of d that homology_page built for it.
 
@@ -357,34 +407,16 @@ class ComputedPage:
         name: str = "",
         conditional: bool = False,
     ):
-        self.presentation = pres
-        self.window = window
-        self.name = name or pres.name
-        self.conditional = conditional or pres.conditional
+        super().__init__(pres, window, wb, dims, name=name, conditional=conditional)
         self._wb = wb
-        # (cycle dim, boundary dim) at exactly the trusted degrees with a
-        # nonempty basis
-        self._dims = dims
         self._matrices = matrices
-        self._shift = pres.degree_shift
         self._homology: Dict[Multidegree, _DegreeHomology] = {}
-
-    def trusted(self, d: Multidegree) -> bool:
-        return d in self._dims or _complete_around(self._wb, d, self._shift)
-
-    def degrees(self) -> List[Multidegree]:
-        return sorted(self._dims)
 
     def matrix(self, c: Multidegree) -> Optional[List[int]]:
         """Rows (one per target monomial) of d from degree c to c + shift, or
         None where homology_page built none: it builds one at each trusted
         degree with a nonempty basis and one shift below it."""
         return self._matrices.get(c)
-
-    def _require(self, d: Multidegree) -> Tuple[int, int]:
-        if not self.trusted(d):
-            raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
-        return self._dims.get(d, (0, 0))
 
     def _homology_at(self, d: Multidegree) -> Optional[_DegreeHomology]:
         """Cycles, boundaries and representatives at a trusted degree, built
@@ -403,16 +435,6 @@ class ComputedPage:
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self._wb.basis(d)
-
-    def dim(self, d: Multidegree) -> int:
-        cycles, boundaries = self._require(d)
-        return cycles - boundaries
-
-    def cycle_dim(self, d: Multidegree) -> int:
-        return self._require(d)[0]
-
-    def boundary_dim(self, d: Multidegree) -> int:
-        return self._require(d)[1]
 
     def boundaries_subspace(self, d: Multidegree) -> Subspace:
         h = self._homology_at(d)
@@ -454,12 +476,6 @@ class ComputedPage:
         return v not in h.boundaries
 
 
-def _complete_around(wb: WindowBasis, d: Multidegree, shift: Multidegree) -> bool:
-    """The trust rule of a computed page: the basis is complete at d, d -
-    shift and d + shift, so both maps through d are known in full."""
-    return wb.complete(d) and wb.complete(d - shift) and wb.complete(d + shift)
-
-
 def _composite_is_zero(outgoing: List[int], incoming: List[int]) -> bool:
     """Whether the product of two matrices is zero: row k of it is the sum
     of the incoming rows at the set bits of outgoing row k."""
@@ -492,7 +508,7 @@ def homology_page(
     wb = pres.basis(window)
     shift = pres.degree_shift
     label = pres.name or "page"
-    wanted = [d for d in wb.degrees() if _complete_around(wb, d, shift)]
+    wanted = [d for d in wb.degrees() if wb.complete_around(d, shift)]
     matrices: Dict[Multidegree, List[int]] = {}
     for d in wanted:
         for c in (d - shift, d):

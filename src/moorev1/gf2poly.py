@@ -526,11 +526,45 @@ class _WindowTrust:
         self._truncated = truncated
         # below s = 0 the whole algebra vanishes, no truncation can hide anything
         self._vanishes_below_s0 = all(g.degree.s >= 0 for g in alphabet)
+        self._box = window.s_range + window.t_range + window.u_range
+        # shift -> the degrees with a truncated degree at d, d - shift or d + shift
+        self._near_truncated: Dict[Tuple[int, int, int], Set[Tuple[int, int, int]]] = {}
+
+    def _in_box(self, s: int, t: int, u: int) -> bool:
+        """complete(d) for a d that is not truncated."""
+        if s < 0 and self._vanishes_below_s0:
+            return True
+        s_lo, s_hi, t_lo, t_hi, u_lo, u_hi = self._box
+        return s_lo <= s <= s_hi and t_lo <= t <= t_hi and u_lo <= u <= u_hi
 
     def complete(self, d: Multidegree) -> bool:
-        if d[0] < 0 and self._vanishes_below_s0:
-            return True
-        return self.window.contains(d) and d not in self._truncated
+        # a truncated degree holds a monomial, so it has s >= 0 whenever
+        # the algebra vanishes below s = 0
+        return self._in_box(*d) and d not in self._truncated
+
+    def complete_around(self, d: Multidegree, shift: Multidegree) -> bool:
+        """The trust rule of a computed page: complete at d, d - shift and
+        d + shift, so both maps through d are known in full.
+
+        One lookup in the truncated set spread by ±shift, built once per
+        shift, stands for the three lookups complete would make."""
+        near = self._near_truncated.get(shift)
+        if near is None:
+            ds, dt, du = shift
+            near = set(self._truncated)
+            for s, t, u in self._truncated:
+                near.add((s + ds, t + dt, u + du))
+                near.add((s - ds, t - dt, u - du))
+            self._near_truncated[shift] = near
+        if d in near:
+            return False
+        s, t, u = d
+        ds, dt, du = shift
+        return (
+            self._in_box(s, t, u)
+            and self._in_box(s - ds, t - dt, u - du)
+            and self._in_box(s + ds, t + dt, u + du)
+        )
 
 
 class WindowBasis(_WindowTrust):
@@ -569,14 +603,26 @@ class WindowCounts(_WindowTrust):
         self,
         window: TruncationWindow,
         counts: Dict[Multidegree, int],
+        odd_counts: Dict[Multidegree, int],
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
         super().__init__(window, truncated, alphabet)
         self._counts = counts  # nonzero counts only
+        self._odd_counts = odd_counts
 
     def count(self, d: Multidegree) -> int:
         return self._counts.get(d, 0)
+
+    def odd_count(self, d: Multidegree) -> int:
+        """How many of the counted monomials at d are odd (see count_window)."""
+        return self._odd_counts.get(d, 0)
+
+    def degrees(self) -> List[Multidegree]:
+        return sorted(self._counts)
+
+    def total(self) -> int:
+        return sum(self._counts.values())
 
 
 class _PartPlan:
@@ -727,43 +773,51 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
     return WindowBasis(window, ordered, truncated, alphabet)
 
 
-def count_window(alphabet: Alphabet, window: TruncationWindow, without: Optional[str] = None) -> WindowCounts:
+def count_window(
+    alphabet: Alphabet, window: TruncationWindow, without: Optional[str] = None, odd: Iterable[str] = ()
+) -> WindowCounts:
     """How many monomials enumerate_window finds at each degree, counting
     only those without the generator named `without` if one is given, and
-    which degrees the v1 range clips (for the whole alphabet).
+    which degrees the v1 range clips (for the whole alphabet).  A counted
+    monomial is odd when its exponents on the generators named in `odd`
+    add up to an odd number; odd_count reads how many are.
 
     No monomial is built: a dynamic program over the non-v1 generators
-    counts the parts of each (s, t, u) under the same caps as the
-    enumeration, then places every part at the same v1 exponents."""
+    counts the parts of each (s, t, u) and parity under the same caps as
+    the enumeration, then places every part at the same v1 exponents."""
     plan = _PartPlan(alphabet, window)
     skip = None if without is None else alphabet.index(without)
-    # part degree -> how many parts free of the skipped generator; a degree
-    # whose parts all contain it stays, at 0, since it may still be clipped
-    parts: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 1}
+    flips = {alphabet.index(name) for name in odd}
+    # (part degree, parity) -> how many parts free of the skipped generator;
+    # a degree whose parts all contain it stays, at 0, since it may still
+    # be clipped
+    parts: Dict[Tuple[int, int, int, int], int] = {(0, 0, 0, 0): 1}
     for k, (gi, g) in enumerate(plan.others):
         ds, dt, du = g.degree
-        grown: Dict[Tuple[int, int, int], int] = {}
-        for (s, t, u), n_free in parts.items():
+        flip = 1 if gi in flips else 0
+        grown: Dict[Tuple[int, int, int, int], int] = {}
+        for (s, t, u, p), n_free in parts.items():
             if plan.pruned(k, s, t, u):
                 continue
             for e in range(plan.exponent_cap(k, s, t, u) + 1):
-                key = (s + ds * e, t + dt * e, u + du * e)
+                key = (s + ds * e, t + dt * e, u + du * e, p ^ (flip & e))
                 grown[key] = grown.get(key, 0) + (0 if e and gi == skip else n_free)
         parts = grown
     k_end = len(plan.others)
+    v1_flip = 1 if alphabet.v1_index in flips else 0
     counts: Dict[Multidegree, int] = {}
+    odd_counts: Dict[Multidegree, int] = {}
     truncated: Set[Tuple[int, int, int]] = set()
-    for (s, t, u), n_free in parts.items():
+    for (s, t, u, p), n_free in parts.items():
         if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
             continue
-        if plan.v1 is None:
-            if n_free:
-                counts[Multidegree(s, t, u)] = n_free
-            continue
-        for _, key, clipped in plan.placements(s, t, u):
+        placed = [(0, (s, t, u), False)] if plan.v1 is None else plan.placements(s, t, u)
+        for j, key, clipped in placed:
             if clipped:
                 truncated.add(key)
             elif n_free:
                 d = Multidegree(*key)
                 counts[d] = counts.get(d, 0) + n_free
-    return WindowCounts(window, counts, truncated, alphabet)
+                if p ^ (v1_flip & j):
+                    odd_counts[d] = odd_counts.get(d, 0) + n_free
+    return WindowCounts(window, counts, odd_counts, truncated, alphabet)

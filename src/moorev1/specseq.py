@@ -30,6 +30,7 @@ from .dga import (
     PagePresentation,
     PresentationPage,
     UntrustedDegreeError,
+    _PageDims,
     d_squared_on_generators,
     homology_page,
 )
@@ -46,6 +47,10 @@ from .gf2poly import (
     _name_rank,
     _xor,
     count_window,
+    mono_degree,
+    mono_divides,
+    mono_mul,
+    mono_str,
 )
 from .mahowald import ZBHTables, zbh_bases
 
@@ -69,6 +74,9 @@ TAGS = ("S", "M", "EndM")
 V1_DEGREE = Multidegree(0, 2, 1)
 ALPHA_DEGREE = Multidegree(0, -1, 0)
 ALPHAP_DEGREE = Multidegree(0, 1, 1)
+
+# d2 on E2(EndM) is multiplication by this monomial times a parity
+D2_FACTOR = "v1^-1*alpha*h(1,1)^2"
 
 # top corner of the Adams box the decomposition check compares
 DECOMPOSITION_STEM_MAX = 24
@@ -190,6 +198,63 @@ def _can_sum(count: int, total: int) -> bool:
     if total < 6 * count:
         return False
     return any(_can_sum(count - 1, total - part) for part in _parts_menu(total))
+
+
+class MatchedPage(_PageDims):
+    """The homology of (E2(EndM), d2), counted off the matching d2 makes.
+
+    d2(m) = c(m)*mu*m with mu = D2_FACTOR and c(m) the parity of m's
+    exponents on the odd generators (those with d2(g) = mu*g).  mu contains
+    alpha once and alpha squares to zero, so d2 pairs each alpha-free odd
+    monomial m with mu*m and kills every other monomial: a perfect
+    matching.  Its unmatched monomials are a basis of the homology, so with
+    N(d) the alpha-free monomials of degree d, N_o(d) the odd ones among
+    them, and alpha*n running over the rest of the basis,
+      cycles(d) = N(d) - N_o(d) + N(d - |alpha|),
+      boundaries(d) = N_o(d - shift).
+    This is algebraic discrete Morse theory in its simplest case
+    (Skoldberg, Trans. AMS 2006); homology_page is the test oracle."""
+
+    def __init__(self, pres: PagePresentation, window: TruncationWindow, odd: FrozenSet[int], name: str):
+        a = pres.alphabet
+        counts = count_window(a, window, without="alpha", odd=[a[gi].name for gi in odd])
+        (ds, dt, du), (a_s, a_t, a_u) = pres.degree_shift, a.generator("alpha").degree
+        # the degrees with a nonempty basis: N(d) > 0 or N(d - |alpha|) > 0
+        nonempty = set(counts.degrees())
+        nonempty.update([(s + a_s, t + a_t, u + a_u) for s, t, u in nonempty])
+        dims: Dict[Multidegree, Tuple[int, int]] = {}
+        for s, t, u in nonempty:
+            if counts.complete_around((s, t, u), pres.degree_shift):
+                even = counts.count((s, t, u)) - counts.odd_count((s, t, u))
+                dims[Multidegree(s, t, u)] = (
+                    even + counts.count((s - a_s, t - a_t, u - a_u)),
+                    counts.odd_count((s - ds, t - dt, u - du)),
+                )
+        super().__init__(pres, window, counts, dims, name=name, conditional=True)
+        self._mu = Polynomial.parse(a, D2_FACTOR).monomials_sorted()[0]
+        self._odd = odd
+        # the factors of mu a boundary mu*m must carry; v1 is invertible
+        self._mu_cover = tuple((gi, e) for gi, e in self._mu if not a[gi].invertible)
+        self._mu_parity = self._parity(self._mu)
+
+    def _parity(self, mono: Monomial) -> int:
+        return sum(e for gi, e in mono if gi in self._odd) & 1
+
+    def class_is_nonzero(self, poly: Polynomial, d: Multidegree) -> bool:
+        """True when a cycle polynomial is not a boundary.  Raises if the
+        polynomial is not a cycle.  The cycles are spanned by the monomials
+        m with d2(m) = 0 and the boundaries by the mu*m with m odd, so both
+        tests go term by term."""
+        self._require(d)
+        a = self.presentation.alphabet
+        for m in poly.terms:
+            if mono_degree(a, m) != d:
+                raise GF2PolyError(f"{mono_str(a, m)} is not a basis monomial of degree {tuple(d)}")
+            if self._parity(m) and mono_mul(a, self._mu, m) is not None:
+                raise GF2PolyError(f"{poly} is not a cycle in degree {tuple(d)}")
+        return any(
+            not mono_divides(self._mu_cover, m) or self._parity(m) == self._mu_parity for m in poly.terms
+        )
 
 
 # how the projection to M rewrites one EndM generator (see Workbench._projection_rules)
@@ -315,8 +380,9 @@ class Workbench:
                 "alpha": Polynomial.zero(a),
                 "alphap": Polynomial.zero(a),
                 "h(1,1)": Polynomial.zero(a),
-                "x(1)": Polynomial.zero(a),
             }
+            if "x(1)" in a.names():
+                diffs["x(1)"] = Polynomial.zero(a)
             for n in range(2, self._x_index() + 1):
                 diffs[f"x({n})"] = Polynomial.parse(a, f"v1^-4*h(1,1)*x(1)*x({n-1})^2")
             return PagePresentation(
@@ -357,12 +423,39 @@ class Workbench:
             )
         if r == 2:
             return PresentationPage(self.presentation("EndM", 2), self.window)
+        if r == 3:
+            return MatchedPage(
+                self.presentation("EndM", 2), self.window, self._d2_odd_generators(), "endomorphism r=3"
+            )
         return homology_page(
-            self.presentation("EndM", r - 1),
+            self.presentation("EndM", 3),
             self.window,
-            name=f"endomorphism r={r}",
+            name="endomorphism r=4",
             conditional=True,
         )
+
+    def _d2_odd_generators(self) -> FrozenSet[int]:
+        """The generators g of E2(EndM) with d2(g) = mu*g, mu = D2_FACTOR,
+        read off the wired d2 after proving that it is a matching: every
+        other generator has d2(g) = 0, mu squares to zero and there are no
+        relations.  Refuses a d2 of any other form."""
+        pres = self.presentation("EndM", 2)
+        a = pres.alphabet
+        mu = Polynomial.parse(a, D2_FACTOR)
+        if pres.relations:
+            raise GF2PolyError(f"{pres.name}: page 3 is only counted over a basis without relations")
+        if mu * mu:
+            raise GF2PolyError(f"{pres.name}: ({mu})^2 is not zero")
+        odd = set()
+        for gi, g in enumerate(a):
+            image = pres.derivation_value(gi, 1)
+            if not image:
+                continue
+            if image == mu.mul_monomial(((gi, 1),)):
+                odd.add(gi)
+            else:
+                raise GF2PolyError(f"{pres.name}: d2({g.name}) = {image} is neither 0 nor ({mu})*{g.name}")
+        return frozenset(odd)
 
     # ---- module structure ----
 
@@ -588,12 +681,12 @@ class Workbench:
         """dim E2(M) = dim E2(EndM)/(alpha) = dim E2(S)/(h(1,0)), degree by
         degree.  The quotients are counted, not enumerated."""
         m_page = self.page("M", 2)
-        endm = self.page("EndM", 2)
+        # the counts carry the trust of the whole EndM and S bases
         endm_free = count_window(self.alphabet("EndM", 2), self.window, without="alpha")
         sphere_free = count_window(self.alphabet("S", 2), self.window, without="h(1,0)")
         rows = []
         for d in m_page.degrees():
-            if not (endm.trusted(d) and sphere_free.complete(d)):
+            if not (endm_free.complete(d) and sphere_free.complete(d)):
                 continue
             lhs = m_page.dim(d)
             rows.append(self._row("m-vs-endm-mod-alpha", d, lhs, endm_free.count(d)))
@@ -750,11 +843,17 @@ class Workbench:
         rows: List[CheckRow] = []
         page4 = self.page("EndM", 4)
         a3 = self.alphabet("EndM", 3)
-        for text in ("alpha", "alphap", "h(1,1)", "x(1)"):
-            poly = Polynomial.parse(a3, text)
-            d = poly.multidegree()
+        # a window too small to trust x(1)'s degree may lack x(1) itself,
+        # so each class is parsed only where its degree is trusted
+        survivors = (
+            ("alpha", ALPHA_DEGREE),
+            ("alphap", ALPHAP_DEGREE),
+            ("h(1,1)", h_degree(1)),
+            ("x(1)", x_degree(1)),
+        )
+        for text, d in survivors:
             trusted = page4.trusted(d)
-            alive = trusted and page4.class_is_nonzero(poly, d)
+            alive = trusted and page4.class_is_nonzero(Polynomial.parse(a3, text), d)
             rows.append(
                 CheckRow(
                     claim=f"survives-to-e4:{text}",

@@ -1,6 +1,7 @@
 """What the tests reach the package through: second methods that compute
 by a route its commands do not take, and queries on page internals that
 no command asks."""
+from moorev1.dga import homology_page
 from moorev1.gf2linalg import rank
 from moorev1.gf2poly import Polynomial
 
@@ -11,6 +12,27 @@ def cobar_ext_dim(cx, s, t):
         return 0
     boundaries = rank(cx.matrix(s - 1, t)) if s > 0 else 0
     return len(cx.basis(s, t)) - rank(cx.matrix(s, t)) - boundaries
+
+
+def e3_endm_by_ranks(wb):
+    """E3(EndM) as the homology of (E2(EndM), d2) over the Workbench window,
+    by ranks of the d2 matrices, where page("EndM", 3) counts it off the d2
+    matching."""
+    return homology_page(wb.presentation("EndM", 2), wb.window)
+
+
+def complete_around_by_three(trust, d, shift):
+    """The trust rule of a computed page as three window tests: no
+    truncation and inside the window ranges at d, d - shift and d + shift,
+    where everything below s = 0 is complete when no generator has s < 0."""
+    vanishes_below_s0 = all(g.degree.s >= 0 for g in trust.alphabet)
+
+    def complete(p):
+        if p.s < 0 and vanishes_below_s0:
+            return True
+        return trust.window.contains(p) and tuple(p) not in trust._truncated
+
+    return complete(d) and complete(d - shift) and complete(d + shift)
 
 
 def apply_matrix(rows, v):

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import moorev1.cli as cli
+import moorev1.dga as dga
 import moorev1.specseq as specseq
 from moorev1.cobar import CobarCochain, CobarComplex, cobar_differential, verify_cobar_d_squared
 from moorev1.cli import RunConfig, run
-from moorev1.dga import DimensionTable
+from moorev1.dga import DimensionTable, PagePresentation
 from moorev1.gf2poly import Multidegree, default_window
 from moorev1.specseq import CheckRow, Report, Workbench
 
@@ -161,6 +163,50 @@ def test_decompose_report(tmp_path):
     assert doc["counts"]["ok"] > 0
     row = doc["rows"][0]
     assert set(row) == {"claim", "degree", "lhs", "rhs", "status"}
+
+
+# windows too small for x(1): its degree is never trusted there
+@pytest.mark.parametrize(
+    "window", [("4", "0", "0", "0"), ("-1", "0", "-2", "-2"), ("1", "0", "-1", "1")], ids="-".join
+)
+@pytest.mark.parametrize("cmd", [("page", "--spectrum", "EndM", "--page", "4"), ("verify",), ("decompose",)])
+def test_tiny_windows_exit_zero_or_one(tmp_path, capsys, cmd, window):
+    t_max, s_max, v1_min, v1_max = window
+    argv = [*cmd, "--t-max", t_max, "--s-max", s_max, "--v1-min", v1_min, "--v1-max", v1_max]
+    assert run_in(tmp_path, *argv, "--no-cache") in (0, 1), capsys.readouterr().err
+
+
+def test_verify_counts_e2_endm_instead_of_building_it(tmp_path, monkeypatch):
+    """verify never enumerates the E2(EndM) basis and builds no d2 matrix:
+    it applies d2 only to the wired generator values (the d² proof) and to
+    the odd-m v1^m*x(n) classes of the survival report."""
+    enumerated, applied, ranked = [], Counter(), []
+    real_enumerate, real_apply = dga.enumerate_window, PagePresentation.apply_monomial
+    real_homology = specseq.homology_page
+
+    def enumerate_window(alphabet, window):
+        enumerated.append(alphabet)
+        return real_enumerate(alphabet, window)
+
+    def apply_monomial(pres, mono):
+        applied[pres.name] += 1
+        return real_apply(pres, mono)
+
+    def homology_page(pres, *args, **kwargs):
+        ranked.append(pres.name)
+        return real_homology(pres, *args, **kwargs)
+
+    monkeypatch.setattr(dga, "enumerate_window", enumerate_window)
+    monkeypatch.setattr(PagePresentation, "apply_monomial", apply_monomial)
+    monkeypatch.setattr(specseq, "homology_page", homology_page)
+    assert run_in(tmp_path, "verify", *SMALL, "--no-cache") == 0
+    bench = Workbench(default_window(20, 5, -5, 5))
+    assert enumerated and bench.alphabet("EndM", 2) not in enumerated
+    assert "endomorphism r=2" not in ranked
+    calls = applied["endomorphism r=2"]
+    wired = sum(len(v.terms) for v in bench.presentation("EndM", 2).differentials.values())
+    odd_fates = [r for r in bench._xn_fates() if int(r.claim.split("^")[1].split("*")[0]) % 2]
+    assert odd_fates and calls == wired + len(odd_fates)
 
 
 def test_chart_outputs(tmp_path):

@@ -23,7 +23,8 @@ from moorev1.gf2poly import (
     mono_sort_key,
     mono_str,
 )
-from moorev1.specseq import Workbench, sufficient_h_index, sufficient_x_index
+from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, sufficient_x_index
+from oracles import complete_around_by_three
 
 
 def laurent_alphabet(n_max=5):
@@ -338,24 +339,32 @@ class TestEnumerateWindowOracle:
         assert_matches_oracle(*case)
 
 
-def assert_counts_match_enumeration(alphabet, w, without=None):
+def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
     """count_window against enumerate_window: per-degree counts of the
-    monomials free of `without`, the clipped degrees, and the trust flag
-    on every degree of the window and a margin around it."""
+    monomials free of `without` and of the odd ones among them, the
+    clipped degrees, and the trust flag on every degree of the window and
+    a margin around it."""
     wb = enumerate_window(alphabet, w)
-    counts = count_window(alphabet, w, without)
+    counts = count_window(alphabet, w, without, odd)
     skip = None if without is None else alphabet.index(without)
-    want = {}
+    flips = {alphabet.index(name) for name in odd}
+    want, want_odd = {}, {}
     for d in wb.degrees():
-        n = sum(1 for m in wb.basis(d) if all(gi != skip for gi, _ in m))
-        if n:
-            want[d] = n
+        free = [m for m in wb.basis(d) if all(gi != skip for gi, _ in m)]
+        n_odd = sum(1 for m in free if sum(e for gi, e in m if gi in flips) % 2)
+        if free:
+            want[d] = len(free)
+        if n_odd:
+            want_odd[d] = n_odd
     assert counts._truncated == wb._truncated
+    assert counts.degrees() == sorted(want)
+    assert counts.total() == sum(want.values())
     for s in range(w.s_range[0] - 2, w.s_range[1] + 3):
         for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
             for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
                 d = Multidegree(s, t, u)
                 assert counts.count(d) == want.get(d, 0), d
+                assert counts.odd_count(d) == want_odd.get(d, 0), d
                 assert counts.complete(d) == wb.complete(d), d
     return want, wb._truncated
 
@@ -364,11 +373,12 @@ class TestCountWindowOracle:
     """count_window builds no monomial; enumerate_window is its oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(small_alphabets_and_windows(), st.integers(0, 5))
-    def test_random_windows_match_enumeration(self, case, pick):
+    @given(small_alphabets_and_windows(), st.integers(0, 5), st.integers(0, 63))
+    def test_random_windows_match_enumeration(self, case, pick, odd_mask):
         a, w = case
         names = [g.name for g in a if not g.invertible]
-        assert_counts_match_enumeration(a, w, names[pick] if pick < len(names) else None)
+        odd = [g.name for i, g in enumerate(a) if odd_mask >> i & 1]
+        assert_counts_match_enumeration(a, w, names[pick] if pick < len(names) else None, odd)
 
     @pytest.mark.parametrize(
         "t_max, s_max", [(16, 4), (32, 12), (64, 12), (32, 16)], ids=["t16", "t32", "t64", "t32-s16"]
@@ -379,6 +389,13 @@ class TestCountWindowOracle:
             want, _ = assert_counts_match_enumeration(bench.alphabet(tag, r), bench.window, without)
             assert want
 
+    def test_parity_of_the_e3_matching_on_ladder_windows(self):
+        bench = Workbench(default_window(32, 8))
+        a = bench.alphabet("EndM", 2)
+        odd = [g.name for g in a if g.name not in ("alpha", "h(1,1)")]
+        want, _ = assert_counts_match_enumeration(a, bench.window, "alpha", odd)
+        assert want
+
     def test_clipping_when_u_range_is_wider_than_v1_range(self):
         w = TruncationWindow((-3, 3), (0, 6), (-15, 40), (-8, 8))
         bench = Workbench(default_window(40, 6, -8, 8))
@@ -388,6 +405,44 @@ class TestCountWindowOracle:
         # alphap and x(n) carry u, so one degree mixes kept and clipped
         # monomials: its count is short, and the degree is not trusted
         assert any(d in clipped for d in want)
+
+
+class TestCompleteAround:
+    """complete_around, one lookup in a set built once per shift, against
+    the three window tests it stands for."""
+
+    # h(1,0) with s < 0: nothing vanishes below s = 0 over an alphabet with it
+    NEGATIVE_S = Generator("h(1,0)", Multidegree(-1, 3, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small_alphabets_and_windows(),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(-400, 400), st.integers(-40, 40)), max_size=20),
+    )
+    def test_matches_three_window_tests(self, case, negative_s, far):
+        a, w = case
+        if negative_s:
+            a = Alphabet([g for g in a if g.name != "h(1,0)"] + [self.NEGATIVE_S])
+        trust = count_window(a, w)
+        assert trust._vanishes_below_s0 is not negative_s
+        probes = [Multidegree(*p) for p in far]
+        for s in range(w.s_range[0] - 3, w.s_range[1] + 3):
+            for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
+                for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
+                    probes.append(Multidegree(s, t, u))
+        for shift in (D2_SHIFT, D3_SHIFT):
+            for d in probes:
+                assert trust.complete_around(d, shift) == complete_around_by_three(trust, d, shift), (d, shift)
+
+    def test_clipped_degrees_and_their_neighbours_are_untrusted(self):
+        bench = Workbench(default_window(40, 6, -8, 8))
+        w = TruncationWindow((-3, 3), (0, 6), (-15, 40), (-8, 8))
+        trust = enumerate_window(bench.alphabet("EndM", 3), w)
+        assert trust._truncated
+        for c in trust._truncated:
+            for d in (c, Multidegree(*c) - D3_SHIFT, Multidegree(*c) + D3_SHIFT):
+                assert not trust.complete_around(d, D3_SHIFT)
 
 
 class TestEnumerateBasis:

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moorev1.dga as dga
 import moorev1.specseq as specseq
@@ -22,6 +24,7 @@ from moorev1.gf2poly import (
 from moorev1.specseq import (
     D3_SHIFT,
     CheckRow,
+    MatchedPage,
     Report,
     Workbench,
     adams_bidegree,
@@ -29,7 +32,7 @@ from moorev1.specseq import (
     bu_pattern_dim,
     w_of_v1_exponent,
 )
-from oracles import act, induced_d3m, project_to_m
+from oracles import act, e3_endm_by_ranks, induced_d3m, project_to_m
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,7 @@ def test_build_page_kinds(wb):
     assert isinstance(wb.page("M", 2), PresentationPage)
     assert isinstance(wb.page("M", 3), PresentationPage)
     assert isinstance(wb.page("EndM", 2), PresentationPage)
-    assert isinstance(wb.page("EndM", 3), ComputedPage)
+    assert isinstance(wb.page("EndM", 3), MatchedPage)
     assert isinstance(wb.page("EndM", 4), ComputedPage)
     assert isinstance(wb.page("M", 4), ComputedPage)
     assert wb.page("M", 3) is wb.page("M", 3)
@@ -437,6 +440,90 @@ def test_e3_presentation_report(wb):
     assert rows[(0, 0, 0)].lhs == 1
 
 
+def assert_counted_e3_matches_ranks(bench):
+    """page("EndM", 3), counted off the d2 matching, against the ranked
+    homology of (E2(EndM), d2): degrees, trust inside and around the box,
+    dimensions, and the class test on every basis monomial."""
+    counted, ranked = bench.page("EndM", 3), e3_endm_by_ranks(bench)
+    assert counted.degrees() == ranked.degrees()
+    w = bench.window
+    for s in range(w.s_range[0] - 3, w.s_range[1] + 3):
+        for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
+            for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
+                d = Multidegree(s, t, u)
+                assert counted.trusted(d) == ranked.trusted(d), d
+                if not ranked.trusted(d):
+                    with pytest.raises(UntrustedDegreeError):
+                        counted.dim(d)
+                    continue
+                got = (counted.dim(d), counted.cycle_dim(d), counted.boundary_dim(d))
+                assert got == (ranked.dim(d), ranked.cycle_dim(d), ranked.boundary_dim(d)), d
+    a = bench.alphabet("EndM", 2)
+    for d in ranked.degrees():
+        for m in ranked.basis(d):
+            poly = Polynomial.monomial(a, m)
+            try:
+                want = ranked.class_is_nonzero(poly, d)
+            except GF2PolyError:
+                with pytest.raises(GF2PolyError, match="not a cycle"):
+                    counted.class_is_nonzero(poly, d)
+            else:
+                assert counted.class_is_nonzero(poly, d) == want, (poly, d)
+    return counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-1, 24), st.integers(0, 4), st.integers(-4, 2), st.integers(0, 4))
+def test_counted_e3_matches_ranked_homology(t_max, s_max, v1_min, v1_span):
+    assert_counted_e3_matches_ranks(Workbench(default_window(t_max, s_max, v1_min, v1_min + v1_span)))
+
+
+def test_counted_e3_class_test_on_sums(wb):
+    """A sum is a cycle when each term is, and a boundary when each term
+    is: the term-by-term class test agrees with the ranked one on sums."""
+    counted, ranked = wb.page("EndM", 3), e3_endm_by_ranks(wb)
+    a = wb.alphabet("EndM", 2)
+    rng = random.Random(3)
+    checked = Counter()
+    for d in ranked.degrees():
+        basis = ranked.basis(d)
+        for _ in range(3 if len(basis) > 1 else 0):
+            poly = Polynomial(a, rng.sample(basis, rng.randint(2, len(basis))))
+            try:
+                want = ranked.class_is_nonzero(poly, d)
+            except GF2PolyError:
+                want = None
+                with pytest.raises(GF2PolyError, match="not a cycle"):
+                    counted.class_is_nonzero(poly, d)
+            else:
+                assert counted.class_is_nonzero(poly, d) == want, (poly, d)
+            checked[want] += 1
+    assert set(checked) == {None, False, True}
+
+
+def test_counted_e3_refuses_a_d2_off_the_matching():
+    """d2(h(3,1)) := v1^-1*alpha*h(2,1)^3 has the right degree but is not
+    mu*h(3,1), so d2 is no longer multiplication by mu times a parity."""
+    bench = Workbench(default_window(24, 6, -6, 6))
+    pres = bench.presentation("EndM", 2)
+    pres.differentials["h(3,1)"] = Polynomial.parse(pres.alphabet, "v1^-1*alpha*h(2,1)^3")
+    pres._dval_cache.clear()
+    with pytest.raises(GF2PolyError, match=r"d2\(h\(3,1\)\)"):
+        bench.page("EndM", 3)
+
+
+def test_counted_e3_follows_a_zeroed_d2_and_the_e3_report_catches_it():
+    """With d2(h(2,1)) := 0, h(2,1) leaves the odd set: the count still
+    equals the ranked homology, and no longer matches the presented page 3."""
+    bench = Workbench(default_window(32, 6, -8, 8))
+    pres = bench.presentation("EndM", 2)
+    pres.differentials["h(2,1)"] = Polynomial.zero(pres.alphabet)
+    pres._dval_cache.clear()
+    assert bench._d2_odd_generators() == {pres.alphabet.index(n) for n in ("v1", "h(3,1)", "h(4,1)")}
+    assert_counted_e3_matches_ranks(bench)
+    assert not bench.verify_e3_presentation().ok
+
+
 def test_module_isomorphism_report(wb):
     rep = wb.verify_module_isomorphisms()
     assert rep.ok
@@ -723,10 +810,12 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
         getattr(bench, name)()
     first = dict(calls)
     assert first and set(first.values()) == {1}
-    # the module isomorphisms count the S monomials instead
-    assert bench.alphabet("S", 2) not in {a for a, _, _ in first}
+    # the module isomorphisms count the S monomials instead, and page 3
+    # and the d² proof count the E2(EndM) monomials
+    counted = {bench.alphabet("S", 2), bench.alphabet("EndM", 2)}
+    assert not counted & {a for a, _, _ in first}
     used = {(pres.alphabet, pres.relations) for pres in bench._presentations.values()}
-    assert {(a, rel) for a, rel, _ in first} >= used
+    assert {(a, rel) for a, rel, _ in first} >= {(a, rel) for a, rel in used if a not in counted}
     assert bench.presentation("M", 2).basis(window) is bench.presentation("M", 3).basis(window)
     calls.clear()
     again = Workbench(window)
@@ -738,7 +827,8 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
 def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
     """Reports that read dimensions cost one rank per matrix: kernel_basis
     runs only inside the vector accessors of a ComputedPage, once per
-    degree, and only at degrees whose classes the survival report tests."""
+    degree, and only at the degrees of the survivors the survival report
+    tests (page 3 of EndM decides its classes off the d2 matching)."""
     asking = []  # (page, degree) of each vector accessor call in progress
     built = []
     real_homology = ComputedPage._homology_at
@@ -769,7 +859,7 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
         if r.claim.startswith("survives-to-e4:") and r.status != "insufficient"
     }
     assert len(survivors) == 4
-    assert survivors <= set(built) <= survivors | {("endomorphism r=3", r.degree) for r in rows}
+    assert set(built) == survivors
     assert len(built) == len(set(built))
     once = len(built)
     bench.survival_report()
