@@ -117,17 +117,16 @@ def _u_successor(group: str, kind: str) -> str:
     return f"u={int(group[2:]) + 1}"
 
 
-def page_chart(page, title: str = "") -> ChartDoc:
+def page_chart(page, title: str) -> ChartDoc:
     """page.dim(d) dots for each degree d of a page, collapsed to the Adams
     chart.  Cells are grouped by the u-degree they came from, so distinct
     lines landing on the same (stem, filtration) stay distinct; a fixed
     (stem, filtration, u) is one tridegree."""
     cells: Dict[Cell, int] = {}
-    label = getattr(page, "name", "") or "page"
     for d in page.degrees():
         s_adams, t_adams = adams_bidegree(d)
         cells[(t_adams - s_adams, s_adams, f"u={d.u}")] = page.dim(d)
-    return ChartDoc(cells, title=title or label, line_successor=_u_successor)
+    return ChartDoc(cells, title=title, line_successor=_u_successor)
 
 
 def decomposition_chart(tables: ZBHTables) -> ChartDoc:

@@ -4,8 +4,9 @@ with coefficients in small comodules.
 The two comodules of interest are the homology of the two-cell complex
 (cells x0, x1) and of its endomorphism algebra (basis 1, alpha, gamma,
 alpha*gamma).  The latter is not written down by hand: it is derived from
-the cell-pair model x_i y_j with its multiplication rule, and the basis
-change is checked for consistency on the way.
+the cell-pair model x_i y_j, and the basis change is checked for
+consistency on the way.  The comodule axioms and the multiplication of the
+cell-pair model are checked in tests/oracles.py.
 
 xi1 and xi1^2 are both primitive, so the coalgebra is E[xi1] (x) E[xi1^2]
 and Ext^{s,t} is the cohomology of Priddy's Koszul complex M (x) F2[h10, h11]
@@ -53,9 +54,6 @@ class QuotientCoalgebra:
         self._full: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self._reduced: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
-    def basis(self) -> range:
-        return range(self.height)
-
     def delta_full(self, i: int) -> Tuple[Tuple[int, int], ...]:
         got = self._full.get(i)
         if got is None:
@@ -70,37 +68,18 @@ class QuotientCoalgebra:
             got = self._reduced[i] = tuple((j, k) for j, k in self.delta_full(i) if j and k)
         return got
 
-    def verify(self) -> bool:
-        """Exhaustive coassociativity of the full diagonal."""
-        for i in self.basis():
-            left = _xor(
-                (a, b, c)
-                for j, c in self.delta_full(i)
-                for a, b in self.delta_full(j)
-            )
-            right = _xor(
-                (a, b, c)
-                for a, j in self.delta_full(i)
-                for b, c in self.delta_full(j)
-            )
-            if left != right:
-                return False
-        return True
-
 
 COALGEBRA = QuotientCoalgebra()
 
 
 @dataclass(frozen=True)
 class Comodule:
-    """A finite graded comodule over the xi1 coalgebra, with an optional
-    multiplication table (values are sums of basis labels)."""
+    """A finite graded comodule over the xi1 coalgebra."""
 
     name: str
     labels: Tuple[str, ...]
     degree_of: Tuple[int, ...]
     coaction_table: Tuple[Tuple[Tuple[int, str], ...], ...]
-    multiplication: Optional[Tuple[Tuple[str, str, Tuple[str, ...]], ...]] = None
 
     def index(self, label: str) -> int:
         try:
@@ -118,48 +97,6 @@ class Comodule:
     def coact_reduced(self, label: str) -> Tensor:
         return frozenset(p for p in self.coact(label) if p[0] != 0)
 
-    def product(self, a: str, b: str) -> FrozenSet[str]:
-        if self.multiplication is None:
-            raise GF2PolyError(f"{self.name} carries no multiplication")
-        for x, y, out in self.multiplication:
-            if (x, y) == (a, b):
-                return frozenset(out)
-        raise GF2PolyError(f"product {a}*{b} missing from the table")
-
-    def verify(self) -> bool:
-        for label in self.labels:
-            psi = self.coact(label)
-            # counit: the power-0 part is exactly 1 (x) label
-            if frozenset(p for p in psi if p[0] == 0) != frozenset({(0, label)}):
-                return False
-            # homogeneity
-            d = self.degree(label)
-            if any(i + self.degree(m) != d for i, m in psi):
-                return False
-            # coassociativity with the full diagonal
-            left = _xor((a, b, m) for i, m in psi for a, b in COALGEBRA.delta_full(i))
-            right = _xor((i, j, m2) for i, m in psi for j, m2 in self.coact(m))
-            if left != right:
-                return False
-        if self.multiplication is not None and not self._verify_multiplicative():
-            return False
-        return True
-
-    def _verify_multiplicative(self) -> bool:
-        for a in self.labels:
-            for b in self.labels:
-                lhs = _xor(p for m in self.product(a, b) for p in self.coact(m))
-                rhs = _xor(
-                    (i + j, m3)
-                    for i, m in self.coact(a)
-                    for j, m2 in self.coact(b)
-                    if i + j < COALGEBRA.height
-                    for m3 in self.product(m, m2)
-                )
-                if lhs != rhs:
-                    return False
-        return True
-
 
 def trivial_comodule() -> Comodule:
     return Comodule(
@@ -167,7 +104,6 @@ def trivial_comodule() -> Comodule:
         labels=("1",),
         degree_of=(0,),
         coaction_table=(((0, "1"),),),
-        multiplication=(("1", "1", ("1",)),),
     )
 
 
@@ -184,8 +120,7 @@ def moore_comodule() -> Comodule:
     )
 
 
-# cell-pair model: basis x_i y_j, deg = i + j, and (x_i y_j)(x_k y_l) is
-# x_i y_l when j + k = 0 and zero otherwise
+# cell-pair model: basis x_i y_j, deg = i + j
 _XDEG = {"x0": 0, "x1": 1}
 _YDEG = {"y-1": -1, "y0": 0}
 
@@ -199,9 +134,9 @@ def _cell_coaction(cell: Tuple[str, str]) -> Tensor:
     )
 
 
-# the basis change read by both the coaction and the multiplication table:
-# 1 = x1 y-1 + x0 y0, alpha = x0 y-1, gamma = x1 y0, alpha*gamma = x0 y0,
-# and its inverse on the cells
+# the basis change 1 = x1 y-1 + x0 y0, alpha = x0 y-1, gamma = x1 y0,
+# alpha*gamma = x0 y0, and its inverse on the cells; the multiplication
+# table of tests/oracles.py reads them too
 _ENDO_BASIS: Dict[str, Tuple[Tuple[str, str], ...]] = {
     "1": (("x1", "y-1"), ("x0", "y0")),
     "alpha": (("x0", "y-1"),),
@@ -232,28 +167,11 @@ def endomorphism_comodule() -> Comodule:
         labels=labels,
         degree_of=degrees,
         coaction_table=tuple(coactions),
-        multiplication=_endomorphism_products(),
     )
     # the basis change must make the unit grouplike
     if com.coact("1") != frozenset({(0, "1")}):
         raise GF2PolyError("cell-pair model gives a non-grouplike unit")
     return com
-
-
-def _cell_product(a: Tuple[str, str], b: Tuple[str, str]) -> Optional[Tuple[str, str]]:
-    j = _YDEG[a[1]]
-    k = _XDEG[b[0]]
-    return (a[0], b[1]) if j + k == 0 else None
-
-
-def _endomorphism_products() -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
-    table = []
-    for a, cells_a in _ENDO_BASIS.items():
-        for b, cells_b in _ENDO_BASIS.items():
-            cells = (_cell_product(ca, cb) for ca in cells_a for cb in cells_b)
-            acc = _xor(m for cell in cells if cell is not None for m in _ENDO_CELLS[cell])
-            table.append((a, b, tuple(sorted(acc))))
-    return tuple(table)
 
 
 # a cochain term is (powers, label): positive xi1 powers in the bar slots

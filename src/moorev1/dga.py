@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 
+_NO_SHIFT = Multidegree(0, 0, 0)
+
+
 class MissingDifferentialError(GF2PolyError):
     """The differential of a generator is needed but was never specified."""
 
@@ -66,8 +69,8 @@ class PagePresentation:
     relations lists monomials equal to zero; a monomial of the quotient basis
     is one not divisible by any of them.  differentials maps generator names
     to their images (explicit zero allowed; a missing entry means unknown and
-    raises when actually needed).  Presentations with the same alphabet and
-    relations have the same bases, so they may share one basis_cache.
+    raises when actually needed).  conditional flags a page built on wired
+    conjectural values; every page of this presentation carries the flag.
     """
 
     def __init__(
@@ -78,7 +81,6 @@ class PagePresentation:
         relations: Sequence[Monomial] = (),
         name: str = "",
         conditional: bool = False,
-        basis_cache: Optional[Dict[TruncationWindow, WindowBasis]] = None,
     ):
         self.alphabet = alphabet
         self.degree_shift = degree_shift
@@ -89,7 +91,7 @@ class PagePresentation:
             k: self._reduce_raw(v) for k, v in differentials.items()
         }
         self._dval_cache: Dict[Tuple[int, int], Polynomial] = {}
-        self._basis_cache = {} if basis_cache is None else basis_cache
+        self._basis_cache: Dict[TruncationWindow, WindowBasis] = {}
         self._validate()
 
     def _validate(self):
@@ -137,11 +139,6 @@ class PagePresentation:
 
     def is_reduced_monomial(self, mono: Monomial) -> bool:
         return not any(mono_divides(rel, mono) for rel in self.relations)
-
-    def reduce(self, poly: Polynomial) -> Polynomial:
-        if poly.alphabet != self.alphabet:
-            raise GF2PolyError("polynomial over a different alphabet")
-        return self._reduce_raw(poly)
 
     def derivation_value(self, gi: int, e: int) -> Polynomial:
         """d(g^e) alone, by the stride Leibniz rule over GF(2)."""
@@ -226,16 +223,14 @@ class D2Report:
 
 
 # a test oracle, not exported from moorev1: the benchmark tracer wraps it by name
-def verify_d_squared(
-    pres: PagePresentation, window: TruncationWindow, diff_fn: Optional[Callable[[Monomial], Polynomial]] = None
-) -> D2Report:
+def verify_d_squared(pres: PagePresentation, window: TruncationWindow) -> D2Report:
     """Check d(d(m)) = 0 for every reduced basis monomial in the window.
 
     The second application is symbolic, so nothing is lost when d(m) pokes
     past the window edge.  This per-monomial sweep is the reference oracle
     for d_squared_on_generators, which verify runs instead.
     """
-    fn = diff_fn or pres.apply_monomial
+    fn = pres.apply_monomial
     wb = pres.basis(window)
     checked = 0
     failures: List[Tuple[Polynomial, Polynomial]] = []
@@ -307,38 +302,6 @@ def differential_matrix(
     return rows
 
 
-class PresentationPage:
-    """A page known by presentation only: dimensions read straight off the
-    reduced monomial basis, trusted wherever the basis is complete."""
-
-    def __init__(self, pres: PagePresentation, window: TruncationWindow):
-        self.presentation = pres
-        self.window = window
-        self.name = pres.name
-        self.conditional = pres.conditional
-        self._wb = pres.basis(window)
-
-    def trusted(self, d: Multidegree) -> bool:
-        return self._wb.complete(d)
-
-    def degrees(self) -> List[Multidegree]:
-        return [d for d in self._wb.degrees() if self.trusted(d)]
-
-    def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
-        return self._wb.basis(d)
-
-    def dim(self, d: Multidegree) -> int:
-        if not self.trusted(d):
-            raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
-        return len(self._wb.basis(d))
-
-    def representatives(self, d: Multidegree) -> List[Polynomial]:
-        if not self.trusted(d):
-            raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
-        a = self.presentation.alphabet
-        return [Polynomial.monomial(a, m) for m in self._wb.basis(d)]
-
-
 @dataclass
 class _DegreeHomology:
     cycles: Subspace
@@ -349,7 +312,8 @@ class _DegreeHomology:
 class _PageDims:
     """A page known by (cycle dim, boundary dim) at exactly the trusted
     degrees with a nonempty basis.  A degree is trusted when the basis is
-    complete at it and one differential shift to either side."""
+    complete at it and one shift to either side; the page's flag is its
+    presentation's."""
 
     def __init__(
         self,
@@ -357,16 +321,14 @@ class _PageDims:
         window: TruncationWindow,
         trust: _WindowTrust,
         dims: Dict[Multidegree, Tuple[int, int]],
-        name: str = "",
-        conditional: bool = False,
+        shift: Multidegree,
     ):
         self.presentation = pres
         self.window = window
-        self.name = name or pres.name
-        self.conditional = conditional or pres.conditional
+        self.conditional = pres.conditional
         self._trust = trust
         self._dims = dims
-        self._shift = pres.degree_shift
+        self._shift = shift
 
     def trusted(self, d: Multidegree) -> bool:
         return d in self._dims or self._trust.complete_around(d, self._shift)
@@ -390,6 +352,21 @@ class _PageDims:
         return self._require(d)[1]
 
 
+class PresentationPage(_PageDims):
+    """A page known by presentation only: dimensions read straight off the
+    reduced monomial basis.  With shift 0 the trust rule of _PageDims is
+    exactly the completeness of the basis."""
+
+    def __init__(self, pres: PagePresentation, window: TruncationWindow):
+        wb = pres.basis(window)
+        dims = {d: (len(wb.basis(d)), 0) for d in wb.degrees() if wb.complete(d)}
+        super().__init__(pres, window, wb, dims, _NO_SHIFT)
+        self._wb = wb
+
+    def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
+        return self._wb.basis(d)
+
+
 class ComputedPage(_PageDims):
     """Degreewise homology of a presented page over a window, with the
     matrices of d that homology_page built for it.
@@ -404,10 +381,8 @@ class ComputedPage(_PageDims):
         wb: WindowBasis,
         dims: Dict[Multidegree, Tuple[int, int]],
         matrices: Dict[Multidegree, List[int]],
-        name: str = "",
-        conditional: bool = False,
     ):
-        super().__init__(pres, window, wb, dims, name=name, conditional=conditional)
+        super().__init__(pres, window, wb, dims, pres.degree_shift)
         self._wb = wb
         self._matrices = matrices
         self._homology: Dict[Multidegree, _DegreeHomology] = {}
@@ -490,13 +465,7 @@ def _composite_is_zero(outgoing: List[int], incoming: List[int]) -> bool:
     return True
 
 
-def homology_page(
-    pres: PagePresentation,
-    window: TruncationWindow,
-    diff_fn: Optional[Callable[[Monomial], Polynomial]] = None,
-    name: str = "",
-    conditional: bool = False,
-) -> ComputedPage:
+def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedPage:
     """Homology at every degree with a nonempty basis, trusting only
     degrees whose neighbors are complete.
 
@@ -504,7 +473,6 @@ def homology_page(
     outgoing map at c and the incoming map at c + shift, and the page keeps
     it.  With d∘d = 0 checked at each trusted degree (a nonzero product is
     refused), dim H = dim C - rank(out) - rank(in) exactly."""
-    fn = diff_fn or pres.apply_monomial
     wb = pres.basis(window)
     shift = pres.degree_shift
     label = pres.name or "page"
@@ -515,7 +483,7 @@ def homology_page(
             if c in matrices:
                 continue
             try:
-                matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), fn)
+                matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), pres.apply_monomial)
             except _OutsideTargetBasis:
                 raise GF2PolyError(
                     f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}"
@@ -526,7 +494,7 @@ def homology_page(
         if not _composite_is_zero(matrices[d], matrices[d - shift]):
             raise GF2PolyError(f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}")
         dims[d] = (len(wb.basis(d)) - ranks[d], ranks[d - shift])
-    return ComputedPage(pres, window, wb, dims, matrices, name=name, conditional=conditional)
+    return ComputedPage(pres, window, wb, dims, matrices)
 
 
 class DimensionTable:

@@ -10,7 +10,8 @@ The page data wired in:
 on EndM, plus d2(v1) = h(1,0)*h(1,1) on S.  The differentials on the M page
 are induced through the module structure over EndM: the M page is generated
 by {1, v1}, both d3-cycles, so d3 of an M monomial is computed by lifting
-it to (EndM element) * v1^(0 or 1).
+it to (EndM element) * v1^(0 or 1).  d2 vanishes on M, so M's page 3 is
+its page 2, presented with that induced d3 (InducedD3Presentation).
 
 Everything built on top of a d3 (pages r >= 3 of EndM, the induced M
 differential, the w-graded claims, the decomposition identity) is flagged
@@ -20,12 +21,12 @@ than prove them.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dga import (
-    ComputedPage,
     D2Report,
     PagePresentation,
     PresentationPage,
@@ -215,7 +216,7 @@ class MatchedPage(_PageDims):
     This is algebraic discrete Morse theory in its simplest case
     (Skoldberg, Trans. AMS 2006); homology_page is the test oracle."""
 
-    def __init__(self, pres: PagePresentation, window: TruncationWindow, odd: FrozenSet[int], name: str):
+    def __init__(self, pres: PagePresentation, window: TruncationWindow, odd: FrozenSet[int]):
         a = pres.alphabet
         counts = count_window(a, window, without="alpha", odd=[a[gi].name for gi in odd])
         (ds, dt, du), (a_s, a_t, a_u) = pres.degree_shift, a.generator("alpha").degree
@@ -230,7 +231,8 @@ class MatchedPage(_PageDims):
                     even + counts.count((s - a_s, t - a_t, u - a_u)),
                     counts.odd_count((s - ds, t - dt, u - du)),
                 )
-        super().__init__(pres, window, counts, dims, name=name, conditional=True)
+        super().__init__(pres, window, counts, dims, pres.degree_shift)
+        self.conditional = True  # as every EndM page from r = 3 on
         self._mu = Polynomial.parse(a, D2_FACTOR).monomials_sorted()[0]
         self._odd = odd
         # the factors of mu a boundary mu*m must carry; v1 is invertible
@@ -257,6 +259,27 @@ class MatchedPage(_PageDims):
         )
 
 
+class InducedD3Presentation(PagePresentation):
+    """M's page 3: the algebra of M's page 2 (d2 vanishes on M) with the d3
+    induced by E3(EndM) acting on M, Workbench.induced_d3m_monomial.  That
+    d3 is no derivation in M's generators, so none carries a differential
+    here, and the basis is M r=2's own."""
+
+    def __init__(self, bench: "Workbench"):
+        m2 = bench.presentation("M", 2)
+        super().__init__(m2.alphabet, D3_SHIFT, {}, name="two-cell r=3", conditional=True)
+        self._m2 = m2
+        # weak, so that a Workbench and its presentations form no reference
+        # cycle and the Workbench is freed as soon as its caller drops it
+        self._bench = weakref.ref(bench)
+
+    def apply_monomial(self, mono: Monomial) -> Polynomial:
+        return self._bench().induced_d3m_monomial(mono)
+
+    def basis(self, window: TruncationWindow) -> WindowBasis:
+        return self._m2.basis(window)
+
+
 # how the projection to M rewrites one EndM generator (see Workbench._projection_rules)
 _ProjectionRule = Union[None, str, Tuple[int, Optional[int]]]
 
@@ -268,11 +291,9 @@ class Workbench:
         self.window = window
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
-        # M r=2 and M r=3 share one alphabet and no relations: one basis
-        self._m_bases: Dict[TruncationWindow, WindowBasis] = {}
-        self._pages: Dict[Tuple[str, int], Union[PresentationPage, ComputedPage]] = {}
+        self._pages: Dict[Tuple[str, int], _PageDims] = {}
         self._zbh: Optional[ZBHTables] = None
-        self._proj_rules: Dict[int, List[_ProjectionRule]] = {}
+        self._proj_rules: Optional[List[_ProjectionRule]] = None
         self._roles: Optional[List[Tuple[int, int]]] = None
         self._w_lists: Dict[Multidegree, List[int]] = {}
         self._slice_ranks: Dict[Tuple[Multidegree, int], int] = {}
@@ -345,19 +366,13 @@ class Workbench:
                 name="sphere r=2",
             )
         if tag == "M":
-            a = self.alphabet("M", 2)
             if r == 2:
+                a = self.alphabet("M", 2)
                 zero = Polynomial.zero(a)
                 diffs = {g.name: zero for g in a}
-                return PagePresentation(
-                    a, D2_SHIFT, diffs, name="two-cell r=2", basis_cache=self._m_bases
-                )
+                return PagePresentation(a, D2_SHIFT, diffs, name="two-cell r=2")
             if r == 3:
-                # same algebra as r=2; the differential is induced through
-                # the module structure, not a derivation in these generators
-                return PagePresentation(
-                    a, D3_SHIFT, {}, name="two-cell r=3", basis_cache=self._m_bases
-                )
+                return InducedD3Presentation(self)
             raise GF2PolyError(f"no presentation for (M, r={r})")
         if r == 2:
             a = self.alphabet("EndM", 2)
@@ -392,7 +407,7 @@ class Workbench:
 
     # ---- pages ----
 
-    def page(self, tag: str, r: int) -> Union[PresentationPage, ComputedPage]:
+    def page(self, tag: str, r: int) -> _PageDims:
         key = (tag, r)
         got = self._pages.get(key)
         if got is None:
@@ -412,27 +427,16 @@ class Workbench:
         if r not in (2, 3, 4):
             raise GF2PolyError(f"page index {r} is not supported")
         if tag == "M":
-            if r in (2, 3):
-                return PresentationPage(self.presentation("M", r), self.window)
-            return homology_page(
-                self.presentation("M", 3),
-                self.window,
-                diff_fn=self.induced_d3m_monomial,
-                name="two-cell r=4",
-                conditional=True,
-            )
+            if r == 2:
+                return PresentationPage(self.presentation("M", 2), self.window)
+            if r == 3:
+                return self.page("M", 2)  # d2 vanishes on M
+            return homology_page(self.presentation("M", 3), self.window)
         if r == 2:
             return PresentationPage(self.presentation("EndM", 2), self.window)
         if r == 3:
-            return MatchedPage(
-                self.presentation("EndM", 2), self.window, self._d2_odd_generators(), "endomorphism r=3"
-            )
-        return homology_page(
-            self.presentation("EndM", 3),
-            self.window,
-            name="endomorphism r=4",
-            conditional=True,
-        )
+            return MatchedPage(self.presentation("EndM", 2), self.window, self._d2_odd_generators())
+        return homology_page(self.presentation("EndM", 3), self.window)
 
     def _d2_odd_generators(self) -> FrozenSet[int]:
         """The generators g of E2(EndM) with d2(g) = mu*g, mu = D2_FACTOR,
@@ -459,20 +463,21 @@ class Workbench:
 
     # ---- module structure ----
 
-    def _projection_rules(self, r: int) -> List[_ProjectionRule]:
-        """Per EndM generator, how _project_terms rewrites it: None kills the
-        term, a string is the error for a target the M alphabet lacks, and
-        (k, i) turns g^e into v1^(k*e) * (M generator i)^e (i None: v1 only).
+    def _projection_rules(self) -> List[_ProjectionRule]:
+        """Per page-3 EndM generator, how _project_terms rewrites it: None
+        kills the term, a string is the error for a target the M alphabet
+        lacks, and (k, i) turns g^e into v1^(k*e) * (M generator i)^e (i
+        None: v1 only).  Written apart from the lift table _m_roles, so that
+        the M r=3 proof's round trip compares two independent tables.
 
         Apart from v1 the targets are distinct and rise with the source
-        order (h(n,1) -> h(n,1) on page 2; h(1,1) -> h(1,1) and x(n) ->
-        h(n+1,1) on page 3), so a term's image comes out canonically sorted."""
-        got = self._proj_rules.get(r)
-        if got is not None:
-            return got
+        order (h(1,1) -> h(1,1) and x(n) -> h(n+1,1)), so a term's image
+        comes out canonically sorted."""
+        if self._proj_rules is not None:
+            return self._proj_rules
         dst = self.alphabet("M", 2)
         rules: List[_ProjectionRule] = []
-        for g in self.alphabet("EndM", r):
+        for g in self.alphabet("EndM", 3):
             if g.name in ("alpha", "alphap"):
                 rules.append(None)
                 continue
@@ -484,16 +489,16 @@ class Workbench:
                 rules.append((k, dst.index(target)))
             else:
                 rules.append(f"generator {target!r} not in alphabet")
-        self._proj_rules[r] = rules
+        self._proj_rules = rules
         return rules
 
-    def _project_terms(self, r: int, terms: Iterable[Monomial], eps: int = 0) -> FrozenSet[Monomial]:
-        """The quotient map from the EndM page r to the M page, times v1^eps,
+    def _project_terms(self, terms: Iterable[Monomial], eps: int = 0) -> FrozenSet[Monomial]:
+        """The quotient map from the EndM page 3 to the M page, times v1^eps,
         on a sum of EndM monomials: kill the monomials divisible by a
         torsion generator, rewrite each x(n) factor as v1*h(n+1,1), and sum
         the images mod 2."""
         v1i = self.alphabet("M", 2).v1_index
-        rules = self._projection_rules(r)
+        rules = self._projection_rules()
         out: List[Monomial] = []
         for mono in terms:
             k = eps
@@ -550,7 +555,7 @@ class Workbench:
         Not memoized: page("M", 4) keeps these images as its matrices."""
         lifted, eps = self.lift_to_endm(mono)
         image = self.presentation("EndM", 3).apply_monomial(lifted)
-        return Polynomial(self.alphabet("M", 2), self._project_terms(3, image.terms, eps))
+        return Polynomial(self.alphabet("M", 2), self._project_terms(image.terms, eps))
 
     # ---- w grading ----
 
@@ -610,15 +615,16 @@ class Workbench:
     def verify_differentials_square_to_zero(self) -> Dict[str, D2Report]:
         """d2 and d3 square to zero on the E2/E3 pages of EndM and M, each
         proved from the generators (verify_d_squared is the test oracle)."""
+        m2 = d_squared_on_generators(self.presentation("M", 2), self.window)
         endm3 = d_squared_on_generators(self.presentation("EndM", 3), self.window)
         return {
             "EndM r=2": d_squared_on_generators(self.presentation("EndM", 2), self.window),
-            "M r=2": d_squared_on_generators(self.presentation("M", 2), self.window),
+            "M r=2": m2,
             "EndM r=3": endm3,
-            "M r=3": self._induced_d3_squared(endm3),
+            "M r=3": self._induced_d3_squared(endm3, m2.checked),
         }
 
-    def _induced_d3_squared(self, endm3: D2Report) -> D2Report:
+    def _induced_d3_squared(self, endm3: D2Report, checked: int) -> D2Report:
         """d3 on M squares to zero, proved from EndM r=3 and the generators.
 
         Write l for lift_to_endm, p for the projection and eps for the
@@ -632,12 +638,13 @@ class Workbench:
               generator g that p keeps;
         for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  Failures
         are endm3's, (torsion generator, its d), and (generator, its round
-        trip).  checked is the size of the M r=3 basis, and the report is
-        conditional with endm3, whose d3 it is built on."""
+        trip).  checked is the size of the M basis, which the M r=2 report
+        has counted, and the report is conditional with endm3, whose d3 it
+        is built on."""
         pres = self.presentation("EndM", 3)
         a_e = pres.alphabet
         a_m = self.alphabet("M", 2)
-        rules = self._projection_rules(3)
+        rules = self._projection_rules()
         failures = list(endm3.failures)
         for gi, rule in enumerate(rules):
             if type(rule) is str:
@@ -650,18 +657,16 @@ class Workbench:
                 continue
             # p must be defined on d_E(g) too: raises, as d_M would, when a
             # term needs a generator the M alphabet lacks
-            self._project_terms(3, image.terms)
-            (back,) = self._project_terms(3, [g])
+            self._project_terms(image.terms)
+            (back,) = self._project_terms([g])
             if self.lift_to_endm(back) != (g, 0):
                 failures.append((Polynomial.monomial(a_e, g), Polynomial(a_m, [back])))
         for gi in range(len(a_m)):
             g = ((gi, 1),)
             lifted, eps = self.lift_to_endm(g)
-            back = self._project_terms(3, [lifted], eps)
+            back = self._project_terms([lifted], eps)
             if back != {g}:
                 failures.append((Polynomial.monomial(a_m, g), Polynomial(a_m, back)))
-        wb = self.presentation("M", 3).basis(self.window)
-        checked = sum(len(wb.basis(d)) for d in wb.degrees())
         return D2Report(checked=checked, failures=failures, conditional=endm3.conditional)
 
     # ---- page comparisons ----

@@ -1,9 +1,10 @@
 """What the tests reach the package through: second methods that compute
-by a route its commands do not take, and queries on page internals that
-no command asks."""
+by a route its commands do not take, checks of structure no command
+reads, and queries on page internals that no command asks."""
+from moorev1.cobar import COALGEBRA, _ENDO_BASIS, _ENDO_CELLS, _XDEG, _YDEG
 from moorev1.dga import homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Polynomial
+from moorev1.gf2poly import Polynomial, _xor
 
 
 def cobar_ext_dim(cx, s, t):
@@ -41,8 +42,22 @@ def apply_matrix(rows, v):
 
 
 def project_to_m(wb, r, e):
-    """The quotient map from the EndM page r to the M page on a polynomial."""
-    return Polynomial(wb.alphabet("M", 2), wb._project_terms(r, e.terms))
+    """The quotient map from the EndM page r to the M page on a polynomial:
+    on page 3 the Workbench's own, on page 2 kill alpha and keep v1 and
+    each h(n,1)."""
+    dst = wb.alphabet("M", 2)
+    if r == 3:
+        return Polynomial(dst, wb._project_terms(e.terms))
+    src = wb.alphabet("EndM", 2)
+    alpha = src.index("alpha")
+    return Polynomial(
+        dst,
+        [
+            tuple((dst.index(src[gi].name), exp) for gi, exp in mono)
+            for mono in e.terms
+            if all(gi != alpha for gi, _ in mono)
+        ],
+    )
 
 
 def act(wb, r, e, m):
@@ -76,3 +91,70 @@ def zbh_class_nonzero(tables, poly):
     """The page's own test that a cycle is not a boundary; raises for a
     non-cycle."""
     return tables._page.class_is_nonzero(poly, _zbh_degree(tables, poly))
+
+
+# ---- comodules: the axioms and the multiplication no command reads ----
+
+
+def coalgebra_is_coassociative(coalgebra):
+    """Exhaustive coassociativity of the full diagonal."""
+    for i in range(coalgebra.height):
+        left = _xor((a, b, c) for j, c in coalgebra.delta_full(i) for a, b in coalgebra.delta_full(j))
+        right = _xor((a, b, c) for a, j in coalgebra.delta_full(i) for b, c in coalgebra.delta_full(j))
+        if left != right:
+            return False
+    return True
+
+
+def _cell_product(a, b):
+    """(x_i y_j)(x_k y_l) is x_i y_l when j + k = 0 and zero otherwise."""
+    return (a[0], b[1]) if _YDEG[a[1]] + _XDEG[b[0]] == 0 else None
+
+
+def endomorphism_products():
+    """The multiplication table of the endomorphism comodule, from the
+    cell-pair model through the basis change the comodule is built on:
+    (a, b) -> the labels summing to a*b."""
+    table = {}
+    for a, cells_a in _ENDO_BASIS.items():
+        for b, cells_b in _ENDO_BASIS.items():
+            cells = (_cell_product(ca, cb) for ca in cells_a for cb in cells_b)
+            table[(a, b)] = _xor(m for cell in cells if cell is not None for m in _ENDO_CELLS[cell])
+    return table
+
+
+# the multiplication tables of the package's multiplicative comodules, by name
+PRODUCTS = {"trivial": {("1", "1"): frozenset({"1"})}, "endomorphism": endomorphism_products()}
+
+
+def comodule_is_valid(com):
+    """Counit, homogeneity and coassociativity of every coaction, and for a
+    comodule named in PRODUCTS also that the coaction is multiplicative."""
+    for label in com.labels:
+        psi = com.coact(label)
+        # counit: the power-0 part is exactly 1 (x) label
+        if frozenset(p for p in psi if p[0] == 0) != frozenset({(0, label)}):
+            return False
+        d = com.degree(label)
+        if any(i + com.degree(m) != d for i, m in psi):
+            return False
+        left = _xor((a, b, m) for i, m in psi for a, b in COALGEBRA.delta_full(i))
+        right = _xor((i, j, m2) for i, m in psi for j, m2 in com.coact(m))
+        if left != right:
+            return False
+    products = PRODUCTS.get(com.name)
+    if products is None:
+        return True
+    for a in com.labels:
+        for b in com.labels:
+            lhs = _xor(p for m in products[(a, b)] for p in com.coact(m))
+            rhs = _xor(
+                (i + j, m3)
+                for i, m in com.coact(a)
+                for j, m2 in com.coact(b)
+                if i + j < COALGEBRA.height
+                for m3 in products[(m, m2)]
+            )
+            if lhs != rhs:
+                return False
+    return True

@@ -132,7 +132,8 @@ def test_group_colors_cycle_palette():
 
 def test_page_chart_counts_match_dims(wb):
     page = wb.page("M", 2)
-    doc = page_chart(page)
+    doc = page_chart(page, "M r=2")
+    assert doc.title == "M r=2"
     assert sum(doc.cells.values()) == sum(page.dim(d) for d in page.degrees())
     counts = doc.counts()
     d = Multidegree(0, 2, 1)  # v1 collapses to stem 2, filtration 1
@@ -141,7 +142,7 @@ def test_page_chart_counts_match_dims(wb):
 
 
 def test_page_chart_v1_lines_cross_u_groups(wb):
-    doc = page_chart(wb.page("M", 2))
+    doc = page_chart(wb.page("M", 2), "M r=2")
     assert any(l.kind == "v1" for l in doc.lines)
     assert any(l.kind == "h11" for l in doc.lines)
 
@@ -183,6 +184,6 @@ def test_decomposition_chart_shares_the_check_corner(wb, tables):
 
 
 def test_rebuilt_doc_renders_identically(wb):
-    a = render_svg(page_chart(wb.page("EndM", 3)))
-    b = render_svg(page_chart(wb.page("EndM", 3)))
+    a = render_svg(page_chart(wb.page("EndM", 3), "EndM r=3"))
+    b = render_svg(page_chart(wb.page("EndM", 3), "EndM r=3"))
     assert a == b

@@ -42,7 +42,7 @@ def leibniz_reference(pres, mono):
     for pos, (gi, e) in enumerate(mono):
         rest = Polynomial.monomial(a, mono[:pos] + mono[pos + 1 :])
         total = total + pres.derivation_value(gi, e) * rest
-    return pres.reduce(total)
+    return Polynomial(a, [m for m in total.terms if pres.is_reduced_monomial(m)])
 
 
 def leibniz_reference_poly(pres, poly):
@@ -61,13 +61,13 @@ def quotient_alphabet(n_max=4):
     return Alphabet(gens)
 
 
-def quotient_presentation(n_max=4, name=""):
+def quotient_presentation(n_max=4):
     a = quotient_alphabet(n_max)
     p = lambda s: Polynomial.parse(a, s)
     d = {"v1": p("alpha*h(1,1)^2"), "alpha": p("0"), "h(1,1)": p("0")}
     for n in range(2, n_max + 1):
         d[f"h({n},1)"] = p(f"v1^-1*alpha*h(1,1)^2*h({n},1)")
-    return PagePresentation(a, SHIFT2, d, name=name)
+    return PagePresentation(a, SHIFT2, d)
 
 
 def stride_presentation():
@@ -99,6 +99,14 @@ def stride_presentation():
 class UnvalidatedPresentation(PagePresentation):
     def _validate(self):  # skip the construction checks, to build what they refuse
         pass
+
+
+class IdentityPresentation(PagePresentation):
+    """d(m) = m: it keeps the degree, so every image misses the basis one
+    shift up."""
+
+    def apply_monomial(self, mono):
+        return Polynomial.monomial(self.alphabet, mono)
 
 
 def broken_presentation():
@@ -427,11 +435,10 @@ class TestHomology:
             assert page.degrees() == [d for d in wb.degrees() if page.trusted(d)]
 
     def test_image_outside_basis_names_page_and_degree(self):
-        pres = quotient_presentation(2, name="broken")
+        pres = IdentityPresentation(quotient_alphabet(2), SHIFT2, {}, name="broken")
         w = default_window(t_max=12, s_max=3, v1_min=-3, v1_max=3)
-        identity = lambda m: Polynomial.monomial(pres.alphabet, m)  # keeps the degree
         with pytest.raises(GF2PolyError, match=r"^broken: image of a degree \(.+\) monomial misses the basis at \(.+\)$"):
-            homology_page(pres, w, diff_fn=identity)
+            homology_page(pres, w)
 
     def test_euler_characteristic_consistency(self, page):
         # dim H = dim Z - dim B at every trusted degree
@@ -489,6 +496,25 @@ def _left_kernel(rows, n_rows):
     return out
 
 
+class MatrixPresentation(PagePresentation):
+    """A page whose d is given by one matrix per source s (rows one per
+    target basis monomial) over the basis of one window: d of a basis
+    monomial is the target monomials at the set bits of its column."""
+
+    def __init__(self, alphabet, shift, window):
+        super().__init__(alphabet, shift, {}, name="random")
+        self.window = window
+        self.maps = {}
+
+    def apply_monomial(self, mono):
+        wb = self.basis(self.window)
+        s = mono_degree(self.alphabet, mono).s
+        source = wb.basis(Multidegree(s, 0, 0))
+        target = wb.basis(Multidegree(s + 2, 0, 0))
+        j = source.index(mono)
+        return Polynomial(self.alphabet, [target[i] for i, row in enumerate(self.maps[s]) if row >> j & 1])
+
+
 @st.composite
 def random_complexes(draw, square_zero=True):
     """A page over n nilpotent generators of degree (1, 0, 0) with shift
@@ -499,7 +525,7 @@ def random_complexes(draw, square_zero=True):
     n = draw(st.integers(2, 5))
     a = Alphabet([Generator(f"h({i},1)", Multidegree(1, 0, 0), nilpotent_square=True) for i in range(1, n + 1)])
     w = TruncationWindow((0, 0), (0, n + 2), (0, 0), (0, 0))
-    pres = PagePresentation(a, Multidegree(2, 0, 0), {}, name="random")
+    pres = MatrixPresentation(a, Multidegree(2, 0, 0), w)
     wb = pres.basis(w)
     dims = [len(wb.basis(Multidegree(s, 0, 0))) for s in range(n + 3)]
     maps = {}
@@ -515,7 +541,8 @@ def random_complexes(draw, square_zero=True):
         maps[s] = rows
     if not square_zero:
         assume(any(any(_composite(maps[s + 2], maps[s])) for s in range(n - 1)))
-    return pres, w, wb, dims, maps
+    pres.maps = maps
+    return pres, w, dims, maps
 
 
 def _composite(outgoing, incoming):
@@ -530,24 +557,12 @@ def _composite(outgoing, incoming):
     return out
 
 
-def _matrix_diff_fn(pres, wb, maps):
-    """d of a basis monomial: the target monomials at the set bits of its
-    column in the map from its degree."""
-    def fn(mono):
-        s = mono_degree(pres.alphabet, mono).s
-        source = wb.basis(Multidegree(s, 0, 0))
-        target = wb.basis(Multidegree(s + 2, 0, 0))
-        j = source.index(mono)
-        return Polynomial(pres.alphabet, [target[i] for i, row in enumerate(maps[s]) if row >> j & 1])
-    return fn
-
-
 class TestRankNullityOracle:
     @settings(max_examples=60, deadline=None)
     @given(random_complexes())
     def test_dimensions_match_bases_and_euler_characteristic(self, case):
-        pres, w, wb, dims, maps = case
-        page = homology_page(pres, w, diff_fn=_matrix_diff_fn(pres, wb, maps))
+        pres, w, dims, maps = case
+        page = homology_page(pres, w)
         n = len(dims) - 3
         homology = []
         for s in range(n + 1):
@@ -568,9 +583,9 @@ class TestRankNullityOracle:
     @settings(max_examples=30, deadline=None)
     @given(random_complexes(square_zero=False))
     def test_nonzero_product_is_refused(self, case):
-        pres, w, wb, dims, maps = case
+        pres, w, dims, maps = case
         with pytest.raises(GF2PolyError, match=r"^random: d squared is nonzero from degree"):
-            homology_page(pres, w, diff_fn=_matrix_diff_fn(pres, wb, maps))
+            homology_page(pres, w)
 
 
 class TestPresentationPage:
@@ -590,6 +605,45 @@ class TestPresentationPage:
         assert page.dim(Multidegree(2, 3, 0)) == 0  # alpha h^2 is a relation
         assert page.dim(Multidegree(0, 0, 2)) == 0  # alpha' alpha' and v1 alpha alpha' die
         assert page.dim(Multidegree(0, 3, 2)) == 1  # v1^2 alpha' survives (v1 alpha alpha' dies too)
+
+
+def presentation_page_probes(pres, w):
+    """Compare PresentationPage.trusted with the completeness of the basis
+    on every degree in and around the box, s < 0 included; returns how
+    many in-window degrees the v1 range clipped."""
+    page = PresentationPage(pres, w)
+    wb = pres.basis(w)
+    clipped = 0
+    for s in range(-2, w.s_range[1] + 3):
+        for t in range(w.t_range[0] - 3, w.t_range[1] + 4):
+            for u in range(w.u_range[0] - 3, w.u_range[1] + 4):
+                d = Multidegree(s, t, u)
+                assert page.trusted(d) == wb.complete(d), d
+                if page.trusted(d):
+                    assert page.dim(d) == len(wb.basis(d)) and page.boundary_dim(d) == 0, d
+                else:
+                    with pytest.raises(UntrustedDegreeError):
+                        page.dim(d)
+                clipped += w.contains(d) and not wb.complete(d)
+    assert page.degrees() == [d for d in wb.degrees() if wb.complete(d)]
+    return clipped
+
+
+class TestPresentationPageTrust:
+    """A PresentationPage is a _PageDims with shift 0, so its trust must be
+    exactly the completeness of the window basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans(), st.integers(-1, 24), st.integers(0, 4), st.integers(-4, 0), st.integers(0, 4))
+    def test_trusted_is_basis_completeness(self, strided, t_max, s_max, v1_min, v1_span):
+        pres = stride_presentation() if strided else quotient_presentation(3)
+        presentation_page_probes(pres, default_window(t_max, s_max, v1_min, v1_min + v1_span))
+
+    def test_v1_clipping_is_untrusted(self):
+        # alphap and the x(n) carry u = 1, so a degree inside the u range
+        # can need a v1 exponent below the window's
+        w = default_window(t_max=24, s_max=4, v1_min=-2, v1_max=2)
+        assert presentation_page_probes(stride_presentation(), w) > 0
 
 
 class TestDimensionTable:

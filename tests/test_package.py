@@ -1,6 +1,10 @@
 """Rules for the package as a whole."""
 import ast
+import contextlib
+import hashlib
 import importlib
+import io
+import json
 import pathlib
 import re
 import sys
@@ -48,15 +52,19 @@ def test_every_export_resolves():
     assert dangling == []
 
 
+def _perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
 def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
     """The benchmark's tracer wraps functions of every layer by name and
     counts matrix cells with len(); a rename, a changed signature or a
     generator passed to gf2linalg fails one small op here."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        tracer = importlib.import_module("tracer")
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    tracer = _perfbench_module("tracer")
     original = moorev1.gf2poly.enumerate_window
     ops = [
         ["page", "--spectrum", "M", "--page", "4"],
@@ -82,27 +90,43 @@ def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
     assert moorev1.gf2poly.enumerate_window is original
 
 
+def test_every_benchmark_op_reproduces_its_reference(tmp_path):
+    """Each op of the benchmark's workloads, run cold, gives the exit code,
+    stdout and artifact bytes recorded in perfbench/reference.json, which
+    this test only reads.  That pins the t_max 128 artifacts as well."""
+    workloads = _perfbench_module("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    ops = sorted({op for workload in workloads.WORKLOADS.values() for op in workload.ops})
+    assert {workloads.op_key(op) for op in ops} == set(reference)
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    for i, op in enumerate(ops):
+        ref = reference[workloads.op_key(op)]
+        out = tmp_path / str(i)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = moorev1.cli.run([*op, "--no-cache", "--out", str(out)])
+        got = {path.name: sha(path.read_bytes()) for path in out.iterdir()}
+        assert (code, sha(buf.getvalue().encode()), got) == (ref["exit_code"], ref["stdout"], ref["files"]), op
+
+
 def test_every_package_function_has_a_caller_outside_the_tests():
     """Each function or method of the package (dunders aside) is named in
-    src/moorev1 or perfbench outside its own def and __all__: loaded, read
-    as an attribute, or written in a string, as the benchmark tracer patches
-    functions by name.  Code that only tests call does not belong there."""
+    src/moorev1 or perfbench outside its own def: loaded or read as an
+    attribute, or written in a string of perfbench/tracer.py, which patches
+    functions by name.  Other strings do not count, so a subcommand name
+    such as "verify" hides no method.  Code that only tests call does not
+    belong there."""
     modules = sorted(PACKAGE.glob("*.py"))
+    tracer = PERFBENCH / "tracer.py"
     defs, used = [], set()
     for path in modules + sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        exports = {
-            id(node)
-            for stmt in tree.body
-            if isinstance(stmt, ast.Assign) and "__all__" in (getattr(t, "id", None) for t in stmt.targets)
-            for node in ast.walk(stmt.value)
-        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exports:
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path == tracer:
                 used.update(re.findall(r"\w+", node.value))
             elif isinstance(node, ast.FunctionDef) and path in modules:
                 if not (node.name.startswith("__") and node.name.endswith("__")):

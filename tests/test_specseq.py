@@ -24,6 +24,7 @@ from moorev1.gf2poly import (
 from moorev1.specseq import (
     D3_SHIFT,
     CheckRow,
+    InducedD3Presentation,
     MatchedPage,
     Report,
     Workbench,
@@ -71,7 +72,12 @@ def test_build_page_kinds(wb):
     assert isinstance(wb.page("EndM", 3), MatchedPage)
     assert isinstance(wb.page("EndM", 4), ComputedPage)
     assert isinstance(wb.page("M", 4), ComputedPage)
-    assert wb.page("M", 3) is wb.page("M", 3)
+    # d2 vanishes on M: its page 3 is its page 2, presented with the induced d3
+    assert wb.page("M", 3) is wb.page("M", 2)
+    assert not wb.page("M", 3).conditional
+    pres = wb.presentation("M", 3)
+    assert isinstance(pres, InducedD3Presentation) and pres.conditional
+    assert wb.page("M", 4).presentation is pres and wb.page("M", 4).conditional
 
 
 def test_unsupported_pages(wb):
@@ -295,6 +301,18 @@ def test_d_squared_reports(wb):
         assert rep.checked > 100
 
 
+def test_d_squared_proofs_build_no_m_basis(monkeypatch):
+    """The M r=3 proof takes its count from the M r=2 report, which counts
+    the M basis without enumerating it."""
+    enumerated = []
+    real_enumerate = dga.enumerate_window
+    monkeypatch.setattr(dga, "enumerate_window", lambda a, w: enumerated.append(a) or real_enumerate(a, w))
+    bench = Workbench(default_window(24, 6, -6, 6))
+    reps = bench.verify_differentials_square_to_zero()
+    assert enumerated == [bench.alphabet("EndM", 3)]
+    assert reps["M r=3"].checked == reps["M r=2"].checked > 100
+
+
 def d_squared_sweeps(bench):
     """The four d² reports by the per-monomial sweep, the oracle."""
     window = bench.window
@@ -302,9 +320,7 @@ def d_squared_sweeps(bench):
         "EndM r=2": verify_d_squared(bench.presentation("EndM", 2), window),
         "M r=2": verify_d_squared(bench.presentation("M", 2), window),
         "EndM r=3": verify_d_squared(bench.presentation("EndM", 3), window),
-        "M r=3": verify_d_squared(
-            bench.presentation("M", 3), window, diff_fn=bench.induced_d3m_monomial
-        ),
+        "M r=3": verify_d_squared(bench.presentation("M", 3), window),
     }
 
 
@@ -328,20 +344,20 @@ def test_lift_and_projection_round_trip_on_the_m_basis():
         for mono in basis.basis(d):
             lifted, eps = bench.lift_to_endm(mono)
             assert eps in (0, 1) and dict(lifted).get(v1, 0) % 2 == 0, mono
-            assert bench._project_terms(3, [lifted], eps) == {mono}, mono
+            assert bench._project_terms([lifted], eps) == {mono}, mono
             checked += 1
             odd += eps
     assert checked > 1000 and 0 < odd < checked
 
 
 def _rule_x1_weight(bench):
-    rules = bench._projection_rules(3)
+    rules = bench._projection_rules()
     i = bench.alphabet("EndM", 3).index("x(1)")
     rules[i] = (0, rules[i][1])
 
 
 def _rule_x2_to_h21(bench):
-    rules = bench._projection_rules(3)
+    rules = bench._projection_rules()
     rules[bench.alphabet("EndM", 3).index("x(2)")] = (1, bench.alphabet("M", 2).index("h(2,1)"))
 
 
@@ -386,7 +402,7 @@ def test_m_r3_proof_refuses_a_projection_no_lift_inverts():
     # M monomial's d3 reaches here, so only the proof sees it
     bench = Workbench(default_window(8, 12, -1, 1))
     a3, a_m = bench.alphabet("EndM", 3), bench.alphabet("M", 2)
-    bench._projection_rules(3)[a3.index("x(2)")] = (1, a_m.index("h(2,1)"))
+    bench._projection_rules()[a3.index("x(2)")] = (1, a_m.index("h(2,1)"))
     failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
     assert failures == [(Polynomial.parse(a3, "x(2)"), Polynomial.parse(a_m, "v1*h(2,1)"))]
     assert d_squared_sweeps(bench)["M r=3"].ok
@@ -410,7 +426,7 @@ def test_m_r3_proof_refuses_a_projection_that_kills_a_lift():
     # d3 this induces still squares to zero on the window, but it is no
     # longer the module-induced one, so only the proof fails
     bench = Workbench(default_window(24, 6, -8, 8))
-    bench._projection_rules(3)[bench.alphabet("EndM", 3).index("x(1)")] = None
+    bench._projection_rules()[bench.alphabet("EndM", 3).index("x(1)")] = None
     a_m = bench.alphabet("M", 2)
     failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
     assert failures == [(Polynomial.parse(a_m, "h(2,1)"), Polynomial.zero(a_m))]
@@ -834,7 +850,7 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
     real_homology = ComputedPage._homology_at
 
     def homology_at(self, d):
-        asking.append((self.name, tuple(d)))
+        asking.append((self, tuple(d)))
         try:
             return real_homology(self, d)
         finally:
@@ -854,7 +870,7 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
     assert built == []
     rows = bench.survival_report().rows
     survivors = {
-        ("endomorphism r=4", r.degree)
+        (bench.page("EndM", 4), r.degree)
         for r in rows
         if r.claim.startswith("survives-to-e4:") and r.status != "insufficient"
     }
