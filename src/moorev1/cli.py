@@ -36,7 +36,7 @@ from .cobar import (
 )
 from .dga import DimensionTable, page_dimension_table
 from .gf2poly import GF2PolyError, TruncationWindow, default_window
-from .specseq import TAGS, CheckRow, Report, Workbench
+from .specseq import TAGS, Report, Workbench, check_row
 
 __all__ = [
     "RunConfig",
@@ -58,11 +58,12 @@ _CHART_FORMATS = ("svg", "txt")
 _EXT_S_MAX = 8
 _EXT_T_RANGE = (-1, 16)
 
+_WINDOW = default_window()
 _DEFAULTS = {
-    "t_max": 64,
-    "s_max": 12,
-    "v1_min": -16,
-    "v1_max": 16,
+    "t_max": _WINDOW.t_range[1],
+    "s_max": _WINDOW.s_range[1],
+    "v1_min": _WINDOW.v1_exponent_range[0],
+    "v1_max": _WINDOW.v1_exponent_range[1],
     "page": 2,
     "spectrum": "EndM",
     "format": None,  # filled per subcommand
@@ -320,7 +321,7 @@ def _cmd_mahowald(cfg: RunConfig) -> Artifacts:
 def _ext_closed_form_report() -> Report:
     """Ext of the endomorphism comodule is F2<1,alpha> tensor F2[h11],
     and Ext of the two-cell comodule is F2[h11] on x0."""
-    rows: List[CheckRow] = []
+    rows = []
     for tag, expected in (
         ("EndM", lambda s, t: int(t == 2 * s) + int(t == 2 * s - 1)),
         ("M", lambda s, t: int(t == 2 * s)),
@@ -328,10 +329,7 @@ def _ext_closed_form_report() -> Report:
         table = ext_dimensions(_COMODULES[tag](), _EXT_S_MAX, _EXT_T_RANGE)
         for s in range(_EXT_S_MAX + 1):
             for t in range(_EXT_T_RANGE[0], _EXT_T_RANGE[1] + 1):
-                lhs = table.dim(s, t)
-                rhs = expected(s, t)
-                status = "ok" if lhs == rhs else "mismatch"
-                rows.append(CheckRow(f"ext-closed-form:{tag}", (s, t), lhs, rhs, status))
+                rows.append(check_row(f"ext-closed-form:{tag}", (s, t), table.dim(s, t), expected(s, t)))
     return Report("ext-closed-form", rows)
 
 
@@ -340,59 +338,39 @@ def _identity_check_report() -> Report:
     c = CobarCochain.basis_element(endo, (1,), "1") + CobarCochain.basis_element(
         endo, (2,), "alpha"
     )
-    verdict = class_identity_check(endo, c)
-    status = "ok" if verdict == "zero-in-cohomology" else "mismatch"
-    rows = [CheckRow("identity-vs-alpha-h11", (1, 2), 0, 0, status)]
-    return Report("cobar-identity", rows)
-
-
-def _report_summary(name: str, ok: bool, conditional: bool, checked: int, failures) -> dict:
-    return {
-        "name": name,
-        "ok": ok,
-        "conditional": conditional,
-        "checked": checked,
-        "failures": failures,
-    }
+    # the class must vanish; lhs 1 records that it does not
+    nonzero = class_identity_check(endo, c) != "zero-in-cohomology"
+    return Report("cobar-identity", [check_row("identity-vs-alpha-h11", (1, 2), int(nonzero), 0)])
 
 
 def _cmd_verify(cfg: RunConfig) -> Artifacts:
     wb = Workbench(cfg.window())
-    summaries: List[dict] = []
-    lines: List[str] = []
-
-    def note(name: str, ok: bool, checked: int) -> None:
-        lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({checked} checked)")
-
     d2_reports = wb.verify_differentials_square_to_zero()
     d2_reports["cobar"] = verify_cobar_d_squared(endomorphism_comodule(), 6, (-1, 12))
-    for key, rep in d2_reports.items():
-        fails = [f"{source} -> {image}" for source, image in rep.failures]
-        summaries.append(
-            _report_summary(f"d-squared:{key}", rep.ok, rep.conditional, rep.checked, fails)
+    # (name, ok, conditional, checked, failures) per report, d² proofs first
+    results = [
+        (f"d-squared:{key}", rep.ok, rep.conditional, rep.checked, [f"{src} -> {im}" for src, im in rep.failures])
+        for key, rep in d2_reports.items()
+    ]
+    results += [
+        (rep.name, rep.ok, rep.conditional, len(rep.rows), [row.to_json_obj() for row in rep.failures()])
+        for rep in (
+            _ext_closed_form_report(),
+            _identity_check_report(),
+            wb.verify_e3_presentation(),
+            wb.verify_w_grading(),
+            wb.verify_module_isomorphisms(),
+            wb.verify_e4_claims(),
+            wb.verify_e4_dimensions(),
+            wb.survival_report(),
         )
-        note(f"d-squared:{key}", rep.ok, rep.checked)
-
-    for report in (
-        _ext_closed_form_report(),
-        _identity_check_report(),
-        wb.verify_e3_presentation(),
-        wb.verify_w_grading(),
-        wb.verify_module_isomorphisms(),
-        wb.verify_e4_claims(),
-        wb.verify_e4_dimensions(),
-        wb.survival_report(),
-    ):
+    ]
+    summaries, lines = [], []
+    for name, ok, conditional, checked, failures in results:
         summaries.append(
-            _report_summary(
-                report.name,
-                report.ok,
-                report.conditional,
-                len(report.rows),
-                [row.to_json_obj() for row in report.failures()],
-            )
+            {"name": name, "ok": ok, "conditional": conditional, "checked": checked, "failures": failures}
         )
-        note(report.name, report.ok, len(report.rows))
+        lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({checked} checked)")
 
     ok = all(s["ok"] for s in summaries)
     doc = {

@@ -62,6 +62,7 @@ __all__ = [
     "CheckRow",
     "Report",
     "Workbench",
+    "check_row",
     "bo_pattern_dim",
     "bu_pattern_dim",
     "w_of_v1_exponent",
@@ -152,6 +153,13 @@ class CheckRow:
         }
 
 
+def check_row(claim: str, degree: Iterable[int], lhs: int, rhs: int, decided: bool = True) -> CheckRow:
+    """The one status rule of a report row: insufficient when the window
+    cannot decide the row, else ok when the two sides agree, else mismatch."""
+    status = "insufficient" if not decided else "ok" if lhs == rhs else "mismatch"
+    return CheckRow(claim, tuple(degree), lhs, rhs, status)
+
+
 class Report:
     """A flat list of per-degree check rows with a pass/fail summary."""
 
@@ -166,14 +174,6 @@ class Report:
 
     def failures(self) -> List[CheckRow]:
         return [r for r in self.rows if r.status != "ok"]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "conditional": self.conditional,
-            "ok": self.ok,
-            "rows": [r.to_json_obj() for r in self.rows],
-        }
 
     def __repr__(self) -> str:
         state = "ok" if self.ok else f"{len(self.failures())} failures"
@@ -607,7 +607,7 @@ class Workbench:
                     # an image spread over several w reads -1, which
                     # w_in + 1 >= 1 never equals
                     rhs = min(w_out) if len(w_out) == 1 else -1
-                    rows.append(self._row("w-shift", d, w_in + 1, rhs))
+                    rows.append(check_row("w-shift", d, w_in + 1, rhs))
         return Report("w-grading", rows, conditional=True)
 
     # ---- d squared ----
@@ -679,7 +679,7 @@ class Workbench:
         rows = []
         for d in sorted(set(computed.degrees()) | set(presented.degrees())):
             if computed.trusted(d) and presented.trusted(d):
-                rows.append(self._row("e3-presentation", d, computed.dim(d), presented.dim(d)))
+                rows.append(check_row("e3-presentation", d, computed.dim(d), presented.dim(d)))
         return Report("e3-presentation", rows, conditional=True)
 
     def verify_module_isomorphisms(self) -> Report:
@@ -694,8 +694,8 @@ class Workbench:
             if not (endm_free.complete(d) and sphere_free.complete(d)):
                 continue
             lhs = m_page.dim(d)
-            rows.append(self._row("m-vs-endm-mod-alpha", d, lhs, endm_free.count(d)))
-            rows.append(self._row("m-vs-s-mod-h10", d, lhs, sphere_free.count(d)))
+            rows.append(check_row("m-vs-endm-mod-alpha", d, lhs, endm_free.count(d)))
+            rows.append(check_row("m-vs-s-mod-h10", d, lhs, sphere_free.count(d)))
         return Report("module-isomorphisms", rows)
 
     # ---- the w-sliced complex ----
@@ -703,19 +703,15 @@ class Workbench:
     def _slice_rank(self, d: Multidegree, n: int) -> int:
         """Rank of d3 from slice n at d to slice n+1 at d+shift, read off the
         page-4 matrix at d (built at every trusted d and one shift below),
-        once per (d, n).  Raises if d3 breaks the w grading."""
+        once per (d, n).  It presumes the w grading, which verify_w_grading
+        checks: then the slice-n columns meet only slice-n+1 rows."""
         got = self._slice_ranks.get((d, n))
         if got is not None:
             return got
         cols = sum(1 << j for j, w in enumerate(self._w_list(d)) if w == n)
         if not cols:
             return 0
-        rows = list(zip(self._w_list(d + D3_SHIFT), self.page("M", 4).matrix(d)))
-        if any(row & cols and w != n + 1 for w, row in rows):
-            raise GF2PolyError(
-                f"d3 image of a w={n} monomial leaves slice {n + 1} at {tuple(d + D3_SHIFT)}"
-            )
-        got = self._slice_ranks[(d, n)] = rank([row & cols for w, row in rows if w == n + 1])
+        got = self._slice_ranks[(d, n)] = rank([row & cols for row in self.page("M", 4).matrix(d)])
         return got
 
     def _slice_kernel_dim(self, d: Multidegree, n: int) -> int:
@@ -793,17 +789,17 @@ class Workbench:
             for n in sorted(n_here | {n + 1 for n in n_prev}):
                 h = self._slice_homology_dim(d, n)
                 if n == 0:
-                    rows.append(self._row("claim-1", d, h, self._zf(0, d)))
+                    rows.append(check_row("claim-1", d, h, self._zf(0, d)))
                 elif n == 1:
-                    rows.append(self._row("claim-2", d, h, self._hf(1, d)))
+                    rows.append(check_row("claim-2", d, h, self._hf(1, d)))
                 elif n == 2:
-                    rows.append(self._row("claim-3", d, h, self._hf(2, d) + self._bv(2, d)))
+                    rows.append(check_row("claim-3", d, h, self._hf(2, d) + self._bv(2, d)))
                 else:
-                    rows.append(self._row("claim-4", d, h, 0))
+                    rows.append(check_row("claim-4", d, h, 0))
             for n in sorted(n_here):
                 ker = self._slice_kernel_dim(d, n)
                 expect = self._zf(n, d) if n < 2 else self._zf(n, d) + self._bv(n, d)
-                rows.append(self._row("claim-i", d, ker, expect, extra=(n,)))
+                rows.append(check_row("claim-i", (*d, n), ker, expect))
             # the image claim reads dimensions one shift up, so it needs
             # one more complete degree
             d_next = d + D3_SHIFT
@@ -814,18 +810,8 @@ class Workbench:
                         expect = self._bf(n + 1, d_next)
                     else:
                         expect = self._slice_kernel_dim(d_next, n + 1)
-                    rows.append(self._row("claim-ii", d, im, expect, extra=(n,)))
+                    rows.append(check_row("claim-ii", (*d, n), im, expect))
         return Report("e4-claims", rows, conditional=True)
-
-    @staticmethod
-    def _row(claim: str, d: Multidegree, lhs: int, rhs: int, extra: Tuple[int, ...] = ()) -> CheckRow:
-        return CheckRow(
-            claim=claim,
-            degree=tuple(d) + extra,
-            lhs=lhs,
-            rhs=rhs,
-            status="ok" if lhs == rhs else "mismatch",
-        )
 
     def verify_e4_dimensions(self) -> Report:
         """dim of the computed page 4 of M equals the sum of the sliced
@@ -835,7 +821,7 @@ class Workbench:
         for d in page4.degrees():
             lhs = page4.dim(d)
             rhs = self._zf(0, d) + self._hf(1, d) + self._hf(2, d) + self._bv(2, d)
-            rows.append(self._row("e4-closed-form", d, lhs, rhs))
+            rows.append(check_row("e4-closed-form", d, lhs, rhs))
         return Report("e4-closed-form", rows, conditional=True)
 
     # ---- survival fates ----
@@ -859,15 +845,7 @@ class Workbench:
         for text, d in survivors:
             trusted = page4.trusted(d)
             alive = trusted and page4.class_is_nonzero(Polynomial.parse(a3, text), d)
-            rows.append(
-                CheckRow(
-                    claim=f"survives-to-e4:{text}",
-                    degree=tuple(d),
-                    lhs=int(alive),
-                    rhs=1,
-                    status="ok" if alive else "mismatch" if trusted else "insufficient",
-                )
-            )
+            rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
         rows.extend(self._xn_fates())
         return Report("survival", rows, conditional=True)
 
@@ -881,7 +859,8 @@ class Workbench:
         page3 = self.page("EndM", 3)
         v1_lo, v1_hi = self.window.v1_exponent_range
         rows = []
-        for n in range(2, min(self._x_index(), self._h_index() - 1) + 1):
+        # v1^m x(n) is read as v1^(m+1) h(n+1,1); _x_index keeps x(n) as well
+        for n in range(2, self._h_index()):
             for m in range(v1_lo, v1_hi + 1):
                 if not (v1_lo <= m + 1 <= v1_hi):
                     continue
@@ -901,16 +880,8 @@ class Workbench:
                         fate = "hit-by-d2"
                     else:
                         fate = "missed"
-                status = {"missed": "mismatch", "undecided": "insufficient"}.get(fate, "ok")
-                rows.append(
-                    CheckRow(
-                        claim=f"dies:v1^{m}*x({n})",
-                        degree=tuple(d),
-                        lhs=int(status == "ok"),
-                        rhs=1,
-                        status=status,
-                    )
-                )
+                died = int(fate not in ("missed", "undecided"))
+                rows.append(check_row(f"dies:v1^{m}*x({n})", d, died, 1, decided=fate != "undecided"))
         return rows
 
     # ---- the decomposition identity ----
@@ -952,19 +923,8 @@ class Workbench:
             for filt in range(w.u_range[0], DECOMPOSITION_FILT_MAX + 1):
                 lhs, covered = self._cell_lhs(page4, stem, filt)
                 rhs, rhs_exact = self._cell_rhs(tables, filt, stem + filt)
-                if not (covered and rhs_exact):
-                    status = "insufficient"
-                else:
-                    status = "ok" if lhs == rhs else "mismatch"
-                rows.append(
-                    CheckRow(
-                        claim="decomposition",
-                        degree=(filt, stem + filt),
-                        lhs=lhs,
-                        rhs=rhs,
-                        status=status,
-                    )
-                )
+                cell = (filt, stem + filt)
+                rows.append(check_row("decomposition", cell, lhs, rhs, decided=covered and rhs_exact))
         return Report("decomposition", rows, conditional=True)
 
     def _cell_lhs(self, page4, stem: int, filt: int) -> Tuple[int, bool]:

@@ -127,6 +127,24 @@ def test_verify_failure_exits_one(tmp_path, monkeypatch):
     ]
 
 
+def test_verify_writes_its_report_when_the_w_grading_breaks(tmp_path, monkeypatch):
+    # one extra w on every h(2,1) factor, as in
+    # test_w_grading_rows_match_symbolic_reference; the slice claims presume
+    # the grading, so they fail beside the report that checks it
+    w_degree = Workbench.w_degree
+
+    def broken(bench, mono):
+        hi = bench.alphabet("M", 2).index("h(2,1)")
+        return w_degree(bench, mono) + sum(e for g, e in mono if g == hi)
+
+    monkeypatch.setattr(Workbench, "w_degree", broken)
+    assert run_in(tmp_path, "verify", *SMALL, "--no-cache") == 1
+    doc = json.loads((tmp_path / "verify-report.json").read_text())
+    failures = {r["name"]: r["failures"] for r in doc["reports"] if not r["ok"]}
+    assert set(failures) == {"w-grading", "e4-claims"}
+    assert {(f["claim"], f["status"]) for f in failures["w-grading"]} == {("w-shift", "mismatch")}
+
+
 def test_d_squared_failures_are_written_by_name(tmp_path, monkeypatch):
     # make d(d(v1)) = d(v1) on EndM r=2, so that the generator proof finds
     # one failure; the report names its source, not its index tuple
@@ -174,6 +192,17 @@ def test_tiny_windows_exit_zero_or_one(tmp_path, capsys, cmd, window):
     t_max, s_max, v1_min, v1_max = window
     argv = [*cmd, "--t-max", t_max, "--s-max", s_max, "--v1-min", v1_min, "--v1-max", v1_max]
     assert run_in(tmp_path, *argv, "--no-cache") in (0, 1), capsys.readouterr().err
+
+
+def test_verify_on_a_tiny_window_reports_the_survivors_insufficient(tmp_path):
+    argv = ["--t-max", "4", "--s-max", "0", "--v1-min", "0", "--v1-max", "0", "--no-cache"]
+    assert run_in(tmp_path, "verify", *argv) == 1
+    doc = json.loads((tmp_path / "verify-report.json").read_text())
+    failures = {r["name"]: r["failures"] for r in doc["reports"] if not r["ok"]}
+    assert list(failures) == ["survival"]
+    assert [(f["claim"], f["lhs"], f["rhs"], f["status"]) for f in failures["survival"]] == [
+        (f"survives-to-e4:{g}", 0, 1, "insufficient") for g in ("alpha", "alphap", "h(1,1)", "x(1)")
+    ]
 
 
 def test_verify_counts_e2_endm_instead_of_building_it(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 """Rules for the package as a whole."""
 import ast
+import collections
 import contextlib
 import hashlib
 import importlib
 import io
 import json
+import os
 import pathlib
 import re
 import sys
@@ -15,6 +17,29 @@ import moorev1.gf2poly
 
 PACKAGE = pathlib.Path(moorev1.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# one small run of every subcommand
+SMALL_OPS = [
+    [*op, "--t-max", "16", "--s-max", "3"]
+    for op in (
+        ["page", "--spectrum", "M", "--page", "4"],
+        ["ext", "--spectrum", "EndM"],
+        ["mahowald"],
+        ["verify"],
+        ["decompose", "--format", "tsv"],
+        ["chart", "page", "--spectrum", "EndM", "--page", "3"],
+        ["chart", "decomposition"],
+    )
+]
+
+# package functions that share a name with another and that SMALL_OPS never
+# runs, each with the caller outside the tests that reaches it
+UNRUN_NAMESAKES = {
+    "dga.py: ComputedPage.basis": "perfbench/tracer.py _zbh_degrees",
+    "mahowald.py: ZBHTables.basis": "perfbench/tracer.py _zbh_degrees",
+    "specseq.py: MatchedPage.class_is_nonzero": "Workbench._xn_fates, when an even class supports no d3",
+    "gf2linalg.py: Subspace.dim": "Subspace.__repr__",
+}
 
 
 def test_package_imports_only_the_standard_library():
@@ -66,27 +91,17 @@ def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
     generator passed to gf2linalg fails one small op here."""
     tracer = _perfbench_module("tracer")
     original = moorev1.gf2poly.enumerate_window
-    ops = [
-        ["page", "--spectrum", "M", "--page", "4"],
-        ["ext", "--spectrum", "EndM"],
-        ["mahowald"],
-        ["verify"],
-        ["decompose", "--format", "tsv"],
-        ["chart", "page", "--spectrum", "EndM", "--page", "3"],
-        ["chart", "decomposition"],
-    ]
     tr = tracer.Tracer()
     tr.install()
     try:
         codes = []
-        for i, op in enumerate(ops):
+        for i, op in enumerate(SMALL_OPS):
             tr.op = i
-            out = str(tmp_path / str(i))
-            codes.append(moorev1.cli.run([*op, "--t-max", "16", "--s-max", "3", "--out", out]))
+            codes.append(moorev1.cli.run([*op, "--out", str(tmp_path / str(i))]))
     finally:
         tr.uninstall()
     assert all(code in (0, 1) for code in codes), codes
-    assert tr.counts["cli.run.calls"] == len(ops)
+    assert tr.counts["cli.run.calls"] == len(SMALL_OPS)
     assert moorev1.gf2poly.enumerate_window is original
 
 
@@ -109,26 +124,69 @@ def test_every_benchmark_op_reproduces_its_reference(tmp_path):
         assert (code, sha(buf.getvalue().encode()), got) == (ref["exit_code"], ref["stdout"], ref["files"]), op
 
 
-def test_every_package_function_has_a_caller_outside_the_tests():
+def _package_defs(path):
+    """(qualified name, first line) of each function or method in a module,
+    dunders aside; the first line is where a decorator starts, as in the
+    function's code object."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((f"{prefix}{child.name}", first))
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return out
+
+
+def test_every_package_function_has_a_caller_outside_the_tests(tmp_path):
     """Each function or method of the package (dunders aside) is named in
     src/moorev1 or perfbench outside its own def: loaded or read as an
     attribute, or written in a string of perfbench/tracer.py, which patches
     functions by name.  Other strings do not count, so a subcommand name
     such as "verify" hides no method.  Code that only tests call does not
-    belong there."""
+    belong there.
+
+    A name cannot tell two definitions apart, so where package functions
+    share a name each must also run in SMALL_OPS, or be listed in
+    UNRUN_NAMESAKES with the caller outside the tests that reaches it."""
     modules = sorted(PACKAGE.glob("*.py"))
     tracer = PERFBENCH / "tracer.py"
-    defs, used = [], set()
+    used = set()
     for path in modules + sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path == tracer:
                 used.update(re.findall(r"\w+", node.value))
-            elif isinstance(node, ast.FunctionDef) and path in modules:
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defs.append((path.name, node.name))
-    assert [f"{module}: {name}" for module, name in defs if name not in used] == []
+    defs = [(path, qualname, first) for path in modules for qualname, first in _package_defs(path)]
+    bare = lambda qualname: qualname.rsplit(".", 1)[-1]
+    assert [f"{path.name}: {q}" for path, q, _ in defs if bare(q) not in used] == []
+
+    called = set()
+    profile = lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for i, op in enumerate(SMALL_OPS):
+                moorev1.cli.run([*op, "--out", str(tmp_path / str(i))])
+        finally:
+            sys.setprofile(None)
+    ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in called}
+    shared = {name for name, n in collections.Counter(bare(q) for _, q, _ in defs).items() if n > 1}
+    unrun = [
+        f"{path.name}: {q}"
+        for path, q, first in defs
+        if bare(q) in shared and (os.path.realpath(path), first) not in ran
+    ]
+    assert [d for d in unrun if d not in UNRUN_NAMESAKES] == []
+    assert [d for d in UNRUN_NAMESAKES if d not in unrun] == []

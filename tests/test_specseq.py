@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moorev1.cli as cli
 import moorev1.dga as dga
 import moorev1.specseq as specseq
 from moorev1.dga import (
@@ -31,6 +33,7 @@ from moorev1.specseq import (
     adams_bidegree,
     bo_pattern_dim,
     bu_pattern_dim,
+    check_row,
     w_of_v1_exponent,
 )
 from oracles import act, e3_endm_by_ranks, induced_d3m, project_to_m
@@ -638,13 +641,6 @@ def test_each_slice_ranked_once(monkeypatch):
     assert len(calls) == len(bench._slice_ranks)
 
 
-def test_slice_claims_raise_when_d3_leaves_its_slice(monkeypatch):
-    bench = Workbench(default_window(24, 6, -6, 6))
-    monkeypatch.setattr(bench, "w_degree", lambda mono: 0)
-    with pytest.raises(GF2PolyError, match=r"d3 image of a w=0 monomial leaves slice 1 at \("):
-        bench.verify_e4_claims()
-
-
 def test_e4_closed_form_report(wb):
     rep = wb.verify_e4_dimensions()
     assert rep.ok
@@ -670,6 +666,22 @@ def test_survivors_at_untrusted_degrees_are_insufficient():
     for r in rows:
         assert not page4.trusted(Multidegree(*r.degree))
         assert (r.status, r.lhs) == ("insufficient", 0)
+
+
+def test_survival_rows_under_a_zeroed_d3_of_x2():
+    # with d3(x(2)) := 0 the classes v1^m*x(2), m = 0 mod 4, support no d3
+    # and are no d2 boundary: a mismatch where page 3 trusts the degree,
+    # insufficient at its edge; the four survivors stay ok
+    bench = Workbench(default_window(16, 4, -4, 4))
+    pres = bench.presentation("EndM", 3)
+    pres.differentials["x(2)"] = Polynomial.zero(pres.alphabet)
+    pres._dval_cache.clear()
+    rows = bench.survival_report().rows
+    assert all(r.status == "ok" for r in rows if r.claim.startswith("survives-to-e4:"))
+    assert [r for r in rows if r.status != "ok"] == [
+        CheckRow("dies:v1^-4*x(2)", (1, 8, -3), 0, 1, "mismatch"),
+        CheckRow("dies:v1^0*x(2)", (1, 16, 1), 0, 1, "insufficient"),
+    ]
 
 
 def test_xn_fates_at_untrusted_degrees_are_insufficient(monkeypatch):
@@ -765,13 +777,28 @@ def test_decomposition_positive_quadrant_covered():
 # ---- report plumbing ----
 
 
-def test_report_json_shape(wb):
-    rep = wb.verify_e3_presentation()
-    obj = rep.to_json_obj()
-    assert obj["name"] == "e3-presentation"
-    assert obj["ok"] is True
-    row = obj["rows"][0]
-    assert set(row) == {"claim", "degree", "lhs", "rhs", "status"}
+def test_check_row_statuses():
+    assert check_row("c", Multidegree(1, 2, 3), 4, 4) == CheckRow("c", (1, 2, 3), 4, 4, "ok")
+    assert check_row("c", (1, 2), 4, 5).status == "mismatch"
+    # an undecided row is insufficient whatever its two sides read
+    assert check_row("c", (1, 2), 4, 4, decided=False).status == "insufficient"
+    assert check_row("c", (1, 2), 4, 5, decided=False).status == "insufficient"
+
+
+def test_report_json_shape(wb, tmp_path):
+    row = wb.verify_e3_presentation().rows[0]
+    assert row.to_json_obj() == {
+        "claim": "e3-presentation",
+        "degree": list(row.degree),
+        "lhs": row.lhs,
+        "rhs": row.rhs,
+        "status": "ok",
+    }
+    assert cli.run(["verify", "--t-max", "16", "--s-max", "3", "--out", str(tmp_path)]) in (0, 1)
+    doc = json.loads((tmp_path / "verify-report.json").read_text())
+    assert len(doc["reports"]) == 13
+    for summary in doc["reports"]:
+        assert set(summary) == {"name", "ok", "conditional", "checked", "failures"}
 
 
 def test_report_failure_surfacing():
