@@ -39,6 +39,7 @@ __all__ = [
     "DimensionTable",
     "D2Report",
     "MissingDifferentialError",
+    "PageRefusedError",
     "UntrustedDegreeError",
     "TruncationWindow",
     "d_squared_on_generators",
@@ -57,6 +58,16 @@ class MissingDifferentialError(GF2PolyError):
 
 class UntrustedDegreeError(GF2PolyError):
     """A dimension was requested outside the trusted region of a window."""
+
+
+class PageRefusedError(GF2PolyError):
+    """homology_page refuses a differential: an image leaves the target
+    basis, or d squared is nonzero.  conditional is the presentation's
+    flag, which every report read off the page would carry."""
+
+    def __init__(self, message: str, conditional: bool):
+        super().__init__(message)
+        self.conditional = conditional
 
 
 class _OutsideTargetBasis(GF2PolyError):
@@ -485,14 +496,17 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
             try:
                 matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), pres.apply_monomial)
             except _OutsideTargetBasis:
-                raise GF2PolyError(
-                    f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}"
+                raise PageRefusedError(
+                    f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}",
+                    pres.conditional,
                 ) from None
     ranks = {c: rank(rows) for c, rows in matrices.items()}
     dims: Dict[Multidegree, Tuple[int, int]] = {}
     for d in wanted:
         if not _composite_is_zero(matrices[d], matrices[d - shift]):
-            raise GF2PolyError(f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}")
+            raise PageRefusedError(
+                f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}", pres.conditional
+            )
         dims[d] = (len(wb.basis(d)) - ranks[d], ranks[d - shift])
     return ComputedPage(pres, window, wb, dims, matrices)
 

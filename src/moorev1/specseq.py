@@ -9,9 +9,11 @@ The page data wired in:
   d3(v1^2) = h(1,1)^3,      d3(x(n)) = v1^-4*h(1,1)*x(1)*x(n-1)^2    (n >= 2)
 on EndM, plus d2(v1) = h(1,0)*h(1,1) on S.  The differentials on the M page
 are induced through the module structure over EndM: the M page is generated
-by {1, v1}, both d3-cycles, so d3 of an M monomial is computed by lifting
-it to (EndM element) * v1^(0 or 1).  d2 vanishes on M, so M's page 3 is
-its page 2, presented with that induced d3 (InducedD3Presentation).
+by {1, v1}, both d3-cycles, so d3 of an M monomial is d3 of its lift to
+(EndM element) * v1^(0 or 1), projected back.  The projection is
+multiplicative, so that d3 is computed from each EndM generator's d3 value,
+transported to M once.  d2 vanishes on M, so M's page 3 is its page 2,
+presented with that induced d3 (InducedD3Presentation).
 
 Everything built on top of a d3 (pages r >= 3 of EndM, the induced M
 differential, the w-graded claims, the decomposition identity) is flagged
@@ -261,9 +263,10 @@ class MatchedPage(_PageDims):
 
 class InducedD3Presentation(PagePresentation):
     """M's page 3: the algebra of M's page 2 (d2 vanishes on M) with the d3
-    induced by E3(EndM) acting on M, Workbench.induced_d3m_monomial.  That
-    d3 is no derivation in M's generators, so none carries a differential
-    here, and the basis is M r=2's own."""
+    induced by E3(EndM) acting on M, Workbench.induced_d3m_monomial, which
+    multiplies m by transported EndM generator values.  That d3 is no
+    derivation in M's generators (d3(v1*h(3,1)) is not v1*d3(h(3,1))), so
+    none carries a differential here, and the basis is M r=2's own."""
 
     def __init__(self, bench: "Workbench"):
         m2 = bench.presentation("M", 2)
@@ -284,6 +287,27 @@ class InducedD3Presentation(PagePresentation):
 _ProjectionRule = Union[None, str, Tuple[int, Optional[int]]]
 
 
+def _merged(factors: Iterable[Tuple[int, int]]) -> Monomial:
+    """The monomial of a list of (generator, exponent) factors that may
+    repeat a generator: exponents summed, zeros dropped, sorted."""
+    exps: Dict[int, int] = {}
+    for gi, e in factors:
+        exps[gi] = exps.get(gi, 0) + e
+    return tuple(sorted((gi, e) for gi, e in exps.items() if e))
+
+
+def _substitute(mono: Monomial, images: Sequence[Optional[Monomial]]) -> Optional[Monomial]:
+    """mono with each generator replaced by its image, None when an image
+    is None (killed)."""
+    factors = []
+    for gi, e in mono:
+        img = images[gi]
+        if img is None:
+            return None
+        factors.extend((i, k * e) for i, k in img)
+    return _merged(factors)
+
+
 class Workbench:
     """All pages, actions, and verification reports over one window."""
 
@@ -295,6 +319,8 @@ class Workbench:
         self._zbh: Optional[ZBHTables] = None
         self._proj_rules: Optional[List[_ProjectionRule]] = None
         self._roles: Optional[List[Tuple[int, int]]] = None
+        self._d3m_ratios: Dict[int, Tuple[Monomial, ...]] = {}
+        self._d3m_subst: Optional[Tuple[Optional[Monomial], ...]] = None
         self._w_lists: Dict[Multidegree, List[int]] = {}
         self._slice_ranks: Dict[Tuple[Multidegree, int], int] = {}
 
@@ -551,11 +577,87 @@ class Workbench:
 
     def induced_d3m_monomial(self, mono: Monomial) -> Polynomial:
         """d3 on the M page through the module structure: both module
-        generators 1 and v1 are cycles, so d3(e * v1^eps) = d3(e) * v1^eps.
-        Not memoized: page("M", 4) keeps these images as its matrices."""
-        lifted, eps = self.lift_to_endm(mono)
-        image = self.presentation("EndM", 3).apply_monomial(lifted)
-        return Polynomial(self.alphabet("M", 2), self._project_terms(image.terms, eps))
+        generators 1 and v1 are cycles, so d_M(m) = p(d_E(l(m))) * v1^eps
+        with l = lift_to_endm and p the projection.
+
+        Computed without lifting m: by the Leibniz rule d_E(l(m)) is the sum
+        of l(m) * d_E(g^stride) / g^stride over the EndM generators g whose
+        exponent in l(m), divided by g's stride, is odd, and p is
+        multiplicative on these alpha-free monomials, so
+          d_M(m) = sigma(m) * sum of p(d_E(g^stride)) / p(g^stride)
+        with sigma(m) = p(l(m)) * v1^eps, which is m itself while p(l(g)) =
+        g on M's generators (_induced_d3_squared proves that round trip).
+        Each ratio is built at the first monomial that needs it, so a
+        missing differential or an unmapped generator raises there.  Not
+        memoized: page("M", 4) keeps these images as its matrices."""
+        a_m = self.alphabet("M", 2)
+        roles = self._m_roles()
+        j = 0
+        odd = set()  # the EndM generators of odd exponent in l(m)
+        for gi, exp in mono:
+            n, target = roles[gi]
+            if n == 0:
+                j += exp
+                continue
+            if n > 1:
+                j -= exp
+            # two M generators lifting to one EndM generator add exponents
+            if exp & 1:
+                if target in odd:
+                    odd.remove(target)
+                else:
+                    odd.add(target)
+        # l(m) carries v1^(j - eps), eps = j mod 2, and v1's stride is 2
+        if j >> 1 & 1:
+            odd.add(self.alphabet("EndM", 3).v1_index)
+        if not odd:
+            return Polynomial(a_m, frozenset())
+        built = self._d3m_ratios
+        ratios = [built[gi] if gi in built else self._d3m_ratio(gi) for gi in odd]
+        subst = self._d3m_substitution()
+        base = _substitute(mono, subst) if subst else mono
+        if base is None:
+            return Polynomial(a_m, frozenset())
+        acc = set()
+        for ratio in ratios:
+            for r in ratio:
+                p = mono_mul(a_m, base, r)
+                if p in acc:
+                    acc.remove(p)
+                else:
+                    acc.add(p)
+        return Polynomial(a_m, frozenset(acc))
+
+    def _d3m_ratio(self, gi: int) -> Tuple[Monomial, ...]:
+        """Build and keep p(d_E(g^stride)) / p(g^stride) for the page-3 EndM
+        generator gi, as Laurent monomials over M.  A term of d_E(g^stride)
+        that p kills drops out; should p kill g but not d_E(g^stride), d_E
+        leaves the torsion ideal and no ratio transports it.  Each relation
+        of the page contains alpha, which p kills, so apply_monomial's
+        relation filter would remove nothing that p keeps."""
+        pres = self.presentation("EndM", 3)
+        g = pres.alphabet[gi]
+        num = self._project_terms(pres.derivation_value(gi, g.stride).terms)
+        den = self._project_terms([((gi, g.stride),)])
+        if num and not den:
+            raise GF2PolyError(f"{pres.name}: the projection to M kills {g.name} but not its d")
+        inverse = [(i, -e) for mono in den for i, e in mono]
+        got = self._d3m_ratios[gi] = tuple(_merged([*mono, *inverse]) for mono in num)
+        return got
+
+    def _d3m_substitution(self) -> Tuple[Optional[Monomial], ...]:
+        """sigma(g) = p(l(g)) * v1^eps per M generator g (None where p kills
+        the lift), or () when sigma is the identity, as it is for the wired
+        tables.  Multiplicative because p fixes v1."""
+        if self._d3m_subst is None:
+            images = []
+            for gi in range(len(self.alphabet("M", 2))):
+                lifted, eps = self.lift_to_endm(((gi, 1),))
+                back = self._project_terms([lifted], eps)
+                images.append(_merged(next(iter(back))) if back else None)
+            identity = all(img == ((gi, 1),) for gi, img in enumerate(images))
+            self._d3m_subst = () if identity else tuple(images)
+        return self._d3m_subst
 
     # ---- w grading ----
 
@@ -636,7 +738,11 @@ class Workbench:
           (c) l and p are inverse on generators: p(l(g)) * v1^eps = g for
               each M generator g, and l(p(g)) = (g, 0) for each EndM
               generator g that p keeps;
-        for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  Failures
+        for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  The same
+        conditions cover induced_d3m_monomial, which computes d_M(m) as m
+        times p(d_E(g^stride)) / p(g^stride) summed over the odd generators
+        g of l(m): p is multiplicative on alpha-free monomials, and by (c)
+        p(l(m)) * v1^eps = m, so that sum is p(d_E(l(m))) * v1^eps.  Failures
         are endm3's, (torsion generator, its d), and (generator, its round
         trip).  checked is the size of the M basis, which the M r=2 report
         has counted, and the report is conditional with endm3, whose d3 it

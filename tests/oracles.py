@@ -1,6 +1,8 @@
 """What the tests reach the package through: second methods that compute
 by a route its commands do not take, checks of structure no command
 reads, and queries on page internals that no command asks."""
+from collections import Counter
+
 from moorev1.cobar import COALGEBRA, _ENDO_BASIS, _ENDO_CELLS, _XDEG, _YDEG
 from moorev1.dga import homology_page
 from moorev1.gf2linalg import rank
@@ -63,6 +65,31 @@ def project_to_m(wb, r, e):
 def act(wb, r, e, m):
     """Action of an EndM page element e on an M page element m."""
     return project_to_m(wb, r, e) * m
+
+
+def induced_d3_by_lift(wb, mono):
+    """d3 of an M monomial by its definition, p(d_E(l(m))) * v1^eps: lift
+    it to E3(EndM), apply d3 there by the Leibniz rule and the relation
+    filter, and project the image back.  Workbench.induced_d3m_monomial
+    transports generator values instead.  The terms are the projection's
+    own tuples: where two EndM generators project to one M generator (a
+    broken table), a tuple repeats that generator's index."""
+    lifted, eps = wb.lift_to_endm(mono)
+    image = wb.presentation("EndM", 3).apply_monomial(lifted)
+    return wb._project_terms(image.terms, eps)
+
+
+def merged_terms(terms):
+    """A set of factor tuples as GF(2) monomials: each tuple's repeated
+    generator indices merged, zero exponents dropped, equal results
+    cancelled in pairs."""
+    out = []
+    for term in terms:
+        exps = Counter()
+        for gi, e in term:
+            exps[gi] += e
+        out.append(tuple(sorted((gi, e) for gi, e in exps.items() if e)))
+    return _xor(out)
 
 
 def induced_d3m(wb, poly):

@@ -238,6 +238,70 @@ def test_verify_counts_e2_endm_instead_of_building_it(tmp_path, monkeypatch):
     assert odd_fates and calls == wired + len(odd_fates)
 
 
+def test_verify_transports_the_induced_d3_without_applying_endm_d3(tmp_path, monkeypatch):
+    """verify computes M's induced d3 from E3(EndM) generator values: no
+    apply_monomial of E3(EndM) runs inside induced_d3m_monomial.  What is
+    left is one apply per source monomial of the page-4 EndM matrices, one
+    per term of each wired d3 value (the d² proof), one per relation twice
+    (at construction and in the proof), and one per even-m v1^m*x(n) class
+    of the survival report."""
+    applied, inside, benches = Counter(), [0], []
+    real_apply, real_induced = PagePresentation.apply_monomial, Workbench.induced_d3m_monomial
+    real_init = Workbench.__init__
+
+    def apply_monomial(pres, mono):
+        applied[pres.name, inside[0] > 0] += 1
+        return real_apply(pres, mono)
+
+    def induced_d3m_monomial(bench, mono):
+        inside[0] += 1
+        try:
+            return real_induced(bench, mono)
+        finally:
+            inside[0] -= 1
+
+    def init(bench, window):
+        real_init(bench, window)
+        benches.append(bench)
+
+    monkeypatch.setattr(PagePresentation, "apply_monomial", apply_monomial)
+    monkeypatch.setattr(Workbench, "induced_d3m_monomial", induced_d3m_monomial)
+    monkeypatch.setattr(Workbench, "__init__", init)
+    assert run_in(tmp_path, "verify", "--t-max", "32", "--no-cache") == 0
+    (bench,) = benches
+    assert not [key for key in applied if key[1]]
+    calls = applied["endomorphism r=3", False]
+    page4, pres = bench.page("EndM", 4), bench.presentation("EndM", 3)
+    columns = sum(len(page4.basis(c)) for c in page4._matrices)
+    wired = sum(len(pres.derivation_value(gi, g.stride).terms) for gi, g in enumerate(pres.alphabet))
+    even_fates = [r for r in bench._xn_fates() if int(r.claim.split("^")[1].split("*")[0]) % 2 == 0]
+    assert even_fates and columns > 1000
+    assert calls == columns + wired + 2 * len(pres.relations) + len(even_fates)
+
+
+def test_verify_writes_its_report_when_the_m_page_refuses_its_d3(tmp_path, monkeypatch):
+    """With p(x(1)) = h(2,1) the induced d3 leaves the M basis, so the
+    page-4 build refuses it: verify exits 1 with its report written, and
+    each report that reads page 4 of M fails with the refusal.  (Exit 2
+    and no report before the refusal was caught.)"""
+    real_rules = Workbench._projection_rules
+
+    def rules(bench):
+        got = real_rules(bench)
+        got[bench.alphabet("EndM", 3).index("x(1)")] = (0, bench.alphabet("M", 2).index("h(2,1)"))
+        return got
+
+    monkeypatch.setattr(Workbench, "_projection_rules", rules)
+    assert run_in(tmp_path, "verify", "--t-max", "32", "--no-cache") == 1
+    doc = json.loads((tmp_path / "verify-report.json").read_text())
+    failed = {r["name"]: r for r in doc["reports"] if not r["ok"]}
+    assert set(failed) == {"d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
+    for name in ("w-grading", "e4-claims", "e4-closed-form"):
+        (refusal,) = failed[name]["failures"]
+        assert refusal.startswith("two-cell r=3: image of a degree") and "misses the basis" in refusal
+        assert failed[name]["checked"] == 0 and failed[name]["conditional"]
+
+
 def test_chart_outputs(tmp_path):
     assert run_in(tmp_path, "chart", *SMALL, "--spectrum", "M", "--page", "2") == 0
     svg = (tmp_path / "chart-page-M-r2.svg").read_bytes()

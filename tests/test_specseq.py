@@ -36,7 +36,7 @@ from moorev1.specseq import (
     check_row,
     w_of_v1_exponent,
 )
-from oracles import act, e3_endm_by_ranks, induced_d3m, project_to_m
+from oracles import act, e3_endm_by_ranks, induced_d3_by_lift, induced_d3m, project_to_m
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,27 @@ def test_induced_d3m_values(wb):
     for text, want in cases:
         got = induced_d3m(wb, Polynomial.parse(a_m, text))
         assert got == Polynomial.parse(a_m, want), text
+
+
+def m_basis_monomials(bench):
+    basis = bench.presentation("M", 3).basis(bench.window)
+    return [m for d in basis.degrees() for m in basis.basis(d)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(4, 32),
+    st.integers(1, 6),
+    st.integers(-9, -1),
+    st.integers(0, 4).map(lambda k: 2 * k + 1),
+)
+def test_induced_d3m_transport_matches_the_lift_definition(t_max, s_max, v1_min, v1_max):
+    """The transported generator values against lift -> Leibniz apply ->
+    projection, on every M basis monomial of a small window whose v1
+    bounds are negative or odd."""
+    bench = Workbench(default_window(t_max, s_max, v1_min, v1_max))
+    for mono in m_basis_monomials(bench):
+        assert bench.induced_d3m_monomial(mono).terms == induced_d3_by_lift(bench, mono), mono
 
 
 def test_induced_d3m_not_naive_leibniz(wb):
@@ -785,7 +806,7 @@ def test_check_row_statuses():
     assert check_row("c", (1, 2), 4, 5, decided=False).status == "insufficient"
 
 
-def test_report_json_shape(wb, tmp_path):
+def test_report_json_shape(wb, tmp_path, capsys):
     row = wb.verify_e3_presentation().rows[0]
     assert row.to_json_obj() == {
         "claim": "e3-presentation",
@@ -794,7 +815,12 @@ def test_report_json_shape(wb, tmp_path):
         "rhs": row.rhs,
         "status": "ok",
     }
-    assert cli.run(["verify", "--t-max", "16", "--s-max", "3", "--out", str(tmp_path)]) in (0, 1)
+    # this window cannot decide two survival rows, and no row is a
+    # mismatch: verify exits 1, and the report reads insufficient, not FAIL
+    assert cli.run(["verify", "--t-max", "16", "--s-max", "3", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "survival: INSUFFICIENT (30 checked)" in lines
+    assert not [line for line in lines[:-1] if "FAIL" in line]
     doc = json.loads((tmp_path / "verify-report.json").read_text())
     assert len(doc["reports"]) == 13
     for summary in doc["reports"]:
