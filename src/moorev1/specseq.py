@@ -12,8 +12,10 @@ are induced through the module structure over EndM: the M page is generated
 by {1, v1}, both d3-cycles, so d3 of an M monomial is d3 of its lift to
 (EndM element) * v1^(0 or 1), projected back.  The projection is
 multiplicative, so that d3 is computed from each EndM generator's d3 value,
-transported to M once.  d2 vanishes on M, so M's page 3 is its page 2,
-presented with that induced d3 (InducedD3Presentation).
+transported to M once; that needs the lift and the projection to be inverse
+on M's generators, and M's page 4 refuses a table that breaks this round
+trip.  d2 vanishes on M, so M's page 3 is its page 2, presented with that
+induced d3 (InducedD3Presentation).
 
 Everything built on top of a d3 (pages r >= 3 of EndM, the induced M
 differential, the w-graded claims, the decomposition identity) is flagged
@@ -31,6 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, U
 from .dga import (
     D2Report,
     PagePresentation,
+    PageRefusedError,
     PresentationPage,
     UntrustedDegreeError,
     _PageDims,
@@ -296,18 +299,6 @@ def _merged(factors: Iterable[Tuple[int, int]]) -> Monomial:
     return tuple(sorted((gi, e) for gi, e in exps.items() if e))
 
 
-def _substitute(mono: Monomial, images: Sequence[Optional[Monomial]]) -> Optional[Monomial]:
-    """mono with each generator replaced by its image, None when an image
-    is None (killed)."""
-    factors = []
-    for gi, e in mono:
-        img = images[gi]
-        if img is None:
-            return None
-        factors.extend((i, k * e) for i, k in img)
-    return _merged(factors)
-
-
 class Workbench:
     """All pages, actions, and verification reports over one window."""
 
@@ -320,7 +311,7 @@ class Workbench:
         self._proj_rules: Optional[List[_ProjectionRule]] = None
         self._roles: Optional[List[Tuple[int, int]]] = None
         self._d3m_ratios: Dict[int, Tuple[Monomial, ...]] = {}
-        self._d3m_subst: Optional[Tuple[Optional[Monomial], ...]] = None
+        self._round_trip: Optional[List[Tuple[Polynomial, Polynomial]]] = None
         self._w_lists: Dict[Multidegree, List[int]] = {}
         self._slice_ranks: Dict[Tuple[Multidegree, int], int] = {}
 
@@ -584,11 +575,11 @@ class Workbench:
         of l(m) * d_E(g^stride) / g^stride over the EndM generators g whose
         exponent in l(m), divided by g's stride, is odd, and p is
         multiplicative on these alpha-free monomials, so
-          d_M(m) = sigma(m) * sum of p(d_E(g^stride)) / p(g^stride)
-        with sigma(m) = p(l(m)) * v1^eps, which is m itself while p(l(g)) =
-        g on M's generators (_induced_d3_squared proves that round trip).
+          d_M(m) = m * sum of p(d_E(g^stride)) / p(g^stride),
+        as p(l(m)) * v1^eps = m once p(l(g)) * v1^eps = g on M's generators.
         Each ratio is built at the first monomial that needs it, so a
-        missing differential or an unmapped generator raises there.  Not
+        missing differential, an unmapped generator or a broken round trip
+        raises there.  A monomial with no odd generator has d_M(m) = 0.  Not
         memoized: page("M", 4) keeps these images as its matrices."""
         a_m = self.alphabet("M", 2)
         roles = self._m_roles()
@@ -601,12 +592,10 @@ class Workbench:
                 continue
             if n > 1:
                 j -= exp
-            # two M generators lifting to one EndM generator add exponents
+            # no two factors share a target: while the round trip holds, l
+            # is one to one on generators, and otherwise _d3m_ratio refuses
             if exp & 1:
-                if target in odd:
-                    odd.remove(target)
-                else:
-                    odd.add(target)
+                odd.add(target)
         # l(m) carries v1^(j - eps), eps = j mod 2, and v1's stride is 2
         if j >> 1 & 1:
             odd.add(self.alphabet("EndM", 3).v1_index)
@@ -614,14 +603,10 @@ class Workbench:
             return Polynomial(a_m, frozenset())
         built = self._d3m_ratios
         ratios = [built[gi] if gi in built else self._d3m_ratio(gi) for gi in odd]
-        subst = self._d3m_substitution()
-        base = _substitute(mono, subst) if subst else mono
-        if base is None:
-            return Polynomial(a_m, frozenset())
         acc = set()
         for ratio in ratios:
             for r in ratio:
-                p = mono_mul(a_m, base, r)
+                p = mono_mul(a_m, mono, r)
                 if p in acc:
                     acc.remove(p)
                 else:
@@ -634,7 +619,16 @@ class Workbench:
         that p kills drops out; should p kill g but not d_E(g^stride), d_E
         leaves the torsion ideal and no ratio transports it.  Each relation
         of the page contains alpha, which p kills, so apply_monomial's
-        relation filter would remove nothing that p keeps."""
+        relation filter would remove nothing that p keeps.  Refused while
+        the round trip moves an M generator (_m_round_trip): then no ratio
+        gives M's d3."""
+        moved = self._m_round_trip()
+        if moved:
+            m3 = self.presentation("M", 3)
+            g, back = moved[0]
+            raise PageRefusedError(
+                f"{m3.name}: p(l({g})) * v1^eps is {back}, not {g}, so no d3 is transported", m3.conditional
+            )
         pres = self.presentation("EndM", 3)
         g = pres.alphabet[gi]
         num = self._project_terms(pres.derivation_value(gi, g.stride).terms)
@@ -645,19 +639,20 @@ class Workbench:
         got = self._d3m_ratios[gi] = tuple(_merged([*mono, *inverse]) for mono in num)
         return got
 
-    def _d3m_substitution(self) -> Tuple[Optional[Monomial], ...]:
-        """sigma(g) = p(l(g)) * v1^eps per M generator g (None where p kills
-        the lift), or () when sigma is the identity, as it is for the wired
-        tables.  Multiplicative because p fixes v1."""
-        if self._d3m_subst is None:
-            images = []
-            for gi in range(len(self.alphabet("M", 2))):
-                lifted, eps = self.lift_to_endm(((gi, 1),))
+    def _m_round_trip(self) -> List[Tuple[Polynomial, Polynomial]]:
+        """(g, p(l(g)) * v1^eps) for each M generator g the lift/projection
+        round trip moves, computed once: empty for the wired tables.  Both
+        the M r=3 d² proof and the d3 transport read it."""
+        if self._round_trip is None:
+            a_m = self.alphabet("M", 2)
+            self._round_trip = []
+            for gi in range(len(a_m)):
+                g = ((gi, 1),)
+                lifted, eps = self.lift_to_endm(g)
                 back = self._project_terms([lifted], eps)
-                images.append(_merged(next(iter(back))) if back else None)
-            identity = all(img == ((gi, 1),) for gi, img in enumerate(images))
-            self._d3m_subst = () if identity else tuple(images)
-        return self._d3m_subst
+                if back != {g}:
+                    self._round_trip.append((Polynomial.monomial(a_m, g), Polynomial(a_m, back)))
+        return self._round_trip
 
     # ---- w grading ----
 
@@ -738,12 +733,14 @@ class Workbench:
           (c) l and p are inverse on generators: p(l(g)) * v1^eps = g for
               each M generator g, and l(p(g)) = (g, 0) for each EndM
               generator g that p keeps;
-        for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  The same
-        conditions cover induced_d3m_monomial, which computes d_M(m) as m
-        times p(d_E(g^stride)) / p(g^stride) summed over the odd generators
-        g of l(m): p is multiplicative on alpha-free monomials, and by (c)
-        p(l(m)) * v1^eps = m, so that sum is p(d_E(l(m))) * v1^eps.  Failures
-        are endm3's, (torsion generator, its d), and (generator, its round
+        for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  The M side
+        of (c) is also the precondition of induced_d3m_monomial, which
+        computes d_M(m) as m times p(d_E(g^stride)) / p(g^stride) summed over
+        the odd generators g of l(m): p is multiplicative on alpha-free
+        monomials, and by (c) p(l(m)) * v1^eps = m, so that sum is
+        p(d_E(l(m))) * v1^eps.  Both read _m_round_trip, so a table that
+        breaks it fails here and M's page 4 refuses it.  Failures are
+        endm3's, (torsion generator, its d), and (generator, its round
         trip).  checked is the size of the M basis, which the M r=2 report
         has counted, and the report is conditional with endm3, whose d3 it
         is built on."""
@@ -767,12 +764,7 @@ class Workbench:
             (back,) = self._project_terms([g])
             if self.lift_to_endm(back) != (g, 0):
                 failures.append((Polynomial.monomial(a_e, g), Polynomial(a_m, [back])))
-        for gi in range(len(a_m)):
-            g = ((gi, 1),)
-            lifted, eps = self.lift_to_endm(g)
-            back = self._project_terms([lifted], eps)
-            if back != {g}:
-                failures.append((Polynomial.monomial(a_m, g), Polynomial(a_m, back)))
+        failures.extend(self._m_round_trip())
         return D2Report(checked=checked, failures=failures, conditional=endm3.conditional)
 
     # ---- page comparisons ----

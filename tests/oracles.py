@@ -1,12 +1,13 @@
 """What the tests reach the package through: second methods that compute
 by a route its commands do not take, checks of structure no command
 reads, and queries on page internals that no command asks."""
-from collections import Counter
+from collections import Counter, defaultdict
 
 from moorev1.cobar import COALGEBRA, _ENDO_BASIS, _ENDO_CELLS, _XDEG, _YDEG
 from moorev1.dga import homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Polynomial, _xor
+from moorev1.gf2poly import Polynomial, _xor, mono_degree
+from moorev1.specseq import bo_pattern_dim, bu_pattern_dim
 
 
 def cobar_ext_dim(cx, s, t):
@@ -71,30 +72,67 @@ def induced_d3_by_lift(wb, mono):
     """d3 of an M monomial by its definition, p(d_E(l(m))) * v1^eps: lift
     it to E3(EndM), apply d3 there by the Leibniz rule and the relation
     filter, and project the image back.  Workbench.induced_d3m_monomial
-    transports generator values instead.  The terms are the projection's
-    own tuples: where two EndM generators project to one M generator (a
-    broken table), a tuple repeats that generator's index."""
+    transports generator values instead."""
     lifted, eps = wb.lift_to_endm(mono)
     image = wb.presentation("EndM", 3).apply_monomial(lifted)
     return wb._project_terms(image.terms, eps)
 
 
-def merged_terms(terms):
-    """A set of factor tuples as GF(2) monomials: each tuple's repeated
-    generator indices merged, zero exponents dropped, equal results
-    cancelled in pairs."""
-    out = []
-    for term in terms:
-        exps = Counter()
-        for gi, e in term:
-            exps[gi] += e
-        out.append(tuple(sorted((gi, e) for gi, e in exps.items() if e)))
-    return _xor(out)
-
-
 def induced_d3m(wb, poly):
     """The induced d3 on an M page polynomial, summed monomial by monomial."""
     return sum((wb.induced_d3m_monomial(m) for m in poly.terms), Polynomial.zero(wb.alphabet("M", 2)))
+
+
+def low_w_by_enumeration(wb, degrees):
+    """The least w of an M monomial at each degree, None where the degree
+    holds no monomial, by enumerating them: Workbench.low_w_monomial_possible
+    decides the same question from a menu of part sizes.  A degree
+    (s, t, u) holds the monomials v1^u * P with P a product of s factors
+    h(n,1) of internal degree t - 2u, so the Workbench's M alphabet must
+    hold every h(n,1) that the largest t - 2u affords."""
+    degrees = list(degrees)
+    a = wb.alphabet("M", 2)
+    v1 = a.v1_index
+    hs = [gi for gi in range(len(a)) if gi != v1]
+    s_max = max(d.s for d in degrees)
+    budget = max(d.t - 2 * d.u for d in degrees)
+    # the next h(n,1) would cost 2^(n+2) - 2, twice the last one plus 2
+    assert 2 * a[hs[-1]].degree.t + 2 > budget, "the alphabet lacks an h(n,1) the degrees afford"
+    products = defaultdict(list)  # (factors, internal degree) -> the products
+
+    def extend(start, factors, cost):
+        products[len(factors), cost].append(factors)
+        if len(factors) < s_max:
+            for k in range(start, len(hs)):
+                if cost + a[hs[k]].degree.t <= budget:
+                    extend(k, factors + (hs[k],), cost + a[hs[k]].degree.t)
+
+    extend(0, (), 0)
+    out = {}
+    for d in degrees:
+        ws = []
+        for factors in products.get((d.s, d.t - 2 * d.u), ()):
+            exps = Counter(factors)
+            if d.u:
+                exps[v1] = d.u
+            mono = tuple(sorted(exps.items()))
+            assert mono_degree(a, mono) == d, (d, mono)
+            ws.append(wb.w_degree(mono))
+        out[d] = min(ws, default=None)
+    return out
+
+
+def cell_rhs_over_every_p(tables, s_adams, t_adams):
+    """Workbench._cell_rhs's pattern sum taken over every p the tables
+    hold, odd p included, instead of up to the bound the complex of squares
+    gives."""
+    rhs = 0
+    c = t_adams - 3 * s_adams
+    for p in range(tables.p_max + 1):
+        for q in range(max(c + 3 * p, 0), min(c + 3 * p + 2, tables.q_max) + 1):
+            rhs += tables.h_dim(p, q) * bo_pattern_dim(s_adams - p, t_adams - q)
+            rhs += tables.b_dim(p, q) * bu_pattern_dim(s_adams - p, t_adams - q)
+    return rhs
 
 
 def _zbh_degree(tables, poly):

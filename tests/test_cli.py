@@ -280,10 +280,11 @@ def test_verify_transports_the_induced_d3_without_applying_endm_d3(tmp_path, mon
 
 
 def test_verify_writes_its_report_when_the_m_page_refuses_its_d3(tmp_path, monkeypatch):
-    """With p(x(1)) = h(2,1) the induced d3 leaves the M basis, so the
-    page-4 build refuses it: verify exits 1 with its report written, and
-    each report that reads page 4 of M fails with the refusal.  (Exit 2
-    and no report before the refusal was caught.)"""
+    """With p(x(1)) = h(2,1) the lift/projection round trip moves h(2,1),
+    so the page-4 build refuses the induced d3 at its first transported
+    ratio: verify exits 1 with its report written, and each report that
+    reads page 4 of M fails with the refusal.  (Exit 2 and no report before
+    the refusal was caught.)"""
     real_rules = Workbench._projection_rules
 
     def rules(bench):
@@ -298,7 +299,7 @@ def test_verify_writes_its_report_when_the_m_page_refuses_its_d3(tmp_path, monke
     assert set(failed) == {"d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
     for name in ("w-grading", "e4-claims", "e4-closed-form"):
         (refusal,) = failed[name]["failures"]
-        assert refusal.startswith("two-cell r=3: image of a degree") and "misses the basis" in refusal
+        assert refusal.startswith("two-cell r=3: p(l(h(2,1))) * v1^eps is v1^-1*h(2,1), not h(2,1)")
         assert failed[name]["checked"] == 0 and failed[name]["conditional"]
 
 

@@ -18,6 +18,18 @@ def tables():
     return zbh_bases(24, 132)
 
 
+def test_squares_complex_forces_q_at_least_9p_over_2():
+    """The bound the decomposition check's pattern sum rests on: the lowest
+    nonempty q at each p is 9p/2 (x(1)^(p/2)) and odd p is empty."""
+    box = zbh_bases(16, 90)
+    lowest = {}
+    for p in range(17):
+        for q in range(91):
+            if box.basis(p, q):
+                lowest.setdefault(p, q)
+    assert lowest == {p: 9 * p // 2 for p in range(0, 17, 2)}
+
+
 def poly(tables, text):
     return Polynomial.parse(tables.alphabet, text)
 

@@ -1,46 +1,65 @@
 """Which report catches which wrong wired value.
 
-Each mutant zeroes one wired differential, breaks the w grading, or breaks
-one entry of the lift or projection table between the EndM and M pages, and
-runs `verify --t-max 32` through the CLI.  Every mutant must make verify exit 1
-with its report written, and the reports that fail must be exactly the ones
-listed.  The d3 values on x(n) are conjecture: verify checks their
-consequences, and this table says which consequence pins each value.
-Run with -s to print the table.
+Each mutant zeroes one wired differential, drops one relation, breaks the w
+grading, breaks one entry of the lift or projection table between the EndM
+and M pages, or loosens the window trust rule, and runs `verify --t-max 32`
+through the CLI.  Every mutant must make verify exit 1 with its report
+written, and the reports that fail must be exactly the ones listed.  The d3
+values on x(n) are conjecture: verify checks their consequences, and this
+table says which consequence pins each value.  Run with -s to print the
+table.
 """
 import contextlib
 import io
 import json
 
+import moorev1.specseq as specseq
 from moorev1.cli import run
-from moorev1.dga import PagePresentation
-from moorev1.gf2poly import Polynomial, default_window
+from moorev1.dga import PagePresentation, PageRefusedError
+from moorev1.gf2poly import Polynomial, _WindowTrust, default_window
 from moorev1.specseq import Workbench
-from oracles import induced_d3_by_lift, merged_terms
+from oracles import induced_d3_by_lift
 
 _build_presentation = Workbench._build_presentation
 _w_degree = Workbench.w_degree
 _TABLES = {"_projection_rules": Workbench._projection_rules, "_m_roles": Workbench._m_roles}
 
 
-def zeroed(tag, r, name):
-    """Workbench._build_presentation with d(name) := 0 on (tag, r)."""
+def rebuilt(tag, r, edit):
+    """Workbench._build_presentation with the differentials and relations
+    of (tag, r) passed through edit(alphabet, diffs, relations)."""
 
     def build(bench, tag_, r_):
         pres = _build_presentation(bench, tag_, r_)
         if (tag_, r_) != (tag, r):
             return pres
-        diffs = {**pres.differentials, name: Polynomial.zero(pres.alphabet)}
+        diffs, relations = edit(pres.alphabet, pres.differentials, pres.relations)
         return PagePresentation(
             pres.alphabet,
             pres.degree_shift,
             diffs,
-            relations=pres.relations,
+            relations=relations,
             name=pres.name,
             conditional=pres.conditional,
         )
 
-    return "_build_presentation", build
+    return Workbench, "_build_presentation", build
+
+
+def zeroed(tag, r, name):
+    """d(name) := 0 on (tag, r)."""
+    return rebuilt(tag, r, lambda a, diffs, rels: ({**diffs, name: Polynomial.zero(a)}, rels))
+
+
+def dropped(tag, r, text):
+    """The relation text removed from (tag, r)."""
+
+    def edit(a, diffs, rels):
+        (mono,) = Polynomial.parse(a, text).terms
+        assert mono in rels
+        return diffs, [rel for rel in rels if rel != mono]
+
+    return rebuilt(tag, r, edit)
 
 
 def w_degree_plus_h21(bench, mono):
@@ -59,7 +78,7 @@ def edited(attr, edit):
         edit(bench, rows)
         return rows
 
-    return attr, table
+    return Workbench, attr, table
 
 
 def _endm(bench, name):
@@ -95,14 +114,27 @@ def h31_to_x1(bench, roles):
     roles[_m(bench, "h(3,1)")] = (3, _endm(bench, "x(1)"))
 
 
-# a broken table breaks the lift/projection round trip, which the M r=3 d²
-# proof checks; where it also makes the induced d3 leave the M basis, the
-# page-4 build refuses it and every report reading that page fails with the
-# refusal
-_TABLE_CAUGHT = {"d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
+_in_box = _WindowTrust._in_box
 
-# mutant -> (the Workbench attribute it replaces, the replacement), and the
-# reports that catch it
+
+def in_box_one_past_s_max(trust, s, t, u):
+    """_in_box with the s range one longer at the top."""
+    return _in_box(trust, s - (s == trust.window.s_range[1] + 1), t, u)
+
+
+def complete_at_d_only(trust, d, shift):
+    """complete_around that tests d alone, not its neighbours d +- shift."""
+    return trust.complete(d)
+
+
+# a broken table breaks the lift/projection round trip, which the M r=3 d²
+# proof checks and the d3 transport needs, so the page-4 build refuses it and
+# every report reading that page fails with the refusal
+_TABLE_CAUGHT = {"d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
+_TRUST_CAUGHT = {"w-grading", "e4-claims", "e4-closed-form", "survival"}
+
+# mutant -> ((the object patched, its attribute, the replacement), the
+# reports that catch it)
 MUTANTS = {
     "d3(x(2)) := 0": (zeroed("EndM", 3, "x(2)"), {"e4-claims", "e4-closed-form", "survival"}),
     "d3(x(3)) := 0": (zeroed("EndM", 3, "x(3)"), {"e4-claims", "e4-closed-form", "survival"}),
@@ -110,22 +142,34 @@ MUTANTS = {
     "d2(v1) := 0": (zeroed("EndM", 2, "v1"), {"e3-presentation"}),
     "d2(h(2,1)) := 0": (zeroed("EndM", 2, "h(2,1)"), {"e3-presentation"}),
     "d2(h(3,1)) := 0": (zeroed("EndM", 2, "h(3,1)"), {"e3-presentation", "survival"}),
-    "w += #h(2,1)": (("w_degree", w_degree_plus_h21), {"w-grading", "e4-claims"}),
+    "drop alpha*h(1,1)^2": (dropped("EndM", 3, "alpha*h(1,1)^2"), {"e3-presentation"}),
+    "drop alpha*alphap": (dropped("EndM", 3, "alpha*alphap"), {"e3-presentation"}),
+    "w += #h(2,1)": ((Workbench, "w_degree", w_degree_plus_h21), {"w-grading", "e4-claims"}),
     "p(x(1)) := h(2,1)": (edited("_projection_rules", x1_weight_0), _TABLE_CAUGHT),
     "p(x(2)) := v1*h(2,1)": (edited("_projection_rules", x2_to_h21), _TABLE_CAUGHT),
-    "p(x(1)) := 0": (edited("_projection_rules", x1_killed), {"d-squared:M r=3", "e4-claims", "e4-closed-form"}),
+    "p(x(1)) := 0": (edited("_projection_rules", x1_killed), _TABLE_CAUGHT),
     "l(h(2,1)) := x(1)": (edited("_m_roles", h21_unshifted), _TABLE_CAUGHT),
     "l(h(3,1)) := v1^-1*x(1)": (edited("_m_roles", h31_to_x1), _TABLE_CAUGHT),
+    "trust s = s_max + 1": ((_WindowTrust, "_in_box", in_box_one_past_s_max), _TRUST_CAUGHT),
+    "trust d without d +- shift": ((_WindowTrust, "complete_around", complete_at_d_only), _TRUST_CAUGHT),
 }
+TABLE_MUTANTS = [label for label, ((_, attr, _), _) in MUTANTS.items() if attr in _TABLES]
+
+
+def verify_under(monkeypatch, mutant, out, *patches):
+    """verify --t-max 32 under one mutant (and any further (target, attr,
+    replacement) patches), its stdout dropped: the exit code."""
+    with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+        for target, attr, replacement in (mutant, *patches):
+            m.setattr(target, attr, replacement)
+        return run(["verify", "--t-max", "32", "--no-cache", "--out", str(out)])
 
 
 def test_every_mutant_fails_verify_in_the_listed_reports(tmp_path, monkeypatch):
     got, expected = {}, {}
-    for label, ((attr, replacement), caught_by) in MUTANTS.items():
+    for label, (mutant, caught_by) in MUTANTS.items():
         out = tmp_path / str(len(got))
-        with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
-            m.setattr(Workbench, attr, replacement)
-            code = run(["verify", "--t-max", "32", "--no-cache", "--out", str(out)])
+        code = verify_under(monkeypatch, mutant, out)
         report = out / "verify-report.json"
         failed = "no report"
         if report.exists():
@@ -141,23 +185,53 @@ def test_every_mutant_fails_verify_in_the_listed_reports(tmp_path, monkeypatch):
 
 def test_induced_d3m_transport_matches_the_lift_definition_under_every_mutant(monkeypatch):
     """Workbench.induced_d3m_monomial against lift -> Leibniz apply ->
-    projection under each mutant that changes a differential or a table,
-    on every M basis monomial.  The definition's terms are merged first:
-    under p(x(2)) := v1*h(2,1) and l(h(3,1)) := v1^-1*x(1), two EndM
-    generators project to h(2,1), and the definition emits tuples that
-    repeat its index, such as ((2, 1), (2, 2)), where the transport merges
-    the exponents."""
-    repeated = set()
-    for label, ((attr, replacement), _) in MUTANTS.items():
-        if attr == "w_degree":
+    projection, on every M basis monomial, under each mutant that changes a
+    differential, a relation or a table.  A table mutant breaks the round
+    trip the transport rests on, so the transport refuses it; what it does
+    return before refusing (the monomials with no odd generator, whose d3
+    is 0) is still the definition's."""
+    refused = set()
+    for label, ((target, attr, replacement), _) in MUTANTS.items():
+        if target is not Workbench or attr == "w_degree":
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(Workbench, attr, replacement)
+            patch.setattr(target, attr, replacement)
             bench = Workbench(default_window(24, 6, -7, 9))
             basis = bench.presentation("M", 3).basis(bench.window)
             for mono in (m for d in basis.degrees() for m in basis.basis(d)):
-                want = induced_d3_by_lift(bench, mono)
-                if any(len({gi for gi, _ in t}) < len(t) for t in want):
-                    repeated.add(label)
-                assert bench.induced_d3m_monomial(mono).terms == merged_terms(want), (label, mono)
-    assert repeated == {"p(x(2)) := v1*h(2,1)", "l(h(3,1)) := v1^-1*x(1)"}
+                try:
+                    got = bench.induced_d3m_monomial(mono)
+                except PageRefusedError as exc:
+                    assert str(exc).startswith("two-cell r=3: p(l("), (label, exc)
+                    refused.add(label)
+                    continue
+                assert got.terms == induced_d3_by_lift(bench, mono), (label, mono)
+    assert sorted(refused) == sorted(TABLE_MUTANTS)
+
+
+def test_a_refused_m_page_stops_at_its_first_transported_ratio(tmp_path, monkeypatch):
+    """Under each table mutant, every build of M's page 4 refuses at the
+    first transported ratio: induced_d3m_monomial runs at most once per
+    homology_page call on that page."""
+    real_homology, real_induced = specseq.homology_page, Workbench.induced_d3m_monomial
+    for i, label in enumerate(TABLE_MUTANTS):
+        builds = calls = 0
+
+        def homology_page(pres, window):
+            nonlocal builds
+            builds += pres.name == "two-cell r=3"
+            return real_homology(pres, window)
+
+        def induced_d3m_monomial(bench, mono):
+            nonlocal calls
+            calls += 1
+            return real_induced(bench, mono)
+
+        code = verify_under(
+            monkeypatch,
+            MUTANTS[label][0],
+            tmp_path / str(i),
+            (specseq, "homology_page", homology_page),
+            (Workbench, "induced_d3m_monomial", induced_d3m_monomial),
+        )
+        assert code == 1 and builds and calls <= builds, (label, builds, calls)

@@ -36,7 +36,15 @@ from moorev1.specseq import (
     check_row,
     w_of_v1_exponent,
 )
-from oracles import act, e3_endm_by_ranks, induced_d3_by_lift, induced_d3m, project_to_m
+from oracles import (
+    act,
+    cell_rhs_over_every_p,
+    e3_endm_by_ranks,
+    induced_d3_by_lift,
+    induced_d3m,
+    low_w_by_enumeration,
+    project_to_m,
+)
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +413,9 @@ def test_m_r3_mutants_fail_proof_and_sweep(mutate):
     mutate(bench)
     proof = bench.verify_differentials_square_to_zero()
     assert proof["EndM r=3"].ok and not proof["M r=3"].ok
-    assert not d_squared_sweeps(bench)["M r=3"].ok
+    # the round trip the proof fails on is the transport's precondition
+    with pytest.raises(dga.PageRefusedError, match=r"^two-cell r=3: p\(l\("):
+        verify_d_squared(bench.presentation("M", 3), bench.window)
 
 
 def test_m_r3_fails_with_endm_r3():
@@ -446,15 +456,15 @@ def test_m_r3_proof_raises_where_the_induced_d3_cannot_project():
 
 
 def test_m_r3_proof_refuses_a_projection_that_kills_a_lift():
-    # killing x(1) like a torsion class leaves h(2,1) with no preimage; the
-    # d3 this induces still squares to zero on the window, but it is no
-    # longer the module-induced one, so only the proof fails
+    # killing x(1) like a torsion class leaves h(2,1) with no preimage, so
+    # the proof fails and the transport refuses to induce any d3
     bench = Workbench(default_window(24, 6, -8, 8))
     bench._projection_rules()[bench.alphabet("EndM", 3).index("x(1)")] = None
     a_m = bench.alphabet("M", 2)
     failures = bench.verify_differentials_square_to_zero()["M r=3"].failures
     assert failures == [(Polynomial.parse(a_m, "h(2,1)"), Polynomial.zero(a_m))]
-    assert d_squared_sweeps(bench)["M r=3"].ok
+    with pytest.raises(dga.PageRefusedError, match=r"^two-cell r=3: p\(l\(h\(2,1\)\)\) \* v1\^eps is 0,"):
+        verify_d_squared(bench.presentation("M", 3), bench.window)
 
 
 def test_m_r3_proof_needs_d3_to_keep_torsion_in_the_torsion_ideal():
@@ -770,6 +780,66 @@ def test_low_w_monomial_possible(wb):
     assert not wb.low_w_monomial_possible(Multidegree(3, 4, -1))
     assert not wb.low_w_monomial_possible(Multidegree(-1, 0, 0))
     assert not wb.low_w_monomial_possible(Multidegree(1, 3, 0))
+
+
+@pytest.fixture(scope="module")
+def low_w_bench():
+    """A Workbench whose M alphabet holds every h(n,1) that the degrees
+    probed below afford."""
+    return Workbench(default_window(90, 8, -28, 15))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-1, 8), st.integers(-40, 89), st.integers(-20, 14))
+def test_low_w_monomial_possible_matches_enumeration(low_w_bench, s, t, u):
+    d = Multidegree(s, t, u)
+    low = low_w_by_enumeration(low_w_bench, [d])[d]
+    assert low_w_bench.low_w_monomial_possible(d) == (low is not None and low <= 2)
+
+
+def decomposition_cells(window):
+    """(stem, filtration) of every cell mahowald_decomposition_check reports."""
+    for stem in range(window.t_range[0] - window.s_range[1], specseq.DECOMPOSITION_STEM_MAX + 1):
+        for filt in range(window.u_range[0], specseq.DECOMPOSITION_FILT_MAX + 1):
+            yield stem, filt
+
+
+def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
+    """_cell_lhs scans s up to the low_w_top cut-off (or the window's s_max,
+    here 0) and takes every tridegree of the cell past it to hold no
+    monomial of w <= 2.  Enumeration finds none in the six tridegrees past
+    the scan, at every cell of the default decomposition corner."""
+    bench = Workbench(default_window(64, 0, -16, 16))
+
+    class Scan:
+        def trusted(self, d):
+            scanned.append(d.s)
+            return False
+
+    probes = []
+    for stem, filt in decomposition_cells(default_window()):
+        scanned = []
+        bench._cell_lhs(Scan(), stem, filt)
+        assert scanned == list(range(len(scanned)))
+        probes += [Multidegree(s, stem + s, filt - s) for s in range(len(scanned), len(scanned) + 6)]
+    low = low_w_by_enumeration(low_w_bench, probes)
+    assert not [d for d in probes if low[d] is not None and low[d] <= 2]
+    assert len(probes) > 10000 and sum(w is not None for w in low.values()) > 1000
+
+
+def test_cell_rhs_bound_drops_no_class():
+    """_cell_rhs sums p only up to p_pot, since the complex of squares
+    forces q >= 9p/2 (test_mahowald checks that); the sum over every p of
+    the tables is the same at every cell of the default decomposition
+    corner."""
+    bench = Workbench(default_window())
+    tables = bench.mahowald_tables()
+    nonzero = 0
+    for stem, filt in decomposition_cells(bench.window):
+        rhs, _ = bench._cell_rhs(tables, filt, stem + filt)
+        assert rhs == cell_rhs_over_every_p(tables, filt, stem + filt), (stem, filt)
+        nonzero += rhs > 0
+    assert nonzero > 50
 
 
 def test_decomposition_report(wb):
