@@ -24,6 +24,7 @@ from .gf2poly import (
     Polynomial,
     TruncationWindow,
     WindowBasis,
+    WindowCounts,
     _WindowTrust,
     count_window,
     enumerate_window,
@@ -103,6 +104,7 @@ class PagePresentation:
         }
         self._dval_cache: Dict[Tuple[int, int], Polynomial] = {}
         self._basis_cache: Dict[TruncationWindow, WindowBasis] = {}
+        self._count_cache: Dict[TruncationWindow, WindowCounts] = {}
         self._validate()
 
     def _validate(self):
@@ -217,6 +219,15 @@ class PagePresentation:
             self._basis_cache[window] = got
         return got
 
+    def basis_counts(self, window: TruncationWindow) -> WindowCounts:
+        """How many reduced monomials basis(window) holds at each degree,
+        with its trust, counted without building a monomial, once per
+        window."""
+        got = self._count_cache.get(window)
+        if got is None:
+            got = self._count_cache[window] = count_window(self.alphabet, window, self.relations)
+        return got
+
 
 @dataclass
 class D2Report:
@@ -275,7 +286,9 @@ def d_squared_on_generators(pres: PagePresentation, window: TruncationWindow) ->
     itself, which makes d well defined on the quotient.
 
     checked counts the basis monomials the proof covers, which is what
-    verify_d_squared counts when no differential is missing.  A failure is
+    verify_d_squared counts when no differential is missing.  It is read
+    off pres.basis_counts, which counts the quotient by the monomial relations
+    without building its basis, so no basis is enumerated.  A failure is
     (g^stride, d²(g^stride)), or (relation, its reduced d) for a relation
     that d does not preserve.  Raises MissingDifferentialError when a
     generator has no differential."""
@@ -285,13 +298,7 @@ def d_squared_on_generators(pres: PagePresentation, window: TruncationWindow) ->
         if twice:
             failures.append((Polynomial.monomial(pres.alphabet, ((gi, g.stride),)), twice))
     failures.extend(pres.unpreserved_relations())
-    if pres.relations:
-        wb = pres.basis(window)
-        checked = sum(len(wb.basis(d)) for d in wb.degrees())
-    else:
-        # with no relation to filter the basis, counting it is enough
-        checked = count_window(pres.alphabet, window).total()
-    return D2Report(checked=checked, failures=failures, conditional=pres.conditional)
+    return D2Report(checked=pres.basis_counts(window).total(), failures=failures, conditional=pres.conditional)
 
 
 def differential_matrix(
@@ -364,18 +371,18 @@ class _PageDims:
 
 
 class PresentationPage(_PageDims):
-    """A page known by presentation only: dimensions read straight off the
-    reduced monomial basis.  With shift 0 the trust rule of _PageDims is
-    exactly the completeness of the basis."""
+    """A page known by presentation only: dimensions are the counts of the
+    reduced monomial basis, which is enumerated only when basis() is read.
+    With shift 0 the trust rule of _PageDims is exactly the completeness of
+    the basis."""
 
     def __init__(self, pres: PagePresentation, window: TruncationWindow):
-        wb = pres.basis(window)
-        dims = {d: (len(wb.basis(d)), 0) for d in wb.degrees() if wb.complete(d)}
-        super().__init__(pres, window, wb, dims, _NO_SHIFT)
-        self._wb = wb
+        counts = pres.basis_counts(window)
+        dims = {d: (counts.count(d), 0) for d in counts.degrees() if counts.complete(d)}
+        super().__init__(pres, window, counts, dims, _NO_SHIFT)
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
-        return self._wb.basis(d)
+        return self.presentation.basis(self.window).basis(d)
 
 
 class ComputedPage(_PageDims):

@@ -774,41 +774,64 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
 
 
 def count_window(
-    alphabet: Alphabet, window: TruncationWindow, without: Optional[str] = None, odd: Iterable[str] = ()
+    alphabet: Alphabet, window: TruncationWindow, relations: Iterable[Monomial] = (), odd: Iterable[str] = ()
 ) -> WindowCounts:
     """How many monomials enumerate_window finds at each degree, counting
-    only those without the generator named `without` if one is given, and
-    which degrees the v1 range clips (for the whole alphabet).  A counted
-    monomial is odd when its exponents on the generators named in `odd`
-    add up to an odd number; odd_count reads how many are.
+    only those that no relation divides (the basis of the quotient by the
+    monomial relations), and which degrees the v1 range clips (for the
+    whole alphabet).  A counted monomial is odd when its exponents on the
+    generators named in `odd` add up to an odd number; odd_count reads how
+    many are.
 
     No monomial is built: a dynamic program over the non-v1 generators
     counts the parts of each (s, t, u) and parity under the same caps as
-    the enumeration, then places every part at the same v1 exponents."""
+    the enumeration, then places every part at the same v1 exponents.  For
+    each generator a relation names, a part's state also keeps its
+    exponent, capped at the most any relation asks of it: the Hilbert
+    function of a monomial quotient (Bayer and Stillman, J. Symbolic
+    Comput. 14, 1992).  A part that a relation divides is kept at count 0,
+    since its degree may still be clipped."""
     plan = _PartPlan(alphabet, window)
-    skip = None if without is None else alphabet.index(without)
+    rels = [tuple(rel) for rel in relations]
+    need: Dict[int, int] = {}  # tracked generator -> the exponent cap of its state
+    for rel in rels:
+        for gi, e in rel:
+            if alphabet[gi].invertible:
+                raise GF2PolyError(f"relation {mono_str(alphabet, rel)} names the invertible {alphabet[gi].name}")
+            need[gi] = max(need.get(gi, 0), e)
+    slot = {gi: i for i, gi in enumerate(sorted(need))}
+    rel_slots = [tuple((slot[gi], e) for gi, e in rel) for rel in rels]
     flips = {alphabet.index(name) for name in odd}
-    # (part degree, parity) -> how many parts free of the skipped generator;
-    # a degree whose parts all contain it stays, at 0, since it may still
-    # be clipped
-    parts: Dict[Tuple[int, int, int, int], int] = {(0, 0, 0, 0): 1}
+    # (part degree, parity, capped tracked exponents) -> how many parts no
+    # relation divides; a divided part has count 0 and no exponents
+    parts: Dict[Tuple[int, int, int, int, Tuple[int, ...]], int] = {(0, 0, 0, 0, (0,) * len(slot)): 1}
     for k, (gi, g) in enumerate(plan.others):
         ds, dt, du = g.degree
         flip = 1 if gi in flips else 0
-        grown: Dict[Tuple[int, int, int, int], int] = {}
-        for (s, t, u, p), n_free in parts.items():
+        i = slot.get(gi)
+        grown: Dict[Tuple[int, int, int, int, Tuple[int, ...]], int] = {}
+        for (s, t, u, p, exps), n_free in parts.items():
             if plan.pruned(k, s, t, u):
                 continue
             for e in range(plan.exponent_cap(k, s, t, u) + 1):
-                key = (s + ds * e, t + dt * e, u + du * e, p ^ (flip & e))
-                grown[key] = grown.get(key, 0) + (0 if e and gi == skip else n_free)
+                n, x = n_free, exps
+                if i is not None and e and n:
+                    x = exps[:i] + (min(e, need[gi]),) + exps[i + 1 :]
+                    if any(all(x[j] >= r for j, r in rel) for rel in rel_slots):
+                        n, x = 0, ()
+                key = (s + ds * e, t + dt * e, u + du * e, p ^ (flip & e), x)
+                grown[key] = grown.get(key, 0) + n
         parts = grown
     k_end = len(plan.others)
     v1_flip = 1 if alphabet.v1_index in flips else 0
     counts: Dict[Multidegree, int] = {}
     odd_counts: Dict[Multidegree, int] = {}
     truncated: Set[Tuple[int, int, int]] = set()
-    for (s, t, u, p), n_free in parts.items():
+    # the tracked exponents have done their work: merge the parts they split
+    merged: Dict[Tuple[int, int, int, int], int] = {}
+    for (s, t, u, p, _), n_free in parts.items():
+        merged[s, t, u, p] = merged.get((s, t, u, p), 0) + n_free
+    for (s, t, u, p), n_free in merged.items():
         if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
             continue
         placed = [(0, (s, t, u), False)] if plan.v1 is None else plan.placements(s, t, u)

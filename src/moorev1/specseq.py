@@ -223,7 +223,7 @@ class MatchedPage(_PageDims):
 
     def __init__(self, pres: PagePresentation, window: TruncationWindow, odd: FrozenSet[int]):
         a = pres.alphabet
-        counts = count_window(a, window, without="alpha", odd=[a[gi].name for gi in odd])
+        counts = count_window(a, window, Polynomial.parse(a, "alpha").terms, odd=[a[gi].name for gi in odd])
         (ds, dt, du), (a_s, a_t, a_u) = pres.degree_shift, a.generator("alpha").degree
         # the degrees with a nonempty basis: N(d) > 0 or N(d - |alpha|) > 0
         nonempty = set(counts.degrees())
@@ -771,7 +771,10 @@ class Workbench:
 
     def verify_e3_presentation(self) -> Report:
         """Dimensionwise match between the homology of (E2(EndM), d2) and
-        the presented page 3, at every degree trusted on both sides."""
+        the presented page 3, at every degree trusted on both sides.  Both
+        sides are counted, not enumerated: the homology off the d2 matching
+        over the E2(EndM) alphabet, the presented page as the quotient of
+        the E3(EndM) alphabet by its relations."""
         computed = self.page("EndM", 3)
         presented = PresentationPage(self.presentation("EndM", 3), self.window)
         rows = []
@@ -785,8 +788,9 @@ class Workbench:
         degree.  The quotients are counted, not enumerated."""
         m_page = self.page("M", 2)
         # the counts carry the trust of the whole EndM and S bases
-        endm_free = count_window(self.alphabet("EndM", 2), self.window, without="alpha")
-        sphere_free = count_window(self.alphabet("S", 2), self.window, without="h(1,0)")
+        endm, sphere = self.alphabet("EndM", 2), self.alphabet("S", 2)
+        endm_free = count_window(endm, self.window, Polynomial.parse(endm, "alpha").terms)
+        sphere_free = count_window(sphere, self.window, Polynomial.parse(sphere, "h(1,0)").terms)
         rows = []
         for d in m_page.degrees():
             if not (endm_free.complete(d) and sphere_free.complete(d)):
@@ -928,10 +932,18 @@ class Workbench:
         """The four named survivors of page 4 of EndM, then the fate of
         every in-window v1^m x(n) class (n >= 2): each must support or be
         hit by a nonzero d2 or d3.  A row whose degree the window does not
-        trust is insufficient, not a mismatch."""
+        trust is insufficient, not a mismatch.
+
+        Page 4 of EndM is never built over the whole window here.  A
+        survivor's degree d is trusted when page 4 would trust it, read off
+        the counts of E3(EndM) over the window; its class is then decided on
+        page 4 over the smallest window holding d and d +- D3_SHIFT, with
+        the same alphabet and v1 range.  A degree's basis depends only on
+        the degree, the alphabet and the v1 range, not on the box around
+        it, so that page agrees with the whole one at d."""
         rows: List[CheckRow] = []
-        page4 = self.page("EndM", 4)
-        a3 = self.alphabet("EndM", 3)
+        pres3 = self.presentation("EndM", 3)
+        counts = pres3.basis_counts(self.window)
         # a window too small to trust x(1)'s degree may lack x(1) itself,
         # so each class is parsed only where its degree is trusted
         survivors = (
@@ -941,11 +953,19 @@ class Workbench:
             ("x(1)", x_degree(1)),
         )
         for text, d in survivors:
-            trusted = page4.trusted(d)
-            alive = trusted and page4.class_is_nonzero(Polynomial.parse(a3, text), d)
+            trusted = counts.complete_around(d, D3_SHIFT)
+            alive = trusted and homology_page(pres3, self._window_around(d)).class_is_nonzero(
+                Polynomial.parse(pres3.alphabet, text), d
+            )
             rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
         rows.extend(self._xn_fates())
         return Report("survival", rows, conditional=True)
+
+    def _window_around(self, d: Multidegree) -> TruncationWindow:
+        """The smallest window that holds d and d +- D3_SHIFT, with this
+        window's v1 range."""
+        ranges = (tuple(sorted(pair)) for pair in zip(d - D3_SHIFT, d + D3_SHIFT))
+        return TruncationWindow(self.window.v1_exponent_range, *ranges)
 
     def _xn_fates(self) -> List[CheckRow]:
         """v1^m x(n) = v1^(m+1) h(n+1,1): odd m supports d2; even m lives
@@ -1033,7 +1053,7 @@ class Workbench:
         s_top = self.window.s_range[1]
         # past this, a w <= 2 monomial would cost more internal degree than
         # the cell provides (each factor above h(1,1) costs at least 6)
-        low_w_top = (stem - 2 * filt + 8) // 3 + 1
+        low_w_top = (stem - 2 * filt + 8) // 3
         for s in range(0, max(s_top, low_w_top) + 1):
             d = Multidegree(s, stem + s, filt - s)
             if page4.trusted(d):

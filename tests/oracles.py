@@ -3,10 +3,19 @@ by a route its commands do not take, checks of structure no command
 reads, and queries on page internals that no command asks."""
 from collections import Counter, defaultdict
 
-from moorev1.cobar import COALGEBRA, _ENDO_BASIS, _ENDO_CELLS, _XDEG, _YDEG
-from moorev1.dga import homology_page
+from moorev1.cobar import (
+    COALGEBRA,
+    _ENDO_BASIS,
+    _ENDO_CELLS,
+    _XDEG,
+    _YDEG,
+    CobarCochain,
+    CobarComplex,
+    cobar_differential,
+)
+from moorev1.dga import D2Report, homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Polynomial, _xor, mono_degree
+from moorev1.gf2poly import Polynomial, _xor, enumerate_window, mono_degree, mono_divides
 from moorev1.specseq import bo_pattern_dim, bu_pattern_dim
 
 
@@ -16,6 +25,33 @@ def cobar_ext_dim(cx, s, t):
         return 0
     boundaries = rank(cx.matrix(s - 1, t)) if s > 0 else 0
     return len(cx.basis(s, t)) - rank(cx.matrix(s, t)) - boundaries
+
+
+def cobar_d_squared_by_sweep(comodule, s_max, t_range):
+    """d² on every cell of the box 0 <= s <= s_max, t in t_range, each cell
+    built and pushed through cobar_differential twice, where
+    verify_cobar_d_squared proves it on the short cells and counts the box."""
+    cx = CobarComplex(comodule)
+    checked = 0
+    failures = []
+    for s in range(s_max + 1):
+        for t in range(t_range[0], t_range[1] + 1):
+            for term in cx.basis(s, t):
+                c = CobarCochain(comodule, frozenset({term}))
+                twice = cobar_differential(cobar_differential(c))
+                checked += 1
+                if not twice.is_zero():
+                    failures.append((c, twice))
+    return D2Report(checked=checked, failures=failures)
+
+
+def counts_by_enumeration(alphabet, window, relations=()):
+    """The basis of the quotient by monomial relations by enumerate and
+    filter, as (count per degree, truncated degrees): count_window counts it
+    by a dynamic program instead, and PagePresentation.basis_counts reads
+    that count."""
+    wb = enumerate_window(alphabet, window).filtered(lambda m: not any(mono_divides(rel, m) for rel in relations))
+    return {d: len(wb.basis(d)) for d in wb.degrees()}, wb._truncated
 
 
 def e3_endm_by_ranks(wb):

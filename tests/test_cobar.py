@@ -21,6 +21,7 @@ from oracles import (
     PRODUCTS,
     coalgebra_is_coassociative,
     cobar_ext_dim,
+    cobar_d_squared_by_sweep,
     comodule_is_valid,
     endomorphism_products,
 )
@@ -176,6 +177,17 @@ def cofree_comodule():
     return Comodule("cofree", labels, tuple(powers), coaction)
 
 
+def non_coassociative_comodule():
+    """The endomorphism comodule with xi1 (x) alpha*gamma added to the
+    coaction of gamma: (1 (x) psi)psi(gamma) then holds xi1 (x) xi1 (x)
+    alpha, which (Delta (x) 1)psi(gamma) lacks."""
+    endo = endomorphism_comodule()
+    table = list(endo.coaction_table)
+    i = endo.index("gamma")
+    table[i] = tuple(sorted(table[i] + ((1, "alpha*gamma"),)))
+    return Comodule(endo.name, endo.labels, endo.degree_of, tuple(table))
+
+
 def shifted(com, k):
     return Comodule(f"{com.name}[{k}]", com.labels, tuple(d + k for d in com.degree_of), com.coaction_table)
 
@@ -253,6 +265,51 @@ class TestKoszulAgainstCobar:
         eta = ext_dimensions(eta_cone_comodule(), 8, (-1, 16))
         assert eta.rows == {(s, s): 1 for s in range(9)}
         assert ext_dimensions(cofree_comodule(), 8, (-1, 16)).rows == {(0, 0): 1}
+
+
+TEST_COMODULES = [
+    trivial_comodule,
+    moore_comodule,
+    endomorphism_comodule,
+    eta_cone_comodule,
+    cofree_comodule,
+    non_coassociative_comodule,
+]
+
+
+class TestShortCellProof:
+    """verify_cobar_d_squared proves d² = 0 on the short cells and counts
+    the box; the sweep of every cell through cobar_differential twice is its
+    oracle."""
+
+    @pytest.mark.parametrize("make", TEST_COMODULES)
+    def test_matches_the_sweep_on_the_verify_box(self, make):
+        com = make()
+        proof = verify_cobar_d_squared(com, 6, (-1, 12))
+        sweep = cobar_d_squared_by_sweep(com, 6, (-1, 12))
+        assert (proof.ok, proof.checked) == (sweep.ok, sweep.checked)
+        assert proof.ok == (make is not non_coassociative_comodule)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(TEST_COMODULES),
+        st.integers(0, 5),
+        st.integers(-4, 8),
+        st.integers(0, 10),
+    )
+    def test_matches_the_sweep_on_random_boxes(self, make, s_max, t_lo, t_span):
+        com = make()
+        t_range = (t_lo, t_lo + t_span)
+        proof = verify_cobar_d_squared(com, s_max, t_range)
+        sweep = cobar_d_squared_by_sweep(com, s_max, t_range)
+        assert (proof.ok, proof.checked) == (sweep.ok, sweep.checked)
+
+    def test_the_broken_coaction_fails_on_its_label(self):
+        com = non_coassociative_comodule()
+        assert not comodule_is_valid(com)
+        proof = verify_cobar_d_squared(com, 6, (-1, 12))
+        assert {str(c) for c, _ in proof.failures} == {"gamma", "xi1|gamma", "xi1^2|gamma", "xi1^3|gamma"}
+        assert str(proof.failures[0][1]) == "xi1|xi1|alpha"
 
 
 class TestClassIdentity:

@@ -24,7 +24,7 @@ from moorev1.gf2poly import (
     mono_str,
 )
 from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, sufficient_x_index
-from oracles import complete_around_by_three
+from oracles import complete_around_by_three, counts_by_enumeration
 
 
 def laurent_alphabet(n_max=5):
@@ -345,8 +345,8 @@ def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
     clipped degrees, and the trust flag on every degree of the window and
     a margin around it."""
     wb = enumerate_window(alphabet, w)
-    counts = count_window(alphabet, w, without, odd)
     skip = None if without is None else alphabet.index(without)
+    counts = count_window(alphabet, w, [] if skip is None else [((skip, 1),)], odd)
     flips = {alphabet.index(name) for name in odd}
     want, want_odd = {}, {}
     for d in wb.degrees():
@@ -405,6 +405,91 @@ class TestCountWindowOracle:
         # alphap and x(n) carry u, so one degree mixes kept and clipped
         # monomials: its count is short, and the degree is not trusted
         assert any(d in clipped for d in want)
+
+
+@st.composite
+def windows_and_relations(draw):
+    """A small alphabet and window with 0, 1 or 2 monomial relations on its
+    non-invertible generators, each of one or two factors of exponent 1 or
+    2 (alpha*h(1,1)^2 is of that shape)."""
+    a, w = draw(small_alphabets_and_windows())
+    names = [gi for gi, g in enumerate(a) if not g.invertible]
+    relations = []
+    for _ in range(draw(st.integers(0, 2)) if names else 0):
+        factors = draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=2))
+        relations.append(tuple(sorted((gi, draw(st.integers(1, 2))) for gi in factors)))
+    return a, w, relations
+
+
+def assert_quotient_counts_match_enumeration(alphabet, w, relations):
+    """count_window with relations against enumerate and filter: each
+    degree's count (probed past the window, s < 0 included), the total, the
+    and the truncated set of the whole alphabet, which sets the trust."""
+    want, truncated = counts_by_enumeration(alphabet, w, relations)
+    counts = count_window(alphabet, w, relations=relations)
+    assert counts._truncated == truncated
+    assert counts.degrees() == sorted(want)
+    assert counts.total() == sum(want.values())
+    for s in range(w.s_range[0] - 3, w.s_range[1] + 3):
+        for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
+            for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
+                d = Multidegree(s, t, u)
+                assert counts.count(d) == want.get(d, 0), d
+    return want, truncated
+
+
+class TestQuotientCountOracle:
+    """count_window counts the quotient by monomial relations without
+    building a monomial; enumerate and filter is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows_and_relations())
+    def test_random_windows_and_relations_match_enumeration(self, case):
+        assert_quotient_counts_match_enumeration(*case)
+
+    @pytest.mark.parametrize(
+        "window",
+        [default_window(16, 4, -4, 4), default_window(32, 8, -8, 8), default_window(64, 12),
+         TruncationWindow((-3, 3), (0, 6), (-15, 40), (-8, 8))],
+        ids=["t16", "t32", "t64", "clipped"],
+    )
+    def test_e3_endm_relations(self, window):
+        """E3(EndM)'s two relations, alpha*h(1,1)^2 with its exponent 2 and
+        alpha*alphap, one at a time and together."""
+        pres = Workbench(window).presentation("EndM", 3)
+        assert len(pres.relations) == 2
+        for relations in ((), pres.relations[:1], pres.relations[1:], pres.relations):
+            want, truncated = assert_quotient_counts_match_enumeration(pres.alphabet, window, relations)
+            assert want
+        # alphap and each x(n) carry u, so the v1 range clips some degree
+        assert truncated
+        assert pres.basis_counts(window).total() == sum(want.values())
+
+    def test_a_relation_on_the_invertible_generator_is_refused(self):
+        a = nilpotent_alphabet()
+        with pytest.raises(GF2PolyError, match="invertible"):
+            count_window(a, default_window(8, 2, -2, 2), relations=[((a.index("v1"), 1),)])
+
+
+class TestBoxIndependence:
+    """A degree's basis and its truncation flag depend on the degree, the
+    alphabet and the v1 range, not on the box around it: survival_report
+    decides its classes over the small window around each degree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_alphabets_and_windows(), st.data())
+    def test_any_box_around_a_degree_holds_its_basis(self, case, data):
+        a, w = case
+        full = enumerate_window(a, w)
+        degrees = sorted(set(full.degrees()) | {Multidegree(*d) for d in full._truncated})
+        if not degrees:
+            return
+        d = data.draw(st.sampled_from(degrees))
+        margins = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        box = [(c - lo, c + hi) for c, (lo, hi) in zip(d, (data.draw(margins) for _ in range(3)))]
+        part = enumerate_window(a, TruncationWindow(w.v1_exponent_range, *box))
+        assert part.basis(d) == full.basis(d)
+        assert part.complete(d) == full.complete(d)
 
 
 class TestCompleteAround:

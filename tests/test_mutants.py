@@ -2,8 +2,8 @@
 
 Each mutant zeroes one wired differential, drops one relation, breaks the w
 grading, breaks one entry of the lift or projection table between the EndM
-and M pages, or loosens the window trust rule, and runs `verify --t-max 32`
-through the CLI.  Every mutant must make verify exit 1 with its report
+and M pages, loosens the window trust rule, or breaks the coassociativity
+of the endomorphism comodule, and runs `verify --t-max 32` through the CLI.  Every mutant must make verify exit 1 with its report
 written, and the reports that fail must be exactly the ones listed.  The d3
 values on x(n) are conjecture: verify checks their consequences, and this
 table says which consequence pins each value.  Run with -s to print the
@@ -13,12 +13,14 @@ import contextlib
 import io
 import json
 
+import moorev1.cli as cli
 import moorev1.specseq as specseq
 from moorev1.cli import run
 from moorev1.dga import PagePresentation, PageRefusedError
 from moorev1.gf2poly import Polynomial, _WindowTrust, default_window
 from moorev1.specseq import Workbench
 from oracles import induced_d3_by_lift
+from test_cobar import non_coassociative_comodule
 
 _build_presentation = Workbench._build_presentation
 _w_degree = Workbench.w_degree
@@ -127,6 +129,15 @@ def complete_at_d_only(trust, d, shift):
     return trust.complete(d)
 
 
+_trust_init = _WindowTrust.__init__
+
+
+def trust_without_clipping(trust, window, truncated, alphabet):
+    """A window trust that forgets the degrees the v1 range clips, so both
+    complete and complete_around trust them."""
+    _trust_init(trust, window, set(), alphabet)
+
+
 # a broken table breaks the lift/projection round trip, which the M r=3 d²
 # proof checks and the d3 transport needs, so the page-4 build refuses it and
 # every report reading that page fails with the refusal
@@ -152,6 +163,11 @@ MUTANTS = {
     "l(h(3,1)) := v1^-1*x(1)": (edited("_m_roles", h31_to_x1), _TABLE_CAUGHT),
     "trust s = s_max + 1": ((_WindowTrust, "_in_box", in_box_one_past_s_max), _TRUST_CAUGHT),
     "trust d without d +- shift": ((_WindowTrust, "complete_around", complete_at_d_only), _TRUST_CAUGHT),
+    "trust ignores v1 clipping": ((_WindowTrust, "__init__", trust_without_clipping), {"e3-presentation"}),
+    "psi(gamma) += xi1*alpha*gamma": (
+        (cli, "endomorphism_comodule", non_coassociative_comodule),
+        {"d-squared:cobar", "cobar-identity"},
+    ),
 }
 TABLE_MUTANTS = [label for label, ((_, attr, _), _) in MUTANTS.items() if attr in _TABLES]
 

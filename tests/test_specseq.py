@@ -335,13 +335,14 @@ def test_d_squared_reports(wb):
 
 def test_d_squared_proofs_build_no_m_basis(monkeypatch):
     """The M r=3 proof takes its count from the M r=2 report, which counts
-    the M basis without enumerating it."""
+    the M basis without enumerating it; the EndM r=3 proof counts its
+    quotient by the relations, so the proofs enumerate no basis at all."""
     enumerated = []
     real_enumerate = dga.enumerate_window
     monkeypatch.setattr(dga, "enumerate_window", lambda a, w: enumerated.append(a) or real_enumerate(a, w))
     bench = Workbench(default_window(24, 6, -6, 6))
     reps = bench.verify_differentials_square_to_zero()
-    assert enumerated == [bench.alphabet("EndM", 3)]
+    assert enumerated == []
     assert reps["M r=3"].checked == reps["M r=2"].checked > 100
 
 
@@ -687,6 +688,28 @@ def test_survival_report(wb):
     assert len(fates) > 10
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(8, 2, -2, 2), (16, 3, -16, 16), (24, 6, -6, 6), (24, 6, -2, 2), (32, 8, -8, 8), (32, 8, -2, 3), (40, 12, -3, 5)],
+    ids=["t8", "t16-s3", "t24", "t24-v1", "t32", "t32-v1", "t40-v1"],
+)
+def test_survivors_decided_around_their_degrees_match_the_whole_page_4(window):
+    """The four survivor rows, trusted off the E3(EndM) counts and decided
+    on page 4 over the window around each degree, against page 4 of EndM
+    built over the whole window."""
+    bench = Workbench(default_window(*window))
+    page4 = bench.page("EndM", 4)
+    a3 = bench.alphabet("EndM", 3)
+    rows = [r for r in bench.survival_report().rows if r.claim.startswith("survives-to-e4:")]
+    assert len(rows) == 4
+    for row in rows:
+        d = Multidegree(*row.degree)
+        trusted = page4.trusted(d)
+        assert (row.status != "insufficient") == trusted, row
+        if trusted:
+            assert row.lhs == int(page4.class_is_nonzero(Polynomial.parse(a3, row.claim.split(":")[1]), d)), row
+
+
 def test_survivors_at_untrusted_degrees_are_insufficient():
     bench = Workbench(default_window(t_max=8, s_max=2, v1_min=-2, v1_max=2))
     page4 = bench.page("EndM", 4)
@@ -922,11 +945,15 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
     """Over the verify sequence each basis (alphabet, relations, window) is
     enumerated at most once, also where two presentations share it (M r=2
     and M r=3), and a second Workbench enumerates everything again: no
-    basis outlives the Workbench that built it."""
+    basis outlives the Workbench that built it.  E3(EndM) is counted over
+    the window: its basis is enumerated, and its page 4 built, only over the
+    small window around each survivor's degree."""
     enumerating = []  # the presentation whose basis is being built
     calls = Counter()
+    pages = []  # (presentation name, window) of each homology_page call
     real_basis = PagePresentation.basis
     real_enumerate = dga.enumerate_window
+    real_homology = specseq.homology_page
 
     def basis(self, window):
         enumerating.append(self)
@@ -943,6 +970,7 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
 
     monkeypatch.setattr(PagePresentation, "basis", basis)
     monkeypatch.setattr(dga, "enumerate_window", counting)
+    monkeypatch.setattr(specseq, "homology_page", lambda pres, w: pages.append((pres.name, w)) or real_homology(pres, w))
     window = default_window(16, 4, -4, 4)
     bench = Workbench(window)
     for name in VERIFY_SEQUENCE:
@@ -953,8 +981,15 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
     # and the d² proof count the E2(EndM) monomials
     counted = {bench.alphabet("S", 2), bench.alphabet("EndM", 2)}
     assert not counted & {a for a, _, _ in first}
+    e3 = bench.alphabet("EndM", 3)
+    survivors = [r.degree for r in bench.survival_report().rows if r.claim.startswith("survives-to-e4:")]
+    around = {bench._window_around(Multidegree(*d)) for d in survivors}
+    assert len(around) == 4 and window not in around
+    assert {w for name, w in pages if name == "endomorphism r=3"} == around
+    assert {w for a, _, w in first if a == e3} == around
+    full = {(a, rel) for a, rel, w in first if w == window}
     used = {(pres.alphabet, pres.relations) for pres in bench._presentations.values()}
-    assert {(a, rel) for a, rel, _ in first} >= {(a, rel) for a, rel in used if a not in counted}
+    assert full == {(a, rel) for a, rel in used if a not in counted | {e3}}
     assert bench.presentation("M", 2).basis(window) is bench.presentation("M", 3).basis(window)
     calls.clear()
     again = Workbench(window)
@@ -992,14 +1027,17 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
         getattr(bench, name)()
     assert built == []
     rows = bench.survival_report().rows
-    survivors = {
-        (bench.page("EndM", 4), r.degree)
-        for r in rows
-        if r.claim.startswith("survives-to-e4:") and r.status != "insufficient"
-    }
+    survivors = sorted(
+        r.degree for r in rows if r.claim.startswith("survives-to-e4:") and r.status != "insufficient"
+    )
     assert len(survivors) == 4
-    assert set(built) == survivors
-    assert len(built) == len(set(built))
+    # each survivor's class is decided on page 4 of EndM over the window
+    # around its degree, once
+    assert sorted(d for _, d in built) == survivors
+    for page, d in built:
+        assert page.presentation is bench.presentation("EndM", 3)
+        assert page.window == bench._window_around(Multidegree(*d))
     once = len(built)
-    bench.survival_report()
+    for page, d in list(built):
+        page.representatives(Multidegree(*d))
     assert len(built) == once
