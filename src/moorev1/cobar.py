@@ -14,8 +14,9 @@ and Ext^{s,t} is the cohomology of Priddy's Koszul complex M (x) F2[h10, h11]
 bidegree.  The reduced cobar complex stays as the cochain-level checker
 (coboundary tests for named cochains) and as the independent oracle for the
 Koszul dimensions.  Its d² = 0 is proved on the short cells, those of bar
-length at most 1, and the cells of the box are counted, not built; the
-sweep over every cell is in tests/oracles.py.
+length at most 1: each label once, each bar entry once.  The cells of the
+box are counted, not built; the sweep over every cell is in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -361,40 +362,59 @@ def verify_cobar_d_squared(
     comodule: Comodule, s_max: int, t_range: Tuple[int, int]
 ) -> D2Report:
     """Prove d² = 0 on every cell of the box 0 <= s <= s_max, t in t_range,
-    from its short cells.
+    from the defects of the pieces its cells are made of.
 
     d inserts the reduced diagonal at one bar entry or the reduced coaction
     at the label, so d² inserts twice.  Over GF(2) two insertions at
     different pieces of a cell come up in both orders and cancel, so d² of
-    a cell is the sum of the defects of its pieces.  The defect of a label
-    m is d²((), m), and that of a bar entry xi1^i is what d²((i,), m) adds to
-    xi1^i | d²((), m).  So d² vanishes on the box exactly when it vanishes
-    on the cells ((), m) and ((i,), m) of each label m that some cell of
-    the box carries; those are the cells checked.  checked is the number of
-    cells in the box, counted without building them: a bar word of length
-    s is a composition into s parts below the coalgebra height."""
+    a cell is the sum of the defects of its pieces, and a nonzero defect
+    shows in every cell that holds its piece.  The defect of a label m is
+    d²((), m), checked for each label some cell of the box carries.  The
+    defect of a bar entry xi1^a is what d²((a,), m) adds to xi1^a | d²((), m);
+    it does not depend on m, so it is checked once, under one held label,
+    for each entry some cell of the box carries.
+
+    checked is the number of cells in the box, counted without building
+    them: a bar word of length s is a composition into s parts below the
+    coalgebra height, and it carries the entry xi1^a when the rest of it
+    is a word of length s - 1.  Each failure is a failing piece, not a box
+    cell: the short cell ((), m) or ((a,), m) with its defect.  That cell
+    may lie outside the box; every box cell holding the piece fails with
+    it."""
     t_lo, t_hi = t_range
-    words = {0: 1}  # total -> how many bar words of the current length
+    # total -> how many bar words of length s, and of length s - 1
+    words: Dict[int, int] = {0: 1}
+    shorter: Dict[int, int] = {}
     checked = 0
-    held = set()
+    held, entries = set(), set()
     for s in range(s_max + 1):
         for label, deg in zip(comodule.labels, comodule.degree_of):
-            cells = sum(words.get(t - deg, 0) for t in range(t_lo, t_hi + 1))
+            totals = range(t_lo - deg, t_hi - deg + 1)
+            cells = sum(words.get(n, 0) for n in totals)
             if cells:
                 checked += cells
                 held.add(label)
+                entries.update(
+                    a for a in range(1, COALGEBRA.height) if any(shorter.get(n - a) for n in totals)
+                )
         longer: Dict[int, int] = {}
         for n, ways in words.items():
             for a in range(1, COALGEBRA.height):
                 longer[n + a] = longer.get(n + a, 0) + ways
-        words = longer
+        words, shorter = longer, words
     failures = []
+    defects = {}
     for label in comodule.labels:
-        if label not in held:
-            continue
-        for powers in ((),) + tuple((a,) for a in range(1, COALGEBRA.height)):
-            c = CobarCochain(comodule, frozenset({(powers, label)}))
-            twice = cobar_differential(cobar_differential(c))
-            if not twice.is_zero():
-                failures.append((c, twice))
+        if label in held:
+            c = CobarCochain(comodule, frozenset({((), label)}))
+            defects[label] = cobar_differential(cobar_differential(c))
+            if not defects[label].is_zero():
+                failures.append((c, defects[label]))
+    m = next(iter(defects), None)  # entries is empty when no label is held
+    for a in sorted(entries):
+        c = CobarCochain(comodule, frozenset({((a,), m)}))
+        under = CobarCochain(comodule, frozenset(((a,) + p, n) for p, n in defects[m].terms))
+        defect = cobar_differential(cobar_differential(c)) + under
+        if not defect.is_zero():
+            failures.append((c, defect))
     return D2Report(checked=checked, failures=failures)

@@ -307,6 +307,8 @@ class Workbench:
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
         self._pages: Dict[Tuple[str, int], _PageDims] = {}
+        # page 4 of EndM over the small window around each survivor's degree
+        self._pages_around: Dict[TruncationWindow, _PageDims] = {}
         self._zbh: Optional[ZBHTables] = None
         self._proj_rules: Optional[List[_ProjectionRule]] = None
         self._roles: Optional[List[Tuple[int, int]]] = None
@@ -954,7 +956,7 @@ class Workbench:
         )
         for text, d in survivors:
             trusted = counts.complete_around(d, D3_SHIFT)
-            alive = trusted and homology_page(pres3, self._window_around(d)).class_is_nonzero(
+            alive = trusted and self._page4_around(d).class_is_nonzero(
                 Polynomial.parse(pres3.alphabet, text), d
             )
             rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
@@ -966,6 +968,15 @@ class Workbench:
         window's v1 range."""
         ranges = (tuple(sorted(pair)) for pair in zip(d - D3_SHIFT, d + D3_SHIFT))
         return TruncationWindow(self.window.v1_exponent_range, *ranges)
+
+    def _page4_around(self, d: Multidegree) -> _PageDims:
+        """Page 4 of EndM over the window around d, built once per
+        Workbench like the whole-window pages."""
+        w = self._window_around(d)
+        got = self._pages_around.get(w)
+        if got is None:
+            got = self._pages_around[w] = homology_page(self.presentation("EndM", 3), w)
+        return got
 
     def _xn_fates(self) -> List[CheckRow]:
         """v1^m x(n) = v1^(m+1) h(n+1,1): odd m supports d2; even m lives
