@@ -288,6 +288,8 @@ def _cmd_page(cfg: RunConfig) -> Artifacts:
 def _cmd_ext(cfg: RunConfig) -> Artifacts:
     s_max = min(cfg.s_max, _EXT_S_MAX)
     t_range = (_EXT_T_RANGE[0], min(cfg.t_max, _EXT_T_RANGE[1]))
+    if s_max < 0 or t_range[0] > t_range[1]:
+        raise GF2PolyError(f"empty ext box: s in (0, {s_max}), t in {t_range}")
     comodule = _COMODULES[cfg.spectrum]()
     table = _with_meta(
         ext_dimensions(comodule, s_max, t_range),

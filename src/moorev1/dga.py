@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gf2linalg import Subspace, column_space_basis, kernel_basis, rank, subquotient_basis
 from .gf2poly import (
+    Alphabet,
     GF2PolyError,
     Monomial,
     Multidegree,
@@ -334,15 +335,10 @@ class _PageDims:
     presentation's."""
 
     def __init__(
-        self,
-        pres: PagePresentation,
-        window: TruncationWindow,
-        trust: _WindowTrust,
-        dims: Dict[Multidegree, Tuple[int, int]],
-        shift: Multidegree,
+        self, pres: PagePresentation, trust: _WindowTrust, dims: Dict[Multidegree, Tuple[int, int]], shift: Multidegree
     ):
         self.presentation = pres
-        self.window = window
+        self.window = trust.window
         self.conditional = pres.conditional
         self._trust = trust
         self._dims = dims
@@ -379,7 +375,7 @@ class PresentationPage(_PageDims):
     def __init__(self, pres: PagePresentation, window: TruncationWindow):
         counts = pres.basis_counts(window)
         dims = {d: (counts.count(d), 0) for d in counts.degrees() if counts.complete(d)}
-        super().__init__(pres, window, counts, dims, _NO_SHIFT)
+        super().__init__(pres, counts, dims, _NO_SHIFT)
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self.presentation.basis(self.window).basis(d)
@@ -395,21 +391,20 @@ class ComputedPage(_PageDims):
     def __init__(
         self,
         pres: PagePresentation,
-        window: TruncationWindow,
         wb: WindowBasis,
         dims: Dict[Multidegree, Tuple[int, int]],
         matrices: Dict[Multidegree, List[int]],
     ):
-        super().__init__(pres, window, wb, dims, pres.degree_shift)
+        super().__init__(pres, wb, dims, pres.degree_shift)
         self._wb = wb
         self._matrices = matrices
         self._homology: Dict[Multidegree, _DegreeHomology] = {}
 
-    def matrix(self, c: Multidegree) -> Optional[List[int]]:
-        """Rows (one per target monomial) of d from degree c to c + shift, or
-        None where homology_page built none: it builds one at each trusted
-        degree with a nonempty basis and one shift below it."""
-        return self._matrices.get(c)
+    def matrix(self, c: Multidegree) -> List[int]:
+        """Rows (one per target monomial) of d from degree c to c + shift.
+        homology_page builds one at each trusted degree with a nonempty basis
+        and one shift below it, and no other."""
+        return self._matrices[c]
 
     def _homology_at(self, d: Multidegree) -> Optional[_DegreeHomology]:
         """Cycles, boundaries and representatives at a trusted degree, built
@@ -515,7 +510,7 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
                 f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}", pres.conditional
             )
         dims[d] = (len(wb.basis(d)) - ranks[d], ranks[d - shift])
-    return ComputedPage(pres, window, wb, dims, matrices)
+    return ComputedPage(pres, wb, dims, matrices)
 
 
 class DimensionTable:

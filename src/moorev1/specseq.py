@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .dga import (
     D2Report,
@@ -50,6 +50,7 @@ from .gf2poly import (
     Polynomial,
     TruncationWindow,
     WindowBasis,
+    WindowCounts,
     _name_rank,
     _xor,
     count_window,
@@ -221,9 +222,9 @@ class MatchedPage(_PageDims):
     This is algebraic discrete Morse theory in its simplest case
     (Skoldberg, Trans. AMS 2006); homology_page is the test oracle."""
 
-    def __init__(self, pres: PagePresentation, window: TruncationWindow, odd: FrozenSet[int]):
+    def __init__(self, pres: PagePresentation, counts: WindowCounts, odd: FrozenSet[int]):
+        # counts: the alpha-free monomials of a window, parity-split on odd
         a = pres.alphabet
-        counts = count_window(a, window, Polynomial.parse(a, "alpha").terms, odd=[a[gi].name for gi in odd])
         (ds, dt, du), (a_s, a_t, a_u) = pres.degree_shift, a.generator("alpha").degree
         # the degrees with a nonempty basis: N(d) > 0 or N(d - |alpha|) > 0
         nonempty = set(counts.degrees())
@@ -236,7 +237,7 @@ class MatchedPage(_PageDims):
                     even + counts.count((s - a_s, t - a_t, u - a_u)),
                     counts.odd_count((s - ds, t - dt, u - du)),
                 )
-        super().__init__(pres, window, counts, dims, pres.degree_shift)
+        super().__init__(pres, counts, dims, pres.degree_shift)
         self.conditional = True  # as every EndM page from r = 3 on
         self._mu = Polynomial.parse(a, D2_FACTOR).monomials_sorted()[0]
         self._odd = odd
@@ -310,9 +311,10 @@ class Workbench:
         # page 4 of EndM over the small window around each survivor's degree
         self._pages_around: Dict[TruncationWindow, _PageDims] = {}
         self._zbh: Optional[ZBHTables] = None
+        self._alpha_free: Optional[WindowCounts] = None
         self._proj_rules: Optional[List[_ProjectionRule]] = None
         self._roles: Optional[List[Tuple[int, int]]] = None
-        self._d3m_ratios: Dict[int, Tuple[Monomial, ...]] = {}
+        self._d3m_factors: Dict[FrozenSet[int], FrozenSet[Monomial]] = {}
         self._round_trip: Optional[List[Tuple[Polynomial, Polynomial]]] = None
         self._w_lists: Dict[Multidegree, List[int]] = {}
         self._slice_ranks: Dict[Tuple[Multidegree, int], int] = {}
@@ -454,8 +456,20 @@ class Workbench:
         if r == 2:
             return PresentationPage(self.presentation("EndM", 2), self.window)
         if r == 3:
-            return MatchedPage(self.presentation("EndM", 2), self.window, self._d2_odd_generators())
+            return MatchedPage(self.presentation("EndM", 2), self._alpha_free_endm(), self._d2_odd_generators())
         return homology_page(self.presentation("EndM", 3), self.window)
+
+    def _alpha_free_endm(self) -> WindowCounts:
+        """The alpha-free E2(EndM) monomials of the window, parity-split on
+        the generators with d2 != 0, counted once per Workbench.  The module
+        isomorphisms read only the counts, so they do not rest on the
+        proof (_d2_odd_generators) that page 3 needs of that split."""
+        if self._alpha_free is None:
+            pres = self.presentation("EndM", 2)
+            a = pres.alphabet
+            odd = [g.name for gi, g in enumerate(a) if pres.derivation_value(gi, 1)]
+            self._alpha_free = count_window(a, self.window, Polynomial.parse(a, "alpha").terms, odd=odd)
+        return self._alpha_free
 
     def _d2_odd_generators(self) -> FrozenSet[int]:
         """The generators g of E2(EndM) with d2(g) = mu*g, mu = D2_FACTOR,
@@ -477,7 +491,8 @@ class Workbench:
             if image == mu.mul_monomial(((gi, 1),)):
                 odd.add(gi)
             else:
-                raise GF2PolyError(f"{pres.name}: d2({g.name}) = {image} is neither 0 nor ({mu})*{g.name}")
+                # refused, so that the reports reading page 3 fail
+                raise PageRefusedError(f"{pres.name}: d2({g.name}) = {image} is neither 0 nor ({mu})*{g.name}", True)
         return frozenset(odd)
 
     # ---- module structure ----
@@ -548,6 +563,32 @@ class Workbench:
                 self._roles.append((n, dst.index(target)))
         return self._roles
 
+    def _m_walk(self, mono: Monomial) -> Tuple[int, int, FrozenSet[int]]:
+        """(j, a, odd) of an M monomial m, in one walk of the role table: j
+        the corrected v1 exponent (each h(n,1), n >= 2, is a v1^-1*x(n-1)),
+        a the h(1,1) exponent, and odd the page-3 EndM generators whose
+        exponent in l(m) = lift_to_endm(m), over their stride, is odd; l(m)
+        carries v1^(j - j mod 2) and v1's stride is 2."""
+        roles = self._m_roles()
+        j = a = 0
+        odd = []
+        for gi, exp in mono:
+            n, target = roles[gi]
+            if n == 0:
+                j += exp
+                continue
+            if n == 1:
+                a = exp
+            else:
+                j -= exp
+            # no two factors share a target: while the round trip holds, l
+            # is one to one on generators, and otherwise _d3m_ratio refuses
+            if exp & 1:
+                odd.append(target)
+        if j >> 1 & 1:
+            odd.append(self.alphabet("EndM", 3).v1_index)
+        return j, a, frozenset(odd)
+
     def lift_to_endm(self, mono: Monomial) -> Tuple[Monomial, int]:
         """Write an M monomial as (page-3 EndM monomial) * v1^epsilon with
         epsilon in {0,1}: each h(n,1) with n >= 2 becomes v1^-1*x(n-1) and
@@ -574,56 +615,30 @@ class Workbench:
         with l = lift_to_endm and p the projection.
 
         Computed without lifting m: by the Leibniz rule d_E(l(m)) is the sum
-        of l(m) * d_E(g^stride) / g^stride over the EndM generators g whose
-        exponent in l(m), divided by g's stride, is odd, and p is
-        multiplicative on these alpha-free monomials, so
-          d_M(m) = m * sum of p(d_E(g^stride)) / p(g^stride),
+        of l(m) * d_E(g^stride) / g^stride over the odd generators g of l(m)
+        (_m_walk), and p is multiplicative on these alpha-free monomials, so
+          d_M(m) = m * F(odd),  F(odd) = sum of p(d_E(g^stride)) / p(g^stride),
         as p(l(m)) * v1^eps = m once p(l(g)) * v1^eps = g on M's generators.
-        Each ratio is built at the first monomial that needs it, so a
-        missing differential, an unmapped generator or a broken round trip
-        raises there.  A monomial with no odd generator has d_M(m) = 0.  Not
-        memoized: page("M", 4) keeps these images as its matrices."""
+        F is summed once per odd set, where coinciding ratio terms cancel.
+        M has no square-zero generator, so multiplying by m is one to one
+        and no two products cancel.  Not memoized: page("M", 4) keeps these
+        images as its matrices."""
         a_m = self.alphabet("M", 2)
-        roles = self._m_roles()
-        j = 0
-        odd = set()  # the EndM generators of odd exponent in l(m)
-        for gi, exp in mono:
-            n, target = roles[gi]
-            if n == 0:
-                j += exp
-                continue
-            if n > 1:
-                j -= exp
-            # no two factors share a target: while the round trip holds, l
-            # is one to one on generators, and otherwise _d3m_ratio refuses
-            if exp & 1:
-                odd.add(target)
-        # l(m) carries v1^(j - eps), eps = j mod 2, and v1's stride is 2
-        if j >> 1 & 1:
-            odd.add(self.alphabet("EndM", 3).v1_index)
-        if not odd:
-            return Polynomial(a_m, frozenset())
-        built = self._d3m_ratios
-        ratios = [built[gi] if gi in built else self._d3m_ratio(gi) for gi in odd]
-        acc = set()
-        for ratio in ratios:
-            for r in ratio:
-                p = mono_mul(a_m, mono, r)
-                if p in acc:
-                    acc.remove(p)
-                else:
-                    acc.add(p)
-        return Polynomial(a_m, frozenset(acc))
+        odd = self._m_walk(mono)[2]
+        factor = self._d3m_factors.get(odd)
+        if factor is None:
+            factor = self._d3m_factors[odd] = _xor(r for gi in odd for r in self._d3m_ratio(gi))
+        return Polynomial(a_m, frozenset(mono_mul(a_m, mono, r) for r in factor))
 
     def _d3m_ratio(self, gi: int) -> Tuple[Monomial, ...]:
-        """Build and keep p(d_E(g^stride)) / p(g^stride) for the page-3 EndM
-        generator gi, as Laurent monomials over M.  A term of d_E(g^stride)
-        that p kills drops out; should p kill g but not d_E(g^stride), d_E
-        leaves the torsion ideal and no ratio transports it.  Each relation
-        of the page contains alpha, which p kills, so apply_monomial's
-        relation filter would remove nothing that p keeps.  Refused while
-        the round trip moves an M generator (_m_round_trip): then no ratio
-        gives M's d3."""
+        """p(d_E(g^stride)) / p(g^stride) for the page-3 EndM generator gi,
+        as Laurent monomials over M.  A term of d_E(g^stride) that p kills
+        drops out; should p kill g but not d_E(g^stride), d_E leaves the
+        torsion ideal and no ratio transports it.  Each relation of the
+        page contains alpha, which p kills, so apply_monomial's relation
+        filter would remove nothing that p keeps.  Refused while the round
+        trip moves an M generator (_m_round_trip): then no ratio gives M's
+        d3."""
         moved = self._m_round_trip()
         if moved:
             m3 = self.presentation("M", 3)
@@ -638,8 +653,7 @@ class Workbench:
         if num and not den:
             raise GF2PolyError(f"{pres.name}: the projection to M kills {g.name} but not its d")
         inverse = [(i, -e) for mono in den for i, e in mono]
-        got = self._d3m_ratios[gi] = tuple(_merged([*mono, *inverse]) for mono in num)
-        return got
+        return tuple(_merged([*mono, *inverse]) for mono in num)
 
     def _m_round_trip(self) -> List[Tuple[Polynomial, Polynomial]]:
         """(g, p(l(g)) * v1^eps) for each M generator g the lift/projection
@@ -659,19 +673,9 @@ class Workbench:
     # ---- w grading ----
 
     def w_degree(self, mono: Monomial) -> int:
-        """w of an M monomial: each h(n,1) with n >= 2 is a v1^-1*x(n-1)
-        in disguise and x factors carry no w, so only the corrected v1
-        exponent and the h(1,1) exponent count."""
-        roles = self._m_roles()
-        j = a = 0
-        for gi, exp in mono:
-            n = roles[gi][0]
-            if n == 0:
-                j += exp
-            elif n == 1:
-                a = exp
-            else:
-                j -= exp
+        """w of an M monomial: x factors carry no w, so only the corrected v1
+        exponent j and the h(1,1) exponent a count (_m_walk)."""
+        j, a, _ = self._m_walk(mono)
         return w_of_v1_exponent(j) + a
 
     def _w_list(self, d: Multidegree) -> List[int]:
@@ -682,30 +686,30 @@ class Workbench:
         return got
 
     def verify_w_grading(self) -> Report:
-        """d3 raises w by exactly 1 on every in-window M basis monomial.
-        Images are read off the page-4 matrix of d3 where the page built
-        one, and computed symbolically at the window edge."""
+        """d3 raises w by exactly 1 on every in-window M basis monomial m.
+
+        d3(m) = {m*r : r in F(odd)} (induced_d3m_monomial), so the row of m
+        is decided by the shifts w(m*r) - w(m), r in F(odd).  They depend
+        only on the key (j mod 4, odd) of _m_walk: w(m) = w4(j) + a with w4
+        a function of j mod 4, and m*r has exponents j + j_r and a + a_r, so
+        each shift is w4(j + j_r) - w4(j) + a_r.  They are read off one image
+        per key.  Page 4 of M is built first, so a refused d3 fails here."""
+        self.page("M", 4)
         page = self.page("M", 3)
-        page4 = self.page("M", 4)
+        shifts: Dict[Tuple[int, FrozenSet[int]], Set[int]] = {}
         rows = []
         for d in page.degrees():
-            w_src = self._w_list(d)
-            matrix = page4.matrix(d)
-            if matrix is None:
-                images = [
-                    {self.w_degree(m) for m in self.induced_d3m_monomial(mono).terms}
-                    for mono in page.basis(d)
-                ]
-            else:
-                by_w: Dict[int, int] = {}  # w -> the columns hitting a target of that w
-                for w, row in zip(self._w_list(d + D3_SHIFT), matrix):
-                    by_w[w] = by_w.get(w, 0) | row
-                images = [{w for w, cols in by_w.items() if cols >> j & 1} for j in range(len(w_src))]
-            for w_in, w_out in zip(w_src, images):
-                if w_out:
+            for mono, w_in in zip(page.basis(d), self._w_list(d)):
+                j, _, odd = self._m_walk(mono)
+                key = (j % 4, odd)
+                got = shifts.get(key)
+                if got is None:
+                    image = self.induced_d3m_monomial(mono).terms
+                    got = shifts[key] = {self.w_degree(m) - w_in for m in image}
+                if got:
                     # an image spread over several w reads -1, which
                     # w_in + 1 >= 1 never equals
-                    rhs = min(w_out) if len(w_out) == 1 else -1
+                    rhs = w_in + min(got) if len(got) == 1 else -1
                     rows.append(check_row("w-shift", d, w_in + 1, rhs))
         return Report("w-grading", rows, conditional=True)
 
@@ -736,12 +740,9 @@ class Workbench:
               each M generator g, and l(p(g)) = (g, 0) for each EndM
               generator g that p keeps;
         for then d_M(d_M(m)) = p(d_E(d_E(l(m)))) * v1^eps = 0.  The M side
-        of (c) is also the precondition of induced_d3m_monomial, which
-        computes d_M(m) as m times p(d_E(g^stride)) / p(g^stride) summed over
-        the odd generators g of l(m): p is multiplicative on alpha-free
-        monomials, and by (c) p(l(m)) * v1^eps = m, so that sum is
-        p(d_E(l(m))) * v1^eps.  Both read _m_round_trip, so a table that
-        breaks it fails here and M's page 4 refuses it.  Failures are
+        of (c) is also what induced_d3m_monomial's transport rests on.  Both
+        read _m_round_trip, so a table that breaks it fails here and M's
+        page 4 refuses it.  Failures are
         endm3's, (torsion generator, its d), and (generator, its round
         trip).  checked is the size of the M basis, which the M r=2 report
         has counted, and the report is conditional with endm3, whose d3 it
@@ -790,8 +791,8 @@ class Workbench:
         degree.  The quotients are counted, not enumerated."""
         m_page = self.page("M", 2)
         # the counts carry the trust of the whole EndM and S bases
-        endm, sphere = self.alphabet("EndM", 2), self.alphabet("S", 2)
-        endm_free = count_window(endm, self.window, Polynomial.parse(endm, "alpha").terms)
+        sphere = self.alphabet("S", 2)
+        endm_free = self._alpha_free_endm()
         sphere_free = count_window(sphere, self.window, Polynomial.parse(sphere, "h(1,0)").terms)
         rows = []
         for d in m_page.degrees():
@@ -956,9 +957,9 @@ class Workbench:
         )
         for text, d in survivors:
             trusted = counts.complete_around(d, D3_SHIFT)
-            alive = trusted and self._page4_around(d).class_is_nonzero(
-                Polynomial.parse(pres3.alphabet, text), d
-            )
+            # a survivor with d3 != 0 dies before page 4, as no cycle
+            alive = trusted and not pres3.derivation_value(pres3.alphabet.index(text), 1)
+            alive = alive and self._page4_around(d).class_is_nonzero(Polynomial.parse(pres3.alphabet, text), d)
             rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
         rows.extend(self._xn_fates())
         return Report("survival", rows, conditional=True)

@@ -362,6 +362,17 @@ def test_unsupported_page_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", [("--s-max", "-1"), ("--t-max", "-2"), ("--t-max", "-3")], ids="".join)
+def test_ext_on_an_empty_box_exits_two(tmp_path, capsys, window):
+    # ext's box is s <= min(s_max, 8), -1 <= t <= min(t_max, 16); one row
+    # short of empty it still writes a table
+    assert run_in(tmp_path, "ext", *window, "--no-cache") == 2
+    assert capsys.readouterr().err.startswith("error: empty ext box")
+    assert list(tmp_path.iterdir()) == []
+    assert run_in(tmp_path, "ext", "--s-max", "0", "--t-max", "-1", "--no-cache") == 0
+    assert read_rows(tmp_path / "ext-EndM.json")
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t-max=20\ns-max=5\nv1-min=-5\nv1-max=5\nspectrum=M\n# comment\n\n")

@@ -1,17 +1,20 @@
 """Which report catches which wrong wired value.
 
-Each mutant zeroes one wired differential, drops one relation, breaks the w
-grading, breaks one entry of the lift or projection table between the EndM
-and M pages, loosens the window trust rule, or breaks the coassociativity
-of the endomorphism comodule, and runs `verify --t-max 32` through the CLI.  Every mutant must make verify exit 1 with its report
-written, and the reports that fail must be exactly the ones listed.  The d3
-values on x(n) are conjecture: verify checks their consequences, and this
-table says which consequence pins each value.  Run with -s to print the
-table.
+Each mutant zeroes one wired differential, gives one a wrong term of the
+same degree, drops one relation, breaks the w grading, breaks one entry of
+the lift or projection table between the EndM and M pages, loosens the
+window trust rule, or breaks the coassociativity of the endomorphism
+comodule, and runs `verify --t-max 32` through the CLI.  Every mutant must
+make verify exit 1 with its report written, and the reports that fail must
+be exactly the ones listed.  The d3 values on x(n) are conjecture: verify
+checks their consequences, and this table says which consequence pins each
+value.  Run with -s to print the table.
 """
 import contextlib
 import io
 import json
+
+import pytest
 
 import moorev1.cli as cli
 import moorev1.specseq as specseq
@@ -21,6 +24,7 @@ from moorev1.gf2poly import Polynomial, _WindowTrust, default_window
 from moorev1.specseq import Workbench
 from oracles import induced_d3_by_lift
 from test_cobar import non_coassociative_comodule
+from test_specseq import reference_w_grading_rows
 
 _build_presentation = Workbench._build_presentation
 _w_degree = Workbench.w_degree
@@ -51,6 +55,18 @@ def rebuilt(tag, r, edit):
 def zeroed(tag, r, name):
     """d(name) := 0 on (tag, r)."""
     return rebuilt(tag, r, lambda a, diffs, rels: ({**diffs, name: Polynomial.zero(a)}, rels))
+
+
+def plus(tag, r, name, text):
+    """d(name) += text on (tag, r), a term of the same degree; no change
+    where the window's alphabet lacks name."""
+
+    def edit(a, diffs, rels):
+        if name not in diffs:
+            return diffs, rels
+        return {**diffs, name: diffs[name] + Polynomial.parse(a, text)}, rels
+
+    return rebuilt(tag, r, edit)
 
 
 def dropped(tag, r, text):
@@ -143,6 +159,9 @@ def trust_without_clipping(trust, window, truncated, alphabet):
 # every report reading that page fails with the refusal
 _TABLE_CAUGHT = {"d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
 _TRUST_CAUGHT = {"w-grading", "e4-claims", "e4-closed-form", "survival"}
+# a wrong d3 term of degree at most 32 breaks d3² on EndM and on M, the w
+# grading and the slice claims
+_D3_TERM_CAUGHT = {"d-squared:EndM r=3", "d-squared:M r=3", "w-grading", "e4-claims", "e4-closed-form"}
 
 # mutant -> ((the object patched, its attribute, the replacement), the
 # reports that catch it)
@@ -153,6 +172,40 @@ MUTANTS = {
     "d2(v1) := 0": (zeroed("EndM", 2, "v1"), {"e3-presentation"}),
     "d2(h(2,1)) := 0": (zeroed("EndM", 2, "h(2,1)"), {"e3-presentation"}),
     "d2(h(3,1)) := 0": (zeroed("EndM", 2, "h(3,1)"), {"e3-presentation", "survival"}),
+    # the wrong terms: each wired differential that has another monomial of
+    # its degree at t_max 32, outside the relations, gets it added (there is
+    # one each).  d2(h(1,1)) is then mu*h(1,1), still a matching; d2(h(n,1))
+    # with n >= 3 is not, so page 3 of EndM refuses it.  The added d3 terms
+    # of h(1,1) and x(n) transport to v1^-2*h(1,1)^3, v1's own ratio, so in
+    # M's d3 the two cancel on monomials odd in both generators.
+    "d2(h(1,1)) += v1^-1*alpha*h(1,1)^3": (
+        plus("EndM", 2, "h(1,1)", "v1^-1*alpha*h(1,1)^3"),
+        {"e3-presentation"},
+    ),
+    "d2(h(3,1)) += v1^-1*alpha*h(2,1)^3": (
+        plus("EndM", 2, "h(3,1)", "v1^-1*alpha*h(2,1)^3"),
+        {"e3-presentation", "survival"},
+    ),
+    "d2(h(4,1)) += v1^-1*alpha*h(2,1)*h(3,1)^2": (
+        plus("EndM", 2, "h(4,1)", "v1^-1*alpha*h(2,1)*h(3,1)^2"),
+        {"e3-presentation", "survival"},
+    ),
+    "d2(h(5,1)) += v1^-1*alpha*h(2,1)*h(4,1)^2": (
+        plus("EndM", 2, "h(5,1)", "v1^-1*alpha*h(2,1)*h(4,1)^2"),
+        {"e3-presentation", "survival"},
+    ),
+    "d3(alphap) += v1^-2*alphap*h(1,1)^3": (plus("EndM", 3, "alphap", "v1^-2*alphap*h(1,1)^3"), {"survival"}),
+    "d3(h(1,1)) += v1^-2*h(1,1)^4": (plus("EndM", 3, "h(1,1)", "v1^-2*h(1,1)^4"), _D3_TERM_CAUGHT | {"survival"}),
+    "d3(x(1)) += v1^-2*h(1,1)^3*x(1)": (
+        plus("EndM", 3, "x(1)", "v1^-2*h(1,1)^3*x(1)"),
+        _D3_TERM_CAUGHT | {"survival"},
+    ),
+    "d3(x(2)) += v1^-2*h(1,1)^3*x(2)": (plus("EndM", 3, "x(2)", "v1^-2*h(1,1)^3*x(2)"), _D3_TERM_CAUGHT),
+    "d3(x(3)) += v1^-2*h(1,1)^3*x(3)": (plus("EndM", 3, "x(3)", "v1^-2*h(1,1)^3*x(3)"), _D3_TERM_CAUGHT),
+    "d3(x(4)) += v1^-2*h(1,1)^3*x(4)": (
+        plus("EndM", 3, "x(4)", "v1^-2*h(1,1)^3*x(4)"),
+        {"d-squared:EndM r=3", "d-squared:M r=3", "w-grading"},
+    ),
     "drop alpha*h(1,1)^2": (dropped("EndM", 3, "alpha*h(1,1)^2"), {"e3-presentation"}),
     "drop alpha*alphap": (dropped("EndM", 3, "alpha*alphap"), {"e3-presentation"}),
     "w += #h(2,1)": ((Workbench, "w_degree", w_degree_plus_h21), {"w-grading", "e4-claims"}),
@@ -251,3 +304,29 @@ def test_a_refused_m_page_stops_at_its_first_transported_ratio(tmp_path, monkeyp
             (Workbench, "induced_d3m_monomial", induced_d3m_monomial),
         )
         assert code == 1 and builds and calls <= builds, (label, builds, calls)
+
+
+def test_w_grading_rows_match_symbolic_reference_under_every_mutant(monkeypatch):
+    """verify_w_grading reads one image per key (j mod 4, odd set), and
+    reference_w_grading_rows computes the image of every monomial.  Under
+    each mutant they give the same rows wherever page 4 of M builds; where
+    it refuses, the report refuses with the same message."""
+    refused, mismatched = set(), set()
+    for label, ((target, attr, replacement), _) in MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(target, attr, replacement)
+            bench = Workbench(default_window(24, 6, -7, 9))
+            try:
+                bench.page("M", 4)
+            except PageRefusedError as exc:
+                with pytest.raises(PageRefusedError) as again:
+                    bench.verify_w_grading()
+                assert str(again.value) == str(exc), label
+                refused.add(label)
+                continue
+            rows = bench.verify_w_grading().rows
+            assert rows == reference_w_grading_rows(bench), label
+            if any(r.status == "mismatch" for r in rows):
+                mismatched.add(label)
+    assert set(TABLE_MUTANTS) < refused
+    assert "w += #h(2,1)" in mismatched

@@ -4,12 +4,14 @@ import collections
 import contextlib
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
 import pathlib
 import re
 import sys
+import typing
 
 import moorev1
 import moorev1.cli
@@ -75,6 +77,40 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert dangling == []
+
+
+def _package_functions(module):
+    """Each function and method defined in a module, property accessors and
+    the methods dataclasses generate included."""
+
+    def walk(namespace, top):
+        for obj in vars(namespace).values():
+            if isinstance(obj, (staticmethod, classmethod)):
+                obj = obj.__func__
+            if isinstance(obj, property):
+                yield from (f for f in (obj.fget, obj.fset) if f is not None)
+            elif inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield obj
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__ and top:
+                yield from walk(obj, False)
+
+    return list(walk(module, True))
+
+
+def test_every_annotation_resolves():
+    """The package writes its annotations as strings (from __future__ import
+    annotations), so a name it never imports fails only when they are
+    resolved: typing.get_type_hints must resolve them all."""
+    modules = [importlib.import_module(f"moorev1.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))]
+    functions = [f for module in modules for f in _package_functions(module)]
+    assert len(functions) > 300
+    unresolved = []
+    for f in functions:
+        try:
+            typing.get_type_hints(f)
+        except NameError as exc:
+            unresolved.append(f"{f.__module__}.{f.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 def _perfbench_module(name):

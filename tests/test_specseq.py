@@ -653,13 +653,32 @@ def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
         hi = bench.alphabet("M", 2).index("h(2,1)")
         w_degree = bench.w_degree
         monkeypatch.setattr(bench, "w_degree", lambda m: w_degree(m) + sum(e for g, e in m if g == hi))
-    got = bench.verify_w_grading().rows
+    bench.page("M", 4)
+    matrices, images = [], []
+    real_matrix, real_induced = ComputedPage.matrix, bench.induced_d3m_monomial
+    with monkeypatch.context() as patch:
+        patch.setattr(ComputedPage, "matrix", lambda page, d: matrices.append(d) or real_matrix(page, d))
+        patch.setattr(bench, "induced_d3m_monomial", lambda m: images.append(m) or real_induced(m))
+        got = bench.verify_w_grading().rows
     assert got == reference_w_grading_rows(bench)
     assert any(r.status == "mismatch" for r in got) == broken
-    # both paths ran: page-4 matrices inside, symbolic images at the edge
-    page, page4 = bench.page("M", 3), bench.page("M", 4)
-    built = {page4.matrix(d) is not None for d in page.degrees()}
-    assert built == {True, False}
+    # one route: no page-4 matrix is read, and one image per key
+    # (j mod 4, odd set) decides the rows of every monomial with that key
+    def key(m):
+        j, _, odd = bench._m_walk(m)
+        return j % 4, odd
+
+    keys = {key(m) for m in m_basis_monomials(bench)}
+    called = [key(m) for m in images]
+    assert matrices == []
+    assert len(called) == len(set(called)) <= len(keys) < 200 < len(got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-1, 32), st.integers(0, 6), st.integers(-9, 0), st.integers(0, 9))
+def test_w_grading_rows_match_symbolic_reference_on_random_windows(t_max, s_max, v1_min, v1_max):
+    bench = Workbench(default_window(t_max, s_max, v1_min, v1_max))
+    assert bench.verify_w_grading().rows == reference_w_grading_rows(bench)
 
 
 def test_each_slice_ranked_once(monkeypatch):
