@@ -11,6 +11,7 @@ from .gf2poly import (
     Multidegree,
     ParseError,
     Polynomial,
+    Quotient,
     TruncationWindow,
     UnknownGeneratorError,
     default_window,
@@ -60,6 +61,7 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "PresentationPage",
+    "Quotient",
     "Report",
     "TruncationWindow",
     "UnknownGeneratorError",

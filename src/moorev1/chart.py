@@ -60,7 +60,7 @@ PALETTE = (
 Cell = Tuple[int, int, str]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ChartLine:
     kind: str  # h11 | v1
     stem1: int
@@ -72,14 +72,14 @@ class ChartLine:
 def _structure_lines(cells: Mapping[Cell, int], successor=None) -> List[ChartLine]:
     """Connect each cell to its h11- and v1-multiple.  The target cell must
     belong to the group successor(group, kind); by default the same
-    group."""
+    group.  Lines are sorted as plain tuples in field order."""
     lines = set()
     for stem, filt, group in cells:
         for kind, (ds, df) in (("h11", H11_STEP), ("v1", V1_STEP)):
             target = group if successor is None else successor(group, kind)
             if target is not None and (stem + ds, filt + df, target) in cells:
-                lines.add(ChartLine(kind, stem, filt, stem + ds, filt + df))
-    return sorted(lines)
+                lines.add((kind, stem, filt, stem + ds, filt + df))
+    return [ChartLine(*line) for line in sorted(lines)]
 
 
 class ChartDoc:

@@ -23,6 +23,7 @@ from .gf2poly import (
     Monomial,
     Multidegree,
     Polynomial,
+    Quotient,
     TruncationWindow,
     WindowBasis,
     WindowCounts,
@@ -97,7 +98,7 @@ class PagePresentation:
     ):
         self.alphabet = alphabet
         self.degree_shift = degree_shift
-        self.relations: Tuple[Monomial, ...] = tuple(relations)
+        self.quotient = Quotient(alphabet, tuple(relations))
         self.name = name
         self.conditional = conditional
         self.differentials: Dict[str, Polynomial] = {
@@ -120,16 +121,15 @@ class PagePresentation:
                 raise GF2PolyError(
                     f"{self.name or 'page'}: d({name}) has degree {val.multidegree()}, expected {expected}"
                 )
-        for rel in self.relations:
-            for gi, e in rel:
-                g = self.alphabet[gi]
-                if e < 1 or g.invertible:
-                    raise GF2PolyError(f"relation {mono_str(self.alphabet, rel)} is not a valid monomial relation")
         unpreserved = self.unpreserved_relations()
         if unpreserved:
             raise GF2PolyError(
                 f"{self.name or 'page'}: d does not preserve the relation {unpreserved[0][0]}"
             )
+
+    @property
+    def relations(self) -> Tuple[Monomial, ...]:
+        return self.quotient.relations
 
     def unpreserved_relations(self) -> List[Tuple[Polynomial, Polynomial]]:
         """Each relation whose d leaves the ideal, with that reduced image.
@@ -214,10 +214,7 @@ class PagePresentation:
         window and shared by every page and check built on it."""
         got = self._basis_cache.get(window)
         if got is None:
-            got = enumerate_window(self.alphabet, window)
-            if self.relations:
-                got = got.filtered(self.is_reduced_monomial)
-            self._basis_cache[window] = got
+            got = self._basis_cache[window] = enumerate_window(self.quotient, window)
         return got
 
     def basis_counts(self, window: TruncationWindow) -> WindowCounts:
@@ -226,7 +223,7 @@ class PagePresentation:
         window."""
         got = self._count_cache.get(window)
         if got is None:
-            got = self._count_cache[window] = count_window(self.alphabet, window, self.relations)
+            got = self._count_cache[window] = count_window(self.quotient, window)
         return got
 
 
@@ -345,15 +342,24 @@ class _PageDims:
         self._shift = shift
 
     def trusted(self, d: Multidegree) -> bool:
-        return d in self._dims or self._trust.complete_around(d, self._shift)
+        return self.dims_at(d) is not None
 
     def degrees(self) -> List[Multidegree]:
         return sorted(self._dims)
 
-    def _require(self, d: Multidegree) -> Tuple[int, int]:
-        if not self.trusted(d):
+    def dims_at(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
+        """(cycle dim, boundary dim) at d, or None where d is not trusted:
+        one trust test for a caller that would test trust and then read."""
+        got = self._dims.get(d)
+        if got is None and self._trust.complete_around(d, self._shift):
+            return (0, 0)
+        return got
+
+    def _require(self, d: Tuple[int, int, int]) -> Tuple[int, int]:
+        got = self.dims_at(d)
+        if got is None:
             raise UntrustedDegreeError(f"degree {tuple(d)} is not trusted in this window")
-        return self._dims.get(d, (0, 0))
+        return got
 
     def dim(self, d: Multidegree) -> int:
         cycles, boundaries = self._require(d)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 
 class GF2PolyError(Exception):
@@ -512,6 +512,31 @@ def default_window(
     )
 
 
+@dataclass(frozen=True)
+class Quotient:
+    """The polynomial algebra on an alphabet modulo monomial relations: its
+    basis is the monomials no relation divides.  A relation is a monomial
+    other than 1 in the non-invertible generators."""
+
+    alphabet: Alphabet
+    relations: Tuple[Monomial, ...] = ()
+
+    def __post_init__(self):
+        for rel in self.relations:
+            if not rel or any(e < 1 or self.alphabet[gi].invertible for gi, e in rel):
+                raise GF2PolyError(
+                    f"relation {mono_str(self.alphabet, rel)} needs positive exponents on non-invertible generators"
+                )
+
+
+# what a window walk takes: an alphabet stands for its quotient by no relation
+Algebra = Union[Alphabet, Quotient]
+
+
+def _quotient(algebra: Algebra) -> Quotient:
+    return algebra if isinstance(algebra, Quotient) else Quotient(algebra)
+
+
 class _WindowTrust:
     """The completeness rule shared by the bases and the counts of a window.
 
@@ -585,14 +610,6 @@ class WindowBasis(_WindowTrust):
 
     def degrees(self) -> List[Multidegree]:
         return sorted(self._buckets)
-
-    def filtered(self, keep: Callable[[Monomial], bool]) -> "WindowBasis":
-        kept = {}
-        for d, monos in self._buckets.items():
-            sub = tuple(m for m in monos if keep(m))
-            if sub:
-                kept[d] = sub
-        return WindowBasis(self.window, kept, set(self._truncated), self.alphabet)
 
 
 class WindowCounts(_WindowTrust):
@@ -709,41 +726,65 @@ class _PartPlan:
                 yield j, (s, tt, u + vu * j), not (v1_lo <= j <= v1_hi)
 
 
-def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasis:
-    """Enumerate every in-window monomial at once, bucketed by multidegree.
+def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
+    """Enumerate every in-window basis monomial of the quotient at once,
+    bucketed by multidegree.
 
     The v1 exponent is iterated over everything consistent with the u range,
     so a degree whose basis got clipped by the v1 exponent range is flagged
-    as truncated rather than silently reported short.
+    as truncated rather than silently reported short.  A part that a
+    relation divides is pruned where the generator completing the relation
+    is placed: nothing below it is built, but the walk goes on through its
+    part degrees alone, since the whole algebra's clipping sets the trust,
+    as in count_window.
     """
+    quotient = _quotient(algebra)
+    alphabet = quotient.alphabet
     plan = _PartPlan(alphabet, window)
     others, pruned, exponent_cap, keeps = plan.others, plan.pruned, plan.exponent_cap, plan.keeps
+    # each relation is tested once, when its factor walked last is placed
+    walked_at = {gi: k for k, (gi, _) in enumerate(others)}
+    closing: Dict[int, List[Monomial]] = {}
+    for rel in quotient.relations:
+        closing.setdefault(max(rel, key=lambda f: walked_at[f[0]])[0], []).append(rel)
     # One record per non-v1 part: (-u, dense exponents, s, t, factors).  In
     # a bucket of fixed u, a larger u of the non-v1 part means a smaller v1
     # exponent, so emitting the records in their natural sorted order fills
     # every bucket in the canonical order (v1 exponent, then the others)
     # with no sort per bucket.  v1 is index 0, so its factor goes in front.
     leaves: List[Tuple[int, Tuple[int, ...], int, int, Monomial]] = []
+    divided: Set[Tuple[int, int, int]] = set()  # the degrees of the divided parts
     exps = [0] * len(alphabet)
 
-    def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int):
+    def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int, dead: bool):
         if pruned(k, s, t, u):
             return
         if k == len(others):
             if keeps(s, t, u):
-                leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
+                if dead:
+                    divided.add((s, t, u))
+                else:
+                    leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
             return
         gi, g = others[k]
+        ds, dt, du = g.degree
         e_max = exponent_cap(k, s, t, u)
-        recurse(k + 1, acc, s, t, u)
+        recurse(k + 1, acc, s, t, u, dead)
+        rels = () if dead else closing.get(gi, ())
         for e in range(1, e_max + 1):
+            if not dead:
+                exps[gi] = e
+                # a relation that divides g^e divides every higher power too
+                dead = any(all(exps[x] >= r for x, r in rel) for rel in rels)
+            if dead:
+                recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, True)
+                continue
             acc.append((gi, e))
-            exps[gi] = e
-            recurse(k + 1, acc, s + g.degree.s * e, t + g.degree.t * e, u + g.degree.u * e)
+            recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, False)
             acc.pop()
         exps[gi] = 0
 
-    recurse(0, [], 0, 0, 0)
+    recurse(0, [], 0, 0, 0, False)
     leaves.sort()
     buckets: Dict[Tuple[int, int, int], List[Monomial]] = {}
     truncated: Set[Tuple[int, int, int]] = set()
@@ -768,18 +809,17 @@ def enumerate_window(alphabet: Alphabet, window: TruncationWindow) -> WindowBasi
                     buckets[key] = [mono]
                 else:
                     got.append(mono)
+        for s, t, u in divided:
+            truncated.update(key for _, key, clipped in plan.placements(s, t, u) if clipped)
     leaves.clear()  # drop the records before the bucket tuples are built
     ordered = {Multidegree(*d): tuple(buckets.pop(d)) for d in list(buckets)}
     return WindowBasis(window, ordered, truncated, alphabet)
 
 
-def count_window(
-    alphabet: Alphabet, window: TruncationWindow, relations: Iterable[Monomial] = (), odd: Iterable[str] = ()
-) -> WindowCounts:
-    """How many monomials enumerate_window finds at each degree, counting
-    only those that no relation divides (the basis of the quotient by the
-    monomial relations), and which degrees the v1 range clips (for the
-    whole alphabet).  A counted monomial is odd when its exponents on the
+def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] = ()) -> WindowCounts:
+    """How many basis monomials of the quotient enumerate_window finds at
+    each degree, and which degrees the v1 range clips (for the whole
+    alphabet, as there).  A counted monomial is odd when its exponents on the
     generators named in `odd` add up to an odd number; odd_count reads how
     many are.
 
@@ -791,13 +831,12 @@ def count_window(
     function of a monomial quotient (Bayer and Stillman, J. Symbolic
     Comput. 14, 1992).  A part that a relation divides is kept at count 0,
     since its degree may still be clipped."""
+    quotient = _quotient(algebra)
+    alphabet, rels = quotient.alphabet, quotient.relations
     plan = _PartPlan(alphabet, window)
-    rels = [tuple(rel) for rel in relations]
     need: Dict[int, int] = {}  # tracked generator -> the exponent cap of its state
     for rel in rels:
         for gi, e in rel:
-            if alphabet[gi].invertible:
-                raise GF2PolyError(f"relation {mono_str(alphabet, rel)} names the invertible {alphabet[gi].name}")
             need[gi] = max(need.get(gi, 0), e)
     slot = {gi: i for i, gi in enumerate(sorted(need))}
     rel_slots = [tuple((slot[gi], e) for gi, e in rel) for rel in rels]

@@ -84,6 +84,10 @@ class ZBHTables:
     def basis(self, p: int, q: int):
         return self._page.basis(self._degree(p, q))
 
+    def dims(self, p: int, q: int) -> Tuple[int, int]:
+        """(dim Z, dim B) at (p, q), read with one trust test."""
+        return self._page._require(self._degree(p, q))
+
     def z_dim(self, p: int, q: int) -> int:
         return self._page.cycle_dim(self._degree(p, q))
 

@@ -48,6 +48,7 @@ from .gf2poly import (
     Monomial,
     Multidegree,
     Polynomial,
+    Quotient,
     TruncationWindow,
     WindowBasis,
     WindowCounts,
@@ -468,7 +469,7 @@ class Workbench:
             pres = self.presentation("EndM", 2)
             a = pres.alphabet
             odd = [g.name for gi, g in enumerate(a) if pres.derivation_value(gi, 1)]
-            self._alpha_free = count_window(a, self.window, Polynomial.parse(a, "alpha").terms, odd=odd)
+            self._alpha_free = count_window(Quotient(a, tuple(Polynomial.parse(a, "alpha").terms)), self.window, odd)
         return self._alpha_free
 
     def _d2_odd_generators(self) -> FrozenSet[int]:
@@ -672,10 +673,11 @@ class Workbench:
 
     # ---- w grading ----
 
-    def w_degree(self, mono: Monomial) -> int:
+    def w_degree(self, mono: Monomial, walk: Optional[Tuple[int, int, FrozenSet[int]]] = None) -> int:
         """w of an M monomial: x factors carry no w, so only the corrected v1
-        exponent j and the h(1,1) exponent a count (_m_walk)."""
-        j, a, _ = self._m_walk(mono)
+        exponent j and the h(1,1) exponent a count.  walk is _m_walk(mono),
+        walked here unless the caller has it."""
+        j, a, _ = walk or self._m_walk(mono)
         return w_of_v1_exponent(j) + a
 
     def _w_list(self, d: Multidegree) -> List[int]:
@@ -693,14 +695,20 @@ class Workbench:
         only on the key (j mod 4, odd) of _m_walk: w(m) = w4(j) + a with w4
         a function of j mod 4, and m*r has exponents j + j_r and a + a_r, so
         each shift is w4(j + j_r) - w4(j) + a_r.  They are read off one image
-        per key.  Page 4 of M is built first, so a refused d3 fails here."""
+        per key.  One walk per monomial gives both its w and its key, and
+        the w of a degree is kept for the slice reports.  Page 4 of M is
+        built first, so a refused d3 fails here."""
         self.page("M", 4)
         page = self.page("M", 3)
         shifts: Dict[Tuple[int, FrozenSet[int]], Set[int]] = {}
         rows = []
         for d in page.degrees():
-            for mono, w_in in zip(page.basis(d), self._w_list(d)):
-                j, _, odd = self._m_walk(mono)
+            basis = page.basis(d)
+            walks = [self._m_walk(mono) for mono in basis]
+            w_list = self._w_lists.get(d)
+            if w_list is None:
+                w_list = self._w_lists[d] = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
+            for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
                 key = (j % 4, odd)
                 got = shifts.get(key)
                 if got is None:
@@ -793,7 +801,7 @@ class Workbench:
         # the counts carry the trust of the whole EndM and S bases
         sphere = self.alphabet("S", 2)
         endm_free = self._alpha_free_endm()
-        sphere_free = count_window(sphere, self.window, Polynomial.parse(sphere, "h(1,0)").terms)
+        sphere_free = count_window(Quotient(sphere, tuple(Polynomial.parse(sphere, "h(1,0)").terms)), self.window)
         rows = []
         for d in m_page.degrees():
             if not (endm_free.complete(d) and sphere_free.complete(d)):
@@ -1068,8 +1076,9 @@ class Workbench:
         low_w_top = (stem - 2 * filt + 8) // 3
         for s in range(0, max(s_top, low_w_top) + 1):
             d = Multidegree(s, stem + s, filt - s)
-            if page4.trusted(d):
-                lhs += page4.dim(d)
+            dims = page4.dims_at(d)
+            if dims is not None:
+                lhs += dims[0] - dims[1]
             elif self.low_w_monomial_possible(d):
                 covered = False
         return lhs, covered
@@ -1087,10 +1096,10 @@ class Workbench:
             for q in (c + 3 * p, c + 3 * p + 1, c + 3 * p + 2):
                 if q < 0 or q > tables.q_max:
                     continue
-                h = tables.h_dim(p, q)
+                z, b = tables.dims(p, q)
+                h = z - b
                 if h:
                     rhs += h * bo_pattern_dim(s_adams - p, t_adams - q)
-                b = tables.b_dim(p, q)
                 if b:
                     rhs += b * bu_pattern_dim(s_adams - p, t_adams - q)
         return rhs, exact

@@ -15,7 +15,7 @@ from moorev1.cobar import (
 )
 from moorev1.dga import D2Report, homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Polynomial, _xor, enumerate_window, mono_degree, mono_divides
+from moorev1.gf2poly import Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
 from moorev1.specseq import bo_pattern_dim, bu_pattern_dim
 
 
@@ -45,12 +45,26 @@ def cobar_d_squared_by_sweep(comodule, s_max, t_range):
     return D2Report(checked=checked, failures=failures)
 
 
+def quotient_basis_by_filter(alphabet, window, relations=()):
+    """The basis of the quotient by monomial relations by enumerating the
+    whole alphabet and dropping each monomial a relation divides, keeping
+    the whole alphabet's truncated degrees: enumerate_window prunes a
+    divided part in its walk instead."""
+    whole = enumerate_window(alphabet, window)
+    kept = {}
+    for d in whole.degrees():
+        monos = tuple(m for m in whole.basis(d) if not any(mono_divides(rel, m) for rel in relations))
+        if monos:
+            kept[d] = monos
+    return WindowBasis(window, kept, set(whole._truncated), alphabet)
+
+
 def counts_by_enumeration(alphabet, window, relations=()):
     """The basis of the quotient by monomial relations by enumerate and
     filter, as (count per degree, truncated degrees): count_window counts it
     by a dynamic program instead, and PagePresentation.basis_counts reads
     that count."""
-    wb = enumerate_window(alphabet, window).filtered(lambda m: not any(mono_divides(rel, m) for rel in relations))
+    wb = quotient_basis_by_filter(alphabet, window, relations)
     return {d: len(wb.basis(d)) for d in wb.degrees()}, wb._truncated
 
 

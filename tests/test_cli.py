@@ -133,9 +133,9 @@ def test_verify_writes_its_report_when_the_w_grading_breaks(tmp_path, monkeypatc
     # the grading, so they fail beside the report that checks it
     w_degree = Workbench.w_degree
 
-    def broken(bench, mono):
+    def broken(bench, mono, walk=None):
         hi = bench.alphabet("M", 2).index("h(2,1)")
-        return w_degree(bench, mono) + sum(e for g, e in mono if g == hi)
+        return w_degree(bench, mono, walk) + sum(e for g, e in mono if g == hi)
 
     monkeypatch.setattr(Workbench, "w_degree", broken)
     assert run_in(tmp_path, "verify", *SMALL, "--no-cache") == 1
@@ -213,9 +213,9 @@ def test_verify_counts_e2_endm_instead_of_building_it(tmp_path, monkeypatch):
     real_enumerate, real_apply = dga.enumerate_window, PagePresentation.apply_monomial
     real_homology = specseq.homology_page
 
-    def enumerate_window(alphabet, window):
-        enumerated.append(alphabet)
-        return real_enumerate(alphabet, window)
+    def enumerate_window(algebra, window):
+        enumerated.append(algebra.alphabet)
+        return real_enumerate(algebra, window)
 
     def apply_monomial(pres, mono):
         applied[pres.name] += 1

@@ -25,10 +25,10 @@ from moorev1.gf2poly import (
     Polynomial,
     TruncationWindow,
     default_window,
-    enumerate_window,
     mono_degree,
 )
 from moorev1.specseq import Workbench
+from oracles import quotient_basis_by_filter
 
 SHIFT2 = Multidegree(2, 1, -1)
 SHIFT3 = Multidegree(3, 2, -2)
@@ -344,7 +344,7 @@ def reference_homology(pres, window):
     """Cycles, boundaries and representatives at every degree homology_page
     computes, from matrices assembled straight from apply_monomial, two per
     degree; with them, the matrix at every source degree it assembled."""
-    wb = enumerate_window(pres.alphabet, window).filtered(pres.is_reduced_monomial)
+    wb = quotient_basis_by_filter(pres.alphabet, window, pres.relations)
     shift = pres.degree_shift
 
     def matrix(source, target):

@@ -12,6 +12,7 @@ from moorev1.gf2poly import (
     Multidegree,
     ParseError,
     Polynomial,
+    Quotient,
     TruncationWindow,
     UnknownGeneratorError,
     count_window,
@@ -24,7 +25,7 @@ from moorev1.gf2poly import (
     mono_str,
 )
 from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, sufficient_x_index
-from oracles import complete_around_by_three, counts_by_enumeration
+from oracles import complete_around_by_three, counts_by_enumeration, quotient_basis_by_filter
 
 
 def laurent_alphabet(n_max=5):
@@ -346,7 +347,7 @@ def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
     a margin around it."""
     wb = enumerate_window(alphabet, w)
     skip = None if without is None else alphabet.index(without)
-    counts = count_window(alphabet, w, [] if skip is None else [((skip, 1),)], odd)
+    counts = count_window(Quotient(alphabet, () if skip is None else (((skip, 1),),)), w, odd)
     flips = {alphabet.index(name) for name in odd}
     want, want_odd = {}, {}
     for d in wb.degrees():
@@ -426,7 +427,7 @@ def assert_quotient_counts_match_enumeration(alphabet, w, relations):
     degree's count (probed past the window, s < 0 included), the total, the
     and the truncated set of the whole alphabet, which sets the trust."""
     want, truncated = counts_by_enumeration(alphabet, w, relations)
-    counts = count_window(alphabet, w, relations=relations)
+    counts = count_window(Quotient(alphabet, tuple(relations)), w)
     assert counts._truncated == truncated
     assert counts.degrees() == sorted(want)
     assert counts.total() == sum(want.values())
@@ -468,7 +469,51 @@ class TestQuotientCountOracle:
     def test_a_relation_on_the_invertible_generator_is_refused(self):
         a = nilpotent_alphabet()
         with pytest.raises(GF2PolyError, match="invertible"):
-            count_window(a, default_window(8, 2, -2, 2), relations=[((a.index("v1"), 1),)])
+            Quotient(a, (((a.index("v1"), 1),),))
+        with pytest.raises(GF2PolyError, match="non-invertible"):
+            Quotient(a, ((),))
+
+
+def assert_pruned_walk_matches_filter(alphabet, w, relations):
+    """enumerate_window over the quotient against enumerate and filter:
+    the same degrees, each bucket in the same order, and the truncated set
+    of the whole alphabet."""
+    got = enumerate_window(Quotient(alphabet, tuple(relations)), w)
+    want = quotient_basis_by_filter(alphabet, w, relations)
+    assert got.degrees() == want.degrees()
+    for d in want.degrees():
+        assert got.basis(d) == want.basis(d), d
+    assert got._truncated == want._truncated
+    return want
+
+
+class TestPrunedWalkOracle:
+    """enumerate_window prunes a part as soon as a relation divides it and
+    walks the rest of that subtree through its degrees alone; enumerating
+    the whole alphabet and filtering is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows_and_relations())
+    def test_random_windows_and_relations_match_filter(self, case):
+        assert_pruned_walk_matches_filter(*case)
+
+    def test_e3_endm_relations_on_a_clipped_window(self):
+        """E3(EndM)'s relations on a window where some degree is clipped
+        only through monomials a relation divides, so the walk must take the
+        clipping of its divided parts too."""
+        w = TruncationWindow((-3, 3), (0, 6), (-15, 40), (-8, 8))
+        pres = Workbench(default_window(40, 6, -8, 8)).presentation("EndM", 3)
+        want = assert_pruned_walk_matches_filter(pres.alphabet, w, pres.relations)
+        # every placement of the u range, with the v1 range opened up
+        wide = enumerate_window(pres.alphabet, TruncationWindow((-99, 99), w.s_range, w.t_range, w.u_range))
+        v1 = pres.alphabet.v1_index
+        clipped_by = {}  # clipped degree -> whether a reduced monomial is clipped there
+        for d in wide.degrees():
+            for m in wide.basis(d):
+                if not w.v1_exponent_range[0] <= dict(m).get(v1, 0) <= w.v1_exponent_range[1]:
+                    clipped_by[tuple(d)] = clipped_by.get(tuple(d), False) or pres.is_reduced_monomial(m)
+        assert set(clipped_by) == want._truncated
+        assert not all(clipped_by.values())
 
 
 class TestBoxIndependence:
@@ -619,15 +664,16 @@ class TestEnumerateWindow:
         assert not enumerate_window(sunk, w).complete(below)
         assert not count_window(sunk, w).complete(below)
 
-    def test_filtered_drops_monomials(self):
+    def test_a_relation_drops_the_monomials_it_divides(self):
         a = nilpotent_alphabet()
         w = TruncationWindow((-2, 2), (0, 3), (-5, 10), (-2, 2))
         wb = enumerate_window(a, w)
         ai = a.index("alpha")
-        no_alpha = wb.filtered(lambda m: all(gi != ai for gi, _ in m))
-        for d in no_alpha.degrees():
-            for m in no_alpha.basis(d):
-                assert all(gi != ai for gi, _ in m)
+        no_alpha = enumerate_window(Quotient(a, (((ai, 1),),)), w)
+        for d in wb.degrees():
+            assert no_alpha.basis(d) == tuple(m for m in wb.basis(d) if all(gi != ai for gi, _ in m))
+        assert len(no_alpha.degrees()) < len(wb.degrees())
+        assert no_alpha._truncated == wb._truncated
 
 
 class TestMonomialHelpers:

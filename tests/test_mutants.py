@@ -80,10 +80,10 @@ def dropped(tag, r, text):
     return rebuilt(tag, r, edit)
 
 
-def w_degree_plus_h21(bench, mono):
+def w_degree_plus_h21(bench, mono, walk=None):
     """One extra w on every h(2,1) factor."""
     hi = bench.alphabet("M", 2).index("h(2,1)")
-    return _w_degree(bench, mono) + sum(e for g, e in mono if g == hi)
+    return _w_degree(bench, mono, walk) + sum(e for g, e in mono if g == hi)
 
 
 def edited(attr, edit):

@@ -141,6 +141,27 @@ def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
     assert moorev1.gf2poly.enumerate_window is original
 
 
+def test_benchmark_tracer_sees_the_e3_endm_quotient_walk(tmp_path):
+    """Page 4 of EndM enumerates the E3(EndM) quotient through the wrapped
+    enumerate_window, which returns exactly the quotient's basis: the
+    benchmark's enumeration counts keep covering that walk."""
+    tracer = _perfbench_module("tracer")
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        code = moorev1.cli.run(
+            ["page", "--spectrum", "EndM", "--page", "4", "--t-max", "16", "--s-max", "3", "--no-cache",
+             "--out", str(tmp_path)]
+        )
+    finally:
+        tr.uninstall()
+    assert code == 0
+    window = moorev1.default_window(16, 3)
+    quotient = moorev1.Workbench(window).presentation("EndM", 3).basis_counts(window).total()
+    assert tr.counts["gf2poly.enumerate_window.calls"] >= 1
+    assert tr.counts["gf2poly.enumerate_window.monomials"] == quotient > 0
+
+
 def test_every_benchmark_op_reproduces_its_reference(tmp_path):
     """Each op of the benchmark's workloads, run cold, gives the exit code,
     stdout and artifact bytes recorded in perfbench/reference.json, which

@@ -652,7 +652,7 @@ def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
         # one extra w on every h(2,1) factor breaks the grading somewhere
         hi = bench.alphabet("M", 2).index("h(2,1)")
         w_degree = bench.w_degree
-        monkeypatch.setattr(bench, "w_degree", lambda m: w_degree(m) + sum(e for g, e in m if g == hi))
+        monkeypatch.setattr(bench, "w_degree", lambda m, walk=None: w_degree(m, walk) + sum(e for g, e in m if g == hi))
     bench.page("M", 4)
     matrices, images = [], []
     real_matrix, real_induced = ComputedPage.matrix, bench.induced_d3m_monomial
@@ -854,9 +854,9 @@ def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
     bench = Workbench(default_window(64, 0, -16, 16))
 
     class Scan:
-        def trusted(self, d):
+        def dims_at(self, d):
             scanned.append(d.s)
-            return False
+            return None
 
     probes = []
     for stem, filt in decomposition_cells(default_window()):
@@ -981,11 +981,11 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
         finally:
             enumerating.pop()
 
-    def counting(alphabet, window):
+    def counting(algebra, window):
         pres = enumerating[-1]
-        assert pres.alphabet == alphabet
-        calls[(alphabet, pres.relations, window)] += 1
-        return real_enumerate(alphabet, window)
+        assert pres.quotient == algebra
+        calls[(pres.alphabet, pres.relations, window)] += 1
+        return real_enumerate(algebra, window)
 
     monkeypatch.setattr(PagePresentation, "basis", basis)
     monkeypatch.setattr(dga, "enumerate_window", counting)
@@ -1015,6 +1015,27 @@ def test_each_basis_enumerated_once_per_workbench(monkeypatch):
     for name in VERIFY_SEQUENCE:
         getattr(again, name)()
     assert dict(calls) == first
+
+
+def test_e3_endm_basis_builds_only_its_quotient(monkeypatch):
+    """PagePresentation.basis walks the E3(EndM) quotient itself: its one
+    enumeration returns exactly the monomials basis_counts counts, and no
+    built monomial is tested against a relation afterwards."""
+    window = default_window()
+    pres = Workbench(window).presentation("EndM", 3)
+    returned, tested = [], []
+    real_enumerate, real_divides = dga.enumerate_window, dga.mono_divides
+
+    def enumerate_window(algebra, w):
+        got = real_enumerate(algebra, w)
+        returned.append(sum(len(got.basis(d)) for d in got.degrees()))
+        return got
+
+    monkeypatch.setattr(dga, "enumerate_window", enumerate_window)
+    monkeypatch.setattr(dga, "mono_divides", lambda rel, m: tested.append(m) or real_divides(rel, m))
+    pres.basis(window)
+    assert returned == [pres.basis_counts(window).total()] and returned[0] > 10000
+    assert tested == []
 
 
 def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
