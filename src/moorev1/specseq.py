@@ -705,9 +705,7 @@ class Workbench:
         for d in page.degrees():
             basis = page.basis(d)
             walks = [self._m_walk(mono) for mono in basis]
-            w_list = self._w_lists.get(d)
-            if w_list is None:
-                w_list = self._w_lists[d] = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
+            w_list = self._w_lists[d] = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
             for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
                 key = (j % 4, odd)
                 got = shifts.get(key)
