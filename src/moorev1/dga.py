@@ -365,12 +365,6 @@ class _PageDims:
         cycles, boundaries = self._require(d)
         return cycles - boundaries
 
-    def cycle_dim(self, d: Multidegree) -> int:
-        return self._require(d)[0]
-
-    def boundary_dim(self, d: Multidegree) -> int:
-        return self._require(d)[1]
-
 
 class PresentationPage(_PageDims):
     """A page known by presentation only: dimensions are the counts of the

@@ -85,17 +85,19 @@ class ZBHTables:
         return self._page.basis(self._degree(p, q))
 
     def dims(self, p: int, q: int) -> Tuple[int, int]:
-        """(dim Z, dim B) at (p, q), read with one trust test."""
-        return self._page._require(self._degree(p, q))
+        """(dim Z, dim B) at (p, q), with no trust test: _box_window pads the
+        box by one shift on every side, so each of its degrees is trusted."""
+        return self._page._dims.get(self._degree(p, q), (0, 0))
 
     def z_dim(self, p: int, q: int) -> int:
-        return self._page.cycle_dim(self._degree(p, q))
+        return self.dims(p, q)[0]
 
     def b_dim(self, p: int, q: int) -> int:
-        return self._page.boundary_dim(self._degree(p, q))
+        return self.dims(p, q)[1]
 
     def h_dim(self, p: int, q: int) -> int:
-        return self._page.dim(self._degree(p, q))
+        z, b = self.dims(p, q)
+        return z - b
 
     def h_representatives(self, p: int, q: int) -> List[Polynomial]:
         return self._page.representatives(self._degree(p, q))

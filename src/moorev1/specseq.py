@@ -26,7 +26,7 @@ than prove them.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -309,8 +309,8 @@ class Workbench:
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
         self._pages: Dict[Tuple[str, int], _PageDims] = {}
-        # page 4 of EndM over the small window around each survivor's degree
-        self._pages_around: Dict[TruncationWindow, _PageDims] = {}
+        # pages over a smaller window: EndM's around each survivor, M's over the decomposition box
+        self._pages_over: Dict[Tuple[PagePresentation, TruncationWindow], _PageDims] = {}
         self._zbh: Optional[ZBHTables] = None
         self._alpha_free: Optional[WindowCounts] = None
         self._proj_rules: Optional[List[_ProjectionRule]] = None
@@ -965,7 +965,9 @@ class Workbench:
             trusted = counts.complete_around(d, D3_SHIFT)
             # a survivor with d3 != 0 dies before page 4, as no cycle
             alive = trusted and not pres3.derivation_value(pres3.alphabet.index(text), 1)
-            alive = alive and self._page4_around(d).class_is_nonzero(Polynomial.parse(pres3.alphabet, text), d)
+            alive = alive and self._page_over(pres3, self._window_around(d)).class_is_nonzero(
+                Polynomial.parse(pres3.alphabet, text), d
+            )
             rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
         rows.extend(self._xn_fates())
         return Report("survival", rows, conditional=True)
@@ -976,13 +978,12 @@ class Workbench:
         ranges = (tuple(sorted(pair)) for pair in zip(d - D3_SHIFT, d + D3_SHIFT))
         return TruncationWindow(self.window.v1_exponent_range, *ranges)
 
-    def _page4_around(self, d: Multidegree) -> _PageDims:
-        """Page 4 of EndM over the window around d, built once per
-        Workbench like the whole-window pages."""
-        w = self._window_around(d)
-        got = self._pages_around.get(w)
+    def _page_over(self, pres: PagePresentation, window: TruncationWindow) -> _PageDims:
+        """The homology of pres over window, built once per Workbench like
+        the whole-window pages."""
+        got = self._pages_over.get((pres, window))
         if got is None:
-            got = self._pages_around[w] = homology_page(self.presentation("EndM", 3), w)
+            got = self._pages_over[(pres, window)] = homology_page(pres, window)
         return got
 
     def _xn_fates(self) -> List[CheckRow]:
@@ -1050,9 +1051,11 @@ class Workbench:
         cells are reported as insufficient, never silently dropped.
 
         Rows are keyed by Adams (s, t) = (filtration, internal degree).
+        Page 4 of M is built over _decomposition_window only, by the rule
+        of survival_report.
         """
         w = self.window
-        page4 = self.page("M", 4)
+        page4 = self._page_over(self.presentation("M", 3), self._decomposition_window())
         tables = self.mahowald_tables()
         rows: List[CheckRow] = []
         for stem in range(w.t_range[0] - w.s_range[1], DECOMPOSITION_STEM_MAX + 1):
@@ -1062,6 +1065,14 @@ class Workbench:
                 cell = (filt, stem + filt)
                 rows.append(check_row("decomposition", cell, lhs, rhs, decided=covered and rhs_exact))
         return Report("decomposition", rows, conditional=True)
+
+    def _decomposition_window(self) -> TruncationWindow:
+        """This window with t clipped to the top the decomposition scan
+        trusts: (s, stem + s, u) is trusted only when its degree one D3_SHIFT
+        up is in the window.  A t floor above that top stays the top."""
+        w = self.window
+        top = DECOMPOSITION_STEM_MAX + w.s_range[1] - D3_SHIFT.s + D3_SHIFT.t
+        return replace(w, t_range=(w.t_range[0], max(w.t_range[0], min(w.t_range[1], top))))
 
     def _cell_lhs(self, page4, stem: int, filt: int) -> Tuple[int, bool]:
         """Total page-4 dimension over the tridegrees collapsing to the

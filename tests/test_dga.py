@@ -443,7 +443,8 @@ class TestHomology:
     def test_euler_characteristic_consistency(self, page):
         # dim H = dim Z - dim B at every trusted degree
         for d in page.degrees()[:200]:
-            assert page.dim(d) == page.cycle_dim(d) - page.boundary_dim(d)
+            cycles, boundaries = page.dims_at(d)
+            assert page.dim(d) == cycles - boundaries
 
 
     def test_nonzero_d_squared_is_refused(self):
@@ -470,7 +471,7 @@ class TestHomology:
         w = default_window(t_max=32, s_max=6, v1_min=-6, v1_max=6)
         page = homology_page(quotient_presentation(3), w)
         for d in page.degrees():
-            page.dim(d), page.cycle_dim(d), page.boundary_dim(d)
+            page.dim(d), page.dims_at(d)
         assert calls == []
         d = Multidegree(0, 1, 1)
         first = page.representatives(d)
@@ -571,8 +572,7 @@ class TestRankNullityOracle:
             incoming = maps.get(s - 2, [0] * dims[s])
             cycles = kernel_basis(maps[s], dims[s])
             boundaries = Subspace(column_space_basis(incoming, dims[s - 2] if s >= 2 else 0))
-            assert page.cycle_dim(d) == len(cycles)
-            assert page.boundary_dim(d) == boundaries.dim
+            assert page.dims_at(d) == (len(cycles), boundaries.dim)
             assert page.dim(d) == len(subquotient_basis(cycles, boundaries))
             homology.append(page.dim(d))
         for parity in (0, 1):
@@ -620,7 +620,7 @@ def presentation_page_probes(pres, w):
                 d = Multidegree(s, t, u)
                 assert page.trusted(d) == wb.complete(d), d
                 if page.trusted(d):
-                    assert page.dim(d) == len(wb.basis(d)) and page.boundary_dim(d) == 0, d
+                    assert page.dims_at(d) == (len(wb.basis(d)), 0), d
                 else:
                     with pytest.raises(UntrustedDegreeError):
                         page.dim(d)

@@ -1,7 +1,7 @@
 import pytest
 
 from moorev1.dga import UntrustedDegreeError, verify_d_squared
-from moorev1.gf2poly import GF2PolyError, Polynomial
+from moorev1.gf2poly import GF2PolyError, Multidegree, Polynomial
 from moorev1.mahowald import (
     MAHOWALD_SHIFT,
     _box_window,
@@ -125,9 +125,26 @@ class TestHomologyClasses:
 
 
 class TestQueries:
+    @pytest.mark.parametrize("p_max, q_max", [(24, 132), (32, 216)])
+    def test_box_reads_match_the_trusted_page(self, p_max, q_max):
+        """dims and z/b/h_dim read the box without a trust test; at every
+        (p, q) of the box they equal the page's trust-checked read."""
+        box = zbh_bases(p_max, q_max)
+        nonzero = 0
+        for p in range(p_max + 1):
+            for q in range(q_max + 1):
+                z, b = box._page._require(Multidegree(p, q, 0))
+                assert box.dims(p, q) == (z, b), (p, q)
+                assert (box.z_dim(p, q), box.b_dim(p, q), box.h_dim(p, q)) == (z, b, z - b), (p, q)
+                nonzero += z > 0
+        assert nonzero > 50
+
     def test_outside_box_rejected(self, tables):
         with pytest.raises(UntrustedDegreeError):
             tables.h_dim(26, 9)
+        for p, q in [(-1, 0), (0, -1), (25, 0), (0, 133)]:
+            with pytest.raises(UntrustedDegreeError):
+                tables.dims(p, q)
         with pytest.raises(UntrustedDegreeError):
             zbh_is_boundary(tables, Polynomial.parse(tables.alphabet, "x(1)^15"))
 

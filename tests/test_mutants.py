@@ -330,3 +330,23 @@ def test_w_grading_rows_match_symbolic_reference_under_every_mutant(monkeypatch)
                 mismatched.add(label)
     assert set(TABLE_MUTANTS) < refused
     assert "w += #h(2,1)" in mismatched
+
+
+def test_decompose_reads_no_refusal_above_its_box(tmp_path, monkeypatch):
+    """decompose builds page 4 of M over the decomposition box only.  Under
+    d3(x(4)) += v1^-2*h(1,1)^3*x(4), d∘d is nonzero only at degrees above
+    that box (x(4) sits at t = 64): the whole page refuses the mutant, and
+    so does verify (the table above), but decompose --t-max 64 exits 0 and
+    writes the unmutated report.  It exited 2 while it built the whole
+    page."""
+    mutant = MUTANTS["d3(x(4)) += v1^-2*h(1,1)^3*x(4)"][0]
+    args = ["decompose", "--format", "tsv", "--t-max", "64", "--no-cache", "--out"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*args, str(tmp_path / "clean")]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(*mutant)
+            assert run([*args, str(tmp_path / "mutant")]) == 0
+            with pytest.raises(PageRefusedError, match="d squared is nonzero"):
+                Workbench(default_window(64)).page("M", 4)
+    for name in ("decomposition.tsv", "decomposition.json"):
+        assert (tmp_path / "mutant" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()

@@ -162,6 +162,33 @@ def test_benchmark_tracer_sees_the_e3_endm_quotient_walk(tmp_path):
     assert tr.counts["gf2poly.enumerate_window.monomials"] == quotient > 0
 
 
+def test_benchmark_tracer_sees_decompose_enumerate_m_over_its_box_only(tmp_path):
+    """decompose builds page 4 of M over the decomposition box only: the
+    wrapped enumerate_window sees M once, over a window whose t top is
+    DECOMPOSITION_STEM_MAX + s_max - 1, with the same 3,960 monomials at
+    every t_max, and the Mahowald complex once.  A fallback to the whole
+    page (46,128 monomials at t_max 128) fails here."""
+    tracer = _perfbench_module("tracer")
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        code = moorev1.cli.run(["decompose", "--t-max", "128", "--no-cache", "--out", str(tmp_path)])
+    finally:
+        tr.uninstall()
+    assert code == 0
+    bench = moorev1.Workbench(moorev1.default_window(128))
+    m2 = bench.presentation("M", 2)
+    windows = [w for _, algebra, w in tr.distinct["gf2poly.enumerate_window"] if algebra == m2.quotient]
+    assert windows == [bench._decomposition_window()]
+    assert windows[0].t_range[1] == moorev1.specseq.DECOMPOSITION_STEM_MAX + 12 - 1
+    m_monomials = m2.basis_counts(windows[0]).total()
+    tables = bench.mahowald_tables()
+    squares = moorev1.gf2poly.count_window(tables.alphabet, moorev1.mahowald._box_window(tables.p_max, tables.q_max))
+    assert tr.counts["gf2poly.enumerate_window.calls"] == 2
+    assert tr.counts["gf2poly.enumerate_window.monomials"] == m_monomials + squares.total()
+    assert m_monomials == 3960
+
+
 def test_every_benchmark_op_reproduces_its_reference(tmp_path):
     """Each op of the benchmark's workloads, run cold, gives the exit code,
     stdout and artifact bytes recorded in perfbench/reference.json, which

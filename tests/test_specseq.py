@@ -21,6 +21,7 @@ from moorev1.gf2poly import (
     GF2PolyError,
     Multidegree,
     Polynomial,
+    TruncationWindow,
     default_window,
 )
 from moorev1.specseq import (
@@ -507,8 +508,7 @@ def assert_counted_e3_matches_ranks(bench):
                     with pytest.raises(UntrustedDegreeError):
                         counted.dim(d)
                     continue
-                got = (counted.dim(d), counted.cycle_dim(d), counted.boundary_dim(d))
-                assert got == (ranked.dim(d), ranked.cycle_dim(d), ranked.boundary_dim(d)), d
+                assert (counted.dim(d), counted.dims_at(d)) == (ranked.dim(d), ranked.dims_at(d)), d
     a = bench.alphabet("EndM", 2)
     for d in ranked.degrees():
         for m in ranked.basis(d):
@@ -905,6 +905,65 @@ def test_decomposition_positive_quadrant_covered():
         if r.status == "insufficient" and r.degree[0] >= 0 and r.degree[1] >= r.degree[0]
     ]
     assert bad == []
+
+
+def scanned_degrees(bench):
+    """Every degree mahowald_decomposition_check reads, in the order the
+    loops of _cell_lhs read them."""
+    read = []
+
+    class Scan:
+        def dims_at(self, d):
+            read.append(d)
+            return None
+
+    for stem, filt in decomposition_cells(bench.window):
+        bench._cell_lhs(Scan(), stem, filt)
+    return read
+
+
+def box_and_whole_reads(bench):
+    """dims_at of page 4 of M over the decomposition box and over the whole
+    window, at every degree the decomposition scan reads."""
+    box = bench._page_over(bench.presentation("M", 3), bench._decomposition_window())
+    whole = bench.page("M", 4)
+    read = scanned_degrees(bench)
+    return [box.dims_at(d) for d in read], [whole.dims_at(d) for d in read]
+
+
+@pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
+def test_decomposition_box_page_agrees_with_the_whole_page(window):
+    """The decomposition check builds page 4 of M over its box only, with t
+    clipped to DECOMPOSITION_STEM_MAX + s_max - 1.  At every degree its scan
+    reads, that page's dims_at equals the whole page's, None included: the
+    report bytes alone would not show a box one too small."""
+    bench = Workbench(window)
+    bench.mahowald_decomposition_check()
+    assert [w for _, w in bench._pages_over] == [bench._decomposition_window()]
+    assert bench._decomposition_window().t_range == (window.t_range[0], specseq.DECOMPOSITION_STEM_MAX + 11)
+    box, whole = box_and_whole_reads(bench)
+    assert box == whole
+    assert sum(dims is not None for dims in box) > 1000
+    assert sum(bool(dims and dims[0] > dims[1]) for dims in box) > 10
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(16, 48), st.integers(2, 12), st.integers(-6, 0), st.integers(0, 6))
+def test_decomposition_box_page_agrees_on_random_windows(t_max, s_max, v1_min, v1_max):
+    box, whole = box_and_whole_reads(Workbench(default_window(t_max, s_max, v1_min, v1_max)))
+    assert box == whole
+
+
+def test_decomposition_box_above_the_scan_reads_nothing():
+    """A window whose t floor lies above the clipped top: the box keeps its
+    floor as its top, and no degree the scan reads is trusted, on the box
+    page as on the whole one."""
+    bench = Workbench(TruncationWindow((-2, 2), (0, 3), (27, 40), (-2, 2)))
+    assert bench._decomposition_window().t_range == (27, 27)
+    rows = bench.mahowald_decomposition_check().rows
+    assert len(rows) == 15 and not [r for r in rows if r.status == "mismatch"]
+    box, whole = box_and_whole_reads(bench)
+    assert box == whole == [None] * len(box) and box
 
 
 # ---- report plumbing ----
