@@ -5,8 +5,8 @@ Every output is a deterministic function of the resolved configuration.
 Artifacts land in the output directory; a result cache under
 `<out>/.cache` is keyed by a hash of the configuration, the package
 version and a digest of the package source, and writes are atomic so
-concurrent invocations are safe.  A malformed cache entry, or one naming a
-file outside the output directory, is a cache miss.
+concurrent invocations are safe.  An entry that is malformed, names a file
+outside the output directory, or fails its sha256 digest is a cache miss.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 usage or configuration error.
@@ -345,27 +345,29 @@ def _identity_check_report() -> Report:
     return Report("cobar-identity", [check_row("identity-vs-alpha-h11", (1, 2), int(nonzero), 0)])
 
 
-def _summary(name: str, build) -> Tuple[str, bool, bool, int, list]:
-    """(name, ok, conditional, checked, failures) of one report.  A page the
-    report reads that refuses its differential fails the report, with the
-    refusal as its one failure."""
+def _summary(name: str, build) -> dict:
+    """The summary of one report: name, ok, conditional, checked and
+    failures.  A page the report reads that refuses its differential fails
+    the report, with the refusal as its one failure."""
     try:
         rep = build()
     except PageRefusedError as exc:
-        return name, False, exc.conditional, 0, [str(exc)]
-    return rep.name, rep.ok, rep.conditional, len(rep.rows), [row.to_json_obj() for row in rep.failures()]
+        return dict(name=name, ok=False, conditional=exc.conditional, checked=0, failures=[str(exc)])
+    failures = [row._asdict() for row in rep.failures()]
+    return dict(name=rep.name, ok=rep.ok, conditional=rep.conditional, checked=len(rep.rows), failures=failures)
 
 
 def _cmd_verify(cfg: RunConfig) -> Artifacts:
     wb = Workbench(cfg.window())
     d2_reports = wb.verify_differentials_square_to_zero()
     d2_reports["cobar"] = verify_cobar_d_squared(endomorphism_comodule(), 6, (-1, 12))
-    # (name, ok, conditional, checked, failures) per report, d² proofs first
-    results = [
-        (f"d-squared:{key}", rep.ok, rep.conditional, rep.checked, [f"{src} -> {im}" for src, im in rep.failures])
+    # one summary per report, d² proofs first
+    summaries = [
+        dict(name=f"d-squared:{key}", ok=rep.ok, conditional=rep.conditional, checked=rep.checked,
+             failures=[f"{src} -> {im}" for src, im in rep.failures])
         for key, rep in d2_reports.items()
     ]
-    results += [
+    summaries += [
         _summary(name, build)
         for name, build in (
             ("ext-closed-form", _ext_closed_form_report),
@@ -378,16 +380,13 @@ def _cmd_verify(cfg: RunConfig) -> Artifacts:
             ("survival", wb.survival_report),
         )
     ]
-    summaries, lines = [], []
-    for name, ok, conditional, checked, failures in results:
-        summaries.append(
-            {"name": name, "ok": ok, "conditional": conditional, "checked": checked, "failures": failures}
-        )
+    lines = []
+    for s in summaries:
         # a report whose only failures are rows the window cannot decide is
         # not verified, but it is not refuted either
-        undecided = failures and all(isinstance(f, dict) and f["status"] == "insufficient" for f in failures)
-        status = "PASS" if ok else "INSUFFICIENT" if undecided else "FAIL"
-        lines.append(f"{name}: {status} ({checked} checked)")
+        undecided = s["failures"] and all(isinstance(f, dict) and f["status"] == "insufficient" for f in s["failures"])
+        status = "PASS" if s["ok"] else "INSUFFICIENT" if undecided else "FAIL"
+        lines.append(f"{s['name']}: {status} ({s['checked']} checked)")
 
     ok = all(s["ok"] for s in summaries)
     doc = {
@@ -416,15 +415,13 @@ def _cmd_decompose(cfg: RunConfig) -> Artifacts:
         "ok": counts["mismatch"] == 0,
         "conditional": report.conditional,
         "counts": counts,
-        "rows": [row.to_json_obj() for row in report.rows],
+        "rows": [row._asdict() for row in report.rows],
     }
     files: Dict[str, str] = {}
     if cfg.format == "tsv":
         body = ["s\tt\tlhs\trhs\tstatus"]
         for row in report.rows:
-            body.append(
-                "\t".join(str(x) for x in row.degree + (row.lhs, row.rhs, row.status))
-            )
+            body.append("\t".join(str(x) for x in (*row.degree, row.lhs, row.rhs, row.status)))
         files["decomposition.tsv"] = "\n".join(body) + "\n"
     files["decomposition.json"] = _json_text(doc)
     stdout = (
@@ -484,6 +481,16 @@ def _replayable(manifest) -> bool:
     )
 
 
+def _payload_digest(code: int, stdout: bytes, blobs: Dict[str, bytes]) -> str:
+    """The sha256 an entry stores: over the exit code, the stdout bytes, and
+    each file name and its bytes in name order, each part after its length."""
+    h = hashlib.sha256()
+    for part in [b"%d" % code, stdout, *(x for rel in sorted(blobs) for x in (rel.encode(), blobs[rel]))]:
+        h.update(b"%d\0" % len(part))
+        h.update(part)
+    return h.hexdigest()
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -497,33 +504,36 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
 
     cache_entry = os.path.join(cfg.out, ".cache", cfg.cache_key() + ".json")
-    manifest = None
+    # an unreadable, malformed or altered entry is a miss and gets recomputed
+    hit = False
     if not cfg.no_cache and os.path.exists(cache_entry):
         try:
             with open(cache_entry, "r", encoding="utf-8") as f:
                 manifest = json.load(f)
-        except (OSError, ValueError):
+            if _replayable(manifest):
+                code, stdout, files = manifest["exit_code"], manifest["stdout"], manifest["files"]
+                blobs = {rel: text.encode() for rel, text in files.items()}
+                hit = manifest.get("sha256") == _payload_digest(code, stdout.encode(), blobs)
+        except (OSError, ValueError):  # UnicodeEncodeError, from a lone surrogate, is a ValueError
             pass
-    # an unreadable or malformed entry is a miss and gets recomputed
-    hit = _replayable(manifest)
-    if hit:
-        code, stdout, files = manifest["exit_code"], manifest["stdout"], manifest["files"]
-    else:
+    if not hit:
         try:
             code, stdout, files = _DISPATCH[cfg.cmd](cfg)
         except GF2PolyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        blobs = {rel: text.encode() for rel, text in files.items()}
 
     try:
-        for rel in sorted(files):
-            _atomic_write(os.path.join(cfg.out, rel), files[rel].encode())
+        for rel in sorted(blobs):
+            _atomic_write(os.path.join(cfg.out, rel), blobs[rel])
     except OSError as exc:
         print(f"error: cannot write output under {cfg.out}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(stdout)
     if not (hit or cfg.no_cache):
-        manifest = {"exit_code": code, "stdout": stdout, "files": files}
+        digest = _payload_digest(code, stdout.encode(), blobs)
+        manifest = {"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
         try:
             _atomic_write(cache_entry, _json_text(manifest).encode())
         except OSError:

@@ -712,7 +712,11 @@ class _PartPlan:
     def placements(self, s: int, t: int, u: int) -> Iterator[Tuple[int, Tuple[int, int, int], bool]]:
         """(j, degree of v1^j * part, whether the v1 range clips j) for each
         v1 exponent j that puts a kept part of degree (s, t, u) inside the
-        t and u ranges, in rising j."""
+        t and u ranges, in rising j.  Without v1 the kept part is the
+        monomial, placed once at j = 0."""
+        if self.v1 is None:
+            yield 0, (s, t, u), False
+            return
         w = self.window
         t_lo, t_hi = w.t_range
         u_lo, u_hi = w.u_range
@@ -788,29 +792,20 @@ def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
     leaves.sort()
     buckets: Dict[Tuple[int, int, int], List[Monomial]] = {}
     truncated: Set[Tuple[int, int, int]] = set()
-    if plan.v1 is None:
-        for neg_u, _, s, t, base in leaves:
-            key = (s, t, -neg_u)
+    vi = alphabet.v1_index
+    for neg_u, _, s, t, base in leaves:
+        for j, key, clipped in plan.placements(s, t, -neg_u):
+            if clipped:
+                truncated.add(key)
+                continue
+            mono = ((vi, j),) + base if j else base
             got = buckets.get(key)
             if got is None:
-                buckets[key] = [base]
+                buckets[key] = [mono]
             else:
-                got.append(base)
-    else:
-        vi = alphabet.v1_index
-        for neg_u, _, s, t, base in leaves:
-            for j, key, clipped in plan.placements(s, t, -neg_u):
-                if clipped:
-                    truncated.add(key)
-                    continue
-                mono = ((vi, j),) + base if j else base
-                got = buckets.get(key)
-                if got is None:
-                    buckets[key] = [mono]
-                else:
-                    got.append(mono)
-        for s, t, u in divided:
-            truncated.update(key for _, key, clipped in plan.placements(s, t, u) if clipped)
+                got.append(mono)
+    for s, t, u in divided:
+        truncated.update(key for _, key, clipped in plan.placements(s, t, u) if clipped)
     leaves.clear()  # drop the records before the bucket tuples are built
     ordered = {Multidegree(*d): tuple(buckets.pop(d)) for d in list(buckets)}
     return WindowBasis(window, ordered, truncated, alphabet)
@@ -873,8 +868,7 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
     for (s, t, u, p), n_free in merged.items():
         if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
             continue
-        placed = [(0, (s, t, u), False)] if plan.v1 is None else plan.placements(s, t, u)
-        for j, key, clipped in placed:
+        for j, key, clipped in plan.placements(s, t, u):
             if clipped:
                 truncated.add(key)
             elif n_free:

@@ -26,9 +26,9 @@ than prove them.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .dga import (
     D2Report,
@@ -142,37 +142,30 @@ def bu_pattern_dim(s: int, t: int) -> int:
     return 1 if t == 3 * s else 0
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
+    """One per-degree verdict.  degree is what the row's builder passed, so
+    rows at one degree share it; JSON writes it as a list."""
+
     claim: str
     degree: Tuple[int, ...]
     lhs: int
     rhs: int
     status: str  # ok | mismatch | insufficient
 
-    def to_json_obj(self) -> dict:
-        return {
-            "claim": self.claim,
-            "degree": list(self.degree),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "status": self.status,
-        }
 
-
-def check_row(claim: str, degree: Iterable[int], lhs: int, rhs: int, decided: bool = True) -> CheckRow:
+def check_row(claim: str, degree: Tuple[int, ...], lhs: int, rhs: int, decided: bool = True) -> CheckRow:
     """The one status rule of a report row: insufficient when the window
     cannot decide the row, else ok when the two sides agree, else mismatch."""
     status = "insufficient" if not decided else "ok" if lhs == rhs else "mismatch"
-    return CheckRow(claim, tuple(degree), lhs, rhs, status)
+    return CheckRow(claim, degree, lhs, rhs, status)
 
 
 class Report:
     """A flat list of per-degree check rows with a pass/fail summary."""
 
-    def __init__(self, name: str, rows: Sequence[CheckRow], conditional: bool = False):
+    def __init__(self, name: str, rows: List[CheckRow], conditional: bool = False):
         self.name = name
-        self.rows = list(rows)
+        self.rows = rows
         self.conditional = conditional
 
     @property
@@ -865,8 +858,8 @@ class Workbench:
             raise UntrustedDegreeError(
                 f"pattern count at {tuple(d)} needs bidegree ({p}, {q}) beyond the computed box"
             )
-        picker = {"Z": tables.z_dim, "B": tables.b_dim, "H": tables.h_dim}[kind]
-        return picker(p, q)
+        z, b = tables.dims(p, q)
+        return z if kind == "Z" else b if kind == "B" else z - b
 
     def _zf(self, n: int, d: Multidegree) -> int:
         return self._pattern_count("Z", d, n, (0, 1))

@@ -445,6 +445,51 @@ def _cache_entry(out):
     return entries[0]
 
 
+def _sealed(manifest):
+    """manifest with the digest run() stores beside what it replays."""
+    blobs = {rel: text.encode() for rel, text in manifest["files"].items()}
+    return {**manifest, "sha256": cli._payload_digest(manifest["exit_code"], manifest["stdout"].encode(), blobs)}
+
+
+def _change_a_digit(manifest):
+    text = manifest["files"]["page-M-r2.json"]
+    i = text.rindex("1\n    ]")  # the last row's dimension
+    manifest["files"]["page-M-r2.json"] = text[:i] + "2" + text[i + 1 :]
+
+
+def _change_a_stdout_byte(manifest):
+    manifest["stdout"] = manifest["stdout"].replace("page", "paje", 1)
+
+
+def _drop_a_file(manifest):
+    del manifest["files"]["page-M-r2.json"]
+
+
+def _lone_surrogate_in_stdout(manifest):
+    manifest["stdout"] = "\ud800" + manifest["stdout"]
+
+
+@pytest.mark.parametrize(
+    "tamper", [_change_a_digit, _change_a_stdout_byte, _drop_a_file, _lone_surrogate_in_stdout]
+)
+def test_altered_entry_is_recomputed(tmp_path, capsys, tamper):
+    argv = ["page", "--spectrum", "M", "--t-max", "24"]
+    assert run_in(tmp_path, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (tmp_path / "page-M-r2.json").read_bytes()
+    entry = _cache_entry(tmp_path)
+    stored = json.loads(entry.read_text())
+    altered = json.loads(entry.read_text())
+    tamper(altered)
+    assert altered != stored
+    entry.write_text(json.dumps(altered))
+    assert run_in(tmp_path, *argv) == 0
+    assert capsys.readouterr().out == fresh_out
+    assert (tmp_path / "page-M-r2.json").read_bytes() == fresh
+    # the recomputed run rewrites the entry as it first was
+    assert json.loads(entry.read_text()) == stored
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
@@ -492,7 +537,8 @@ def test_manifest_names_outside_out_are_a_miss(tmp_path, capsys, name):
     assert run_in(out, *argv) == 0
     fresh_out = capsys.readouterr().out
     entry = _cache_entry(out)
-    entry.write_text(json.dumps({"exit_code": 0, "stdout": "replayed\n", "files": {name: "x"}}))
+    # a digest that matches, so only the name makes it a miss
+    entry.write_text(json.dumps(_sealed({"exit_code": 0, "stdout": "replayed\n", "files": {name: "x"}})))
     assert run_in(out, *argv) == 0
     assert capsys.readouterr().out == fresh_out
     assert not (tmp_path / "escape.txt").exists()
@@ -505,7 +551,7 @@ def test_manifest_names_inside_out_replay(tmp_path, capsys):
     capsys.readouterr()
     entry = _cache_entry(tmp_path)
     files = {"sub/../a.txt": "a", "sub/b.txt": "b"}
-    entry.write_text(json.dumps({"exit_code": 0, "stdout": "replayed\n", "files": files}))
+    entry.write_text(json.dumps(_sealed({"exit_code": 0, "stdout": "replayed\n", "files": files})))
     assert run_in(tmp_path, *argv) == 0
     assert capsys.readouterr().out == "replayed\n"
     assert (tmp_path / "a.txt").read_text() == "a"

@@ -977,15 +977,12 @@ def test_check_row_statuses():
     assert check_row("c", (1, 2), 4, 5, decided=False).status == "insufficient"
 
 
-def test_report_json_shape(wb, tmp_path, capsys):
-    row = wb.verify_e3_presentation().rows[0]
-    assert row.to_json_obj() == {
-        "claim": "e3-presentation",
-        "degree": list(row.degree),
-        "lhs": row.lhs,
-        "rhs": row.rhs,
-        "status": "ok",
-    }
+def test_check_row_keeps_its_degree():
+    d = Multidegree(1, 2, 3)
+    assert check_row("c", d, 1, 1).degree is d
+
+
+def test_report_json_shape(tmp_path, capsys):
     # this window cannot decide two survival rows, and no row is a
     # mismatch: verify exits 1, and the report reads insufficient, not FAIL
     assert cli.run(["verify", "--t-max", "16", "--s-max", "3", "--out", str(tmp_path)]) == 1
@@ -994,8 +991,18 @@ def test_report_json_shape(wb, tmp_path, capsys):
     assert not [line for line in lines[:-1] if "FAIL" in line]
     doc = json.loads((tmp_path / "verify-report.json").read_text())
     assert len(doc["reports"]) == 13
+    rows = []
     for summary in doc["reports"]:
         assert set(summary) == {"name", "ok", "conditional", "checked", "failures"}
+        rows += summary["failures"]
+    # each failure row is written as an object with a list degree
+    assert rows == [
+        {"claim": "survives-to-e4:h(1,1)", "degree": [1, 2, 0], "lhs": 0, "rhs": 1, "status": "insufficient"},
+        {"claim": "survives-to-e4:x(1)", "degree": [1, 8, 1], "lhs": 0, "rhs": 1, "status": "insufficient"},
+    ]
+    for row in rows:
+        assert type(row) is dict and set(row) == {"claim", "degree", "lhs", "rhs", "status"}
+        assert type(row["degree"]) is list
 
 
 def test_report_failure_surfacing():
