@@ -533,7 +533,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     sys.stdout.write(stdout)
     if not (hit or cfg.no_cache):
         digest = _payload_digest(code, stdout.encode(), blobs)
-        manifest = {"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
+        del blobs  # so the file bytes and the manifest text are never held at once
+        manifest ={"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
         try:
             _atomic_write(cache_entry, _json_text(manifest).encode())
         except OSError:
