@@ -156,7 +156,7 @@ _DOT_R = 4
 _OFFSETS = ((0, 0), (7, 0), (-7, 0), (0, 7), (0, -7), (7, 7), (-7, -7), (7, -7), (-7, 7))
 
 
-def render(doc: ChartDoc, fmt: str) -> bytes:
+def render(doc: ChartDoc, fmt: str) -> str:
     if fmt == "svg":
         return render_svg(doc)
     if fmt == "txt":
@@ -179,7 +179,7 @@ def _grid(doc: ChartDoc):
     return width, height, x, y
 
 
-def render_svg(doc: ChartDoc) -> bytes:
+def render_svg(doc: ChartDoc) -> str:
     stem_lo, stem_hi, filt_lo, filt_hi = doc.viewport
     width, height, x, y = _grid(doc)
     out = [
@@ -234,10 +234,10 @@ def render_svg(doc: ChartDoc) -> bytes:
                 f'fill="{doc.color_of(group)}"/>'
             )
     out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("ascii")
+    return "\n".join(out) + "\n"
 
 
-def render_txt(doc: ChartDoc) -> bytes:
+def render_txt(doc: ChartDoc) -> str:
     stem_lo, stem_hi, filt_lo, filt_hi = doc.viewport
     counts = doc.counts()
     rows = []
@@ -254,4 +254,4 @@ def render_txt(doc: ChartDoc) -> bytes:
     for stem in range(stem_lo, stem_hi + 1):
         labels.append(f"{stem:>3}" if stem % 4 == 0 else "   ")
     rows.append("      " + "".join(labels))
-    return ("\n".join(rows) + "\n").encode("ascii")
+    return "\n".join(rows) + "\n"

@@ -441,7 +441,7 @@ def _cmd_chart(cfg: RunConfig) -> Artifacts:
         doc = decomposition_chart(wb.mahowald_tables())
         fname = f"chart-decomposition.{cfg.format}"
         label = "chart decomposition"
-    payload = render(doc, cfg.format).decode()
+    payload = render(doc, cfg.format)
     stdout = f"{label}: {sum(doc.cells.values())} dots -> {fname}\n"
     return 0, stdout, {fname: payload}
 
@@ -534,7 +534,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     if not (hit or cfg.no_cache):
         digest = _payload_digest(code, stdout.encode(), blobs)
         del blobs  # so the file bytes and the manifest text are never held at once
-        manifest ={"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
+        manifest = {"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
         try:
             _atomic_write(cache_entry, _json_text(manifest).encode())
         except OSError:

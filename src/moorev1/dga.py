@@ -131,6 +131,19 @@ class PagePresentation:
     def relations(self) -> Tuple[Monomial, ...]:
         return self.quotient.relations
 
+    @property
+    def v1_period(self) -> Optional[int]:
+        """A power P of v1 with d(v1^P * m) = v1^P * d(m) for every
+        monomial m; None without v1.
+
+        P = 2 * stride.  derivation_value makes d(v1^e) zero when e/stride
+        is even and d(v1^stride) * v1^(e - stride) when it is odd, so over
+        GF(2) v1^P is a d-cycle, and by the Leibniz rule d(v1^P * m) =
+        v1^P * d(m).  Multiplying by v1^P never kills a product, since v1 is
+        invertible and no relation involves it."""
+        v1 = self.alphabet.v1
+        return None if v1 is None else 2 * v1.stride
+
     def unpreserved_relations(self) -> List[Tuple[Polynomial, Polynomial]]:
         """Each relation whose d leaves the ideal, with that reduced image.
         The ideal must be closed under d; a relation with a factor whose d
@@ -485,31 +498,61 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
     The matrix of d from degree c is built and ranked once: it is the
     outgoing map at c and the incoming map at c + shift, and the page keeps
     it.  With d∘d = 0 checked at each trusted degree (a nonzero product is
-    refused), dim H = dim C - rank(out) - rank(in) exactly."""
+    refused), dim H = dim C - rank(out) - rank(in) exactly.
+
+    A matrix is built once per v1-orbit.  With step = pres.v1_period times
+    the degree of v1, degree c takes the very list of c - step when that
+    degree has a matrix and the bases of the two degrees and of their
+    targets have the same sizes.  The two matrices are equal: a matrix is
+    built only between complete degrees, which hold every monomial of
+    their degree, so multiplying by v1^P maps the bases at c - step and its
+    target one to one onto those at c and its target, keeping the
+    canonical order (v1 exponent, then the v1-free part), and d commutes
+    with it.  So rank runs once per distinct matrix, and d∘d is checked
+    once per distinct (outgoing, incoming) pair."""
     wb = pres.basis(window)
     shift = pres.degree_shift
     label = pres.name or "page"
+    period = pres.v1_period
+    step = pres.alphabet.v1.degree.scaled(period) if period else None
     wanted = [d for d in wb.degrees() if wb.complete_around(d, shift)]
     matrices: Dict[Multidegree, List[int]] = {}
     for d in wanted:
         for c in (d - shift, d):
             if c in matrices:
                 continue
+            source, target = wb.basis(c), wb.basis(c + shift)
+            if step is not None:
+                earlier = matrices.get(c - step)
+                if (
+                    earlier is not None
+                    and len(earlier) == len(target)
+                    and len(wb.basis(c - step)) == len(source)
+                ):
+                    matrices[c] = earlier
+                    continue
             try:
-                matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), pres.apply_monomial)
+                matrices[c] = differential_matrix(source, target, pres.apply_monomial)
             except _OutsideTargetBasis:
                 raise PageRefusedError(
                     f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}",
                     pres.conditional,
                 ) from None
-    ranks = {c: rank(rows) for c, rows in matrices.items()}
+    distinct = {id(rows): rows for rows in matrices.values()}
+    ranks = {key: rank(rows) for key, rows in distinct.items()}
+    composed = set()  # the distinct (outgoing, incoming) pairs checked
     dims: Dict[Multidegree, Tuple[int, int]] = {}
     for d in wanted:
-        if not _composite_is_zero(matrices[d], matrices[d - shift]):
-            raise PageRefusedError(
-                f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}", pres.conditional
-            )
-        dims[d] = (len(wb.basis(d)) - ranks[d], ranks[d - shift])
+        out, inc = matrices[d], matrices[d - shift]
+        pair = (id(out), id(inc))
+        if pair not in composed:
+            if not _composite_is_zero(out, inc):
+                raise PageRefusedError(
+                    f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}",
+                    pres.conditional,
+                )
+            composed.add(pair)
+        dims[d] = (len(wb.basis(d)) - ranks[id(out)], ranks[id(inc)])
     return ComputedPage(pres, wb, dims, matrices)
 
 

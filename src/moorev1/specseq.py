@@ -277,6 +277,15 @@ class InducedD3Presentation(PagePresentation):
     def apply_monomial(self, mono: Monomial) -> Polynomial:
         return self._bench().induced_d3m_monomial(mono)
 
+    @property
+    def v1_period(self) -> int:
+        """EndM r=3's period, 4: d3(v1^4 * m) = v1^4 * d3(m) on M too.
+        d3(m) = p(d_E(l(m))) * v1^eps, and v1^4 changes neither eps nor
+        anything of l(m) but its v1 power: l(v1^4 * m) = v1^4 * l(m).  d_E
+        commutes with v1^4 (PagePresentation.v1_period), and p sends v1 to
+        v1, so p(v1^4 * y) = v1^4 * p(y)."""
+        return self._bench().presentation("EndM", 3).v1_period
+
     def basis(self, window: TruncationWindow) -> WindowBasis:
         return self._m2.basis(window)
 
@@ -1076,9 +1085,17 @@ class Workbench:
         # past this, a w <= 2 monomial would cost more internal degree than
         # the cell provides (each factor above h(1,1) costs at least 6)
         low_w_top = (stem - 2 * filt + 8) // 3
+        # page4 trusts d only when d and d + D3_SHIFT (s, t up, u down) lie
+        # in its window's ranges; s >= 0 here, so the rule below s = 0 never
+        # applies.  Outside s_lo..s_hi dims_at is None without a lookup
+        box = page4.window
+        s_lo = max(box.s_range[0], box.t_range[0] - stem, filt - box.u_range[1])
+        s_hi = min(
+            box.s_range[1] - D3_SHIFT.s, box.t_range[1] - D3_SHIFT.t - stem, filt + D3_SHIFT.u - box.u_range[0]
+        )
         for s in range(0, max(s_top, low_w_top) + 1):
             d = Multidegree(s, stem + s, filt - s)
-            dims = page4.dims_at(d)
+            dims = page4.dims_at(d) if s_lo <= s <= s_hi else None
             if dims is not None:
                 lhs += dims[0] - dims[1]
             elif self.low_w_monomial_possible(d):

@@ -13,7 +13,7 @@ from moorev1.cobar import (
     CobarComplex,
     cobar_differential,
 )
-from moorev1.dga import D2Report, homology_page
+from moorev1.dga import D2Report, differential_matrix, homology_page
 from moorev1.gf2linalg import rank
 from moorev1.gf2poly import Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
 from moorev1.specseq import bo_pattern_dim, bu_pattern_dim
@@ -87,6 +87,24 @@ def complete_around_by_three(trust, d, shift):
         return trust.window.contains(p) and tuple(p) not in trust._truncated
 
     return complete(d) and complete(d - shift) and complete(d + shift)
+
+
+def homology_matrices_every_degree(pres, window):
+    """The matrices of d and the (cycle dim, boundary dim) at every degree
+    homology_page builds them for, each matrix built by differential_matrix
+    at its own degree: homology_page builds one per v1-orbit and shares it
+    with the orbit's translated degrees."""
+    wb = pres.basis(window)
+    shift = pres.degree_shift
+    matrices, dims = {}, {}
+    for d in wb.degrees():
+        if not complete_around_by_three(wb, d, shift):
+            continue
+        for c in (d - shift, d):
+            if c not in matrices:
+                matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), pres.apply_monomial)
+        dims[d] = (len(wb.basis(d)) - rank(matrices[d]), rank(matrices[d - shift]))
+    return matrices, dims
 
 
 def apply_matrix(rows, v):

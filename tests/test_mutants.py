@@ -21,7 +21,7 @@ import moorev1.specseq as specseq
 from moorev1.cli import run
 from moorev1.dga import PagePresentation, PageRefusedError
 from moorev1.gf2poly import Polynomial, _WindowTrust, default_window
-from moorev1.specseq import Workbench
+from moorev1.specseq import InducedD3Presentation, Workbench
 from oracles import induced_d3_by_lift
 from test_cobar import non_coassociative_comodule
 from test_specseq import reference_w_grading_rows
@@ -154,6 +154,11 @@ def trust_without_clipping(trust, window, truncated, alphabet):
     _trust_init(trust, window, set(), alphabet)
 
 
+def v1_period_times(k):
+    """PagePresentation.v1_period as k * stride of v1 (2 is the true one)."""
+    return property(lambda pres: pres.alphabet.v1 and k * pres.alphabet.v1.stride)
+
+
 # a broken table breaks the lift/projection round trip, which the M r=3 d²
 # proof checks and the d3 transport needs, so the page-4 build refuses it and
 # every report reading that page fails with the refusal
@@ -217,6 +222,17 @@ MUTANTS = {
     "trust s = s_max + 1": ((_WindowTrust, "_in_box", in_box_one_past_s_max), _TRUST_CAUGHT),
     "trust d without d +- shift": ((_WindowTrust, "complete_around", complete_at_d_only), _TRUST_CAUGHT),
     "trust ignores v1 clipping": ((_WindowTrust, "__init__", trust_without_clipping), {"e3-presentation"}),
+    # page 4 shares a matrix between degrees one v1^period apart; a period
+    # d does not commute with puts wrong matrices on M's page 4 (through
+    # EndM's period too), which refuses its d∘d
+    "InducedD3Presentation.v1_period := 2": (
+        (InducedD3Presentation, "v1_period", property(lambda pres: 2)),
+        {"w-grading", "e4-claims", "e4-closed-form"},
+    ),
+    "PagePresentation.v1_period := stride": (
+        (PagePresentation, "v1_period", v1_period_times(1)),
+        {"w-grading", "e4-claims", "e4-closed-form"},
+    ),
     "psi(gamma) += xi1*alpha*gamma": (
         (cli, "endomorphism_comodule", non_coassociative_comodule),
         {"d-squared:cobar", "cobar-identity"},
@@ -250,6 +266,22 @@ def test_every_mutant_fails_verify_in_the_listed_reports(tmp_path, monkeypatch):
     for label, (code, failed) in got.items():
         print(f"{label:<{width}}  exit {code}  {failed}")
     assert got == expected
+
+
+def test_a_multiple_of_the_v1_period_changes_no_report(tmp_path, monkeypatch):
+    """Period 8, a multiple of the true 4, shares fewer matrices, all of
+    them equal: verify writes the same report bytes."""
+    clean, eight = tmp_path / "clean", tmp_path / "eight"
+    assert verify_under(monkeypatch, (PagePresentation, "v1_period", PagePresentation.v1_period), clean) == 0
+    assert verify_under(monkeypatch, (PagePresentation, "v1_period", v1_period_times(4)), eight) == 0
+    assert (eight / "verify-report.json").read_bytes() == (clean / "verify-report.json").read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(PagePresentation, "v1_period", v1_period_times(4))
+        bench = Workbench(default_window(32))
+        assert bench.presentation("M", 3).v1_period == 8
+        for tag in ("EndM", "M"):
+            matrices = bench.page(tag, 4)._matrices
+            assert len({id(rows) for rows in matrices.values()}) < len(matrices), tag
 
 
 def test_induced_d3m_transport_matches_the_lift_definition_under_every_mutant(monkeypatch):

@@ -41,6 +41,7 @@ from oracles import (
     act,
     cell_rhs_over_every_p,
     e3_endm_by_ranks,
+    homology_matrices_every_degree,
     induced_d3_by_lift,
     induced_d3m,
     low_w_by_enumeration,
@@ -104,6 +105,39 @@ def test_unsupported_pages(wb):
 def test_build_page_one_shot():
     page = Workbench(default_window(20, 6, -4, 4)).page("EndM", 2)
     assert page.dim(Multidegree(0, -1, 0)) == 1
+
+
+@pytest.mark.parametrize(
+    "window, tags",
+    [
+        (default_window(), ("EndM", "M")),
+        (default_window(128), ("EndM",)),
+        (default_window(v1_min=-3, v1_max=2), ("EndM", "M")),
+        (default_window(v1_min=-5, v1_max=9), ("EndM", "M")),
+    ],
+)
+def test_page4_matrices_match_the_ones_built_at_every_degree(window, tags):
+    """Page 4 builds one matrix of d3 per v1-orbit and shares it with the
+    orbit's translated degrees; the oracle builds each at its own degree.
+    Every matrix, every trusted degree and its dimensions agree."""
+    bench = Workbench(window)
+    for tag in tags:
+        page = bench.page(tag, 4)
+        matrices, dims = homology_matrices_every_degree(bench.presentation(tag, 3), window)
+        assert sorted(page._matrices) == sorted(matrices), tag
+        for c, rows in matrices.items():
+            assert page.matrix(c) == rows, (tag, c)
+        assert page.degrees() == sorted(dims), tag
+        for d, got in dims.items():
+            assert page.dims_at(d) == got, (tag, d)
+
+
+def test_page4_of_endm_shares_its_matrices_along_v1_orbits():
+    """On the default window page 4 of EndM holds 4,565 matrix degrees and
+    996 distinct matrix lists: one per v1^4-orbit of degrees."""
+    page = Workbench(default_window()).page("EndM", 4)
+    assert len(page._matrices) == 4565
+    assert len({id(rows) for rows in page._matrices.values()}) == 996
 
 
 # ---- frozen page dimensions ----
@@ -846,6 +880,12 @@ def decomposition_cells(window):
             yield stem, filt
 
 
+# a page window holding every degree the decomposition scan visits: _cell_lhs
+# skips dims_at where the page's s and t ranges rule trust out, so a stub page
+# over this window is asked about every visited degree
+_EVERY_DEGREE = TruncationWindow((0, 0), (0, 10**6), (-(10**6), 10**6), (-(10**6), 10**6))
+
+
 def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
     """_cell_lhs scans s up to the low_w_top cut-off (or the window's s_max,
     here 0) and takes every tridegree of the cell past it to hold no
@@ -854,6 +894,8 @@ def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
     bench = Workbench(default_window(64, 0, -16, 16))
 
     class Scan:
+        window = _EVERY_DEGREE
+
         def dims_at(self, d):
             scanned.append(d.s)
             return None
@@ -908,11 +950,13 @@ def test_decomposition_positive_quadrant_covered():
 
 
 def scanned_degrees(bench):
-    """Every degree mahowald_decomposition_check reads, in the order the
-    loops of _cell_lhs read them."""
+    """Every degree the scan of mahowald_decomposition_check visits, in the
+    order the loops of _cell_lhs visit them."""
     read = []
 
     class Scan:
+        window = _EVERY_DEGREE
+
         def dims_at(self, d):
             read.append(d)
             return None
@@ -924,11 +968,38 @@ def scanned_degrees(bench):
 
 def box_and_whole_reads(bench):
     """dims_at of page 4 of M over the decomposition box and over the whole
-    window, at every degree the decomposition scan reads."""
+    window, at every degree the decomposition scan visits."""
     box = bench._page_over(bench.presentation("M", 3), bench._decomposition_window())
     whole = bench.page("M", 4)
     read = scanned_degrees(bench)
     return [box.dims_at(d) for d in read], [whole.dims_at(d) for d in read]
+
+
+def test_decomposition_scan_reads_no_degree_its_box_rules_out_by_range():
+    """_cell_lhs asks the box page about a degree only where the box's
+    ranges hold it and its target one D3_SHIFT up.  Every degree it skips
+    is one the box page does not trust, each cell comes out as when every
+    visited degree is read, and nearly every degree it reads is trusted."""
+    bench = Workbench(default_window())
+    box = bench._page_over(bench.presentation("M", 3), bench._decomposition_window())
+    read = []
+
+    class Recorder:
+        def __init__(self, window):
+            self.window = window
+
+        def dims_at(self, d):
+            read.append(d)
+            return box.dims_at(d)
+
+    cells = list(decomposition_cells(bench.window))
+    every = [bench._cell_lhs(Recorder(_EVERY_DEGREE), stem, filt) for stem, filt in cells]
+    visited, read[:] = read[:], []
+    assert [bench._cell_lhs(Recorder(box.window), stem, filt) for stem, filt in cells] == every
+    assert visited == scanned_degrees(bench) and set(read) <= set(visited)
+    assert not [d for d in set(visited) - set(read) if box.dims_at(d) is not None]
+    untrusted = [d for d in read if box.dims_at(d) is None]
+    assert len(visited) == 27030 and len(read) == 13980 and len(untrusted) == 294
 
 
 @pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
