@@ -416,7 +416,8 @@ class ComputedPage(_PageDims):
     def matrix(self, c: Multidegree) -> List[int]:
         """Rows (one per target monomial) of d from degree c to c + shift.
         homology_page builds one at each trusted degree with a nonempty basis
-        and one shift below it, and no other."""
+        and one shift below it, and no other; degrees of one v1-orbit share
+        one list, which no caller may change."""
         return self._matrices[c]
 
     def _homology_at(self, d: Multidegree) -> Optional[_DegreeHomology]:
