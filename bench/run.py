@@ -6,8 +6,8 @@ Each rung runs one `python -m moorev1 <command> --no-cache` in a fresh
 interpreter, with moorev1 imported from this checkout's `src/`, and prints
 the exit code, the wall time from spawn to exit, and the peak RSS of the
 child as os.wait4 reports it (ru_maxrss).  The `verify` rungs step t_max
-through 32, 64 (the default), 128 and 192, then s_max through 16 and 20
-at the default t_max.  The `page4` rungs build page 4 of EndM
+through 32, 64 (the default), 128, 192 and 256, then s_max through 16 and
+20 at the default t_max.  The `page4` rungs build page 4 of EndM
 (`page --spectrum EndM --page 4`) at t_max 128 and 192.  Times are raw,
 not scaled to a reference host speed, so host load moves them.  The
 artifacts go to a temporary directory that is removed afterwards.  Exits 1
@@ -28,6 +28,7 @@ RUNGS = (
     ("t_max 64", ["verify", "--t-max", "64"]),
     ("t_max 128", ["verify", "--t-max", "128"]),
     ("t_max 192", ["verify", "--t-max", "192"]),
+    ("t_max 256", ["verify", "--t-max", "256"]),
     ("s_max 16", ["verify", "--s-max", "16"]),
     ("s_max 20", ["verify", "--s-max", "20"]),
     ("page4 t_max 128", [*PAGE4, "--t-max", "128"]),

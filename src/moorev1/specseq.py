@@ -119,9 +119,27 @@ def sufficient_x_index(t_max: int, v1_min: int) -> int:
     return n
 
 
+# the period of w_of_v1_exponent in the v1 exponent
+W_PERIOD = 4
+
+
 def w_of_v1_exponent(i: int) -> int:
     """0 for exponents 0,1 mod 4 and 2 for exponents 2,3 mod 4."""
-    return 0 if i % 4 in (0, 1) else 2
+    return 0 if i % W_PERIOD in (0, 1) else 2
+
+
+# multiplying by v1^W_PERIOD keeps w, so the w-sliced reports are decided
+# once per orbit of degrees under this step (Workbench._w_list)
+_W_STEP = V1_DEGREE.scaled(W_PERIOD)
+
+
+def _orbit(d: Multidegree) -> Tuple[int, int, int]:
+    """(s, t - 2u, u mod W_PERIOD): two degrees agree in it exactly when
+    they differ by a multiple of _W_STEP = (0, 2, 1) * W_PERIOD.
+    Workbench._pattern_count reads its degree only through s,
+    q = t - 2u + 3s - 5a and (u - (s - a)) mod W_PERIOD, so it takes the
+    same value, or refuses the same (p, q), at every degree of an orbit."""
+    return d.s, d.t - 2 * d.u, d.u % W_PERIOD
 
 
 def adams_bidegree(d: Multidegree) -> Tuple[int, int]:
@@ -320,7 +338,8 @@ class Workbench:
         self._d3m_factors: Dict[FrozenSet[int], FrozenSet[Monomial]] = {}
         self._round_trip: Optional[List[Tuple[Polynomial, Polynomial]]] = None
         self._w_lists: Dict[Multidegree, List[int]] = {}
-        self._slice_ranks: Dict[Tuple[Multidegree, int], int] = {}
+        # (id of a page-4 matrix, id of a w list, n) -> rank of the slice
+        self._slice_ranks: Dict[Tuple[int, int, int], int] = {}
 
     # ---- alphabets ----
 
@@ -683,11 +702,34 @@ class Workbench:
         return w_of_v1_exponent(j) + a
 
     def _w_list(self, d: Multidegree) -> List[int]:
-        """w of each M basis monomial of degree d, in basis order."""
+        """w of each M basis monomial of degree d, in basis order, walked
+        once per v1-orbit: the list of d - _W_STEP is d's own (_w_shared)."""
         got = self._w_lists.get(d)
         if got is None:
-            got = self._w_lists[d] = [self.w_degree(m) for m in self.page("M", 3).basis(d)]
+            got = self._w_shared(d)
+            if got is None:
+                got = [self.w_degree(m) for m in self.page("M", 3).basis(d)]
+            self._w_lists[d] = got
         return got
+
+    def _w_shared(self, d: Multidegree) -> Optional[List[int]]:
+        """The very w list of d - _W_STEP when it is also d's, else None.
+
+        It is when both degrees are complete and their bases have the same
+        nonzero size (an empty list shares nothing, and the nonempty bases
+        end the walk down the orbit).  A complete degree holds every
+        monomial of its degree, so multiplying by v1^W_PERIOD (v1 is
+        invertible) maps the basis at d - _W_STEP one to one onto the basis
+        at d, keeping the canonical order (v1 exponent, then the v1-free
+        part), as homology_page's matrices do.  It adds W_PERIOD to the
+        corrected v1 exponent j of _m_walk and keeps the h(1,1) exponent, so
+        it keeps w = w4(j) + a, w4 having period W_PERIOD."""
+        page = self.page("M", 3)
+        earlier = d - _W_STEP
+        size = len(page.basis(d))
+        if size and page.trusted(d) and page.trusted(earlier) and len(page.basis(earlier)) == size:
+            return self._w_list(earlier)
+        return None
 
     def verify_w_grading(self) -> Report:
         """d3 raises w by exactly 1 on every in-window M basis monomial m.
@@ -697,28 +739,43 @@ class Workbench:
         only on the key (j mod 4, odd) of _m_walk: w(m) = w4(j) + a with w4
         a function of j mod 4, and m*r has exponents j + j_r and a + a_r, so
         each shift is w4(j + j_r) - w4(j) + a_r.  They are read off one image
-        per key.  One walk per monomial gives both its w and its key, and
-        the w of a degree is kept for the slice reports.  Page 4 of M is
+        per key.
+
+        The rows are decided once per w list.  Where _w_list shares the
+        list of d - _W_STEP with d, v1^W_PERIOD maps the basis at d - _W_STEP
+        onto the basis at d in order and keeps each key (j mod 4, and the
+        odd set, whose v1 entry is bit 1 of j), so the (lhs, rhs) of the
+        rows at d are those of the list's first degree.  At that degree one
+        walk per monomial gives both its w and its key.  Page 4 of M is
         built first, so a refused d3 fails here."""
         self.page("M", 4)
         page = self.page("M", 3)
         shifts: Dict[Tuple[int, FrozenSet[int]], Set[int]] = {}
+        sides: Dict[int, List[Tuple[int, int]]] = {}  # id of a w list -> (lhs, rhs) of its rows
         rows = []
         for d in page.degrees():
-            basis = page.basis(d)
-            walks = [self._m_walk(mono) for mono in basis]
-            w_list = self._w_lists[d] = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
-            for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
-                key = (j % 4, odd)
-                got = shifts.get(key)
-                if got is None:
-                    image = self.induced_d3m_monomial(mono).terms
-                    got = shifts[key] = {self.w_degree(m) - w_in for m in image}
-                if got:
-                    # an image spread over several w reads -1, which
-                    # w_in + 1 >= 1 never equals
-                    rhs = w_in + min(got) if len(got) == 1 else -1
-                    rows.append(check_row("w-shift", d, w_in + 1, rhs))
+            w_list = self._w_lists.get(d)
+            if w_list is None:
+                w_list = self._w_shared(d)
+            got = None if w_list is None else sides.get(id(w_list))
+            if got is None:
+                basis = page.basis(d)
+                walks = [self._m_walk(mono) for mono in basis]
+                if w_list is None:
+                    w_list = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
+                got = sides[id(w_list)] = []
+                for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
+                    key = (j % W_PERIOD, odd)
+                    shift = shifts.get(key)
+                    if shift is None:
+                        image = self.induced_d3m_monomial(mono).terms
+                        shift = shifts[key] = {self.w_degree(m) - w_in for m in image}
+                    if shift:
+                        # an image spread over several w reads -1, which
+                        # w_in + 1 >= 1 never equals
+                        got.append((w_in + 1, w_in + min(shift) if len(shift) == 1 else -1))
+            self._w_lists[d] = w_list
+            rows.extend(check_row("w-shift", d, lhs, rhs) for lhs, rhs in got)
         return Report("w-grading", rows, conditional=True)
 
     # ---- d squared ----
@@ -815,17 +872,29 @@ class Workbench:
 
     def _slice_rank(self, d: Multidegree, n: int) -> int:
         """Rank of d3 from slice n at d to slice n+1 at d+shift, read off the
-        page-4 matrix at d (built at every trusted d and one shift below),
-        once per (d, n).  It presumes the w grading, which verify_w_grading
-        checks: then the slice-n columns meet only slice-n+1 rows."""
-        got = self._slice_ranks.get((d, n))
-        if got is not None:
-            return got
-        cols = sum(1 << j for j, w in enumerate(self._w_list(d)) if w == n)
-        if not cols:
+        page-4 matrix at d (built at every trusted d and one shift below).
+        It presumes the w grading, which verify_w_grading checks: then the
+        slice-n columns meet only slice-n+1 rows.  The rank is a function of
+        the matrix, the w list and n, so it is taken once per (matrix list,
+        w list, n): degrees of one v1-orbit share both lists."""
+        w_list = self._w_list(d)
+        if n not in w_list:
             return 0
-        got = self._slice_ranks[(d, n)] = rank([row & cols for row in self.page("M", 4).matrix(d)])
+        rows = self.page("M", 4).matrix(d)
+        key = (id(rows), id(w_list), n)
+        got = self._slice_ranks.get(key)
+        if got is None:
+            cols = sum(1 << j for j, w in enumerate(w_list) if w == n)
+            got = self._slice_ranks[key] = rank([row & cols for row in rows])
         return got
+
+    def _slice_inputs(self, d: Multidegree) -> Tuple[int, ...]:
+        """What the slice dimensions at d read: the ids of its w list and,
+        where that list is nonempty, of its page-4 matrix; empty for an
+        empty list, whose slices are all 0.  A nonempty list is read only
+        at trusted degrees and one shift below them, which have a matrix."""
+        w_list = self._w_list(d)
+        return (id(w_list), id(self.page("M", 4).matrix(d))) if w_list else ()
 
     def _slice_kernel_dim(self, d: Multidegree, n: int) -> int:
         return self._w_list(d).count(n) - self._slice_rank(d, n)
@@ -893,48 +962,80 @@ class Workbench:
         claim-4: slices n >= 3 vanish;
         claim-i: kernel dimensions per slice;
         claim-ii: image dimensions per slice, with im = ker above slice 1.
+
+        Each row is written at its own degree, but the values of a degree
+        are computed once per distinct input.  They read the slices at d,
+        d - D3_SHIFT and, where page 4 trusts it, d + D3_SHIFT, each a
+        function of a w list and a page-4 matrix (_slice_inputs), and
+        pattern counts at d and d + D3_SHIFT, which read d through
+        _orbit(d) alone.  Two degrees with the same list objects, the same
+        trust one shift up and the same orbit have the same values.
         """
         page4 = self.page("M", 4)
+        values: Dict[tuple, List[Tuple[str, Optional[int], int, int]]] = {}
         rows: List[CheckRow] = []
         for d in page4.degrees():
-            n_here = set(self._w_list(d))
-            n_prev = set(self._w_list(d - D3_SHIFT))
-            for n in sorted(n_here | {n + 1 for n in n_prev}):
-                h = self._slice_homology_dim(d, n)
-                if n == 0:
-                    rows.append(check_row("claim-1", d, h, self._zf(0, d)))
-                elif n == 1:
-                    rows.append(check_row("claim-2", d, h, self._hf(1, d)))
-                elif n == 2:
-                    rows.append(check_row("claim-3", d, h, self._hf(2, d) + self._bv(2, d)))
-                else:
-                    rows.append(check_row("claim-4", d, h, 0))
-            for n in sorted(n_here):
-                ker = self._slice_kernel_dim(d, n)
-                expect = self._zf(n, d) if n < 2 else self._zf(n, d) + self._bv(n, d)
-                rows.append(check_row("claim-i", (*d, n), ker, expect))
+            d_next = d + D3_SHIFT
             # the image claim reads dimensions one shift up, so it needs
             # one more complete degree
-            d_next = d + D3_SHIFT
-            if page4.trusted(d_next):
-                for n in sorted(n_here):
-                    im = self._slice_rank(d, n)
-                    if n < 2:
-                        expect = self._bf(n + 1, d_next)
-                    else:
-                        expect = self._slice_kernel_dim(d_next, n + 1)
-                    rows.append(check_row("claim-ii", (*d, n), im, expect))
+            up = page4.trusted(d_next)
+            key = (
+                self._slice_inputs(d),
+                self._slice_inputs(d - D3_SHIFT),
+                self._slice_inputs(d_next) if up else None,
+                _orbit(d),
+            )
+            got = values.get(key)
+            if got is None:
+                got = values[key] = self._e4_claim_values(d, up)
+            rows.extend(check_row(claim, d if n is None else (*d, n), lhs, rhs) for claim, n, lhs, rhs in got)
         return Report("e4-claims", rows, conditional=True)
+
+    def _e4_claim_values(self, d: Multidegree, up: bool) -> List[Tuple[str, Optional[int], int, int]]:
+        """(claim, n, lhs, rhs) of each e4-claims row at d, in row order; n
+        is None for the claims whose row is keyed by d alone.  up: whether
+        page 4 trusts d + D3_SHIFT."""
+        out: List[Tuple[str, Optional[int], int, int]] = []
+        n_here = set(self._w_list(d))
+        n_prev = set(self._w_list(d - D3_SHIFT))
+        for n in sorted(n_here | {n + 1 for n in n_prev}):
+            h = self._slice_homology_dim(d, n)
+            if n == 0:
+                out.append(("claim-1", None, h, self._zf(0, d)))
+            elif n == 1:
+                out.append(("claim-2", None, h, self._hf(1, d)))
+            elif n == 2:
+                out.append(("claim-3", None, h, self._hf(2, d) + self._bv(2, d)))
+            else:
+                out.append(("claim-4", None, h, 0))
+        for n in sorted(n_here):
+            ker = self._slice_kernel_dim(d, n)
+            expect = self._zf(n, d) if n < 2 else self._zf(n, d) + self._bv(n, d)
+            out.append(("claim-i", n, ker, expect))
+        if up:
+            d_next = d + D3_SHIFT
+            for n in sorted(n_here):
+                im = self._slice_rank(d, n)
+                if n < 2:
+                    expect = self._bf(n + 1, d_next)
+                else:
+                    expect = self._slice_kernel_dim(d_next, n + 1)
+                out.append(("claim-ii", n, im, expect))
+        return out
 
     def verify_e4_dimensions(self) -> Report:
         """dim of the computed page 4 of M equals the sum of the sliced
-        closed forms, degree by degree."""
+        closed forms, degree by degree.  The closed forms are pattern
+        counts, so their sum is taken once per _orbit."""
         page4 = self.page("M", 4)
+        closed: Dict[Tuple[int, int, int], int] = {}
         rows = []
         for d in page4.degrees():
-            lhs = page4.dim(d)
-            rhs = self._zf(0, d) + self._hf(1, d) + self._hf(2, d) + self._bv(2, d)
-            rows.append(check_row("e4-closed-form", d, lhs, rhs))
+            orbit = _orbit(d)
+            rhs = closed.get(orbit)
+            if rhs is None:
+                rhs = closed[orbit] = self._zf(0, d) + self._hf(1, d) + self._hf(2, d) + self._bv(2, d)
+            rows.append(check_row("e4-closed-form", d, page4.dim(d), rhs))
         return Report("e4-closed-form", rows, conditional=True)
 
     # ---- survival fates ----

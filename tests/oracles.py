@@ -16,7 +16,7 @@ from moorev1.cobar import (
 from moorev1.dga import D2Report, differential_matrix, homology_page
 from moorev1.gf2linalg import rank
 from moorev1.gf2poly import Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
-from moorev1.specseq import bo_pattern_dim, bu_pattern_dim
+from moorev1.specseq import D3_SHIFT, bo_pattern_dim, bu_pattern_dim, check_row
 
 
 def cobar_ext_dim(cx, s, t):
@@ -105,6 +105,65 @@ def homology_matrices_every_degree(pres, window):
                 matrices[c] = differential_matrix(wb.basis(c), wb.basis(c + shift), pres.apply_monomial)
         dims[d] = (len(wb.basis(d)) - rank(matrices[d]), rank(matrices[d - shift]))
     return matrices, dims
+
+
+def e4_claim_rows_every_degree(bench):
+    """Workbench.verify_e4_claims's rows with each degree computed on its
+    own: its w lists walked at their degrees, its slice ranks taken off the
+    page-4 matrices at their degrees and its pattern counts read at it.
+    verify_e4_claims computes the values once per distinct input and shares
+    them along v1-orbits."""
+    page3, page4 = bench.page("M", 3), bench.page("M", 4)
+    w_lists, ranks = {}, {}
+
+    def w_list(c):
+        if c not in w_lists:
+            w_lists[c] = [bench.w_degree(m) for m in page3.basis(c)]
+        return w_lists[c]
+
+    def slice_rank(c, n):
+        if (c, n) not in ranks:
+            cols = sum(1 << j for j, w in enumerate(w_list(c)) if w == n)
+            ranks[c, n] = rank([row & cols for row in page4.matrix(c)]) if cols else 0
+        return ranks[c, n]
+
+    def kernel_dim(c, n):
+        return w_list(c).count(n) - slice_rank(c, n)
+
+    rows = []
+    for d in page4.degrees():
+        n_here = set(w_list(d))
+        n_prev = set(w_list(d - D3_SHIFT))
+        for n in sorted(n_here | {n + 1 for n in n_prev}):
+            h = kernel_dim(d, n) - (slice_rank(d - D3_SHIFT, n - 1) if n > 0 else 0)
+            if n == 0:
+                rows.append(check_row("claim-1", d, h, bench._zf(0, d)))
+            elif n == 1:
+                rows.append(check_row("claim-2", d, h, bench._hf(1, d)))
+            elif n == 2:
+                rows.append(check_row("claim-3", d, h, bench._hf(2, d) + bench._bv(2, d)))
+            else:
+                rows.append(check_row("claim-4", d, h, 0))
+        for n in sorted(n_here):
+            expect = bench._zf(n, d) if n < 2 else bench._zf(n, d) + bench._bv(n, d)
+            rows.append(check_row("claim-i", (*d, n), kernel_dim(d, n), expect))
+        d_next = d + D3_SHIFT
+        if page4.trusted(d_next):
+            for n in sorted(n_here):
+                expect = bench._bf(n + 1, d_next) if n < 2 else kernel_dim(d_next, n + 1)
+                rows.append(check_row("claim-ii", (*d, n), slice_rank(d, n), expect))
+    return rows
+
+
+def e4_closed_form_rows_every_degree(bench):
+    """Workbench.verify_e4_dimensions's rows with the closed form summed at
+    every degree, where the report sums it once per v1-orbit."""
+    page4 = bench.page("M", 4)
+    rows = []
+    for d in page4.degrees():
+        rhs = bench._zf(0, d) + bench._hf(1, d) + bench._hf(2, d) + bench._bv(2, d)
+        rows.append(check_row("e4-closed-form", d, page4.dim(d), rhs))
+    return rows
 
 
 def apply_matrix(rows, v):

@@ -41,6 +41,8 @@ from oracles import (
     act,
     cell_rhs_over_every_p,
     e3_endm_by_ranks,
+    e4_claim_rows_every_degree,
+    e4_closed_form_rows_every_degree,
     homology_matrices_every_degree,
     induced_d3_by_lift,
     induced_d3m,
@@ -330,6 +332,9 @@ def test_induced_d3m_is_additive(wb):
 
 def test_w_of_v1_exponent():
     assert [w_of_v1_exponent(i) for i in range(-4, 5)] == [0, 0, 2, 2, 0, 0, 2, 2, 0]
+    # period 4: the w-sliced reports are decided once per orbit under v1^4
+    for j in range(-20, 21):
+        assert w_of_v1_exponent(j + 4) == w_of_v1_exponent(j), j
 
 
 def test_w_degree_values(wb):
@@ -716,14 +721,93 @@ def test_w_grading_rows_match_symbolic_reference_on_random_windows(t_max, s_max,
 
 
 def test_each_slice_ranked_once(monkeypatch):
+    """One rank per distinct (matrix list, w list, n) with a nonempty
+    slice, counted here over the degrees verify_e4_claims reads slices at
+    (each trusted d and d - D3_SHIFT; a trusted d + D3_SHIFT with a
+    nonempty basis is a trusted d itself), and none on a second pass."""
     calls = []
     monkeypatch.setattr(specseq, "rank", lambda rows: calls.append(rows) or rank(rows))
     bench = Workbench(default_window(24, 6, -6, 6))
     first = bench.verify_e4_claims()
-    assert len(calls) == len(bench._slice_ranks) > 100
+    page4 = bench.page("M", 4)
+    slices = set()
+    for d in page4.degrees():
+        for c in (d - D3_SHIFT, d):
+            w_list = bench._w_list(c)
+            slices.update((id(page4.matrix(c)), id(w_list), n) for n in set(w_list))
+    assert len(calls) == len(slices) > 50
     # the second pass reads every rank from the first
     assert bench.verify_e4_claims().rows == first.rows
-    assert len(calls) == len(bench._slice_ranks)
+    assert len(calls) == len(slices)
+
+
+def test_w_lists_shared_along_v1_orbits():
+    """On the default window 881 distinct w lists cover the 4,799 degrees
+    of M's page 3, and each is the list walked at its own degree."""
+    bench = Workbench(default_window())
+    bench.verify_w_grading()
+    page = bench.page("M", 3)
+    degrees = page.degrees()
+    lists = [bench._w_list(d) for d in degrees]
+    assert len(degrees) == 4799
+    assert len({id(w_list) for w_list in lists}) == 881
+    for d, w_list in zip(degrees, lists):
+        assert w_list == [bench.w_degree(m) for m in page.basis(d)], d
+
+
+def test_pattern_counts_agree_along_the_w_step():
+    """_pattern_count takes the same value, or refuses, at d and at
+    d + (0, 8, 4) = d + 4 * |v1|, for every degree of M's page 3 on the
+    default window: the e4 reports sum the counts once per orbit."""
+    bench = Workbench(default_window())
+    step = Multidegree(0, 8, 4)
+
+    def outcome(kind, d, a, residues):
+        try:
+            return bench._pattern_count(kind, d, a, residues)
+        except UntrustedDegreeError:
+            return "refused"
+
+    nonzero = 0
+    for d in bench.page("M", 3).degrees():
+        assert specseq._orbit(d) == specseq._orbit(d + step)
+        for kind in "ZBH":
+            for a in range(-1, 5):
+                for residues in ((0, 1), (2, 3)):
+                    got = outcome(kind, d, a, residues)
+                    assert got == outcome(kind, d + step, a, residues), (kind, d, a, residues)
+                    nonzero += got not in (0, "refused")
+    assert nonzero > 1000
+
+
+# the windows the e4 reports are checked on against their every-degree oracles
+E4_WINDOWS = {
+    "default": default_window(),
+    "t128": default_window(128),
+    "t40-v1[-3,5]": default_window(40, v1_min=-3, v1_max=5),
+    "t48-v1[-5,9]": default_window(48, v1_min=-5, v1_max=9),
+    "t32-s6": default_window(32, 6),
+    "s16": default_window(s_max=16),
+}
+
+
+@pytest.mark.parametrize("window", E4_WINDOWS.values(), ids=E4_WINDOWS.keys())
+def test_w_sliced_rows_match_every_degree_oracles(window):
+    """The three w-sliced reports, run in verify's order, decide once per
+    v1-orbit what the oracles compute at every degree."""
+    bench = Workbench(window)
+    assert bench.verify_w_grading().rows == reference_w_grading_rows(bench)
+    assert bench.verify_e4_claims().rows == e4_claim_rows_every_degree(bench)
+    assert bench.verify_e4_dimensions().rows == e4_closed_form_rows_every_degree(bench)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-1, 32), st.integers(0, 6), st.integers(-9, 0), st.integers(0, 9))
+def test_e4_rows_match_every_degree_oracles_on_random_windows(t_max, s_max, v1_min, v1_max):
+    # the claims first, so that their w lists come from _w_list alone
+    bench = Workbench(default_window(t_max, s_max, v1_min, v1_max))
+    assert bench.verify_e4_claims().rows == e4_claim_rows_every_degree(bench)
+    assert bench.verify_e4_dimensions().rows == e4_closed_form_rows_every_degree(bench)
 
 
 def test_e4_closed_form_report(wb):
