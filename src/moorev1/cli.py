@@ -354,7 +354,7 @@ def _summary(name: str, build) -> dict:
     except PageRefusedError as exc:
         return dict(name=name, ok=False, conditional=exc.conditional, checked=0, failures=[str(exc)])
     failures = [row._asdict() for row in rep.failures()]
-    return dict(name=rep.name, ok=rep.ok, conditional=rep.conditional, checked=len(rep.rows), failures=failures)
+    return dict(name=rep.name, ok=not failures, conditional=rep.conditional, checked=len(rep.rows), failures=failures)
 
 
 def _cmd_verify(cfg: RunConfig) -> Artifacts:

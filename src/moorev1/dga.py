@@ -393,6 +393,9 @@ class PresentationPage(_PageDims):
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self.presentation.basis(self.window).basis(d)
 
+    def size(self, d: Multidegree) -> int:
+        return self.presentation.basis(self.window).size(d)
+
 
 class ComputedPage(_PageDims):
     """Degreewise homology of a presented page over a window, with the
@@ -429,8 +432,8 @@ class ComputedPage(_PageDims):
         h = self._homology.get(d)
         if h is None:
             below = d - self._shift
-            cycles = kernel_basis(self._matrices[d], len(self._wb.basis(d)))
-            boundaries = Subspace(column_space_basis(self._matrices[below], len(self._wb.basis(below))))
+            cycles = kernel_basis(self._matrices[d], self._wb.size(d))
+            boundaries = Subspace(column_space_basis(self._matrices[below], self._wb.size(below)))
             reps = tuple(subquotient_basis(cycles, boundaries))
             h = self._homology[d] = _DegreeHomology(Subspace(cycles), boundaries, reps)
         return h
@@ -510,33 +513,34 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
     target one to one onto those at c and its target, keeping the
     canonical order (v1 exponent, then the v1-free part), and d commutes
     with it.  So rank runs once per distinct matrix, and d∘d is checked
-    once per distinct (outgoing, incoming) pair."""
+    once per distinct (outgoing, incoming) pair.
+
+    The sizes of the bases decide the sharing and the dimensions, so a
+    basis is built only at the source and the target of a matrix that is
+    built."""
     wb = pres.basis(window)
     shift = pres.degree_shift
     label = pres.name or "page"
     period = pres.v1_period
     step = pres.alphabet.v1.degree.scaled(period) if period else None
+    size = wb.size
     wanted = [d for d in wb.degrees() if wb.complete_around(d, shift)]
     matrices: Dict[Multidegree, List[int]] = {}
     for d in wanted:
         for c in (d - shift, d):
             if c in matrices:
                 continue
-            source, target = wb.basis(c), wb.basis(c + shift)
+            target = c + shift
             if step is not None:
                 earlier = matrices.get(c - step)
-                if (
-                    earlier is not None
-                    and len(earlier) == len(target)
-                    and len(wb.basis(c - step)) == len(source)
-                ):
+                if earlier is not None and len(earlier) == size(target) and size(c - step) == size(c):
                     matrices[c] = earlier
                     continue
             try:
-                matrices[c] = differential_matrix(source, target, pres.apply_monomial)
+                matrices[c] = differential_matrix(wb.basis(c), wb.basis(target), pres.apply_monomial)
             except _OutsideTargetBasis:
                 raise PageRefusedError(
-                    f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(c + shift)}",
+                    f"{label}: image of a degree {tuple(c)} monomial misses the basis at {tuple(target)}",
                     pres.conditional,
                 ) from None
     distinct = {id(rows): rows for rows in matrices.values()}
@@ -553,7 +557,7 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
                     pres.conditional,
                 )
             composed.add(pair)
-        dims[d] = (len(wb.basis(d)) - ranks[id(out)], ranks[id(inc)])
+        dims[d] = (size(d) - ranks[id(out)], ranks[id(inc)])
     return ComputedPage(pres, wb, dims, matrices)
 
 

@@ -58,14 +58,16 @@ class Multidegree(tuple):
     def u(self) -> int:
         return self[2]
 
+    # built by tuple.__new__ directly: a second trip through __new__ costs
+    # more than the sum itself
     def __add__(self, other):
-        return Multidegree(self[0] + other[0], self[1] + other[1], self[2] + other[2])
+        return tuple.__new__(Multidegree, (self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
     def __sub__(self, other):
-        return Multidegree(self[0] - other[0], self[1] - other[1], self[2] - other[2])
+        return tuple.__new__(Multidegree, (self[0] - other[0], self[1] - other[1], self[2] - other[2]))
 
     def scaled(self, k: int) -> "Multidegree":
-        return Multidegree(self[0] * k, self[1] * k, self[2] * k)
+        return tuple.__new__(Multidegree, (self[0] * k, self[1] * k, self[2] * k))
 
     def __repr__(self):
         return f"Multidegree(s={self[0]}, t={self[1]}, u={self[2]})"
@@ -593,23 +595,47 @@ class _WindowTrust:
 
 
 class WindowBasis(_WindowTrust):
-    """Monomial bases of every degree in a window, with completeness flags."""
+    """Monomial bases of every degree in a window, with completeness flags.
+
+    A degree is kept as its pieces (j, parts) in rising j, parts a tuple of
+    v1-free monomials in the canonical order; its basis is v1^j * part over
+    the pieces in turn, which is the canonical order (v1 exponent, then the
+    v1-free part).  basis(d) builds that tuple on its first read and keeps
+    it, so every read gets the same object; size(d) counts it without
+    building a monomial."""
 
     def __init__(
         self,
         window: TruncationWindow,
-        buckets: Dict[Multidegree, Tuple[Monomial, ...]],
+        pieces: Dict[Multidegree, List[Tuple[int, Tuple[Monomial, ...]]]],
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
         super().__init__(window, truncated, alphabet)
-        self._buckets = buckets  # each bucket already in the canonical order
+        self._pieces = pieces  # nonempty degrees only
+        self._sizes: Dict[Multidegree, int] = {}
+        for d, got in pieces.items():
+            n = 0
+            for _, parts in got:
+                n += len(parts)
+            self._sizes[d] = n
+        self._built: Dict[Multidegree, Tuple[Monomial, ...]] = {}
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
-        return self._buckets.get(d, ())
+        got = self._built.get(d)
+        if got is None:
+            pieces = self._pieces.get(d)
+            if pieces is None:
+                return ()
+            vi = self.alphabet.v1_index
+            got = self._built[d] = tuple(((vi, j),) + part if j else part for j, parts in pieces for part in parts)
+        return got
+
+    def size(self, d: Multidegree) -> int:
+        return self._sizes.get(d, 0)
 
     def degrees(self) -> List[Multidegree]:
-        return sorted(self._buckets)
+        return sorted(self._pieces)
 
 
 class WindowCounts(_WindowTrust):
@@ -731,8 +757,9 @@ class _PartPlan:
 
 
 def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
-    """Enumerate every in-window basis monomial of the quotient at once,
-    bucketed by multidegree.
+    """Every in-window basis monomial of the quotient, filed by
+    multidegree as v1-free parts placed at v1 exponents (WindowBasis), so a
+    degree's monomials are built only when its basis is read.
 
     The v1 exponent is iterated over everything consistent with the u range,
     so a degree whose basis got clipped by the v1 exponent range is flagged
@@ -751,11 +778,12 @@ def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
     closing: Dict[int, List[Monomial]] = {}
     for rel in quotient.relations:
         closing.setdefault(max(rel, key=lambda f: walked_at[f[0]])[0], []).append(rel)
-    # One record per non-v1 part: (-u, dense exponents, s, t, factors).  In
-    # a bucket of fixed u, a larger u of the non-v1 part means a smaller v1
-    # exponent, so emitting the records in their natural sorted order fills
-    # every bucket in the canonical order (v1 exponent, then the others)
-    # with no sort per bucket.  v1 is index 0, so its factor goes in front.
+    # One record per non-v1 part: (-u, dense exponents, s, t, factors).  At
+    # a window degree of fixed u, a larger u of the part means a smaller v1
+    # exponent, so in the records' natural sorted order the part degrees
+    # come in falling u, which gives each window degree its pieces in rising
+    # j, and each part degree's parts come in the canonical order, with no
+    # sort per degree.  v1 is index 0, so its factor goes in front.
     leaves: List[Tuple[int, Tuple[int, ...], int, int, Monomial]] = []
     divided: Set[Tuple[int, int, int]] = set()  # the degrees of the divided parts
     exps = [0] * len(alphabet)
@@ -790,25 +818,22 @@ def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
 
     recurse(0, [], 0, 0, 0, False)
     leaves.sort()
-    buckets: Dict[Tuple[int, int, int], List[Monomial]] = {}
-    truncated: Set[Tuple[int, int, int]] = set()
-    vi = alphabet.v1_index
+    groups: Dict[Tuple[int, int, int], List[Monomial]] = {}
     for neg_u, _, s, t, base in leaves:
-        for j, key, clipped in plan.placements(s, t, -neg_u):
+        groups.setdefault((s, t, -neg_u), []).append(base)
+    leaves.clear()  # drop the records before the pieces are placed
+    pieces: Dict[Tuple[int, int, int], List[Tuple[int, Tuple[Monomial, ...]]]] = {}
+    truncated: Set[Tuple[int, int, int]] = set()
+    for (s, t, u), parts in groups.items():
+        parts = tuple(parts)
+        for j, key, clipped in plan.placements(s, t, u):
             if clipped:
                 truncated.add(key)
-                continue
-            mono = ((vi, j),) + base if j else base
-            got = buckets.get(key)
-            if got is None:
-                buckets[key] = [mono]
             else:
-                got.append(mono)
+                pieces.setdefault(key, []).append((j, parts))
     for s, t, u in divided:
         truncated.update(key for _, key, clipped in plan.placements(s, t, u) if clipped)
-    leaves.clear()  # drop the records before the bucket tuples are built
-    ordered = {Multidegree(*d): tuple(buckets.pop(d)) for d in list(buckets)}
-    return WindowBasis(window, ordered, truncated, alphabet)
+    return WindowBasis(window, {Multidegree(*d): got for d, got in pieces.items()}, truncated, alphabet)
 
 
 def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] = ()) -> WindowCounts:

@@ -726,8 +726,8 @@ class Workbench:
         it keeps w = w4(j) + a, w4 having period W_PERIOD."""
         page = self.page("M", 3)
         earlier = d - _W_STEP
-        size = len(page.basis(d))
-        if size and page.trusted(d) and page.trusted(earlier) and len(page.basis(earlier)) == size:
+        size = page.size(d)
+        if size and page.trusted(d) and page.trusted(earlier) and page.size(earlier) == size:
             return self._w_list(earlier)
         return None
 

@@ -49,13 +49,16 @@ def quotient_basis_by_filter(alphabet, window, relations=()):
     """The basis of the quotient by monomial relations by enumerating the
     whole alphabet and dropping each monomial a relation divides, keeping
     the whole alphabet's truncated degrees: enumerate_window prunes a
-    divided part in its walk instead."""
+    divided part in its walk instead.  Every degree's basis is built here,
+    at once, and filed as one piece at v1 exponent 0, so the WindowBasis
+    reads the monomials as they are: enumerate_window places v1-free parts
+    and builds a basis only when it is read."""
     whole = enumerate_window(alphabet, window)
     kept = {}
     for d in whole.degrees():
         monos = tuple(m for m in whole.basis(d) if not any(mono_divides(rel, m) for rel in relations))
         if monos:
-            kept[d] = monos
+            kept[d] = [(0, monos)]
     return WindowBasis(window, kept, set(whole._truncated), alphabet)
 
 

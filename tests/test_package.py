@@ -10,6 +10,7 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import typing
 
@@ -41,6 +42,7 @@ UNRUN_NAMESAKES = {
     "mahowald.py: ZBHTables.basis": "perfbench/tracer.py _zbh_degrees",
     "specseq.py: MatchedPage.class_is_nonzero": "Workbench._xn_fates, when an even class supports no d3",
     "gf2linalg.py: Subspace.dim": "Subspace.__repr__",
+    "specseq.py: Report.ok": "Report.__repr__",
 }
 
 
@@ -119,6 +121,21 @@ def _perfbench_module(name):
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_importing_the_cli_loads_every_layer_the_tracer_wraps():
+    """The benchmark's tracer reads sys.modules["moorev1.<layer>"] for each
+    layer of its metric names right after `import moorev1.cli`.  A command
+    that imported its modules lazily would make every traced run of an op
+    that does not need them raise KeyError, so a fresh interpreter's import
+    of the CLI alone must load them all."""
+    tracer = _perfbench_module("tracer")
+    layers = sorted({name.split(".")[0] for name, _ in tracer.PER_LAYER} - {"trace"})
+    assert len(layers) == 8
+    code = "import sys, moorev1.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert [m for m in layers if f"moorev1.{m}" not in loaded.stdout.split()] == []
 
 
 def test_benchmark_tracer_wraps_a_run_of_every_subcommand(tmp_path):
