@@ -8,10 +8,12 @@ the exit code, the wall time from spawn to exit, and the peak RSS of the
 child as os.wait4 reports it (ru_maxrss).  The `verify` rungs step t_max
 through 32, 64 (the default), 128, 192 and 256, then s_max through 16 and
 20 at the default t_max.  The `page4` rungs build page 4 of EndM
-(`page --spectrum EndM --page 4`) at t_max 128 and 192.  Times are raw,
-not scaled to a reference host speed, so host load moves them.  The
-artifacts go to a temporary directory that is removed afterwards.  Exits 1
-when a rung does not exit 0.
+(`page --spectrum EndM --page 4`) at t_max 128 and 192.  The `chart`
+rungs draw page 2 of M as SVG (`chart page --spectrum M --page 2
+--format svg`) at t_max 128 and 192.  Times are raw, not scaled to a
+reference host speed, so host load moves them.  The artifacts go to a
+temporary directory that is removed afterwards.  Exits 1 when a rung does
+not exit 0.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAGE4 = ["page", "--spectrum", "EndM", "--page", "4"]
+CHART = ["chart", "page", "--spectrum", "M", "--page", "2", "--format", "svg"]
 RUNGS = (
     ("t_max 32", ["verify", "--t-max", "32"]),
     ("t_max 64", ["verify", "--t-max", "64"]),
@@ -33,6 +36,8 @@ RUNGS = (
     ("s_max 20", ["verify", "--s-max", "20"]),
     ("page4 t_max 128", [*PAGE4, "--t-max", "128"]),
     ("page4 t_max 192", [*PAGE4, "--t-max", "192"]),
+    ("chart t_max 128", [*CHART, "--t-max", "128"]),
+    ("chart t_max 192", [*CHART, "--t-max", "192"]),
 )
 
 

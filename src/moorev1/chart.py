@@ -13,18 +13,11 @@ colors carry no meaning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gf2poly import GF2PolyError
 from .mahowald import ZBHTables
-from .specseq import (
-    DECOMPOSITION_FILT_MAX,
-    DECOMPOSITION_STEM_MAX,
-    adams_bidegree,
-    bo_pattern_dim,
-    bu_pattern_dim,
-)
+from .specseq import DECOMPOSITION_FILT_MAX, DECOMPOSITION_STEM_MAX, adams_bidegree
 
 __all__ = [
     "ChartLine",
@@ -60,8 +53,7 @@ PALETTE = (
 Cell = Tuple[int, int, str]
 
 
-@dataclass(frozen=True)
-class ChartLine:
+class ChartLine(NamedTuple):
     kind: str  # h11 | v1
     stem1: int
     filt1: int
@@ -69,27 +61,28 @@ class ChartLine:
     filt2: int
 
 
-def _structure_lines(cells: Mapping[Cell, int], successor=None) -> List[ChartLine]:
-    """Connect each cell to its h11- and v1-multiple.  The target cell must
-    belong to the group successor(group, kind); by default the same
-    group.  Lines are sorted as plain tuples in field order."""
+def _structure_lines(cells: Mapping[Cell, int], v1_group: Optional[Mapping[str, str]] = None) -> List[ChartLine]:
+    """Connect each cell to its h11- and v1-multiple.  The h11-multiple
+    lies in the same group, the v1-multiple in group v1_group[group]; by
+    default the same group too.  Lines are sorted in field order."""
+    (hs, hf), (vs, vf) = H11_STEP, V1_STEP
     lines = set()
     for stem, filt, group in cells:
-        for kind, (ds, df) in (("h11", H11_STEP), ("v1", V1_STEP)):
-            target = group if successor is None else successor(group, kind)
-            if target is not None and (stem + ds, filt + df, target) in cells:
-                lines.add((kind, stem, filt, stem + ds, filt + df))
-    return [ChartLine(*line) for line in sorted(lines)]
+        if (stem + hs, filt + hf, group) in cells:
+            lines.add(("h11", stem, filt, stem + hs, filt + hf))
+        if (stem + vs, filt + vf, group if v1_group is None else v1_group[group]) in cells:
+            lines.add(("v1", stem, filt, stem + vs, filt + vf))
+    return list(map(ChartLine._make, sorted(lines)))
 
 
 class ChartDoc:
     """Dot counts per cell, structure lines, and a viewport, ready to
     render.  Cells with no dots are dropped."""
 
-    def __init__(self, cells: Mapping[Cell, int], title: str = "", line_successor=None):
+    def __init__(self, cells: Mapping[Cell, int], title: str = "", v1_group: Optional[Mapping[str, str]] = None):
         self.cells: Dict[Cell, int] = {c: n for c, n in sorted(cells.items()) if n}
         self.title = title
-        self.lines = _structure_lines(self.cells, line_successor)
+        self.lines = _structure_lines(self.cells, v1_group)
         self.groups = sorted({group for _, _, group in self.cells})
         self._group_index = {g: i for i, g in enumerate(self.groups)}
         if self.cells:
@@ -110,41 +103,44 @@ class ChartDoc:
         return out
 
 
-def _u_successor(group: str, kind: str) -> str:
-    # h11 keeps the third coordinate, v1 raises it by one
-    if kind == "h11":
-        return group
-    return f"u={int(group[2:]) + 1}"
-
-
 def page_chart(page, title: str) -> ChartDoc:
     """page.dim(d) dots for each degree d of a page, collapsed to the Adams
     chart.  Cells are grouped by the u-degree they came from, so distinct
     lines landing on the same (stem, filtration) stay distinct; a fixed
-    (stem, filtration, u) is one tridegree."""
+    (stem, filtration, u) is one tridegree.  h11 keeps u and v1 raises it
+    by one, so a v1 line runs from group u=k to group u=k+1."""
     cells: Dict[Cell, int] = {}
-    for d in page.degrees():
+    labels: Dict[int, str] = {}
+    for d, n in page.dimensions():
         s_adams, t_adams = adams_bidegree(d)
-        cells[(t_adams - s_adams, s_adams, f"u={d.u}")] = page.dim(d)
-    return ChartDoc(cells, title=title, line_successor=_u_successor)
+        label = labels.get(d[2])
+        if label is None:
+            label = labels[d[2]] = f"u={d[2]}"
+        cells[(t_adams - s_adams, s_adams, label)] = n
+    return ChartDoc(cells, title=title, v1_group={label: f"u={u + 1}" for u, label in labels.items()})
 
 
 def decomposition_chart(tables: ZBHTables) -> ChartDoc:
     """One group per homology class (a bo pattern suspended by its
     bidegree) and per boundary class (a bu pattern), with one dot on each
     cell its pattern hits, up to the corner of the box the decomposition
-    check compares."""
+    check compares.
+
+    Each pattern is solved for its stem on each filtration f.  The bo
+    pattern of a class at (p, q) holds v1^m h(1,1)^a at (p + m + a,
+    q + 3m + 2a) for a in {0, 1, 2} and m = 0, 1 mod 4, so on f it hits
+    stem 2f - 3p + q - a where m = f - p - a; the bu pattern holds v1^m at
+    (p + m, q + 3m) for every m, so it hits stem 2f - 3p + q.  These are
+    the cells where specseq.bo_pattern_dim and bu_pattern_dim are nonzero."""
     cells: Dict[Cell, int] = {}
-    specs: List[Tuple[str, int, int]] = []
-    for p, q, poly in tables.export_classes("H"):
-        specs.append((f"bo[{poly}]", p, q))
-    for p, q, poly in tables.export_classes("B"):
-        specs.append((f"bu[{poly}]", p, q))
-    for group, p, q in specs:
-        pattern = bo_pattern_dim if group.startswith("bo") else bu_pattern_dim
-        for stem in range(DECOMPOSITION_STEM_MAX + 1):
-            for filt in range(DECOMPOSITION_FILT_MAX + 1):
-                if pattern(filt - p, stem + filt - q):
+    # (group, p, q, the values of a, how many residues of m mod 4 are kept)
+    specs = [(f"bo[{poly}]", p, q, (0, 1, 2), 2) for p, q, poly in tables.export_classes("H")]
+    specs += [(f"bu[{poly}]", p, q, (0,), 4) for p, q, poly in tables.export_classes("B")]
+    for group, p, q, a_values, residues in specs:
+        for filt in range(DECOMPOSITION_FILT_MAX + 1):
+            for a in a_values:
+                stem = 2 * filt - 3 * p + q - a
+                if 0 <= stem <= DECOMPOSITION_STEM_MAX and (filt - p - a) % 4 < residues:
                     cells[(stem, filt, group)] = 1
     return ChartDoc(cells, title="decomposition")
 
@@ -165,21 +161,20 @@ def render(doc: ChartDoc, fmt: str) -> str:
 
 
 def _grid(doc: ChartDoc):
+    """Width, height, and the center x of each stem and y of each
+    filtration of the viewport, in pixels."""
     stem_lo, stem_hi, filt_lo, filt_hi = doc.viewport
     ml, mt, mr, mb = 46, 30, 16, 38
     width = ml + (stem_hi - stem_lo + 1) * _CELL + mr
     height = mt + (filt_hi - filt_lo + 1) * _CELL + mb
-
-    def x(stem: int) -> int:
-        return ml + (stem - stem_lo) * _CELL + _CELL // 2
-
-    def y(filt: int) -> int:
-        return mt + (filt_hi - filt) * _CELL + _CELL // 2
-
+    x = {stem: ml + (stem - stem_lo) * _CELL + _CELL // 2 for stem in range(stem_lo, stem_hi + 1)}
+    y = {filt: mt + (filt_hi - filt) * _CELL + _CELL // 2 for filt in range(filt_lo, filt_hi + 1)}
     return width, height, x, y
 
 
 def render_svg(doc: ChartDoc) -> str:
+    """Each coordinate and color is worked out once per stem, filtration
+    or group, and each dot costs one string."""
     stem_lo, stem_hi, filt_lo, filt_hi = doc.viewport
     width, height, x, y = _grid(doc)
     out = [
@@ -192,10 +187,10 @@ def render_svg(doc: ChartDoc) -> str:
             f'<text x="{width // 2}" y="18" text-anchor="middle" '
             f'font-family="monospace" font-size="12" fill="#000000">{doc.title}</text>'
         )
-    ax_left = x(stem_lo) - _CELL // 2
-    ax_bottom = y(filt_lo) + _CELL // 2
-    ax_right = x(stem_hi) + _CELL // 2
-    ax_top = y(filt_hi) - _CELL // 2
+    ax_left = x[stem_lo] - _CELL // 2
+    ax_bottom = y[filt_lo] + _CELL // 2
+    ax_right = x[stem_hi] + _CELL // 2
+    ax_top = y[filt_hi] - _CELL // 2
     out.append(
         f'<line x1="{ax_left}" y1="{ax_bottom}" x2="{ax_right}" y2="{ax_bottom}" '
         f'stroke="#000000" stroke-width="1"/>'
@@ -207,32 +202,30 @@ def render_svg(doc: ChartDoc) -> str:
     for stem in range(stem_lo, stem_hi + 1):
         if stem % 4 == 0:
             out.append(
-                f'<text x="{x(stem)}" y="{ax_bottom + 16}" text-anchor="middle" '
+                f'<text x="{x[stem]}" y="{ax_bottom + 16}" text-anchor="middle" '
                 f'font-family="monospace" font-size="10" fill="#000000">{stem}</text>'
             )
     for filt in range(filt_lo, filt_hi + 1):
         if filt % 4 == 0:
             out.append(
-                f'<text x="{ax_left - 6}" y="{y(filt) + 4}" text-anchor="end" '
+                f'<text x="{ax_left - 6}" y="{y[filt] + 4}" text-anchor="end" '
                 f'font-family="monospace" font-size="10" fill="#000000">{filt}</text>'
             )
-    for line in doc.lines:
-        dash = ' stroke-dasharray="4 3"' if line.kind == "v1" else ""
+    for kind, stem1, filt1, stem2, filt2 in doc.lines:
+        dash = ' stroke-dasharray="4 3"' if kind == "v1" else ""
         out.append(
-            f'<line x1="{x(line.stem1)}" y1="{y(line.filt1)}" '
-            f'x2="{x(line.stem2)}" y2="{y(line.filt2)}" '
+            f'<line x1="{x[stem1]}" y1="{y[filt1]}" x2="{x[stem2]}" y2="{y[filt2]}" '
             f'stroke="#555555" stroke-width="1"{dash}/>'
         )
+    tails = {g: f'" r="{_DOT_R}" fill="{doc.color_of(g)}"/>' for g in doc.groups}
     seen: Dict[Tuple[int, int], int] = {}
     for (stem, filt, group), n in doc.cells.items():
         k = seen.get((stem, filt), 0)
         seen[(stem, filt)] = k + n
+        cx, cy, tail = x[stem], y[filt], tails[group]
         for i in range(k, k + n):
             dx, dy = _OFFSETS[i % len(_OFFSETS)]
-            out.append(
-                f'<circle cx="{x(stem) + dx}" cy="{y(filt) + dy}" r="{_DOT_R}" '
-                f'fill="{doc.color_of(group)}"/>'
-            )
+            out.append(f'<circle cx="{cx + dx}" cy="{cy + dy}{tail}')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -360,6 +360,10 @@ class _PageDims:
     def degrees(self) -> List[Multidegree]:
         return sorted(self._dims)
 
+    def dimensions(self) -> List[Tuple[Multidegree, int]]:
+        """(d, dim(d)) for each d of degrees(), in its order."""
+        return [(d, cycles - boundaries) for d, (cycles, boundaries) in sorted(self._dims.items())]
+
     def dims_at(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
         """(cycle dim, boundary dim) at d, or None where d is not trusted:
         one trust test for a caller that would test trust and then read."""
@@ -601,9 +605,5 @@ class DimensionTable:
 
 def page_dimension_table(page, meta: Optional[Dict[str, str]] = None) -> DimensionTable:
     """Nonzero dimensions of a page over its trusted degrees."""
-    rows: Dict[Tuple[int, ...], int] = {}
-    for d in page.degrees():
-        n = page.dim(d)
-        if n:
-            rows[tuple(d)] = n
+    rows = {tuple(d): n for d, n in page.dimensions() if n}
     return DimensionTable(("s", "t", "u"), rows, meta)

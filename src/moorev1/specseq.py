@@ -144,7 +144,8 @@ def _orbit(d: Multidegree) -> Tuple[int, int, int]:
 
 def adams_bidegree(d: Multidegree) -> Tuple[int, int]:
     """Collapse a tridegree to Adams (s, t) by s -> s+u, t -> t+u."""
-    return (d.s + d.u, d.t + d.u)
+    s, t, u = d
+    return (s + u, t + u)
 
 
 def bo_pattern_dim(s: int, t: int) -> int:

@@ -3,6 +3,7 @@ by a route its commands do not take, checks of structure no command
 reads, and queries on page internals that no command asks."""
 from collections import Counter, defaultdict
 
+from moorev1.chart import _CELL, _DOT_R, _OFFSETS, PALETTE, ChartDoc
 from moorev1.cobar import (
     COALGEBRA,
     _ENDO_BASIS,
@@ -16,7 +17,14 @@ from moorev1.cobar import (
 from moorev1.dga import D2Report, differential_matrix, homology_page
 from moorev1.gf2linalg import rank
 from moorev1.gf2poly import Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
-from moorev1.specseq import D3_SHIFT, bo_pattern_dim, bu_pattern_dim, check_row
+from moorev1.specseq import (
+    D3_SHIFT,
+    DECOMPOSITION_FILT_MAX,
+    DECOMPOSITION_STEM_MAX,
+    bo_pattern_dim,
+    bu_pattern_dim,
+    check_row,
+)
 
 
 def cobar_ext_dim(cx, s, t):
@@ -263,6 +271,97 @@ def cell_rhs_over_every_p(tables, s_adams, t_adams):
             rhs += tables.h_dim(p, q) * bo_pattern_dim(s_adams - p, t_adams - q)
             rhs += tables.b_dim(p, q) * bu_pattern_dim(s_adams - p, t_adams - q)
     return rhs
+
+
+# ---- charts: the cell scan and the per-dot drawing ----
+
+
+def decomposition_chart_by_scan(tables):
+    """decomposition_chart by testing every cell of the box against each
+    class's pattern with bo_pattern_dim and bu_pattern_dim, where
+    decomposition_chart solves each pattern for the stem it hits on each
+    filtration."""
+    cells = {}
+    specs = [(f"bo[{poly}]", p, q) for p, q, poly in tables.export_classes("H")]
+    specs += [(f"bu[{poly}]", p, q) for p, q, poly in tables.export_classes("B")]
+    for group, p, q in specs:
+        pattern = bo_pattern_dim if group.startswith("bo") else bu_pattern_dim
+        for stem in range(DECOMPOSITION_STEM_MAX + 1):
+            for filt in range(DECOMPOSITION_FILT_MAX + 1):
+                if pattern(filt - p, stem + filt - q):
+                    cells[(stem, filt, group)] = 1
+    return ChartDoc(cells, title="decomposition")
+
+
+def render_svg_per_dot(doc):
+    """render_svg with each coordinate and color computed again for every
+    dot and line end, where render_svg formats them once per stem,
+    filtration and group."""
+    stem_lo, stem_hi, filt_lo, filt_hi = doc.viewport
+    ml, mt, mr, mb = 46, 30, 16, 38
+    width = ml + (stem_hi - stem_lo + 1) * _CELL + mr
+    height = mt + (filt_hi - filt_lo + 1) * _CELL + mb
+    groups = sorted({group for _, _, group in doc.cells})
+
+    def x(stem):
+        return ml + (stem - stem_lo) * _CELL + _CELL // 2
+
+    def y(filt):
+        return mt + (filt_hi - filt) * _CELL + _CELL // 2
+
+    def color_of(group):
+        return PALETTE[groups.index(group) % len(PALETTE)]
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    if doc.title:
+        out.append(
+            f'<text x="{width // 2}" y="18" text-anchor="middle" '
+            f'font-family="monospace" font-size="12" fill="#000000">{doc.title}</text>'
+        )
+    ax_left = x(stem_lo) - _CELL // 2
+    ax_bottom = y(filt_lo) + _CELL // 2
+    ax_right = x(stem_hi) + _CELL // 2
+    ax_top = y(filt_hi) - _CELL // 2
+    out.append(
+        f'<line x1="{ax_left}" y1="{ax_bottom}" x2="{ax_right}" y2="{ax_bottom}" '
+        f'stroke="#000000" stroke-width="1"/>'
+    )
+    out.append(
+        f'<line x1="{ax_left}" y1="{ax_bottom}" x2="{ax_left}" y2="{ax_top}" '
+        f'stroke="#000000" stroke-width="1"/>'
+    )
+    for stem in range(stem_lo, stem_hi + 1):
+        if stem % 4 == 0:
+            out.append(
+                f'<text x="{x(stem)}" y="{ax_bottom + 16}" text-anchor="middle" '
+                f'font-family="monospace" font-size="10" fill="#000000">{stem}</text>'
+            )
+    for filt in range(filt_lo, filt_hi + 1):
+        if filt % 4 == 0:
+            out.append(
+                f'<text x="{ax_left - 6}" y="{y(filt) + 4}" text-anchor="end" '
+                f'font-family="monospace" font-size="10" fill="#000000">{filt}</text>'
+            )
+    for line in doc.lines:
+        dash = ' stroke-dasharray="4 3"' if line.kind == "v1" else ""
+        out.append(
+            f'<line x1="{x(line.stem1)}" y1="{y(line.filt1)}" '
+            f'x2="{x(line.stem2)}" y2="{y(line.filt2)}" '
+            f'stroke="#555555" stroke-width="1"{dash}/>'
+        )
+    seen = {}
+    for (stem, filt, group), n in doc.cells.items():
+        k = seen.get((stem, filt), 0)
+        seen[(stem, filt)] = k + n
+        for i in range(k, k + n):
+            dx, dy = _OFFSETS[i % len(_OFFSETS)]
+            out.append(f'<circle cx="{x(stem) + dx}" cy="{y(filt) + dy}" r="{_DOT_R}" fill="{color_of(group)}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def _zbh_degree(tables, poly):

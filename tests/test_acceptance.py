@@ -55,6 +55,15 @@ ARTIFACT_SHA256 = {
     ("chart", "page", "--spectrum", "EndM", "--page", "3", "--format", "txt"): {
         "chart-page-EndM-r3.txt": "eb6530ab1537defc699164b6921aaff8266497e945a141e2b975f47ec9311433",
     },
+    ("chart", "page", "--spectrum", "EndM", "--page", "3", "--format", "svg"): {
+        "chart-page-EndM-r3.svg": "8f0f4f386278e2483b801bda2f0ae38cd2baadc5fdb296c23cd4ec68a7b0dac6",
+    },
+    ("chart", "page", "--spectrum", "M", "--page", "4", "--format", "svg"): {
+        "chart-page-M-r4.svg": "1eb379aaa00691008e5252603d1cda89e5e6d4f70265441f3d573b5189c13f2e",
+    },
+    ("chart", "page", "--spectrum", "S", "--page", "2", "--format", "txt"): {
+        "chart-page-S-r2.txt": "d416ed9ab209bea602cca3216fe0b844c36694c36c899d8cab27cc24d6ab2d14",
+    },
 }
 
 

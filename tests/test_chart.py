@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import decomposition_chart_by_scan, render_svg_per_dot
 
 from moorev1.chart import (
     PALETTE,
@@ -189,3 +190,54 @@ def test_rebuilt_doc_renders_identically(wb):
     a = render_svg(page_chart(wb.page("EndM", 3), "EndM r=3"))
     b = render_svg(page_chart(wb.page("EndM", 3), "EndM r=3"))
     assert a == b
+
+
+class _Classes:
+    """The export_classes of a ZBHTables, for a given class list."""
+
+    def __init__(self, h, b):
+        self._classes = {"H": h, "B": b}
+
+    def export_classes(self, kind):
+        return self._classes[kind]
+
+
+def test_decomposition_chart_matches_the_cell_scan(tables):
+    """The solved patterns put a dot on exactly the cells where
+    bo_pattern_dim or bu_pattern_dim is nonzero, for classes off the box,
+    partly off it, and at odd or negative q."""
+    rng = random.Random(25)
+    docs = [(tables, decomposition_chart(tables))]
+    for _ in range(60):
+        classes = [(rng.randint(-4, 16), rng.randint(-12, 44), f"c{i}") for i in range(rng.randint(0, 6))]
+        cut = rng.randint(0, len(classes))
+        fake = _Classes(classes[:cut], classes[cut:])
+        docs.append((fake, decomposition_chart(fake)))
+    for source, doc in docs:
+        want = decomposition_chart_by_scan(source)
+        assert doc.cells == want.cells and list(doc.cells) == list(want.cells)
+        assert doc.lines == want.lines and doc.viewport == want.viewport
+
+
+def _random_doc(rng):
+    groups = ["u=-1", "u=-10", "u=2", "u=0", "bo[1]", "g"][: rng.randint(1, 6)]
+    cells = {}
+    for _ in range(rng.randint(0, 30)):
+        cells[(rng.randint(-3, 8), rng.randint(-2, 5), rng.choice(groups))] = rng.randint(0, 4)
+    cells[(rng.randint(-3, 8), rng.randint(-2, 5), rng.choice(groups))] = rng.randint(10, 21)
+    return ChartDoc(cells, title=rng.choice(["", "r=2"]))
+
+
+def test_render_svg_matches_the_per_dot_drawing(wb, tables):
+    """render_svg formats each coordinate and color once, and still draws
+    what the per-dot loop draws: offsets wrap past nine dots on a cell,
+    and the palette follows the string order of the groups (u=-1 < u=-10
+    < u=2), not their numeric order."""
+    rng = random.Random(2500)
+    docs = [ChartDoc({}), ChartDoc({}, title="empty"), decomposition_chart(tables)]
+    docs += [page_chart(wb.page(tag, r), f"{tag} r={r}") for tag, r in (("M", 2), ("M", 4), ("EndM", 3))]
+    docs += [_random_doc(rng) for _ in range(80)]
+    assert any(n > 9 for doc in docs for n in doc.counts().values())
+    assert any({"u=-1", "u=-10", "u=2"} <= set(doc.groups) for doc in docs)
+    for doc in docs:
+        assert render_svg(doc) == render_svg_per_dot(doc)
