@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from oracles import decomposition_chart_by_scan, render_svg_per_dot
 
 from moorev1.chart import (
     PALETTE,
@@ -25,6 +24,7 @@ from moorev1.specseq import (
     h_degree,
     x_degree,
 )
+from oracles import decomposition_chart_by_scan, render_svg_per_dot
 
 
 @pytest.fixture(scope="module")
