@@ -77,7 +77,8 @@ def _structure_lines(cells: Mapping[Cell, int], v1_group: Optional[Mapping[str, 
 
 class ChartDoc:
     """Dot counts per cell, structure lines, and a viewport, ready to
-    render.  Cells with no dots are dropped."""
+    render.  Cells with no dots are dropped.  v1_group names the group of
+    each group's v1-multiples; by default a group is its own."""
 
     def __init__(self, cells: Mapping[Cell, int], title: str = "", v1_group: Optional[Mapping[str, str]] = None):
         self.cells: Dict[Cell, int] = {c: n for c, n in sorted(cells.items()) if n}
