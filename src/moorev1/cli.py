@@ -165,7 +165,7 @@ def _load_config_file(path: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: Dict[str, str] = {}
     first_line: Dict[str, int] = {}
@@ -514,7 +514,9 @@ def run(argv: Optional[List[str]] = None) -> int:
                 code, stdout, files = manifest["exit_code"], manifest["stdout"], manifest["files"]
                 blobs = {rel: text.encode() for rel, text in files.items()}
                 hit = manifest.get("sha256") == _payload_digest(code, stdout.encode(), blobs)
-        except (OSError, ValueError):  # UnicodeEncodeError, from a lone surrogate, is a ValueError
+        # UnicodeEncodeError, from a lone surrogate, is a ValueError; nesting
+        # deeper than the parser's recursion limit raises RecursionError
+        except (OSError, ValueError, RecursionError):
             pass
     if not hit:
         try:

@@ -554,8 +554,8 @@ class _WindowTrust:
         # below s = 0 the whole algebra vanishes, no truncation can hide anything
         self._vanishes_below_s0 = all(g.degree.s >= 0 for g in alphabet)
         self._box = window.s_range + window.t_range + window.u_range
-        # shift -> the degrees with a truncated degree at d, d - shift or d + shift
-        self._near_truncated: Dict[Tuple[int, int, int], Set[Tuple[int, int, int]]] = {}
+        # shift -> what _spread builds for it
+        self._around: Dict[Tuple[int, int, int], Tuple[Set[Tuple[int, int, int]], Tuple[int, ...]]] = {}
 
     def _in_box(self, s: int, t: int, u: int) -> bool:
         """complete(d) for a d that is not truncated."""
@@ -569,23 +569,37 @@ class _WindowTrust:
         # the algebra vanishes below s = 0
         return self._in_box(*d) and d not in self._truncated
 
+    def _spread(self, shift: Tuple[int, int, int]) -> Tuple[Set[Tuple[int, int, int]], Tuple[int, ...]]:
+        """What complete_around reads for one shift: the degrees with a
+        truncated degree at d, d - shift or d + shift, and the box of the d
+        with d, d - shift and d + shift all inside the window ranges (empty
+        when the shift is wider than a range)."""
+        ds, dt, du = shift
+        near = set(self._truncated)
+        for s, t, u in self._truncated:
+            near.add((s + ds, t + dt, u + du))
+            near.add((s - ds, t - dt, u - du))
+        s_lo, s_hi, t_lo, t_hi, u_lo, u_hi = self._box
+        ds, dt, du = abs(ds), abs(dt), abs(du)
+        return near, (s_lo + ds, s_hi - ds, t_lo + dt, t_hi - dt, u_lo + du, u_hi - du)
+
     def complete_around(self, d: Multidegree, shift: Multidegree) -> bool:
         """The trust rule of a computed page: complete at d, d - shift and
         d + shift, so both maps through d are known in full.
 
-        One lookup in the truncated set spread by ±shift, built once per
-        shift, stands for the three lookups complete would make."""
-        near = self._near_truncated.get(shift)
-        if near is None:
-            ds, dt, du = shift
-            near = set(self._truncated)
-            for s, t, u in self._truncated:
-                near.add((s + ds, t + dt, u + du))
-                near.add((s - ds, t - dt, u - du))
-            self._near_truncated[shift] = near
+        One lookup in the truncated set spread by ±shift and one box test,
+        both built once per shift, stand for the three lookups and the three
+        range tests complete would make; only a d outside that box takes the
+        range tests, which also hold the rule below s = 0."""
+        around = self._around.get(shift)
+        if around is None:
+            around = self._around[shift] = self._spread(shift)
+        near, (s_lo, s_hi, t_lo, t_hi, u_lo, u_hi) = around
         if d in near:
             return False
         s, t, u = d
+        if s_lo <= s <= s_hi and t_lo <= t <= t_hi and u_lo <= u <= u_hi:
+            return True
         ds, dt, du = shift
         return (
             self._in_box(s, t, u)
@@ -645,8 +659,8 @@ class WindowCounts(_WindowTrust):
     def __init__(
         self,
         window: TruncationWindow,
-        counts: Dict[Multidegree, int],
-        odd_counts: Dict[Multidegree, int],
+        counts: Dict[Tuple[int, int, int], int],
+        odd_counts: Dict[Tuple[int, int, int], int],
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
@@ -662,7 +676,7 @@ class WindowCounts(_WindowTrust):
         return self._odd_counts.get(d, 0)
 
     def degrees(self) -> List[Multidegree]:
-        return sorted(self._counts)
+        return [Multidegree(*d) for d in sorted(self._counts)]
 
     def total(self) -> int:
         return sum(self._counts.values())
@@ -674,7 +688,7 @@ class _PartPlan:
     A monomial is v1^j times a part in the other generators.  Parts are
     built one generator at a time in a fixed order, and pruned by caps on
     their (s, t, u) degree; each part is then placed at every v1 exponent j
-    consistent with the u range."""
+    consistent with the t and u ranges, solved for by v1_exponents."""
 
     def __init__(self, alphabet: Alphabet, window: TruncationWindow):
         v1_lo, v1_hi = window.v1_exponent_range
@@ -692,13 +706,26 @@ class _PartPlan:
             neg_slack[k] = neg_slack[k + 1] + max(0, -others[k][1].degree.t)
         t_hi, u_hi = window.t_range[1], window.u_range[1]
         self.t_part_hi, self.u_part_hi = t_hi, u_hi
+        # the degree of v1 (0 without it, where a part is placed at j = 0 only)
+        # and the first multiples of its stride at and past the v1 range
+        self.vt = self.vu = 0
         if v1 is not None:
-            if v1.degree.u <= 0:
+            vt, vu, stride = v1.degree.t, v1.degree.u, v1.stride
+            self.vt, self.vu, self.stride = vt, vu, stride
+            if vu <= 0:
                 raise GF2PolyError("v1 must carry positive u-degree")
+            self.kept_from = v1_lo + -v1_lo % stride
+            self.above_from = v1_hi + 1 + -(v1_hi + 1) % stride
+            # parts carry u >= 0, so j lies between j_floor and u_hi // vu
             j_floor = min(v1_lo, window.u_range[0] - alphabet.max_u_compensation(self.s_hi))
             if j_floor < 0:
-                self.t_part_hi = t_hi - v1.degree.t * j_floor
-                self.u_part_hi = u_hi - v1.degree.u * j_floor
+                self.u_part_hi = u_hi - vu * j_floor
+            # a part is placed only if t + vt*j <= t_hi for some j, so its t is
+            # capped by the j that lowers t most: the least j when vt > 0, the
+            # greatest when vt < 0
+            j_far = j_floor if vt > 0 else u_hi // vu
+            if vt * j_far < 0:
+                self.t_part_hi = t_hi - vt * j_far
 
     def pruned(self, k: int, s: int, t: int, u: int) -> bool:
         """No part extending this one from generator k on fits the window."""
@@ -726,8 +753,8 @@ class _PartPlan:
 
     def keeps(self, s: int, t: int, u: int) -> bool:
         """Whether a finished part is kept.  Without v1 the part is the
-        monomial, so it must lie in the window; with v1 the placements
-        test the t and u ranges."""
+        monomial, so it must lie in the window; with v1, v1_exponents
+        tests the t and u ranges."""
         if s < self.s_lo:
             return False
         w = self.window
@@ -735,25 +762,40 @@ class _PartPlan:
             w.t_range[0] <= t <= w.t_range[1] and w.u_range[0] <= u <= w.u_range[1]
         )
 
-    def placements(self, s: int, t: int, u: int) -> Iterator[Tuple[int, Tuple[int, int, int], bool]]:
-        """(j, degree of v1^j * part, whether the v1 range clips j) for each
-        v1 exponent j that puts a kept part of degree (s, t, u) inside the
-        t and u ranges, in rising j.  Without v1 the kept part is the
-        monomial, placed once at j = 0."""
+    def v1_exponents(self, s: int, t: int, u: int) -> Tuple[range, range, range]:
+        """The v1 exponents j that put a kept part of degree (s, t, u) inside
+        the t and u ranges, v1^j * part having degree (s, t + j*vt, u + j*vu),
+        as three ranges of rising multiples of the stride: those below the
+        v1 range, which clips them, those inside it, and those above it.
+        Without v1 the kept part is the monomial, placed once at j = 0."""
         if self.v1 is None:
-            yield 0, (s, t, u), False
-            return
+            return _NO_J, _ZERO_J, _NO_J
         w = self.window
         t_lo, t_hi = w.t_range
         u_lo, u_hi = w.u_range
+        vt, vu, stride = self.vt, self.vu, self.stride
+        lo, hi = -((u - u_lo) // vu), (u_hi - u) // vu  # u_lo <= u + j*vu <= u_hi
+        if vt > 0:
+            lo, hi = max(lo, -((t - t_lo) // vt)), min(hi, (t_hi - t) // vt)
+        elif vt < 0:
+            lo, hi = max(lo, -((t_hi - t) // -vt)), min(hi, (t - t_lo) // -vt)
+        elif not t_lo <= t <= t_hi:
+            return _NO_J, _NO_J, _NO_J
+        lo += -lo % stride
         v1_lo, v1_hi = w.v1_exponent_range
-        vt, vu, stride = self.v1.degree.t, self.v1.degree.u, self.v1.stride
-        j_min = -((u - u_lo + vu - 1) // vu)  # smallest j with u + j*vu >= u_lo
-        j_min += -j_min % stride
-        for j in range(j_min, (u_hi - u) // vu + 1, stride):
-            tt = t + vt * j
-            if t_lo <= tt <= t_hi:
-                yield j, (s, tt, u + vu * j), not (v1_lo <= j <= v1_hi)
+        return (
+            range(lo, min(hi + 1, v1_lo), stride),
+            range(max(lo, self.kept_from), min(hi, v1_hi) + 1, stride),
+            range(max(lo, self.above_from), hi + 1, stride),
+        )
+
+    def at(self, s: int, t: int, u: int, js: range) -> List[Tuple[int, int, int]]:
+        """The degrees of v1^j * part for j in js, the part of degree (s, t, u)."""
+        vt, vu = self.vt, self.vu
+        return [(s, t + vt * j, u + vu * j) for j in js]
+
+
+_NO_J, _ZERO_J = range(0), range(1)
 
 
 def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
@@ -824,15 +866,16 @@ def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
     leaves.clear()  # drop the records before the pieces are placed
     pieces: Dict[Tuple[int, int, int], List[Tuple[int, Tuple[Monomial, ...]]]] = {}
     truncated: Set[Tuple[int, int, int]] = set()
+    v1_exponents, at, vt, vu = plan.v1_exponents, plan.at, plan.vt, plan.vu
     for (s, t, u), parts in groups.items():
         parts = tuple(parts)
-        for j, key, clipped in plan.placements(s, t, u):
-            if clipped:
-                truncated.add(key)
-            else:
-                pieces.setdefault(key, []).append((j, parts))
+        below, kept, above = v1_exponents(s, t, u)
+        for j in kept:
+            pieces.setdefault((s, t + vt * j, u + vu * j), []).append((j, parts))
+        truncated.update(at(s, t, u, below), at(s, t, u, above))
     for s, t, u in divided:
-        truncated.update(key for _, key, clipped in plan.placements(s, t, u) if clipped)
+        below, _, above = v1_exponents(s, t, u)
+        truncated.update(at(s, t, u, below), at(s, t, u, above))
     return WindowBasis(window, {Multidegree(*d): got for d, got in pieces.items()}, truncated, alphabet)
 
 
@@ -883,22 +926,29 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
         parts = grown
     k_end = len(plan.others)
     v1_flip = 1 if alphabet.v1_index in flips else 0
-    counts: Dict[Multidegree, int] = {}
-    odd_counts: Dict[Multidegree, int] = {}
+    counts: Dict[Tuple[int, int, int], int] = {}
+    odd_counts: Dict[Tuple[int, int, int], int] = {}
     truncated: Set[Tuple[int, int, int]] = set()
     # the tracked exponents have done their work: merge the parts they split
     merged: Dict[Tuple[int, int, int, int], int] = {}
     for (s, t, u, p, _), n_free in parts.items():
         merged[s, t, u, p] = merged.get((s, t, u, p), 0) + n_free
+    v1_exponents, at, vt, vu = plan.v1_exponents, plan.at, plan.vt, plan.vu
     for (s, t, u, p), n_free in merged.items():
         if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
             continue
-        for j, key, clipped in plan.placements(s, t, u):
-            if clipped:
-                truncated.add(key)
-            elif n_free:
-                d = Multidegree(*key)
-                counts[d] = counts.get(d, 0) + n_free
-                if p ^ (v1_flip & j):
+        below, kept, above = v1_exponents(s, t, u)
+        truncated.update(at(s, t, u, below), at(s, t, u, above))
+        if not n_free:
+            continue
+        for j in kept:
+            d = (s, t + vt * j, u + vu * j)
+            counts[d] = counts.get(d, 0) + n_free
+        # v1^j * part is odd when p and v1's share j differ in parity; each
+        # half of kept holds every other j, all of one parity
+        for js in (kept[::2], kept[1::2]):
+            if js and p ^ (v1_flip & js[0]):
+                for j in js:
+                    d = (s, t + vt * j, u + vu * j)
                     odd_counts[d] = odd_counts.get(d, 0) + n_free
     return WindowCounts(window, counts, odd_counts, truncated, alphabet)

@@ -79,6 +79,28 @@ def counts_by_enumeration(alphabet, window, relations=()):
     return {d: len(wb.basis(d)) for d in wb.degrees()}, wb._truncated
 
 
+def placements_per_j(plan, s, t, u):
+    """(j, degree of v1^j * part, whether the v1 range clips j) for each v1
+    exponent j that puts a kept part of degree (s, t, u) inside the t and u
+    ranges, in rising j, by trying each j the u range allows against the t
+    range: _PartPlan.v1_exponents solves for the same j as three ranges.
+    Without v1 the kept part is the monomial, placed once at j = 0."""
+    if plan.v1 is None:
+        return [(0, (s, t, u), False)]
+    w = plan.window
+    t_lo, t_hi = w.t_range
+    u_lo, u_hi = w.u_range
+    v1_lo, v1_hi = w.v1_exponent_range
+    vt, vu, stride = plan.v1.degree.t, plan.v1.degree.u, plan.v1.stride
+    placed = []
+    # from below the least j with u + j*vu >= u_lo to the greatest with u + j*vu <= u_hi
+    for j in range((u_lo - u) // vu, (u_hi - u) // vu + 1):
+        tt, uu = t + vt * j, u + vu * j
+        if j % stride == 0 and u_lo <= uu <= u_hi and t_lo <= tt <= t_hi:
+            placed.append((j, (s, tt, uu), not (v1_lo <= j <= v1_hi)))
+    return placed
+
+
 def e3_endm_by_ranks(wb):
     """E3(EndM) as the homology of (E2(EndM), d2) over the Workbench window,
     by ranks of the d2 matrices, where page("EndM", 3) counts it off the d2

@@ -402,6 +402,16 @@ def test_config_file_errors(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"t_max=\xff\xfe32\n")
+    assert run_in(tmp_path, "page", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "page-M-r2.json").exists()
+
+
 def test_workers_flag_is_a_usage_error(tmp_path, capsys):
     assert run_in(tmp_path, "page", *SMALL, "--workers", "2") == 2
     err = capsys.readouterr().err
@@ -515,6 +525,24 @@ def test_malformed_manifest_is_a_miss(tmp_path, capsys, manifest):
     assert capsys.readouterr().out == fresh_out
     assert (tmp_path / "ext-M.json").read_bytes() == fresh
     # the recomputed run rewrites a valid entry
+    assert json.loads(entry.read_text())["stdout"] == fresh_out
+
+
+def test_deeply_nested_manifest_is_a_miss(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit makes json.load raise
+    RecursionError, which is a miss like any other malformed entry."""
+    argv = ["ext", "--spectrum", "M"]
+    assert run_in(tmp_path, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (tmp_path / "ext-M.json").read_bytes()
+    entry = _cache_entry(tmp_path)
+    entry.write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "ext-M.json").unlink()
+    assert run_in(tmp_path, *argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh_out
+    assert captured.err == ""
+    assert (tmp_path / "ext-M.json").read_bytes() == fresh
     assert json.loads(entry.read_text())["stdout"] == fresh_out
 
 

@@ -15,6 +15,7 @@ from moorev1.gf2poly import (
     Quotient,
     TruncationWindow,
     UnknownGeneratorError,
+    _PartPlan,
     count_window,
     default_window,
     enumerate_window,
@@ -25,7 +26,7 @@ from moorev1.gf2poly import (
     mono_str,
 )
 from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, sufficient_x_index
-from oracles import complete_around_by_three, counts_by_enumeration, quotient_basis_by_filter
+from oracles import complete_around_by_three, counts_by_enumeration, placements_per_j, quotient_basis_by_filter
 
 
 def laurent_alphabet(n_max=5):
@@ -319,10 +320,15 @@ def _range_around_zero(lo, hi):
 
 @st.composite
 def small_alphabets_and_windows(draw):
+    """A few generators of _GENERATOR_POOL, and v1 or not.  The workbench v1
+    has degree (0, 2, 1); v1 is drawn here with its t-degree of either sign
+    or 0 and a u-degree of 1 or 2, so the v1 exponents each part degree
+    admits are bounded by the t range in both directions."""
     gens = draw(st.lists(st.sampled_from(_GENERATOR_POOL), unique=True, max_size=5))
     stride = draw(st.sampled_from((None, 1, 2)))
     if stride is not None:
-        gens.append(Generator("v1", Multidegree(0, 2, 1), invertible=True, stride=stride))
+        degree = Multidegree(0, draw(st.sampled_from((-2, 0, 1, 2, 3))), draw(st.sampled_from((1, 2))))
+        gens.append(Generator("v1", degree, invertible=True, stride=stride))
     window = TruncationWindow(
         v1_exponent_range=draw(_range_around_zero(-4, 4)),
         s_range=(draw(st.integers(0, 1)), draw(st.integers(1, 4))),
@@ -337,6 +343,24 @@ class TestEnumerateWindowOracle:
     @given(small_alphabets_and_windows())
     def test_random_windows_match_brute_force(self, case):
         assert_matches_oracle(*case)
+
+
+class TestSolvedPlacementOracle:
+    """_PartPlan.v1_exponents solves the v1 exponents of a part degree from
+    the t and u ranges; trying each j the u range allows is its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_alphabets_and_windows(), st.integers(0, 4))
+    def test_solved_ranges_match_per_j(self, case, s):
+        a, w = case
+        plan = _PartPlan(a, w)
+        (t_lo, t_hi), (u_lo, u_hi) = w.t_range, w.u_range
+        for t in range(t_lo - 12, max(t_hi, plan.t_part_hi) + 13):
+            for u in range(u_lo - 6, max(u_hi, plan.u_part_hi) + 7):
+                below, kept, above = plan.v1_exponents(s, t, u)
+                got = [(j, d, clipped) for js, clipped in ((below, True), (kept, False), (above, True))
+                       for j, d in zip(js, plan.at(s, t, u, js))]
+                assert got == placements_per_j(plan, s, t, u), (s, t, u)
 
 
 def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
@@ -565,8 +589,8 @@ class TestBoxIndependence:
 
 
 class TestCompleteAround:
-    """complete_around, one lookup in a set built once per shift, against
-    the three window tests it stands for."""
+    """complete_around, one lookup in a set and one box test, both built
+    once per shift, against the three window tests they stand for."""
 
     # h(1,0) with s < 0: nothing vanishes below s = 0 over an alphabet with it
     NEGATIVE_S = Generator("h(1,0)", Multidegree(-1, 3, 0))
@@ -576,8 +600,12 @@ class TestCompleteAround:
         small_alphabets_and_windows(),
         st.booleans(),
         st.lists(st.tuples(st.integers(-40, 40), st.integers(-400, 400), st.integers(-40, 40)), max_size=20),
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-30, 30), st.integers(-8, 8)), max_size=3),
     )
-    def test_matches_three_window_tests(self, case, negative_s, far):
+    def test_matches_three_window_tests(self, case, negative_s, far, shifts):
+        """The page shifts and drawn ones with components of either sign,
+        one of them wider in s than the s range, so that every d - shift or
+        d + shift leaves the window and the rule below s = 0 decides."""
         a, w = case
         if negative_s:
             a = Alphabet([g for g in a if g.name != "h(1,0)"] + [self.NEGATIVE_S])
@@ -588,7 +616,8 @@ class TestCompleteAround:
             for t in range(w.t_range[0] - 2, w.t_range[1] + 3):
                 for u in range(w.u_range[0] - 2, w.u_range[1] + 3):
                     probes.append(Multidegree(s, t, u))
-        for shift in (D2_SHIFT, D3_SHIFT):
+        wide_s = Multidegree(w.s_range[1] - w.s_range[0] + 1, -1, 1)
+        for shift in (D2_SHIFT, D3_SHIFT, wide_s, *(Multidegree(*x) for x in shifts)):
             for d in probes:
                 assert trust.complete_around(d, shift) == complete_around_by_three(trust, d, shift), (d, shift)
 
