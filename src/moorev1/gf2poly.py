@@ -659,8 +659,8 @@ class WindowCounts(_WindowTrust):
     def __init__(
         self,
         window: TruncationWindow,
-        counts: Dict[Tuple[int, int, int], int],
-        odd_counts: Dict[Tuple[int, int, int], int],
+        counts: Dict[Multidegree, int],
+        odd_counts: Dict[Multidegree, int],
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
     ):
@@ -676,7 +676,7 @@ class WindowCounts(_WindowTrust):
         return self._odd_counts.get(d, 0)
 
     def degrees(self) -> List[Multidegree]:
-        return [Multidegree(*d) for d in sorted(self._counts)]
+        return sorted(self._counts)
 
     def total(self) -> int:
         return sum(self._counts.values())
@@ -926,8 +926,8 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
         parts = grown
     k_end = len(plan.others)
     v1_flip = 1 if alphabet.v1_index in flips else 0
-    counts: Dict[Tuple[int, int, int], int] = {}
-    odd_counts: Dict[Tuple[int, int, int], int] = {}
+    counts: Dict[Multidegree, int] = {}
+    odd_counts: Dict[Multidegree, int] = {}
     truncated: Set[Tuple[int, int, int]] = set()
     # the tracked exponents have done their work: merge the parts they split
     merged: Dict[Tuple[int, int, int, int], int] = {}
@@ -942,13 +942,10 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
         if not n_free:
             continue
         for j in kept:
-            d = (s, t + vt * j, u + vu * j)
+            # the Multidegree a page keeps as its key, built by tuple.__new__
+            # directly as in Multidegree.__add__
+            d = tuple.__new__(Multidegree, (s, t + vt * j, u + vu * j))
             counts[d] = counts.get(d, 0) + n_free
-        # v1^j * part is odd when p and v1's share j differ in parity; each
-        # half of kept holds every other j, all of one parity
-        for js in (kept[::2], kept[1::2]):
-            if js and p ^ (v1_flip & js[0]):
-                for j in js:
-                    d = (s, t + vt * j, u + vu * j)
-                    odd_counts[d] = odd_counts.get(d, 0) + n_free
+            if p ^ (v1_flip & j):
+                odd_counts[d] = odd_counts.get(d, 0) + n_free
     return WindowCounts(window, counts, odd_counts, truncated, alphabet)

@@ -349,7 +349,7 @@ class TestSolvedPlacementOracle:
     """_PartPlan.v1_exponents solves the v1 exponents of a part degree from
     the t and u ranges; trying each j the u range allows is its oracle."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(small_alphabets_and_windows(), st.integers(0, 4))
     def test_solved_ranges_match_per_j(self, case, s):
         a, w = case
