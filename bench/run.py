@@ -2,18 +2,23 @@
 
     python3 bench/run.py
 
-Each rung runs one `python -m moorev1 <command> --no-cache` in a fresh
-interpreter, with moorev1 imported from this checkout's `src/`, and prints
-the exit code, the wall time from spawn to exit, and the peak RSS of the
-child as os.wait4 reports it (ru_maxrss).  The `verify` rungs step t_max
-through 32, 64 (the default), 128, 192 and 256, then s_max through 16 and
-20 at the default t_max.  The `page4` rungs build page 4 of EndM
+Each rung runs one `python -m moorev1 <command>` in a fresh interpreter,
+with moorev1 imported from this checkout's `src/`, and prints the exit
+code, the wall time from spawn to exit, and the peak RSS of the child as
+os.wait4 reports it (ru_maxrss).  The `verify` rungs step t_max through
+32, 64 (the default), 128, 192 and 256, then s_max through 16 and 20 at
+the default t_max.  The `page4` rungs build page 4 of EndM
 (`page --spectrum EndM --page 4`) at t_max 128 and 192.  The `chart`
 rungs draw page 2 of M as SVG (`chart page --spectrum M --page 2
---format svg`) at t_max 128 and 192.  Times are raw, not scaled to a
-reference host speed, so host load moves them.  The artifacts go to a
-temporary directory that is removed afterwards.  Exits 1 when a rung does
-not exit 0.
+--format svg`) at t_max 128 and 192.  All of these pass `--no-cache`.
+The last two rungs draw the t_max 192 chart with the result cache on:
+`cold` computes it into a fresh `--out` and writes the cache entry, and
+`replay` runs it again on the same `--out` and replays that entry, so the
+cache's write and read paths are on the ladder too.  Times are raw, not
+scaled to a reference host speed, so host load moves them.  The artifacts
+go to a temporary directory that is removed afterwards; rungs with the
+same arguments share an output directory, every other rung has its own.
+Exits 1 when a rung does not exit 0.
 """
 from __future__ import annotations
 
@@ -26,25 +31,29 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAGE4 = ["page", "--spectrum", "EndM", "--page", "4"]
 CHART = ["chart", "page", "--spectrum", "M", "--page", "2", "--format", "svg"]
+NO_CACHE = "--no-cache"
+CHART192 = [*CHART, "--t-max", "192"]
 RUNGS = (
-    ("t_max 32", ["verify", "--t-max", "32"]),
-    ("t_max 64", ["verify", "--t-max", "64"]),
-    ("t_max 128", ["verify", "--t-max", "128"]),
-    ("t_max 192", ["verify", "--t-max", "192"]),
-    ("t_max 256", ["verify", "--t-max", "256"]),
-    ("s_max 16", ["verify", "--s-max", "16"]),
-    ("s_max 20", ["verify", "--s-max", "20"]),
-    ("page4 t_max 128", [*PAGE4, "--t-max", "128"]),
-    ("page4 t_max 192", [*PAGE4, "--t-max", "192"]),
-    ("chart t_max 128", [*CHART, "--t-max", "128"]),
-    ("chart t_max 192", [*CHART, "--t-max", "192"]),
+    ("t_max 32", ["verify", "--t-max", "32", NO_CACHE]),
+    ("t_max 64", ["verify", "--t-max", "64", NO_CACHE]),
+    ("t_max 128", ["verify", "--t-max", "128", NO_CACHE]),
+    ("t_max 192", ["verify", "--t-max", "192", NO_CACHE]),
+    ("t_max 256", ["verify", "--t-max", "256", NO_CACHE]),
+    ("s_max 16", ["verify", "--s-max", "16", NO_CACHE]),
+    ("s_max 20", ["verify", "--s-max", "20", NO_CACHE]),
+    ("page4 t_max 128", [*PAGE4, "--t-max", "128", NO_CACHE]),
+    ("page4 t_max 192", [*PAGE4, "--t-max", "192", NO_CACHE]),
+    ("chart t_max 128", [*CHART, "--t-max", "128", NO_CACHE]),
+    ("chart t_max 192", [*CHART192, NO_CACHE]),
+    ("chart t_max 192 cold", CHART192),
+    ("chart t_max 192 replay", CHART192),
 )
 
 
 def rung(args, out):
     """(exit code, wall seconds, peak RSS in MB) of one moorev1 run."""
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    argv = [sys.executable, "-m", "moorev1", *args, "--no-cache", "--out", out]
+    argv = [sys.executable, "-m", "moorev1", *args, "--out", out]
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -54,13 +63,15 @@ def rung(args, out):
 
 
 def main() -> int:
-    print(f"{'rung':<15} {'exit':>4} {'wall_s':>7} {'peak_rss_mb':>11}", flush=True)
+    print(f"{'rung':<22} {'exit':>4} {'wall_s':>7} {'peak_rss_mb':>11}", flush=True)
     failed = False
+    outs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNGS:
-            code, wall, rss = rung(args, os.path.join(tmp, name.replace(" ", "-")))
+            out = outs.setdefault(tuple(args), os.path.join(tmp, str(len(outs))))
+            code, wall, rss = rung(args, out)
             failed = failed or code != 0
-            print(f"{name:<15} {code:>4} {wall:>7.2f} {rss:>11.1f}", flush=True)
+            print(f"{name:<22} {code:>4} {wall:>7.2f} {rss:>11.1f}", flush=True)
     return 1 if failed else 0
 
 

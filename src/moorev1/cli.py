@@ -5,8 +5,10 @@ Every output is a deterministic function of the resolved configuration.
 Artifacts land in the output directory; a result cache under
 `<out>/.cache` is keyed by a hash of the configuration, the package
 version and a digest of the package source, and writes are atomic so
-concurrent invocations are safe.  An entry that is malformed, names a file
-outside the output directory, or fails its sha256 digest is a cache miss.
+concurrent invocations are safe.  Each entry is one file: a JSON header
+line, then the raw bytes of each artifact in name order.  An entry that is
+malformed, names a file outside the output directory, declares lengths
+that do not match its bytes, or fails its sha256 digest is a cache miss.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 usage or configuration error.
@@ -460,24 +462,30 @@ _DISPATCH = {
 
 
 def _inside_out(rel: str) -> bool:
-    """Whether a manifest file name stays inside the output directory
+    """Whether a cached file name stays inside the output directory
     (string checks only)."""
     norm = os.path.normpath(rel)
     return not (os.path.isabs(rel) or norm.startswith("..") or norm == "." or "\0" in rel)
 
 
-def _replayable(manifest) -> bool:
-    """A cache manifest as run() writes it: an exit code of 0 or 1, the
-    stdout text, and text files named inside the output directory."""
-    if not isinstance(manifest, dict):
+def _replayable(header) -> bool:
+    """A cache entry header as run() writes it: an exit code of 0 or 1, the
+    stdout text, and [name, byte length] pairs in strictly increasing name
+    order, each name inside the output directory."""
+    if not isinstance(header, dict):
         return False
-    code, stdout, files = (manifest.get(k) for k in ("exit_code", "stdout", "files"))
+    code, stdout, files = (header.get(k) for k in ("exit_code", "stdout", "files"))
     return (
         type(code) is int
         and code in (0, 1)
         and isinstance(stdout, str)
-        and isinstance(files, dict)
-        and all(isinstance(v, str) and _inside_out(rel) for rel, v in files.items())
+        and isinstance(files, list)
+        and all(
+            isinstance(f, list) and len(f) == 2 and isinstance(f[0], str) and _inside_out(f[0])
+            and type(f[1]) is int and f[1] >= 0
+            for f in files
+        )
+        and all(a[0] < b[0] for a, b in zip(files, files[1:]))
     )
 
 
@@ -503,17 +511,20 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache_entry = os.path.join(cfg.out, ".cache", cfg.cache_key() + ".json")
+    cache_entry = os.path.join(cfg.out, ".cache", cfg.cache_key() + ".entry")
     # an unreadable, malformed or altered entry is a miss and gets recomputed
     hit = False
     if not cfg.no_cache and os.path.exists(cache_entry):
         try:
-            with open(cache_entry, "r", encoding="utf-8") as f:
-                manifest = json.load(f)
-            if _replayable(manifest):
-                code, stdout, files = manifest["exit_code"], manifest["stdout"], manifest["files"]
-                blobs = {rel: text.encode() for rel, text in files.items()}
-                hit = manifest.get("sha256") == _payload_digest(code, stdout.encode(), blobs)
+            with open(cache_entry, "rb") as f:
+                header = json.loads(f.readline())
+                # the declared lengths must add up to the bytes left before
+                # any is read, so a huge length never asks for memory
+                left = os.fstat(f.fileno()).st_size - f.tell()
+                if _replayable(header) and sum(n for _, n in header["files"]) == left:
+                    code, stdout = header["exit_code"], header["stdout"]
+                    blobs = {rel: f.read(n) for rel, n in header["files"]}
+                    hit = header.get("sha256") == _payload_digest(code, stdout.encode(), blobs)
         # UnicodeEncodeError, from a lone surrogate, is a ValueError; nesting
         # deeper than the parser's recursion limit raises RecursionError
         except (OSError, ValueError, RecursionError):
@@ -524,7 +535,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         except GF2PolyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        blobs = {rel: text.encode() for rel, text in files.items()}
+        # each file is encoded once; pop drops its text as its bytes appear
+        blobs = {rel: files.pop(rel).encode() for rel in sorted(files)}
 
     try:
         for rel in sorted(blobs):
@@ -534,11 +546,16 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     sys.stdout.write(stdout)
     if not (hit or cfg.no_cache):
-        digest = _payload_digest(code, stdout.encode(), blobs)
-        del blobs  # so the file bytes and the manifest text are never held at once
-        manifest = {"exit_code": code, "stdout": stdout, "files": files, "sha256": digest}
+        names = sorted(blobs)
+        header = {
+            "exit_code": code,
+            "stdout": stdout,
+            "files": [[rel, len(blobs[rel])] for rel in names],
+            "sha256": _payload_digest(code, stdout.encode(), blobs),
+        }
+        entry = b"".join([json.dumps(header, sort_keys=True).encode(), b"\n", *(blobs[rel] for rel in names)])
         try:
-            _atomic_write(cache_entry, _json_text(manifest).encode())
+            _atomic_write(cache_entry, entry)
         except OSError:
             pass  # a cold cache never changes the result
     return code

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -449,38 +450,111 @@ def test_cache_key_follows_package_source(monkeypatch):
 
 
 def _cache_entry(out):
-    """The one cache manifest under out."""
+    """The one cache entry under out."""
     entries = list((out / ".cache").iterdir())
     assert len(entries) == 1, entries
     return entries[0]
 
 
-def _sealed(manifest):
-    """manifest with the digest run() stores beside what it replays."""
-    blobs = {rel: text.encode() for rel, text in manifest["files"].items()}
-    return {**manifest, "sha256": cli._payload_digest(manifest["exit_code"], manifest["stdout"].encode(), blobs)}
+def _entry_parts(data):
+    """The decoded header line of an entry and the bytes after it."""
+    line, body = data.split(b"\n", 1)
+    return json.loads(line), body
 
 
-def _change_a_digit(manifest):
-    text = manifest["files"]["page-M-r2.json"]
-    i = text.rindex("1\n    ]")  # the last row's dimension
-    manifest["files"]["page-M-r2.json"] = text[:i] + "2" + text[i + 1 :]
+def _joined(header, body):
+    """An entry of header and body, framed as run() frames it."""
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + body
 
 
-def _change_a_stdout_byte(manifest):
-    manifest["stdout"] = manifest["stdout"].replace("page", "paje", 1)
+def _sealed(header, blobs):
+    """The entry run() would write for header and files: each file's length
+    in name order, the digest run() stores, then the bytes of each file."""
+    names = sorted(blobs)
+    digest = cli._payload_digest(header["exit_code"], header["stdout"].encode(), blobs)
+    header = {**header, "files": [[rel, len(blobs[rel])] for rel in names], "sha256": digest}
+    return _joined(header, b"".join(blobs[rel] for rel in names))
 
 
-def _drop_a_file(manifest):
-    del manifest["files"]["page-M-r2.json"]
+def _files_left(out):
+    return sorted(p.name for p in out.iterdir())
 
 
-def _lone_surrogate_in_stdout(manifest):
-    manifest["stdout"] = "\ud800" + manifest["stdout"]
+# each tamper edits the header in place and returns the bytes that follow it
+
+
+def _change_a_digit(header, body):
+    i = body.rindex(b"1\n    ]")  # the last row's dimension
+    return body[:i] + b"2" + body[i + 1 :]
+
+
+def _change_a_stdout_byte(header, body):
+    header["stdout"] = header["stdout"].replace("page", "paje", 1)
+    return body
+
+
+def _drop_a_file(header, body):
+    header["files"] = []
+    return b""
+
+
+def _lone_surrogate_in_stdout(header, body):
+    header["stdout"] = "\ud800" + header["stdout"]
+    return body
+
+
+def _cut_the_last_byte(header, body):
+    return body[:-1]
+
+
+def _add_a_trailing_byte(header, body):
+    return body + b"\n"
+
+
+def _length_one_short(header, body):
+    header["files"][0][1] -= 1
+    return body
+
+
+def _length_one_long(header, body):
+    header["files"][0][1] += 1
+    return body
+
+
+def _negative_length(header, body):
+    # the lengths still add up to the bytes after the header
+    (name, n), = header["files"]
+    header["files"] = [["a.txt", -1], [name, n + 1]]
+    return body
+
+
+def _true_as_a_length(header, body):
+    (name, n), = header["files"]
+    header["files"] = [["a.txt", True], [name, n - 1]]
+    return body
+
+
+def _huge_length(header, body):
+    # read() of this many bytes would raise MemoryError
+    header["files"][0][1] = 10**15
+    return body
 
 
 @pytest.mark.parametrize(
-    "tamper", [_change_a_digit, _change_a_stdout_byte, _drop_a_file, _lone_surrogate_in_stdout]
+    "tamper",
+    [
+        _change_a_digit,
+        _change_a_stdout_byte,
+        _drop_a_file,
+        _lone_surrogate_in_stdout,
+        _cut_the_last_byte,
+        _add_a_trailing_byte,
+        _length_one_short,
+        _length_one_long,
+        _negative_length,
+        _true_as_a_length,
+        _huge_length,
+    ],
 )
 def test_altered_entry_is_recomputed(tmp_path, capsys, tamper):
     argv = ["page", "--spectrum", "M", "--t-max", "24"]
@@ -488,16 +562,32 @@ def test_altered_entry_is_recomputed(tmp_path, capsys, tamper):
     fresh_out = capsys.readouterr().out
     fresh = (tmp_path / "page-M-r2.json").read_bytes()
     entry = _cache_entry(tmp_path)
-    stored = json.loads(entry.read_text())
-    altered = json.loads(entry.read_text())
-    tamper(altered)
+    stored = entry.read_bytes()
+    header, body = _entry_parts(stored)
+    altered = _joined(header, tamper(header, body))
     assert altered != stored
-    entry.write_text(json.dumps(altered))
+    entry.write_bytes(altered)
     assert run_in(tmp_path, *argv) == 0
-    assert capsys.readouterr().out == fresh_out
+    captured = capsys.readouterr()
+    assert captured.out == fresh_out
+    assert captured.err == ""
     assert (tmp_path / "page-M-r2.json").read_bytes() == fresh
+    assert _files_left(tmp_path) == [".cache", "page-M-r2.json"]
     # the recomputed run rewrites the entry as it first was
-    assert json.loads(entry.read_text()) == stored
+    assert entry.read_bytes() == stored
+
+
+def test_each_artifact_is_stored_once_and_verbatim(tmp_path):
+    argv = ["chart", "page", "--spectrum", "M", "--page", "2", "--format", "svg", "--t-max", "24"]
+    assert run_in(tmp_path, *argv) == 0
+    svg = (tmp_path / "chart-page-M-r2.svg").read_bytes()
+    entry = _cache_entry(tmp_path).read_bytes()
+    line = entry.split(b"\n", 1)[0]
+    assert entry == line + b"\n" + svg
+    header = json.loads(line)
+    assert line == json.dumps(header, sort_keys=True).encode()
+    assert set(header) == {"exit_code", "stdout", "files", "sha256"}
+    assert header["files"] == [["chart-page-M-r2.svg", len(svg)]]
 
 
 @pytest.mark.parametrize(
@@ -505,12 +595,16 @@ def test_altered_entry_is_recomputed(tmp_path, capsys, tamper):
     [
         {"stdout": "x"},
         {"exit_code": 0, "stdout": "x"},
-        {"exit_code": "0", "stdout": "x", "files": {}},
-        {"exit_code": True, "stdout": "x", "files": {}},
-        {"exit_code": 0, "stdout": ["x"], "files": {}},
+        {"exit_code": "0", "stdout": "x", "files": []},
+        {"exit_code": True, "stdout": "x", "files": []},
+        {"exit_code": 0, "stdout": ["x"], "files": []},
         {"exit_code": 0, "stdout": "x", "files": ["a.json"]},
-        {"exit_code": 0, "stdout": "x", "files": {"a.json": 1}},
+        {"exit_code": 0, "stdout": "x", "files": {"a.json": 0}},
         ["not", "a", "manifest"],
+        {"exit_code": 0, "stdout": "x", "files": [["a.json"]]},
+        {"exit_code": 0, "stdout": "x", "files": [["a.json", 0, 0]]},
+        {"exit_code": 0, "stdout": "x", "files": [[0, 0]]},
+        {"exit_code": 0, "stdout": "x", "files": [["a.json", 0.0]]},
     ],
 )
 def test_malformed_manifest_is_a_miss(tmp_path, capsys, manifest):
@@ -519,31 +613,35 @@ def test_malformed_manifest_is_a_miss(tmp_path, capsys, manifest):
     fresh_out = capsys.readouterr().out
     fresh = (tmp_path / "ext-M.json").read_bytes()
     entry = _cache_entry(tmp_path)
-    entry.write_text(json.dumps(manifest))
-    (tmp_path / "ext-M.json").unlink()
-    assert run_in(tmp_path, *argv) == 0
-    assert capsys.readouterr().out == fresh_out
-    assert (tmp_path / "ext-M.json").read_bytes() == fresh
-    # the recomputed run rewrites a valid entry
-    assert json.loads(entry.read_text())["stdout"] == fresh_out
-
-
-def test_deeply_nested_manifest_is_a_miss(tmp_path, capsys):
-    """JSON nested past the parser's recursion limit makes json.load raise
-    RecursionError, which is a miss like any other malformed entry."""
-    argv = ["ext", "--spectrum", "M"]
-    assert run_in(tmp_path, *argv) == 0
-    fresh_out = capsys.readouterr().out
-    fresh = (tmp_path / "ext-M.json").read_bytes()
-    entry = _cache_entry(tmp_path)
-    entry.write_text("[" * 200_000 + "]" * 200_000)
+    stored = entry.read_bytes()
+    entry.write_text(json.dumps(manifest) + "\n")
     (tmp_path / "ext-M.json").unlink()
     assert run_in(tmp_path, *argv) == 0
     captured = capsys.readouterr()
     assert captured.out == fresh_out
     assert captured.err == ""
     assert (tmp_path / "ext-M.json").read_bytes() == fresh
-    assert json.loads(entry.read_text())["stdout"] == fresh_out
+    # the recomputed run rewrites a valid entry
+    assert entry.read_bytes() == stored
+
+
+def test_deeply_nested_manifest_is_a_miss(tmp_path, capsys):
+    """A header nested past the parser's recursion limit makes json.loads
+    raise RecursionError, which is a miss like any other malformed entry."""
+    argv = ["ext", "--spectrum", "M"]
+    assert run_in(tmp_path, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (tmp_path / "ext-M.json").read_bytes()
+    entry = _cache_entry(tmp_path)
+    stored = entry.read_bytes()
+    entry.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    (tmp_path / "ext-M.json").unlink()
+    assert run_in(tmp_path, *argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh_out
+    assert captured.err == ""
+    assert (tmp_path / "ext-M.json").read_bytes() == fresh
+    assert entry.read_bytes() == stored
 
 
 def test_malformed_manifest_keeps_failure_exit_code(tmp_path, monkeypatch):
@@ -551,8 +649,40 @@ def test_malformed_manifest_keeps_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(Workbench, "verify_w_grading", lambda self: bad)
     argv = ["verify", *SMALL]
     assert run_in(tmp_path, *argv) == 1
-    _cache_entry(tmp_path).write_text('{"stdout": "x"}')
+    entry = _cache_entry(tmp_path)
+    stored = entry.read_bytes()
+    assert _entry_parts(stored)[0]["exit_code"] == 1
+    entry.write_text('{"stdout": "x"}\n')
     assert run_in(tmp_path, *argv) == 1
+    assert entry.read_bytes() == stored
+    # without the broken report only a replay still exits 1
+    monkeypatch.undo()
+    assert run_in(tmp_path, *argv) == 1
+
+
+@pytest.mark.parametrize(
+    "files",
+    [[["b.txt", 1], ["a.txt", 1]], [["a.txt", 1], ["a.txt", 1]], [["a.txt", -1], ["b.txt", 3]], [["a.txt", True], ["b.txt", 1]]],
+    ids=["unsorted", "repeated", "negative", "bool"],
+)
+def test_sealed_entry_with_a_malformed_file_list_is_a_miss(tmp_path, capsys, files):
+    """The lengths add up to the bytes after the header, and the digest
+    matches what a reader trusting every pair would read, so only the form
+    of the file list makes it a miss."""
+    out = tmp_path / "out"
+    argv = ["ext", "--spectrum", "S"]
+    assert run_in(out, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    entry = _cache_entry(out)
+    stored = entry.read_bytes()
+    body = io.BytesIO(b"xy")
+    trusted = {rel: body.read(n) for rel, n in files}
+    digest = cli._payload_digest(0, b"replayed\n", trusted)
+    entry.write_bytes(_joined({"exit_code": 0, "stdout": "replayed\n", "files": files, "sha256": digest}, b"xy"))
+    assert run_in(out, *argv) == 0
+    assert capsys.readouterr().out == fresh_out
+    assert _files_left(out) == [".cache", "ext-S.json"]
+    assert entry.read_bytes() == stored
 
 
 @pytest.mark.parametrize(
@@ -565,12 +695,12 @@ def test_manifest_names_outside_out_are_a_miss(tmp_path, capsys, name):
     assert run_in(out, *argv) == 0
     fresh_out = capsys.readouterr().out
     entry = _cache_entry(out)
-    # a digest that matches, so only the name makes it a miss
-    entry.write_text(json.dumps(_sealed({"exit_code": 0, "stdout": "replayed\n", "files": {name: "x"}})))
+    # a digest and lengths that match, so only the name makes it a miss
+    entry.write_bytes(_sealed({"exit_code": 0, "stdout": "replayed\n"}, {name: b"x"}))
     assert run_in(out, *argv) == 0
     assert capsys.readouterr().out == fresh_out
     assert not (tmp_path / "escape.txt").exists()
-    assert sorted(p.name for p in out.iterdir()) == [".cache", "ext-S.json"]
+    assert _files_left(out) == [".cache", "ext-S.json"]
 
 
 def test_manifest_names_inside_out_replay(tmp_path, capsys):
@@ -578,8 +708,8 @@ def test_manifest_names_inside_out_replay(tmp_path, capsys):
     assert run_in(tmp_path, *argv) == 0
     capsys.readouterr()
     entry = _cache_entry(tmp_path)
-    files = {"sub/../a.txt": "a", "sub/b.txt": "b"}
-    entry.write_text(json.dumps(_sealed({"exit_code": 0, "stdout": "replayed\n", "files": files})))
+    files = {"sub/../a.txt": b"a", "sub/b.txt": b"b"}
+    entry.write_bytes(_sealed({"exit_code": 0, "stdout": "replayed\n"}, files))
     assert run_in(tmp_path, *argv) == 0
     assert capsys.readouterr().out == "replayed\n"
     assert (tmp_path / "a.txt").read_text() == "a"
