@@ -599,7 +599,7 @@ def test_each_artifact_is_stored_once_and_verbatim(tmp_path):
         {"exit_code": True, "stdout": "x", "files": []},
         {"exit_code": 0, "stdout": ["x"], "files": []},
         {"exit_code": 0, "stdout": "x", "files": ["a.json"]},
-        {"exit_code": 0, "stdout": "x", "files": {"a.json": 0}},
+        {"exit_code": 0, "stdout": "x", "files": {"a.json": 1}},
         ["not", "a", "manifest"],
         {"exit_code": 0, "stdout": "x", "files": [["a.json"]]},
         {"exit_code": 0, "stdout": "x", "files": [["a.json", 0, 0]]},
@@ -662,7 +662,12 @@ def test_malformed_manifest_keeps_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "files",
-    [[["b.txt", 1], ["a.txt", 1]], [["a.txt", 1], ["a.txt", 1]], [["a.txt", -1], ["b.txt", 3]], [["a.txt", True], ["b.txt", 1]]],
+    [
+        [["b.txt", 1], ["a.txt", 1]],
+        [["a.txt", 1], ["a.txt", 1]],
+        [["a.txt", -1], ["b.txt", 3]],
+        [["a.txt", True], ["b.txt", 1]],
+    ],
     ids=["unsorted", "repeated", "negative", "bool"],
 )
 def test_sealed_entry_with_a_malformed_file_list_is_a_miss(tmp_path, capsys, files):
