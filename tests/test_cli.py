@@ -660,6 +660,24 @@ def test_malformed_manifest_keeps_failure_exit_code(tmp_path, monkeypatch):
     assert run_in(tmp_path, *argv) == 1
 
 
+def _assert_recomputed(out, capsys, altered):
+    """Put altered in place of the entry of `ext --spectrum S` under out and
+    check that the rerun is a miss: exit 0, no stderr, the fresh stdout and
+    table, no other file written, and the entry rewritten as it first was."""
+    argv = ["ext", "--spectrum", "S"]
+    assert run_in(out, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    fresh = (out / "ext-S.json").read_bytes()
+    entry = _cache_entry(out)
+    stored = entry.read_bytes()
+    entry.write_bytes(altered)
+    assert run_in(out, *argv) == 0
+    assert capsys.readouterr() == (fresh_out, "")
+    assert (out / "ext-S.json").read_bytes() == fresh
+    assert _files_left(out) == [".cache", "ext-S.json"]
+    assert entry.read_bytes() == stored
+
+
 @pytest.mark.parametrize(
     "files",
     [
@@ -674,20 +692,13 @@ def test_sealed_entry_with_a_malformed_file_list_is_a_miss(tmp_path, capsys, fil
     """The lengths add up to the bytes after the header, and the digest
     matches what a reader trusting every pair would read, so only the form
     of the file list makes it a miss."""
-    out = tmp_path / "out"
-    argv = ["ext", "--spectrum", "S"]
-    assert run_in(out, *argv) == 0
-    fresh_out = capsys.readouterr().out
-    entry = _cache_entry(out)
-    stored = entry.read_bytes()
     body = io.BytesIO(b"xy")
     trusted = {rel: body.read(n) for rel, n in files}
     digest = cli._payload_digest(0, b"replayed\n", trusted)
-    entry.write_bytes(_joined({"exit_code": 0, "stdout": "replayed\n", "files": files, "sha256": digest}, b"xy"))
-    assert run_in(out, *argv) == 0
-    assert capsys.readouterr().out == fresh_out
-    assert _files_left(out) == [".cache", "ext-S.json"]
-    assert entry.read_bytes() == stored
+    _assert_recomputed(
+        tmp_path / "out", capsys,
+        _joined({"exit_code": 0, "stdout": "replayed\n", "files": files, "sha256": digest}, b"xy"),
+    )
 
 
 @pytest.mark.parametrize(
@@ -695,17 +706,9 @@ def test_sealed_entry_with_a_malformed_file_list_is_a_miss(tmp_path, capsys, fil
 )
 def test_manifest_names_outside_out_are_a_miss(tmp_path, capsys, name):
     name = name.format(tmp=tmp_path)
-    out = tmp_path / "out"
-    argv = ["ext", "--spectrum", "S"]
-    assert run_in(out, *argv) == 0
-    fresh_out = capsys.readouterr().out
-    entry = _cache_entry(out)
     # a digest and lengths that match, so only the name makes it a miss
-    entry.write_bytes(_sealed({"exit_code": 0, "stdout": "replayed\n"}, {name: b"x"}))
-    assert run_in(out, *argv) == 0
-    assert capsys.readouterr().out == fresh_out
+    _assert_recomputed(tmp_path / "out", capsys, _sealed({"exit_code": 0, "stdout": "replayed\n"}, {name: b"x"}))
     assert not (tmp_path / "escape.txt").exists()
-    assert _files_left(out) == [".cache", "ext-S.json"]
 
 
 def test_manifest_names_inside_out_replay(tmp_path, capsys):
