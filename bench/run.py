@@ -10,7 +10,9 @@ os.wait4 reports it (ru_maxrss).  The `verify` rungs step t_max through
 the default t_max.  The `page4` rungs build page 4 of EndM
 (`page --spectrum EndM --page 4`) at t_max 128 and 192.  The `chart`
 rungs draw page 2 of M as SVG (`chart page --spectrum M --page 2
---format svg`) at t_max 128 and 192.  All of these pass `--no-cache`.
+--format svg`) at t_max 128 and 192.  The `decompose` rungs run the
+decomposition check (`decompose --format tsv`) at t_max 128 and 192.  All
+of these pass `--no-cache`.
 The last two rungs draw the t_max 192 chart with the result cache on:
 `cold` computes it into a fresh `--out` and writes the cache entry, and
 `replay` runs it again on the same `--out` and replays that entry, so the
@@ -33,6 +35,7 @@ PAGE4 = ["page", "--spectrum", "EndM", "--page", "4"]
 CHART = ["chart", "page", "--spectrum", "M", "--page", "2", "--format", "svg"]
 NO_CACHE = "--no-cache"
 CHART192 = [*CHART, "--t-max", "192"]
+DECOMPOSE = ["decompose", "--format", "tsv"]
 RUNGS = (
     ("t_max 32", ["verify", "--t-max", "32", NO_CACHE]),
     ("t_max 64", ["verify", "--t-max", "64", NO_CACHE]),
@@ -45,6 +48,8 @@ RUNGS = (
     ("page4 t_max 192", [*PAGE4, "--t-max", "192", NO_CACHE]),
     ("chart t_max 128", [*CHART, "--t-max", "128", NO_CACHE]),
     ("chart t_max 192", [*CHART192, NO_CACHE]),
+    ("decompose t_max 128", [*DECOMPOSE, "--t-max", "128", NO_CACHE]),
+    ("decompose t_max 192", [*DECOMPOSE, "--t-max", "192", NO_CACHE]),
     ("chart t_max 192 cold", CHART192),
     ("chart t_max 192 replay", CHART192),
 )

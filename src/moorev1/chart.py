@@ -4,7 +4,8 @@ The trigrading collapses to Adams (filtration, internal degree) by
 specseq.adams_bidegree, (s,t,u) -> (s+u, t+u); under it v1 lands at
 (1,3), h(1,1) at (1,2), and v1*h(n+1,1) on the bidegree (2, 2^(n+2)+1)
 of x(n).  Charts are drawn in (stem, filtration) coordinates with
-stem = t - s.
+stem = t - s.  The decomposition chart places each class's bo or bu
+pattern by specseq.pattern_stems, the rule the decomposition check uses.
 
 Rendering is plain SVG 1.1 or a text grid, byte-identical for identical
 input: every collection is sorted before drawing, coordinates are
@@ -17,7 +18,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .gf2poly import GF2PolyError
 from .mahowald import ZBHTables
-from .specseq import DECOMPOSITION_FILT_MAX, DECOMPOSITION_STEM_MAX, adams_bidegree
+from .specseq import DECOMPOSITION_FILT_MAX, DECOMPOSITION_STEM_MAX, adams_bidegree, pattern_stems
 
 __all__ = [
     "ChartLine",
@@ -125,23 +126,16 @@ def decomposition_chart(tables: ZBHTables) -> ChartDoc:
     """One group per homology class (a bo pattern suspended by its
     bidegree) and per boundary class (a bu pattern), with one dot on each
     cell its pattern hits, up to the corner of the box the decomposition
-    check compares.
-
-    Each pattern is solved for its stem on each filtration f.  The bo
-    pattern of a class at (p, q) holds v1^m h(1,1)^a at (p + m + a,
-    q + 3m + 2a) for a in {0, 1, 2} and m = 0, 1 mod 4, so on f it hits
-    stem 2f - 3p + q - a where m = f - p - a; the bu pattern holds v1^m at
-    (p + m, q + 3m) for every m, so it hits stem 2f - 3p + q.  These are
-    the cells where specseq.bo_pattern_dim and bu_pattern_dim are nonzero."""
+    check compares.  specseq.pattern_stems places each pattern on each
+    filtration, as it does for the check."""
     cells: Dict[Cell, int] = {}
-    # (group, p, q, the values of a, how many residues of m mod 4 are kept)
-    specs = [(f"bo[{poly}]", p, q, (0, 1, 2), 2) for p, q, poly in tables.export_classes("H")]
-    specs += [(f"bu[{poly}]", p, q, (0,), 4) for p, q, poly in tables.export_classes("B")]
-    for group, p, q, a_values, residues in specs:
+    specs = [(f"bo[{poly}]", p, q, False) for p, q, poly in tables.export_classes("H")]
+    specs += [(f"bu[{poly}]", p, q, True) for p, q, poly in tables.export_classes("B")]
+    for group, p, q, is_bu in specs:
         for filt in range(DECOMPOSITION_FILT_MAX + 1):
-            for a in a_values:
-                stem = 2 * filt - 3 * p + q - a
-                if 0 <= stem <= DECOMPOSITION_STEM_MAX and (filt - p - a) % 4 < residues:
+            bo, bu = pattern_stems(p, q, filt)
+            for stem in (bu,) if is_bu else bo:
+                if 0 <= stem <= DECOMPOSITION_STEM_MAX:
                     cells[(stem, filt, group)] = 1
     return ChartDoc(cells, title="decomposition")
 

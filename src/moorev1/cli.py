@@ -5,10 +5,12 @@ Every output is a deterministic function of the resolved configuration.
 Artifacts land in the output directory; a result cache under
 `<out>/.cache` is keyed by a hash of the configuration, the package
 version and a digest of the package source, and writes are atomic so
-concurrent invocations are safe.  Each entry is one file: a JSON header
-line, then the raw bytes of each artifact in name order.  An entry that is
-malformed, names a file outside the output directory, declares lengths
-that do not match its bytes, or fails its sha256 digest is a cache miss.
+concurrent invocations are safe.  Each entry is one file, named by the
+source digest and the key: a JSON header line, then the raw bytes of each
+artifact in name order.  An entry that is malformed, names a file outside
+the output directory, declares lengths that do not match its bytes, or
+fails its sha256 digest is a cache miss.  A cold write removes the entries
+of other source digests.
 
 Exit codes: 0 all checks pass, 1 a verification failed (the report is
 still written), 2 usage or configuration error.
@@ -511,7 +513,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache_entry = os.path.join(cfg.out, ".cache", cfg.cache_key() + ".entry")
+    cache_dir = os.path.join(cfg.out, ".cache")
+    cache_entry = os.path.join(cache_dir, f"{_source_digest()}-{cfg.cache_key()}.entry")
     # an unreadable, malformed or altered entry is a miss and gets recomputed
     hit = False
     if not cfg.no_cache and os.path.exists(cache_entry):
@@ -556,6 +559,14 @@ def run(argv: Optional[List[str]] = None) -> int:
         entry = b"".join([json.dumps(header, sort_keys=True).encode(), b"\n", *(blobs[rel] for rel in names)])
         try:
             _atomic_write(cache_entry, entry)
+            # an older program's entries (.json before the framed format) are
+            # never looked up again; writes in flight (.tmp-*) stay
+            for name in os.listdir(cache_dir):
+                if name.endswith((".entry", ".json")) and not name.startswith((_source_digest() + "-", ".tmp-")):
+                    try:
+                        os.unlink(os.path.join(cache_dir, name))
+                    except OSError:
+                        pass
         except OSError:
             pass  # a cold cache never changes the result
     return code

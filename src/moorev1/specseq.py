@@ -22,6 +22,8 @@ differential, the w-graded claims, the decomposition identity) is flagged
 conditional: the differential values for large generator indices are
 wired-in conjecture, and the checks here test their consequences rather
 than prove them.
+The decomposition check and chart.decomposition_chart share
+adams_bidegree and pattern_stems.
 """
 from __future__ import annotations
 
@@ -70,8 +72,7 @@ __all__ = [
     "Report",
     "Workbench",
     "check_row",
-    "bo_pattern_dim",
-    "bu_pattern_dim",
+    "pattern_stems",
     "w_of_v1_exponent",
     "adams_bidegree",
 ]
@@ -148,17 +149,14 @@ def adams_bidegree(d: Multidegree) -> Tuple[int, int]:
     return (s + u, t + u)
 
 
-def bo_pattern_dim(s: int, t: int) -> int:
-    """Classes v1^m h(1,1)^a with a in {0,1,2} and m = 0,1 mod 4 sit at
-    Adams bidegree (m+a, 3m+2a); at most one lands on any (s, t)."""
-    a = 3 * s - t
-    m = t - 2 * s
-    return 1 if a in (0, 1, 2) and m % 4 in (0, 1) else 0
-
-
-def bu_pattern_dim(s: int, t: int) -> int:
-    """Classes v1^m at Adams bidegree (m, 3m)."""
-    return 1 if t == 3 * s else 0
+def pattern_stems(p: int, q: int, filt: int) -> Tuple[Tuple[int, ...], int]:
+    """(bo stems, bu stem) that the patterns of a class at (p, q) hit on
+    Adams filtration filt.  The bo pattern holds v1^m h(1,1)^a at
+    (p + m + a, q + 3m + 2a) for a in {0, 1, 2} and m = 0, 1 mod 4, so on
+    filt it hits stem 2 filt - 3p + q - a where (filt - p - a) mod 4 is 0
+    or 1; the bu pattern holds v1^m at (p + m, q + 3m) for every m."""
+    bu = 2 * filt - 3 * p + q
+    return tuple(bu - a for a in (0, 1, 2) if (filt - p - a) % 4 < 2), bu
 
 
 class CheckRow(NamedTuple):
@@ -330,8 +328,6 @@ class Workbench:
         self._alphabets: Dict[str, Alphabet] = {}
         self._presentations: Dict[Tuple[str, int], PagePresentation] = {}
         self._pages: Dict[Tuple[str, int], _PageDims] = {}
-        # pages over a smaller window: EndM's around each survivor, M's over the decomposition box
-        self._pages_over: Dict[Tuple[PagePresentation, TruncationWindow], _PageDims] = {}
         self._zbh: Optional[ZBHTables] = None
         self._alpha_free: Optional[WindowCounts] = None
         self._proj_rules: Optional[List[_ProjectionRule]] = None
@@ -1069,7 +1065,7 @@ class Workbench:
             trusted = counts.complete_around(d, D3_SHIFT)
             # a survivor with d3 != 0 dies before page 4, as no cycle
             alive = trusted and not pres3.derivation_value(pres3.alphabet.index(text), 1)
-            alive = alive and self._page_over(pres3, self._window_around(d)).class_is_nonzero(
+            alive = alive and homology_page(pres3, self._window_around(d)).class_is_nonzero(
                 Polynomial.parse(pres3.alphabet, text), d
             )
             rows.append(check_row(f"survives-to-e4:{text}", d, int(alive), 1, decided=trusted))
@@ -1081,14 +1077,6 @@ class Workbench:
         window's v1 range."""
         ranges = (tuple(sorted(pair)) for pair in zip(d - D3_SHIFT, d + D3_SHIFT))
         return TruncationWindow(self.window.v1_exponent_range, *ranges)
-
-    def _page_over(self, pres: PagePresentation, window: TruncationWindow) -> _PageDims:
-        """The homology of pres over window, built once per Workbench like
-        the whole-window pages."""
-        got = self._pages_over.get((pres, window))
-        if got is None:
-            got = self._pages_over[(pres, window)] = homology_page(pres, window)
-        return got
 
     def _xn_fates(self) -> List[CheckRow]:
         """v1^m x(n) = v1^(m+1) h(n+1,1): odd m supports d2; even m lives
@@ -1149,25 +1137,42 @@ class Workbench:
         pattern per homology class of the complex of squares plus one bu
         pattern per boundary class, each suspended by its bidegree.
 
+        Both sides are keyed by Adams (s, t) = (filtration, internal
+        degree) and built by the rules the charts use.  The left collapses
+        page 4 of M by adams_bidegree; that page is built over
+        _decomposition_window only, by the rule of survival_report.  The
+        right places each class's pattern by pattern_stems.
+
         A cell is covered when every tridegree collapsing to it either is
         trusted in the window or provably carries no monomial of w <= 2,
-        so that its page-4 part vanishes by the slice claims.  Uncovered
-        cells are reported as insufficient, never silently dropped.
-
-        Rows are keyed by Adams (s, t) = (filtration, internal degree).
-        Page 4 of M is built over _decomposition_window only, by the rule
-        of survival_report.
+        so that its page-4 part vanishes by the slice claims, and exact
+        when the tables hold every class whose pattern can reach it.
+        Other cells are reported as insufficient, never silently dropped.
         """
         w = self.window
-        page4 = self._page_over(self.presentation("M", 3), self._decomposition_window())
+        page4 = homology_page(self.presentation("M", 3), self._decomposition_window())
+        lhs: Dict[Tuple[int, int], int] = {}
+        for d, n in page4.dimensions():
+            cell = adams_bidegree(d)
+            lhs[cell] = lhs.get(cell, 0) + n
+        stems = range(w.t_range[0] - w.s_range[1], DECOMPOSITION_STEM_MAX + 1)
+        filts = range(w.u_range[0], DECOMPOSITION_FILT_MAX + 1)
         tables = self.mahowald_tables()
+        rhs: Dict[Tuple[int, int], int] = {}
+        for kind in ("H", "B"):
+            for (p, q), n in tables.dimension_table(kind).rows.items():
+                for filt in filts:
+                    bo, bu = pattern_stems(p, q, filt)
+                    for stem in bo if kind == "H" else (bu,):
+                        if stem in stems:
+                            cell = (filt, stem + filt)
+                            rhs[cell] = rhs.get(cell, 0) + n
         rows: List[CheckRow] = []
-        for stem in range(w.t_range[0] - w.s_range[1], DECOMPOSITION_STEM_MAX + 1):
-            for filt in range(w.u_range[0], DECOMPOSITION_FILT_MAX + 1):
-                lhs, covered = self._cell_lhs(page4, stem, filt)
-                rhs, rhs_exact = self._cell_rhs(tables, filt, stem + filt)
+        for stem in stems:
+            for filt in filts:
                 cell = (filt, stem + filt)
-                rows.append(check_row("decomposition", cell, lhs, rhs, decided=covered and rhs_exact))
+                decided = self._cell_covered(page4, stem, filt) and _cell_exact(tables, stem, filt)
+                rows.append(check_row("decomposition", cell, lhs.get(cell, 0), rhs.get(cell, 0), decided=decided))
         return Report("decomposition", rows, conditional=True)
 
     def _decomposition_window(self) -> TruncationWindow:
@@ -1178,10 +1183,9 @@ class Workbench:
         top = DECOMPOSITION_STEM_MAX + w.s_range[1] - D3_SHIFT.s + D3_SHIFT.t
         return replace(w, t_range=(w.t_range[0], max(w.t_range[0], min(w.t_range[1], top))))
 
-    def _cell_lhs(self, page4, stem: int, filt: int) -> Tuple[int, bool]:
-        """Total page-4 dimension over the tridegrees collapsing to the
-        cell, plus whether the scan is conclusive."""
-        lhs = 0
+    def _cell_covered(self, page4, stem: int, filt: int) -> bool:
+        """Whether each tridegree (s, stem + s, filt - s) collapsing to the
+        cell is trusted on page4 or holds no monomial of w <= 2."""
         covered = True
         s_top = self.window.s_range[1]
         # past this, a w <= 2 monomial would cost more internal degree than
@@ -1197,30 +1201,15 @@ class Workbench:
         )
         for s in range(0, max(s_top, low_w_top) + 1):
             d = Multidegree(s, stem + s, filt - s)
-            dims = page4.dims_at(d) if s_lo <= s <= s_hi else None
-            if dims is not None:
-                lhs += dims[0] - dims[1]
-            elif self.low_w_monomial_possible(d):
+            trusted = s_lo <= s <= s_hi and page4.dims_at(d) is not None
+            if not trusted and self.low_w_monomial_possible(d):
                 covered = False
-        return lhs, covered
+        return covered
 
-    def _cell_rhs(self, tables: ZBHTables, s_adams: int, t_adams: int) -> Tuple[int, bool]:
-        """Pattern sum over the named classes, plus whether the computed
-        (p, q) box certainly contains every class that can contribute."""
-        rhs = 0
-        c = t_adams - 3 * s_adams
-        # a class at (p, q) contributes only when q is within 2 of c + 3p,
-        # and the complex of squares forces q >= 9p/2, so p stays small
-        p_pot = 2 * (c + 2) // 3
-        exact = p_pot <= tables.p_max and c + 3 * max(p_pot, 0) + 2 <= tables.q_max
-        for p in range(0, min(p_pot, tables.p_max) + 1, 2):
-            for q in (c + 3 * p, c + 3 * p + 1, c + 3 * p + 2):
-                if q < 0 or q > tables.q_max:
-                    continue
-                z, b = tables.dims(p, q)
-                h = z - b
-                if h:
-                    rhs += h * bo_pattern_dim(s_adams - p, t_adams - q)
-                if b:
-                    rhs += b * bu_pattern_dim(s_adams - p, t_adams - q)
-        return rhs, exact
+
+def _cell_exact(tables: ZBHTables, stem: int, filt: int) -> bool:
+    """Whether the tables hold every class whose pattern can reach the
+    cell: q within 2 of c + 3p, and q >= 9p/2 in the complex of squares."""
+    c = stem - 2 * filt
+    p_pot = 2 * (c + 2) // 3
+    return p_pot <= tables.p_max and c + 3 * max(p_pot, 0) + 2 <= tables.q_max

@@ -21,8 +21,6 @@ from moorev1.specseq import (
     D3_SHIFT,
     DECOMPOSITION_FILT_MAX,
     DECOMPOSITION_STEM_MAX,
-    bo_pattern_dim,
-    bu_pattern_dim,
     check_row,
 )
 
@@ -282,10 +280,26 @@ def low_w_by_enumeration(wb, degrees):
     return out
 
 
+def bo_pattern_dim(s, t):
+    """Classes v1^m h(1,1)^a with a in {0,1,2} and m = 0,1 mod 4 sit at
+    Adams bidegree (m+a, 3m+2a); at most one lands on any (s, t).  The
+    pattern tested cell by cell, where specseq.pattern_stems solves it for
+    the stems on a filtration."""
+    a = 3 * s - t
+    m = t - 2 * s
+    return 1 if a in (0, 1, 2) and m % 4 in (0, 1) else 0
+
+
+def bu_pattern_dim(s, t):
+    """Classes v1^m at Adams bidegree (m, 3m), tested cell by cell."""
+    return 1 if t == 3 * s else 0
+
+
 def cell_rhs_over_every_p(tables, s_adams, t_adams):
-    """Workbench._cell_rhs's pattern sum taken over every p the tables
-    hold, odd p included, instead of up to the bound the complex of squares
-    gives."""
+    """The pattern sum of mahowald_decomposition_check at one cell, by
+    searching every (p, q) of the tables, odd p included, whose bo or bu
+    pattern can reach the cell, where the check places each class's
+    pattern by pattern_stems."""
     rhs = 0
     c = t_adams - 3 * s_adams
     for p in range(tables.p_max + 1):

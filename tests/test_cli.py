@@ -456,6 +456,35 @@ def _cache_entry(out):
     return entries[0]
 
 
+def test_cold_run_removes_entries_of_older_programs(tmp_path, capsys, monkeypatch):
+    """An entry is named after the source digest and the key.  A cold
+    write removes every entry whose name lacks the current digest: one
+    named by the key alone, one of another digest, and one in the older
+    .json format.  A write in flight (.tmp-*) stays, and the entry it
+    wrote replays."""
+    argv = ["ext", "--spectrum", "S"]
+    assert run_in(tmp_path, *argv) == 0
+    fresh_out = capsys.readouterr().out
+    entry = _cache_entry(tmp_path)
+    digest, key = entry.name[: -len(".entry")].split("-")
+    assert digest == cli._source_digest() and len(key) == 64
+    stored = entry.read_bytes()
+    cache = tmp_path / ".cache"
+    stale = [f"{key}.entry", f"{'0' * 64}-{key}.entry", f"{key}.json"]
+    for name in stale:
+        (cache / name).write_bytes(stored)
+    (cache / ".tmp-inflight").write_bytes(b"")
+    entry.unlink()
+    assert run_in(tmp_path, *argv) == 0
+    assert capsys.readouterr() == (fresh_out, "")
+    assert _files_left(cache) == sorted([".tmp-inflight", entry.name])
+    (cache / ".tmp-inflight").unlink()
+    assert _cache_entry(tmp_path).read_bytes() == stored
+    monkeypatch.setitem(cli._DISPATCH, "ext", lambda cfg: pytest.fail("a replay computes nothing"))
+    assert run_in(tmp_path, *argv) == 0
+    assert capsys.readouterr() == (fresh_out, "")
+
+
 def _entry_parts(data):
     """The decoded header line of an entry and the bytes after it."""
     line, body = data.split(b"\n", 1)

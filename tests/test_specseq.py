@@ -14,6 +14,7 @@ from moorev1.dga import (
     PagePresentation,
     PresentationPage,
     UntrustedDegreeError,
+    homology_page,
     verify_d_squared,
 )
 from moorev1.gf2linalg import kernel_basis, rank
@@ -31,14 +32,16 @@ from moorev1.specseq import (
     MatchedPage,
     Report,
     Workbench,
+    _cell_exact,
     adams_bidegree,
-    bo_pattern_dim,
-    bu_pattern_dim,
     check_row,
+    pattern_stems,
     w_of_v1_exponent,
 )
 from oracles import (
     act,
+    bo_pattern_dim,
+    bu_pattern_dim,
     cell_rhs_over_every_p,
     e3_endm_by_ranks,
     e4_claim_rows_every_degree,
@@ -941,6 +944,19 @@ def test_pattern_suspension():
     assert bu_pattern_dim(7 - 6, 30 - 27) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-9, 41), st.integers(-60, 200), st.integers(-30, 30))
+def test_pattern_stems_hit_exactly_the_cells_of_each_pattern(p, q, filt):
+    """pattern_stems solves each pattern for its stems on filt; the cell
+    tests of the oracle find the same stems, for odd p and negative
+    filtrations too."""
+    bo, bu = pattern_stems(p, q, filt)
+    stems = range(-400, 401)
+    assert sorted(bo) == [stem for stem in stems if bo_pattern_dim(filt - p, stem + filt - q)]
+    assert len(set(bo)) == len(bo)
+    assert [stem for stem in stems if bu_pattern_dim(filt - p, stem + filt - q)] == [bu]
+
+
 def test_adams_collapse():
     assert adams_bidegree(Multidegree(0, 0, 0)) == (0, 0)
     assert adams_bidegree(Multidegree(0, 2, 1)) == (1, 3)  # v1
@@ -983,15 +999,20 @@ def decomposition_cells(window):
             yield stem, filt
 
 
-# a page window holding every degree the decomposition scan visits: _cell_lhs
+# a page window holding every degree the coverage scan visits: _cell_covered
 # skips dims_at where the page's s and t ranges rule trust out, so a stub page
 # over this window is asked about every visited degree
 _EVERY_DEGREE = TruncationWindow((0, 0), (0, 10**6), (-(10**6), 10**6), (-(10**6), 10**6))
 
 
+def box_page(bench):
+    """Page 4 of M over the decomposition box, as the check builds it."""
+    return homology_page(bench.presentation("M", 3), bench._decomposition_window())
+
+
 def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
-    """_cell_lhs scans s up to the low_w_top cut-off (or the window's s_max,
-    here 0) and takes every tridegree of the cell past it to hold no
+    """_cell_covered scans s up to the low_w_top cut-off (or the window's
+    s_max, here 0) and takes every tridegree of the cell past it to hold no
     monomial of w <= 2.  Enumeration finds none in the six tridegrees past
     the scan, at every cell of the default decomposition corner."""
     bench = Workbench(default_window(64, 0, -16, 16))
@@ -1006,7 +1027,7 @@ def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
     probes = []
     for stem, filt in decomposition_cells(default_window()):
         scanned = []
-        bench._cell_lhs(Scan(), stem, filt)
+        bench._cell_covered(Scan(), stem, filt)
         assert scanned == list(range(len(scanned)))
         probes += [Multidegree(s, stem + s, filt - s) for s in range(len(scanned), len(scanned) + 6)]
     low = low_w_by_enumeration(low_w_bench, probes)
@@ -1014,19 +1035,26 @@ def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
     assert len(probes) > 10000 and sum(w is not None for w in low.values()) > 1000
 
 
-def test_cell_rhs_bound_drops_no_class():
-    """_cell_rhs sums p only up to p_pot, since the complex of squares
-    forces q >= 9p/2 (test_mahowald checks that); the sum over every p of
-    the tables is the same at every cell of the default decomposition
-    corner."""
-    bench = Workbench(default_window())
-    tables = bench.mahowald_tables()
-    nonzero = 0
-    for stem, filt in decomposition_cells(bench.window):
-        rhs, _ = bench._cell_rhs(tables, filt, stem + filt)
-        assert rhs == cell_rhs_over_every_p(tables, filt, stem + filt), (stem, filt)
-        nonzero += rhs > 0
-    assert nonzero > 50
+def test_cell_exact_bound_drops_no_class():
+    """_cell_exact calls a cell exact when its tables reach p_pot, the
+    largest p of a class whose pattern can reach the cell, since the
+    complex of squares forces q >= 9p/2 (test_mahowald checks that).  At
+    each cell the smaller tables of a t_max 40 window call exact, the
+    search over every p of the default window's larger tables finds the
+    same pattern sum as that window's report."""
+    small = Workbench(default_window(40, 8, -8, 8))
+    tables = small.mahowald_tables()
+    larger = Workbench(default_window()).mahowald_tables()
+    assert (tables.p_max, tables.q_max) < (larger.p_max, larger.q_max)
+    rows = {row.degree: row for row in small.mahowald_decomposition_check().rows}
+    exact = nonzero = 0
+    for stem, filt in decomposition_cells(small.window):
+        if _cell_exact(tables, stem, filt):
+            rhs = rows[(filt, stem + filt)].rhs
+            assert rhs == cell_rhs_over_every_p(larger, filt, stem + filt), (stem, filt)
+            exact += 1
+            nonzero += rhs > 0
+    assert 0 < exact < len(rows) and nonzero > 50
 
 
 def test_decomposition_report(wb):
@@ -1052,10 +1080,10 @@ def test_decomposition_positive_quadrant_covered():
     assert bad == []
 
 
-def scanned_degrees(bench):
-    """Every degree the scan of mahowald_decomposition_check visits, in the
-    order the loops of _cell_lhs visit them."""
-    read = []
+def cell_scans(bench):
+    """Each cell of the check's box with the degrees its coverage scan
+    visits, in the order the loop of _cell_covered visits them."""
+    scans = {}
 
     class Scan:
         window = _EVERY_DEGREE
@@ -1065,26 +1093,54 @@ def scanned_degrees(bench):
             return None
 
     for stem, filt in decomposition_cells(bench.window):
-        bench._cell_lhs(Scan(), stem, filt)
-    return read
+        read = scans[(stem, filt)] = []
+        bench._cell_covered(Scan(), stem, filt)
+    return scans
+
+
+def scanned_degrees(bench):
+    """Every degree the coverage scan of mahowald_decomposition_check
+    visits, in order."""
+    return [d for read in cell_scans(bench).values() for d in read]
+
+
+@pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
+def test_decomposition_sides_match_their_second_methods(window):
+    """The report's two sides, built as dicts by the chart's rules, against
+    a cell-by-cell reading: lhs is the sum of the whole page 4 of M over
+    the degrees the cell's scan visits, and rhs is the search over every
+    (p, q) of the tables."""
+    bench = Workbench(window)
+    rows = {row.degree: row for row in bench.mahowald_decomposition_check().rows}
+    whole = bench.page("M", 4)
+    tables = bench.mahowald_tables()
+    scans = cell_scans(bench)
+    assert len(rows) == len(scans)
+    for (stem, filt), read in scans.items():
+        row = rows[(filt, stem + filt)]
+        dims = [whole.dims_at(d) for d in read]
+        assert row.lhs == sum(z - b for z, b in filter(None, dims)), (stem, filt)
+        assert row.rhs == cell_rhs_over_every_p(tables, filt, stem + filt), (stem, filt)
+    assert sum(row.lhs > 0 for row in rows.values()) > 30
+    assert sum(row.rhs > 0 for row in rows.values()) > 30
 
 
 def box_and_whole_reads(bench):
     """dims_at of page 4 of M over the decomposition box and over the whole
     window, at every degree the decomposition scan visits."""
-    box = bench._page_over(bench.presentation("M", 3), bench._decomposition_window())
+    box = box_page(bench)
     whole = bench.page("M", 4)
     read = scanned_degrees(bench)
     return [box.dims_at(d) for d in read], [whole.dims_at(d) for d in read]
 
 
 def test_decomposition_scan_reads_no_degree_its_box_rules_out_by_range():
-    """_cell_lhs asks the box page about a degree only where the box's
+    """_cell_covered asks the box page about a degree only where the box's
     ranges hold it and its target one D3_SHIFT up.  Every degree it skips
     is one the box page does not trust, each cell comes out as when every
     visited degree is read, and nearly every degree it reads is trusted."""
     bench = Workbench(default_window())
-    box = bench._page_over(bench.presentation("M", 3), bench._decomposition_window())
+    box = box_page(bench)
     read = []
 
     class Recorder:
@@ -1096,9 +1152,9 @@ def test_decomposition_scan_reads_no_degree_its_box_rules_out_by_range():
             return box.dims_at(d)
 
     cells = list(decomposition_cells(bench.window))
-    every = [bench._cell_lhs(Recorder(_EVERY_DEGREE), stem, filt) for stem, filt in cells]
+    every = [bench._cell_covered(Recorder(_EVERY_DEGREE), stem, filt) for stem, filt in cells]
     visited, read[:] = read[:], []
-    assert [bench._cell_lhs(Recorder(box.window), stem, filt) for stem, filt in cells] == every
+    assert [bench._cell_covered(Recorder(box.window), stem, filt) for stem, filt in cells] == every
     assert visited == scanned_degrees(bench) and set(read) <= set(visited)
     assert not [d for d in set(visited) - set(read) if box.dims_at(d) is not None]
     untrusted = [d for d in read if box.dims_at(d) is None]
@@ -1106,14 +1162,22 @@ def test_decomposition_scan_reads_no_degree_its_box_rules_out_by_range():
 
 
 @pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
-def test_decomposition_box_page_agrees_with_the_whole_page(window):
+def test_decomposition_box_page_agrees_with_the_whole_page(window, monkeypatch):
     """The decomposition check builds page 4 of M over its box only, with t
     clipped to DECOMPOSITION_STEM_MAX + s_max - 1.  At every degree its scan
     reads, that page's dims_at equals the whole page's, None included: the
     report bytes alone would not show a box one too small."""
     bench = Workbench(window)
+    built = []
+
+    def recorded(pres, w):
+        built.append((pres, w))
+        return homology_page(pres, w)
+
+    monkeypatch.setattr(specseq, "homology_page", recorded)
     bench.mahowald_decomposition_check()
-    assert [w for _, w in bench._pages_over] == [bench._decomposition_window()]
+    monkeypatch.undo()
+    assert built == [(bench.presentation("M", 3), bench._decomposition_window())]
     assert bench._decomposition_window().t_range == (window.t_range[0], specseq.DECOMPOSITION_STEM_MAX + 11)
     box, whole = box_and_whole_reads(bench)
     assert box == whole
@@ -1280,7 +1344,9 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
     """Reports that read dimensions cost one rank per matrix: kernel_basis
     runs only inside the vector accessors of a ComputedPage, once per
     degree, and only at the degrees of the survivors the survival report
-    tests (page 3 of EndM decides its classes off the d2 matching)."""
+    tests (page 3 of EndM decides its classes off the d2 matching).  No
+    memo keeps those small pages: a second survival report builds each
+    again, once."""
     asking = []  # (page, degree) of each vector accessor call in progress
     built = []
     real_homology = ComputedPage._homology_at
@@ -1317,4 +1383,4 @@ def test_verify_sequence_builds_bases_only_where_vectors_are_read(monkeypatch):
         assert page.window == bench._window_around(Multidegree(*d))
     once = len(built)
     bench.survival_report()
-    assert len(built) == once
+    assert len(built) == 2 * once and sorted(d for _, d in built[once:]) == survivors
