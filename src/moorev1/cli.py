@@ -18,6 +18,7 @@ still written), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -563,10 +564,8 @@ def run(argv: Optional[List[str]] = None) -> int:
             # never looked up again; writes in flight (.tmp-*) stay
             for name in os.listdir(cache_dir):
                 if name.endswith((".entry", ".json")) and not name.startswith((_source_digest() + "-", ".tmp-")):
-                    try:
+                    with contextlib.suppress(OSError):
                         os.unlink(os.path.join(cache_dir, name))
-                    except OSError:
-                        pass
         except OSError:
             pass  # a cold cache never changes the result
     return code

@@ -22,8 +22,6 @@ differential, the w-graded claims, the decomposition identity) is flagged
 conditional: the differential values for large generator indices are
 wired-in conjecture, and the checks here test their consequences rather
 than prove them.
-The decomposition check and chart.decomposition_chart share
-adams_bidegree and pattern_stems.
 """
 from __future__ import annotations
 
@@ -156,7 +154,13 @@ def pattern_stems(p: int, q: int, filt: int) -> Tuple[Tuple[int, ...], int]:
     filt it hits stem 2 filt - 3p + q - a where (filt - p - a) mod 4 is 0
     or 1; the bu pattern holds v1^m at (p + m, q + 3m) for every m."""
     bu = 2 * filt - 3 * p + q
-    return tuple(bu - a for a in (0, 1, 2) if (filt - p - a) % 4 < 2), bu
+    # with r = (filt - p) mod 4 those a are r - 1 and r, where in {0, 1, 2}
+    r = (filt - p) % 4
+    if r == 0:
+        return (bu,), bu
+    if r == 3:
+        return (bu - 2,), bu
+    return (bu - r + 1, bu - r), bu
 
 
 class CheckRow(NamedTuple):
@@ -1138,10 +1142,10 @@ class Workbench:
         pattern per boundary class, each suspended by its bidegree.
 
         Both sides are keyed by Adams (s, t) = (filtration, internal
-        degree) and built by the rules the charts use.  The left collapses
-        page 4 of M by adams_bidegree; that page is built over
-        _decomposition_window only, by the rule of survival_report.  The
-        right places each class's pattern by pattern_stems.
+        degree) and built by the rules the charts use: the left collapses
+        page 4 of M by adams_bidegree, and the right places each class's
+        pattern by pattern_stems.  That page is built over
+        _decomposition_window only, by the rule of survival_report.
 
         A cell is covered when every tridegree collapsing to it either is
         trusted in the window or provably carries no monomial of w <= 2,
