@@ -11,8 +11,10 @@ the default t_max.  The `page4` rungs build page 4 of EndM
 (`page --spectrum EndM --page 4`) at t_max 128 and 192.  The `chart`
 rungs draw page 2 of M as SVG (`chart page --spectrum M --page 2
 --format svg`) at t_max 128 and 192.  The `decompose` rungs run the
-decomposition check (`decompose --format tsv`) at t_max 128 and 192.  All
-of these pass `--no-cache`.
+decomposition check (`decompose --format tsv`) at t_max 128 and 192, then
+at s_max 20 and v1_min -32: the t_max rungs report the 2,030 cells of the
+default window, and these two widen the cell box itself, to 2,262 and
+4,590 cells.  All of these pass `--no-cache`.
 The last two rungs draw the t_max 192 chart with the result cache on:
 `cold` computes it into a fresh `--out` and writes the cache entry, and
 `replay` runs it again on the same `--out` and replays that entry, so the
@@ -50,6 +52,8 @@ RUNGS = (
     ("chart t_max 192", [*CHART192, NO_CACHE]),
     ("decompose t_max 128", [*DECOMPOSE, "--t-max", "128", NO_CACHE]),
     ("decompose t_max 192", [*DECOMPOSE, "--t-max", "192", NO_CACHE]),
+    ("decompose s_max 20", [*DECOMPOSE, "--s-max", "20", NO_CACHE]),
+    ("decompose v1_min -32", [*DECOMPOSE, "--v1-min", "-32", NO_CACHE]),
     ("chart t_max 192 cold", CHART192),
     ("chart t_max 192 replay", CHART192),
 )

@@ -224,7 +224,7 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     if merged["page"] not in (2, 3, 4):
         raise ConfigError(f"page must be 2, 3, or 4, got {merged['page']!r}")
     if merged["what"] not in ("page", "decomposition"):
-        raise ConfigError(f"chart target must be page or decomposition")
+        raise ConfigError(f"chart target must be page or decomposition, got {merged['what']!r}")
     allowed = _CHART_FORMATS if ns.cmd == "chart" else _TABLE_FORMATS
     if merged["format"] is None:
         merged["format"] = allowed[0]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import replace
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .dga import (
@@ -201,25 +200,26 @@ class Report:
         return f"Report({self.name}: {len(self.rows)} rows, {state})"
 
 
-def _parts_menu(budget: int) -> List[int]:
-    """Internal degrees 6, 14, 30, 62, ... of the polynomial generators
-    above h(1,1), up to the budget.  Not tied to any alphabet truncation."""
-    out = []
-    n = 2
-    while 2 ** (n + 1) - 2 <= budget:
-        out.append(2 ** (n + 1) - 2)
-        n += 1
-    return out
+def _parts_sum(count: int, total: int) -> bool:
+    """Can `count` parts 2^k - 2 (k >= 3), the internal degrees 6, 14, 30,
+    ... of h(n,1) for n >= 2, sum to `total`?  Exactly when
+    n = (total + 2*count)/8 is an integer that is a sum of `count` powers of
+    two, which holds iff popcount(n) <= count <= n.  Not tied to any
+    alphabet truncation."""
+    n, rest = divmod(total + 2 * count, 8)
+    return not rest and n.bit_count() <= count <= n
 
 
-@lru_cache(maxsize=None)
-def _can_sum(count: int, total: int) -> bool:
-    """Can `count` parts drawn from the 6,14,30,... menu sum to `total`?"""
-    if count == 0:
-        return total == 0
-    if total < 6 * count:
-        return False
-    return any(_can_sum(count - 1, total - part) for part in _parts_menu(total))
+def low_w_monomial_possible(s: int, internal: int, u: int) -> bool:
+    """Is there any M monomial of degree (s, t, u) with w <= 2, where
+    internal = t - 2u?  Such a monomial is v1^u * h(1,1)^a1 times s - a1
+    parts of _parts_sum.  Exact and window-independent: parts may use
+    arbitrarily large generators."""
+    for a1 in (0, 1, 2):
+        count = s - a1
+        if count >= 0 and w_of_v1_exponent(u - count) + a1 <= 2 and _parts_sum(count, internal - 2 * a1):
+            return True
+    return False
 
 
 class MatchedPage(_PageDims):
@@ -1119,23 +1119,6 @@ class Workbench:
 
     # ---- the decomposition identity ----
 
-    def low_w_monomial_possible(self, d: Multidegree) -> bool:
-        """Is there any M monomial of degree d with w <= 2?  Exact and
-        window-independent: parts may use arbitrarily large generators."""
-        s, t, u = d
-        if s < 0:
-            return False
-        budget = t - 2 * u
-        for a1 in (0, 1, 2):
-            count = s - a1
-            if count < 0:
-                continue
-            if w_of_v1_exponent(u - count) + a1 > 2:
-                continue
-            if _can_sum(count, budget - 2 * a1):
-                return True
-        return False
-
     def mahowald_decomposition_check(self) -> Report:
         """Adams-cell comparison: total dim of page 4 of M against one bo
         pattern per homology class of the complex of squares plus one bu
@@ -1149,7 +1132,9 @@ class Workbench:
 
         A cell is covered when every tridegree collapsing to it either is
         trusted in the window or provably carries no monomial of w <= 2,
-        so that its page-4 part vanishes by the slice claims, and exact
+        so that its page-4 part vanishes by the slice claims (decided in
+        closed form by low_w_monomial_possible, so trust is read only where
+        such a monomial can lie), and exact
         when the tables hold every class whose pattern can reach it.
         Other cells are reported as insufficient, never silently dropped.
         """
@@ -1189,26 +1174,17 @@ class Workbench:
 
     def _cell_covered(self, page4, stem: int, filt: int) -> bool:
         """Whether each tridegree (s, stem + s, filt - s) collapsing to the
-        cell is trusted on page4 or holds no monomial of w <= 2."""
-        covered = True
-        s_top = self.window.s_range[1]
-        # past this, a w <= 2 monomial would cost more internal degree than
-        # the cell provides (each factor above h(1,1) costs at least 6)
-        low_w_top = (stem - 2 * filt + 8) // 3
-        # page4 trusts d only when d and d + D3_SHIFT (s, t up, u down) lie
-        # in its window's ranges; s >= 0 here, so the rule below s = 0 never
-        # applies.  Outside s_lo..s_hi dims_at is None without a lookup
-        box = page4.window
-        s_lo = max(box.s_range[0], box.t_range[0] - stem, filt - box.u_range[1])
-        s_hi = min(
-            box.s_range[1] - D3_SHIFT.s, box.t_range[1] - D3_SHIFT.t - stem, filt + D3_SHIFT.u - box.u_range[0]
+        cell is trusted on page4 or holds no monomial of w <= 2.  Its t - 2u
+        is c + 3s with c = stem - 2*filt, and past s = (c + 8) // 3 a w <= 2
+        monomial would cost more internal degree than the cell provides
+        (each factor above h(1,1) costs at least 6), so trust is read only
+        where low_w_monomial_possible allows one."""
+        c = stem - 2 * filt
+        return all(
+            page4.trusted(Multidegree(s, stem + s, filt - s))
+            for s in range(max(self.window.s_range[1], (c + 8) // 3) + 1)
+            if low_w_monomial_possible(s, c + 3 * s, filt - s)
         )
-        for s in range(0, max(s_top, low_w_top) + 1):
-            d = Multidegree(s, stem + s, filt - s)
-            trusted = s_lo <= s <= s_hi and page4.dims_at(d) is not None
-            if not trusted and self.low_w_monomial_possible(d):
-                covered = False
-        return covered
 
 
 def _cell_exact(tables: ZBHTables, stem: int, filt: int) -> bool:

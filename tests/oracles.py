@@ -2,6 +2,7 @@
 by a route its commands do not take, checks of structure no command
 reads, and queries on page internals that no command asks."""
 from collections import Counter, defaultdict
+from functools import lru_cache
 
 from moorev1.chart import _CELL, _DOT_R, _OFFSETS, PALETTE, ChartDoc
 from moorev1.cobar import (
@@ -16,12 +17,13 @@ from moorev1.cobar import (
 )
 from moorev1.dga import D2Report, differential_matrix, homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
+from moorev1.gf2poly import Multidegree, Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
 from moorev1.specseq import (
     D3_SHIFT,
     DECOMPOSITION_FILT_MAX,
     DECOMPOSITION_STEM_MAX,
     check_row,
+    w_of_v1_exponent,
 )
 
 
@@ -243,8 +245,8 @@ def induced_d3m(wb, poly):
 
 def low_w_by_enumeration(wb, degrees):
     """The least w of an M monomial at each degree, None where the degree
-    holds no monomial, by enumerating them: Workbench.low_w_monomial_possible
-    decides the same question from a menu of part sizes.  A degree
+    holds no monomial, by enumerating them: specseq.low_w_monomial_possible
+    decides the same question by a popcount test on the part sizes.  A degree
     (s, t, u) holds the monomials v1^u * P with P a product of s factors
     h(n,1) of internal degree t - 2u, so the Workbench's M alphabet must
     hold every h(n,1) that the largest t - 2u affords."""
@@ -278,6 +280,56 @@ def low_w_by_enumeration(wb, degrees):
             ws.append(wb.w_degree(mono))
         out[d] = min(ws, default=None)
     return out
+
+
+@lru_cache(maxsize=None)
+def parts_sum_by_search(count, total):
+    """Can `count` parts from the menu 6, 14, 30, ..., 2^(n+1) - 2 sum to
+    `total`?  A memoised recursive search over the menu, where
+    specseq._parts_sum decides it by a popcount test."""
+    if count == 0:
+        return total == 0
+    if total < 6 * count:
+        return False
+    menu = []
+    n = 2
+    while 2 ** (n + 1) - 2 <= total:
+        menu.append(2 ** (n + 1) - 2)
+        n += 1
+    return any(parts_sum_by_search(count - 1, total - part) for part in menu)
+
+
+def low_w_by_search(d):
+    """Whether an M monomial of degree d can have w <= 2, by the parts
+    search: v1^u * h(1,1)^a1 times s - a1 parts, for each a1 <= 2."""
+    s, t, u = d
+    return any(
+        s - a1 >= 0
+        and w_of_v1_exponent(u - s + a1) + a1 <= 2
+        and parts_sum_by_search(s - a1, t - 2 * u - 2 * a1)
+        for a1 in (0, 1, 2)
+    )
+
+
+def cell_covered_by_box(bench, page4, stem, filt):
+    """The coverage scan of one decomposition cell, read tridegree by
+    tridegree: every s up to the window's s_max or the low-w cut-off is
+    visited, trust is read only inside the box where page4's ranges hold d
+    and d + D3_SHIFT, and the low-w test runs where d is not trusted.
+    Workbench._cell_covered reads trust only where the low-w test allows a
+    monomial."""
+    box = page4.window
+    s_lo = max(box.s_range[0], box.t_range[0] - stem, filt - box.u_range[1])
+    s_hi = min(
+        box.s_range[1] - D3_SHIFT.s, box.t_range[1] - D3_SHIFT.t - stem, filt + D3_SHIFT.u - box.u_range[0]
+    )
+    covered = True
+    for s in range(max(bench.window.s_range[1], (stem - 2 * filt + 8) // 3) + 1):
+        d = Multidegree(s, stem + s, filt - s)
+        trusted = s_lo <= s <= s_hi and page4.dims_at(d) is not None
+        if not trusted and low_w_by_search(d):
+            covered = False
+    return covered
 
 
 def bo_pattern_dim(s, t):

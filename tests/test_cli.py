@@ -403,6 +403,15 @@ def test_config_file_errors(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_file_bad_chart_target_names_the_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("what=foo\n")
+    assert run_in(tmp_path, "chart", *SMALL, "--config", str(cfg), "--no-cache") == 2
+    err = capsys.readouterr().err
+    assert err == "error: chart target must be page or decomposition, got 'foo'\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin.cfg"
     cfg.write_bytes(b"t_max=\xff\xfe32\n")

@@ -33,8 +33,10 @@ from moorev1.specseq import (
     Report,
     Workbench,
     _cell_exact,
+    _parts_sum,
     adams_bidegree,
     check_row,
+    low_w_monomial_possible,
     pattern_stems,
     w_of_v1_exponent,
 )
@@ -42,6 +44,7 @@ from oracles import (
     act,
     bo_pattern_dim,
     bu_pattern_dim,
+    cell_covered_by_box,
     cell_rhs_over_every_p,
     e3_endm_by_ranks,
     e4_claim_rows_every_degree,
@@ -50,6 +53,8 @@ from oracles import (
     induced_d3_by_lift,
     induced_d3m,
     low_w_by_enumeration,
+    low_w_by_search,
+    parts_sum_by_search,
     project_to_m,
 )
 
@@ -967,14 +972,24 @@ def test_adams_collapse():
 # ---- decomposition ----
 
 
-def test_low_w_monomial_possible(wb):
-    assert wb.low_w_monomial_possible(Multidegree(0, 0, 0))
-    assert wb.low_w_monomial_possible(Multidegree(1, 2, 0))
-    assert wb.low_w_monomial_possible(Multidegree(1, 6, 0))
-    # only v1^-1*h(1,1)^3 lives here and it has w = 5
-    assert not wb.low_w_monomial_possible(Multidegree(3, 4, -1))
-    assert not wb.low_w_monomial_possible(Multidegree(-1, 0, 0))
-    assert not wb.low_w_monomial_possible(Multidegree(1, 3, 0))
+def test_low_w_monomial_possible():
+    # degrees are given as (s, t - 2u, u)
+    assert low_w_monomial_possible(0, 0, 0)
+    assert low_w_monomial_possible(1, 2, 0)
+    assert low_w_monomial_possible(1, 6, 0)
+    # only v1^-1*h(1,1)^3 lives at (3, 4, -1) and it has w = 5
+    assert not low_w_monomial_possible(3, 6, -1)
+    assert not low_w_monomial_possible(-1, 0, 0)
+    assert not low_w_monomial_possible(1, 3, 0)
+
+
+def test_parts_sum_matches_the_search():
+    """The popcount test of _parts_sum against the recursive search over
+    the menu 6, 14, 30, ..., at every count 0..40 and total -50..1500."""
+    grid = [(count, total) for count in range(41) for total in range(-50, 1501)]
+    got = [pair for pair in grid if _parts_sum(*pair)]
+    assert got == [pair for pair in grid if parts_sum_by_search(*pair)]
+    assert len(got) > 1000 and (0, 0) in got and (40, 240) in got
 
 
 @pytest.fixture(scope="module")
@@ -989,7 +1004,7 @@ def low_w_bench():
 def test_low_w_monomial_possible_matches_enumeration(low_w_bench, s, t, u):
     d = Multidegree(s, t, u)
     low = low_w_by_enumeration(low_w_bench, [d])[d]
-    assert low_w_bench.low_w_monomial_possible(d) == (low is not None and low <= 2)
+    assert low_w_monomial_possible(s, t - 2 * u, u) == (low is not None and low <= 2)
 
 
 def decomposition_cells(window):
@@ -999,10 +1014,37 @@ def decomposition_cells(window):
             yield stem, filt
 
 
-# a page window holding every degree the coverage scan visits: _cell_covered
-# skips dims_at where the page's s and t ranges rule trust out, so a stub page
-# over this window is asked about every visited degree
-_EVERY_DEGREE = TruncationWindow((0, 0), (0, 10**6), (-(10**6), 10**6), (-(10**6), 10**6))
+class _TrustAll:
+    """A page that trusts every degree, so that the scan of _cell_covered
+    runs through its whole s range."""
+
+    def trusted(self, d):
+        return True
+
+
+def watch_scan(bench, page, cells=None):
+    """Run _cell_covered on page at each cell (those of the check's box by
+    default) and record, per cell, the tridegrees it visits (one call of
+    low_w_monomial_possible each), those it reads trust at, and whether
+    it calls the cell covered: {(stem, filt): (visited, read, covered)}."""
+    low_w = specseq.low_w_monomial_possible
+    watched = {}
+
+    def visit(s, internal, u):
+        visited.append(Multidegree(s, internal + 2 * u, u))
+        return low_w(s, internal, u)
+
+    class Reader:
+        def trusted(self, d):
+            read.append(d)
+            return page.trusted(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specseq, "low_w_monomial_possible", visit)
+        for stem, filt in decomposition_cells(bench.window) if cells is None else cells:
+            visited, read = [], []
+            watched[(stem, filt)] = (visited, read, bench._cell_covered(Reader(), stem, filt))
+    return watched
 
 
 def box_page(bench):
@@ -1011,25 +1053,17 @@ def box_page(bench):
 
 
 def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
-    """_cell_covered scans s up to the low_w_top cut-off (or the window's
-    s_max, here 0) and takes every tridegree of the cell past it to hold no
-    monomial of w <= 2.  Enumeration finds none in the six tridegrees past
-    the scan, at every cell of the default decomposition corner."""
+    """_cell_covered scans s up to the (c + 8) // 3 cut-off (or the
+    window's s_max, here 0) and takes every tridegree of the cell past it to
+    hold no monomial of w <= 2.  Enumeration finds none in the six
+    tridegrees past the scan, at every cell of the default decomposition
+    corner."""
     bench = Workbench(default_window(64, 0, -16, 16))
-
-    class Scan:
-        window = _EVERY_DEGREE
-
-        def dims_at(self, d):
-            scanned.append(d.s)
-            return None
-
     probes = []
-    for stem, filt in decomposition_cells(default_window()):
-        scanned = []
-        bench._cell_covered(Scan(), stem, filt)
-        assert scanned == list(range(len(scanned)))
-        probes += [Multidegree(s, stem + s, filt - s) for s in range(len(scanned), len(scanned) + 6)]
+    for (stem, filt), (visited, _, _) in watch_scan(bench, _TrustAll(), decomposition_cells(default_window())).items():
+        n = len(visited)
+        assert visited == [Multidegree(s, stem + s, filt - s) for s in range(n)]
+        probes += [Multidegree(s, stem + s, filt - s) for s in range(n, n + 6)]
     low = low_w_by_enumeration(low_w_bench, probes)
     assert not [d for d in probes if low[d] is not None and low[d] <= 2]
     assert len(probes) > 10000 and sum(w is not None for w in low.values()) > 1000
@@ -1082,20 +1116,8 @@ def test_decomposition_positive_quadrant_covered():
 
 def cell_scans(bench):
     """Each cell of the check's box with the degrees its coverage scan
-    visits, in the order the loop of _cell_covered visits them."""
-    scans = {}
-
-    class Scan:
-        window = _EVERY_DEGREE
-
-        def dims_at(self, d):
-            read.append(d)
-            return None
-
-    for stem, filt in decomposition_cells(bench.window):
-        read = scans[(stem, filt)] = []
-        bench._cell_covered(Scan(), stem, filt)
-    return scans
+    visits, in the order the scan of _cell_covered visits them."""
+    return {cell: visited for cell, (visited, _, _) in watch_scan(bench, _TrustAll()).items()}
 
 
 def scanned_degrees(bench):
@@ -1134,38 +1156,67 @@ def box_and_whole_reads(bench):
     return [box.dims_at(d) for d in read], [whole.dims_at(d) for d in read]
 
 
-def test_decomposition_scan_reads_no_degree_its_box_rules_out_by_range():
-    """_cell_covered asks the box page about a degree only where the box's
-    ranges hold it and its target one D3_SHIFT up.  Every degree it skips
-    is one the box page does not trust, each cell comes out as when every
-    visited degree is read, and nearly every degree it reads is trusted."""
+def test_decomposition_scan_reads_trust_only_where_a_low_w_monomial_can_lie():
+    """_cell_covered visits every tridegree of its s range, reads page 4's
+    trust only where a monomial of w <= 2 can lie, in scan order, and stops
+    at the first such tridegree that is untrusted.  On the default window:
+    27,030 tridegrees, 1,267 of them low-w, 962 trust reads and 395
+    uncovered cells."""
     bench = Workbench(default_window())
     box = box_page(bench)
-    read = []
+    every = watch_scan(bench, _TrustAll())
+    watched = watch_scan(bench, box)
+    visited = [d for v, _, _ in every.values() for d in v]
+    low = [d for _, r, _ in every.values() for d in r]
+    assert low == [d for d in visited if low_w_by_search(d)]
+    for cell, (_, read, covered) in watched.items():
+        trusted = [box.trusted(d) for d in read]
+        assert all(trusted[:-1]), cell
+        if covered:
+            assert read == every[cell][1] and all(trusted), cell
+        else:
+            assert read == every[cell][1][: len(read)] and not trusted[-1], cell
+    reads = sum(len(read) for _, read, _ in watched.values())
+    uncovered = sum(not covered for _, _, covered in watched.values())
+    assert (len(visited), len(low), reads, uncovered) == (27030, 1267, 962, 395)
 
-    class Recorder:
-        def __init__(self, window):
-            self.window = window
 
-        def dims_at(self, d):
-            read.append(d)
-            return box.dims_at(d)
+@pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
+def test_cell_covered_matches_the_box_scan(window):
+    """_cell_covered against the scan it replaced, which visits every
+    tridegree and reads trust inside page 4's box before the low-w search,
+    at every cell of the check's box."""
+    bench = Workbench(window)
+    box = box_page(bench)
+    cells = list(decomposition_cells(window))
+    got = [bench._cell_covered(box, *cell) for cell in cells]
+    assert got == [cell_covered_by_box(bench, box, *cell) for cell in cells]
+    assert 0 < sum(got) < len(got)
 
-    cells = list(decomposition_cells(bench.window))
-    every = [bench._cell_covered(Recorder(_EVERY_DEGREE), stem, filt) for stem, filt in cells]
-    visited, read[:] = read[:], []
-    assert [bench._cell_covered(Recorder(box.window), stem, filt) for stem, filt in cells] == every
-    assert visited == scanned_degrees(bench) and set(read) <= set(visited)
-    assert not [d for d in set(visited) - set(read) if box.dims_at(d) is not None]
-    untrusted = [d for d in read if box.dims_at(d) is None]
-    assert len(visited) == 27030 and len(read) == 13980 and len(untrusted) == 294
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.tuples(st.integers(-8, 0), st.integers(0, 8)),
+    st.tuples(st.integers(-2, 2), st.integers(2, 12)),
+    st.tuples(st.integers(-20, 30), st.integers(0, 64)),
+    st.tuples(st.integers(-20, 4), st.integers(0, 16)),
+)
+def test_cell_covered_matches_the_box_scan_on_random_windows(v1, s, t, u):
+    """The same equality over random truncation windows, whose t floor may
+    lie above the decomposition box's top and whose s and u floors may be
+    negative."""
+    window = TruncationWindow(v1, s, (t[0], max(t)), (u[0], max(u)))
+    bench = Workbench(window)
+    box = box_page(bench)
+    for cell in decomposition_cells(window):
+        assert bench._cell_covered(box, *cell) == cell_covered_by_box(bench, box, *cell), cell
 
 
 @pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
 def test_decomposition_box_page_agrees_with_the_whole_page(window, monkeypatch):
     """The decomposition check builds page 4 of M over its box only, with t
     clipped to DECOMPOSITION_STEM_MAX + s_max - 1.  At every degree its scan
-    reads, that page's dims_at equals the whole page's, None included: the
+    visits, that page's dims_at equals the whole page's, None included: the
     report bytes alone would not show a box one too small."""
     bench = Workbench(window)
     built = []
@@ -1194,7 +1245,7 @@ def test_decomposition_box_page_agrees_on_random_windows(t_max, s_max, v1_min, v
 
 def test_decomposition_box_above_the_scan_reads_nothing():
     """A window whose t floor lies above the clipped top: the box keeps its
-    floor as its top, and no degree the scan reads is trusted, on the box
+    floor as its top, and no degree the scan visits is trusted, on the box
     page as on the whole one."""
     bench = Workbench(TruncationWindow((-2, 2), (0, 3), (27, 40), (-2, 2)))
     assert bench._decomposition_window().t_range == (27, 27)
