@@ -23,6 +23,9 @@ scaled to a reference host speed, so host load moves them.  The artifacts
 go to a temporary directory that is removed afterwards; rungs with the
 same arguments share an output directory, every other rung has its own.
 Exits 1 when a rung does not exit 0.
+
+The layer below, the window walk, has its own micro-benchmarks in one
+process: `PYTHONPATH=src python -m pytest bench/micro_walk.py`.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 
 class GF2PolyError(Exception):
@@ -78,7 +78,7 @@ _X_NAME = re.compile(r"^x\((\d+)\)$")
 
 
 def _name_rank(name: str) -> Tuple[int, int, int]:
-    """Canonical generator order: v1 < alpha < alphap < h(1,0) < h(1,1) < h(2,1) < ... < x(1) < x(2) < ... < xi1."""
+    """Canonical generator order: v1 < alpha < alphap < h(1,0) < h(1,1) < h(2,1) < ... < x(1) < x(2) < ..."""
     if name == "v1":
         return (0, 0, 0)
     if name == "alpha":
@@ -91,8 +91,6 @@ def _name_rank(name: str) -> Tuple[int, int, int]:
     m = _X_NAME.match(name)
     if m:
         return (4, int(m.group(1)), 0)
-    if name == "xi1":
-        return (5, 0, 0)
     raise GF2PolyError(f"generator name {name!r} is not in the supported grammar")
 
 
@@ -376,7 +374,7 @@ class Polynomial:
 
 
 _TOKEN_RE = re.compile(
-    r"v1|alphap|alpha|xi1|h\(\s*\d+\s*,\s*\d+\s*\)|x\(\s*\d+\s*\)|\^|\*|\+|-?\d+"
+    r"v1|alphap|alpha|h\(\s*\d+\s*,\s*\d+\s*\)|x\(\s*\d+\s*\)|\^|\*|\+|-?\d+"
 )
 
 
@@ -611,12 +609,13 @@ class _WindowTrust:
 class WindowBasis(_WindowTrust):
     """Monomial bases of every degree in a window, with completeness flags.
 
-    A degree is kept as its pieces (j, parts) in rising j, parts a tuple of
-    v1-free monomials in the canonical order; its basis is v1^j * part over
-    the pieces in turn, which is the canonical order (v1 exponent, then the
-    v1-free part).  basis(d) builds that tuple on its first read and keeps
-    it, so every read gets the same object; size(d) counts it without
-    building a monomial."""
+    A degree is kept as its pieces (j, parts) in rising j, parts the
+    v1-free monomials of one part degree of _walk_parts in the canonical
+    order, one tuple shared by every degree the part degree is placed at.
+    Its basis is v1^j * part over the pieces in turn, which is the
+    canonical order (v1 exponent, then the v1-free part).  basis(d) builds
+    that tuple on its first read and keeps it, so every read gets the same
+    object; size(d) counts it without building a monomial."""
 
     def __init__(
         self,
@@ -683,12 +682,12 @@ class WindowCounts(_WindowTrust):
 
 
 class _PartPlan:
-    """How a window is walked, shared by enumerate_window and count_window.
+    """How _walk_parts walks a window, for enumerate_window and count_window.
 
-    A monomial is v1^j times a part in the other generators.  Parts are
-    built one generator at a time in a fixed order, and pruned by caps on
-    their (s, t, u) degree; each part is then placed at every v1 exponent j
-    consistent with the t and u ranges, solved for by v1_exponents."""
+    A monomial is v1^j times a part in the other generators.  Parts grow
+    one generator at a time in a fixed order, pruned by caps on their
+    (s, t, u) degree; each part degree is then placed at every v1 exponent
+    j consistent with the t and u ranges, solved for by v1_exponents."""
 
     def __init__(self, alphabet: Alphabet, window: TruncationWindow):
         v1_lo, v1_hi = window.v1_exponent_range
@@ -798,6 +797,75 @@ class _PartPlan:
 _NO_J, _ZERO_J = range(0), range(1)
 
 
+def _walk_parts(
+    quotient: Quotient, plan: _PartPlan, odd: Set[int], keep: bool
+) -> Tuple[Set[Tuple[int, int, int]], List[tuple]]:
+    """The v1-free parts of the quotient that plan's window can hold, by one
+    dynamic program over plan.others, for enumerate_window (keep) and
+    count_window.
+
+    A state is a part degree (s, t, u), a parity, and for each generator a
+    relation names, its exponent capped at the most any relation asks of
+    it: the Hilbert function of a monomial quotient (Bayer and Stillman,
+    J. Symbolic Comput. 14, 1992).  A part is odd when its exponents on the
+    generators in `odd` add up to an odd number.  A state carries how many
+    of its parts no relation divides, or with keep those parts as factor
+    tuples in walk order; a divided part is carried as nothing, since its
+    degree may still be clipped.
+
+    Returns the degrees the v1 range clips (for the whole algebra, whose
+    clipping sets the trust) and (s, t, u, p, value, kept) for each part
+    degree and parity holding a part no relation divides: value is the
+    count or the parts, kept the v1 exponents that place them in the
+    window, solved once per part degree and parity."""
+    rels = quotient.relations
+    need: Dict[int, int] = {}  # tracked generator -> the exponent cap of its state
+    for rel in rels:
+        for gi, e in rel:
+            need[gi] = max(need.get(gi, 0), e)
+    slot = {gi: i for i, gi in enumerate(sorted(need))}
+    rel_slots = [tuple((slot[gi], e) for gi, e in rel) for rel in rels]
+    # what a state carries: a count, or the parts themselves
+    start, divided = ([()], []) if keep else (1, 0)
+    # (part degree, parity, capped tracked exponents) -> the parts no relation
+    # divides; divided parts have no exponents
+    states: Dict[Tuple[int, int, int, int, Tuple[int, ...]], Any] = {(0, 0, 0, 0, (0,) * len(slot)): start}
+    for k, (gi, g) in enumerate(plan.others):
+        ds, dt, du = g.degree
+        flip = 1 if gi in odd else 0
+        i = slot.get(gi)
+        grown: Dict[Tuple[int, int, int, int, Tuple[int, ...]], Any] = {}
+        for (s, t, u, p, exps), free in states.items():
+            if plan.pruned(k, s, t, u):
+                continue
+            for e in range(plan.exponent_cap(k, s, t, u) + 1):
+                got, x = free, exps
+                if i is not None and e and got:
+                    x = exps[:i] + (min(e, need[gi]),) + exps[i + 1 :]
+                    if any(all(x[j] >= r for j, r in rel) for rel in rel_slots):
+                        got, x = divided, ()
+                if keep and e and got:
+                    got = [m + ((gi, e),) for m in got]
+                key = (s + ds * e, t + dt * e, u + du * e, p ^ (flip & e), x)
+                grown[key] = grown.get(key, divided) + got
+        states = grown
+    # the tracked exponents have done their work: merge the parts they split
+    merged: Dict[Tuple[int, int, int, int], Any] = {}
+    for (s, t, u, p, _), free in states.items():
+        merged[s, t, u, p] = merged.get((s, t, u, p), divided) + free
+    k_end = len(plan.others)
+    truncated: Set[Tuple[int, int, int]] = set()
+    found = []
+    for (s, t, u, p), free in merged.items():
+        if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
+            continue
+        below, kept, above = plan.v1_exponents(s, t, u)
+        truncated.update(plan.at(s, t, u, below), plan.at(s, t, u, above))
+        if free:
+            found.append((s, t, u, p, free, kept))
+    return truncated, found
+
+
 def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
     """Every in-window basis monomial of the quotient, filed by
     multidegree as v1-free parts placed at v1 exponents (WindowBasis), so a
@@ -805,78 +873,27 @@ def enumerate_window(algebra: Algebra, window: TruncationWindow) -> WindowBasis:
 
     The v1 exponent is iterated over everything consistent with the u range,
     so a degree whose basis got clipped by the v1 exponent range is flagged
-    as truncated rather than silently reported short.  A part that a
-    relation divides is pruned where the generator completing the relation
-    is placed: nothing below it is built, but the walk goes on through its
-    part degrees alone, since the whole algebra's clipping sets the trust,
-    as in count_window.
+    as truncated rather than silently reported short.  The parts come from
+    _walk_parts, which drops a part once a relation divides it but keeps its
+    degree, since the whole algebra's clipping sets the trust, as in
+    count_window.
     """
     quotient = _quotient(algebra)
-    alphabet = quotient.alphabet
-    plan = _PartPlan(alphabet, window)
-    others, pruned, exponent_cap, keeps = plan.others, plan.pruned, plan.exponent_cap, plan.keeps
-    # each relation is tested once, when its factor walked last is placed
-    walked_at = {gi: k for k, (gi, _) in enumerate(others)}
-    closing: Dict[int, List[Monomial]] = {}
-    for rel in quotient.relations:
-        closing.setdefault(max(rel, key=lambda f: walked_at[f[0]])[0], []).append(rel)
-    # One record per non-v1 part: (-u, dense exponents, s, t, factors).  At
-    # a window degree of fixed u, a larger u of the part means a smaller v1
-    # exponent, so in the records' natural sorted order the part degrees
-    # come in falling u, which gives each window degree its pieces in rising
-    # j, and each part degree's parts come in the canonical order, with no
-    # sort per degree.  v1 is index 0, so its factor goes in front.
-    leaves: List[Tuple[int, Tuple[int, ...], int, int, Monomial]] = []
-    divided: Set[Tuple[int, int, int]] = set()  # the degrees of the divided parts
-    exps = [0] * len(alphabet)
-
-    def recurse(k: int, acc: List[Tuple[int, int]], s: int, t: int, u: int, dead: bool):
-        if pruned(k, s, t, u):
-            return
-        if k == len(others):
-            if keeps(s, t, u):
-                if dead:
-                    divided.add((s, t, u))
-                else:
-                    leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
-            return
-        gi, g = others[k]
-        ds, dt, du = g.degree
-        e_max = exponent_cap(k, s, t, u)
-        recurse(k + 1, acc, s, t, u, dead)
-        rels = () if dead else closing.get(gi, ())
-        for e in range(1, e_max + 1):
-            if not dead:
-                exps[gi] = e
-                # a relation that divides g^e divides every higher power too
-                dead = any(all(exps[x] >= r for x, r in rel) for rel in rels)
-            if dead:
-                recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, True)
-                continue
-            acc.append((gi, e))
-            recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, False)
-            acc.pop()
-        exps[gi] = 0
-
-    recurse(0, [], 0, 0, 0, False)
-    leaves.sort()
-    groups: Dict[Tuple[int, int, int], List[Monomial]] = {}
-    for neg_u, _, s, t, base in leaves:
-        groups.setdefault((s, t, -neg_u), []).append(base)
-    leaves.clear()  # drop the records before the pieces are placed
-    pieces: Dict[Tuple[int, int, int], List[Tuple[int, Tuple[Monomial, ...]]]] = {}
-    truncated: Set[Tuple[int, int, int]] = set()
-    v1_exponents, at, vt, vu = plan.v1_exponents, plan.at, plan.vt, plan.vu
-    for (s, t, u), parts in groups.items():
-        parts = tuple(parts)
-        below, kept, above = v1_exponents(s, t, u)
+    plan = _PartPlan(quotient.alphabet, window)
+    truncated, found = _walk_parts(quotient, plan, set(), True)
+    # at a window degree of fixed u, a larger u of the part means a smaller
+    # v1 exponent, so in falling u each window degree gets its pieces in
+    # rising j
+    found.sort(key=lambda f: -f[2])
+    vt, vu = plan.vt, plan.vu
+    pieces: Dict[Multidegree, List[Tuple[int, Tuple[Monomial, ...]]]] = {}
+    for s, t, u, _, got, kept in found:
+        # the canonical order, dense exponents with the lowest generator
+        # first, read off the index-sorted factors
+        parts = tuple(sorted((tuple(sorted(m)) for m in got), key=lambda m: [(-gi, e) for gi, e in m]))
         for j in kept:
-            pieces.setdefault((s, t + vt * j, u + vu * j), []).append((j, parts))
-        truncated.update(at(s, t, u, below), at(s, t, u, above))
-    for s, t, u in divided:
-        below, _, above = v1_exponents(s, t, u)
-        truncated.update(at(s, t, u, below), at(s, t, u, above))
-    return WindowBasis(window, {Multidegree(*d): got for d, got in pieces.items()}, truncated, alphabet)
+            pieces.setdefault(tuple.__new__(Multidegree, (s, t + vt * j, u + vu * j)), []).append((j, parts))
+    return WindowBasis(window, pieces, truncated, quotient.alphabet)
 
 
 def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] = ()) -> WindowCounts:
@@ -886,66 +903,24 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
     generators named in `odd` add up to an odd number; odd_count reads how
     many are.
 
-    No monomial is built: a dynamic program over the non-v1 generators
-    counts the parts of each (s, t, u) and parity under the same caps as
-    the enumeration, then places every part at the same v1 exponents.  For
-    each generator a relation names, a part's state also keeps its
-    exponent, capped at the most any relation asks of it: the Hilbert
-    function of a monomial quotient (Bayer and Stillman, J. Symbolic
-    Comput. 14, 1992).  A part that a relation divides is kept at count 0,
-    since its degree may still be clipped."""
+    No monomial is built: _walk_parts counts the parts of each part degree
+    and parity, and each count is placed at the v1 exponents of its part
+    degree."""
     quotient = _quotient(algebra)
-    alphabet, rels = quotient.alphabet, quotient.relations
+    alphabet = quotient.alphabet
     plan = _PartPlan(alphabet, window)
-    need: Dict[int, int] = {}  # tracked generator -> the exponent cap of its state
-    for rel in rels:
-        for gi, e in rel:
-            need[gi] = max(need.get(gi, 0), e)
-    slot = {gi: i for i, gi in enumerate(sorted(need))}
-    rel_slots = [tuple((slot[gi], e) for gi, e in rel) for rel in rels]
     flips = {alphabet.index(name) for name in odd}
-    # (part degree, parity, capped tracked exponents) -> how many parts no
-    # relation divides; a divided part has count 0 and no exponents
-    parts: Dict[Tuple[int, int, int, int, Tuple[int, ...]], int] = {(0, 0, 0, 0, (0,) * len(slot)): 1}
-    for k, (gi, g) in enumerate(plan.others):
-        ds, dt, du = g.degree
-        flip = 1 if gi in flips else 0
-        i = slot.get(gi)
-        grown: Dict[Tuple[int, int, int, int, Tuple[int, ...]], int] = {}
-        for (s, t, u, p, exps), n_free in parts.items():
-            if plan.pruned(k, s, t, u):
-                continue
-            for e in range(plan.exponent_cap(k, s, t, u) + 1):
-                n, x = n_free, exps
-                if i is not None and e and n:
-                    x = exps[:i] + (min(e, need[gi]),) + exps[i + 1 :]
-                    if any(all(x[j] >= r for j, r in rel) for rel in rel_slots):
-                        n, x = 0, ()
-                key = (s + ds * e, t + dt * e, u + du * e, p ^ (flip & e), x)
-                grown[key] = grown.get(key, 0) + n
-        parts = grown
-    k_end = len(plan.others)
+    truncated, found = _walk_parts(quotient, plan, flips, False)
     v1_flip = 1 if alphabet.v1_index in flips else 0
+    vt, vu = plan.vt, plan.vu
     counts: Dict[Multidegree, int] = {}
     odd_counts: Dict[Multidegree, int] = {}
-    truncated: Set[Tuple[int, int, int]] = set()
-    # the tracked exponents have done their work: merge the parts they split
-    merged: Dict[Tuple[int, int, int, int], int] = {}
-    for (s, t, u, p, _), n_free in parts.items():
-        merged[s, t, u, p] = merged.get((s, t, u, p), 0) + n_free
-    v1_exponents, at, vt, vu = plan.v1_exponents, plan.at, plan.vt, plan.vu
-    for (s, t, u, p), n_free in merged.items():
-        if plan.pruned(k_end, s, t, u) or not plan.keeps(s, t, u):
-            continue
-        below, kept, above = v1_exponents(s, t, u)
-        truncated.update(at(s, t, u, below), at(s, t, u, above))
-        if not n_free:
-            continue
+    for s, t, u, p, n, kept in found:
         for j in kept:
             # the Multidegree a page keeps as its key, built by tuple.__new__
             # directly as in Multidegree.__add__
             d = tuple.__new__(Multidegree, (s, t + vt * j, u + vu * j))
-            counts[d] = counts.get(d, 0) + n_free
+            counts[d] = counts.get(d, 0) + n
             if p ^ (v1_flip & j):
-                odd_counts[d] = odd_counts.get(d, 0) + n_free
+                odd_counts[d] = odd_counts.get(d, 0) + n
     return WindowCounts(window, counts, odd_counts, truncated, alphabet)

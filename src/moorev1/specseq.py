@@ -1178,11 +1178,13 @@ class Workbench:
         is c + 3s with c = stem - 2*filt, and past s = (c + 8) // 3 a w <= 2
         monomial would cost more internal degree than the cell provides
         (each factor above h(1,1) costs at least 6), so trust is read only
-        where low_w_monomial_possible allows one."""
+        where low_w_monomial_possible allows one.  That needs
+        c + 5s - 4*a1 = 0 mod 8 for some a1 (_parts_sum), so only the s with
+        s = -c mod 4 are visited."""
         c = stem - 2 * filt
         return all(
             page4.trusted(Multidegree(s, stem + s, filt - s))
-            for s in range(max(self.window.s_range[1], (c + 8) // 3) + 1)
+            for s in range(-c % 4, max(self.window.s_range[1], (c + 8) // 3) + 1, 4)
             if low_w_monomial_possible(s, c + 3 * s, filt - s)
         )
 

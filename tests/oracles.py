@@ -17,7 +17,17 @@ from moorev1.cobar import (
 )
 from moorev1.dga import D2Report, differential_matrix, homology_page
 from moorev1.gf2linalg import rank
-from moorev1.gf2poly import Multidegree, Polynomial, WindowBasis, _xor, enumerate_window, mono_degree, mono_divides
+from moorev1.gf2poly import (
+    Multidegree,
+    Polynomial,
+    WindowBasis,
+    _PartPlan,
+    _quotient,
+    _xor,
+    enumerate_window,
+    mono_degree,
+    mono_divides,
+)
 from moorev1.specseq import (
     D3_SHIFT,
     DECOMPOSITION_FILT_MAX,
@@ -56,7 +66,7 @@ def cobar_d_squared_by_sweep(comodule, s_max, t_range):
 def quotient_basis_by_filter(alphabet, window, relations=()):
     """The basis of the quotient by monomial relations by enumerating the
     whole alphabet and dropping each monomial a relation divides, keeping
-    the whole alphabet's truncated degrees: enumerate_window prunes a
+    the whole alphabet's truncated degrees: enumerate_window drops a
     divided part in its walk instead.  Every degree's basis is built here,
     at once, and filed as one piece at v1 exponent 0, so the WindowBasis
     reads the monomials as they are: enumerate_window places v1-free parts
@@ -68,6 +78,74 @@ def quotient_basis_by_filter(alphabet, window, relations=()):
         if monos:
             kept[d] = [(0, monos)]
     return WindowBasis(window, kept, set(whole._truncated), alphabet)
+
+
+def window_basis_by_recursion(algebra, window):
+    """enumerate_window as a recursive walk of the parts, one generator of
+    _PartPlan.others per level, that tests each relation when its factor
+    walked last is placed and keeps walking a divided part through its
+    degrees alone, for their clipping.  Each kept part gets a record
+    (-u, dense exponents, s, t, factors), and one global sort of those
+    records gives each window degree its pieces in rising j and each part
+    degree its parts in the canonical order.  _walk_parts runs the dynamic
+    program of count_window for both instead."""
+    quotient = _quotient(algebra)
+    alphabet = quotient.alphabet
+    plan = _PartPlan(alphabet, window)
+    others, pruned, exponent_cap, keeps = plan.others, plan.pruned, plan.exponent_cap, plan.keeps
+    walked_at = {gi: k for k, (gi, _) in enumerate(others)}
+    closing = {}
+    for rel in quotient.relations:
+        closing.setdefault(max(rel, key=lambda f: walked_at[f[0]])[0], []).append(rel)
+    leaves = []
+    divided = set()
+    exps = [0] * len(alphabet)
+
+    def recurse(k, acc, s, t, u, dead):
+        if pruned(k, s, t, u):
+            return
+        if k == len(others):
+            if keeps(s, t, u):
+                if dead:
+                    divided.add((s, t, u))
+                else:
+                    leaves.append((-u, tuple(exps), s, t, tuple(sorted(acc))))
+            return
+        gi, g = others[k]
+        ds, dt, du = g.degree
+        e_max = exponent_cap(k, s, t, u)
+        recurse(k + 1, acc, s, t, u, dead)
+        rels = () if dead else closing.get(gi, ())
+        for e in range(1, e_max + 1):
+            if not dead:
+                exps[gi] = e
+                # a relation that divides g^e divides every higher power too
+                dead = any(all(exps[x] >= r for x, r in rel) for rel in rels)
+            if dead:
+                recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, True)
+                continue
+            acc.append((gi, e))
+            recurse(k + 1, acc, s + ds * e, t + dt * e, u + du * e, False)
+            acc.pop()
+        exps[gi] = 0
+
+    recurse(0, [], 0, 0, 0, False)
+    leaves.sort()
+    groups = {}
+    for neg_u, _, s, t, base in leaves:
+        groups.setdefault((s, t, -neg_u), []).append(base)
+    pieces = {}
+    truncated = set()
+    vt, vu = plan.vt, plan.vu
+    for (s, t, u), parts in groups.items():
+        below, kept, above = plan.v1_exponents(s, t, u)
+        for j in kept:
+            pieces.setdefault((s, t + vt * j, u + vu * j), []).append((j, tuple(parts)))
+        truncated.update(plan.at(s, t, u, below), plan.at(s, t, u, above))
+    for s, t, u in divided:
+        below, _, above = plan.v1_exponents(s, t, u)
+        truncated.update(plan.at(s, t, u, below), plan.at(s, t, u, above))
+    return WindowBasis(window, {Multidegree(*d): got for d, got in pieces.items()}, truncated, alphabet)
 
 
 def counts_by_enumeration(alphabet, window, relations=()):

@@ -25,8 +25,15 @@ from moorev1.gf2poly import (
     mono_sort_key,
     mono_str,
 )
+from moorev1.mahowald import _box_window
 from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, sufficient_x_index
-from oracles import complete_around_by_three, counts_by_enumeration, placements_per_j, quotient_basis_by_filter
+from oracles import (
+    complete_around_by_three,
+    counts_by_enumeration,
+    placements_per_j,
+    quotient_basis_by_filter,
+    window_basis_by_recursion,
+)
 
 
 def laurent_alphabet(n_max=5):
@@ -75,17 +82,25 @@ class TestAlphabet:
         assert a.v1_index == 0
 
     def test_single_invertible(self):
-        with pytest.raises(GF2PolyError):
+        with pytest.raises(GF2PolyError, match="at most one invertible"):
             Alphabet(
                 [
                     Generator("v1", Multidegree(0, 2, 1), invertible=True),
-                    Generator("xi1", Multidegree(0, 1, 0), invertible=True),
+                    Generator("alphap", Multidegree(0, 1, 1), invertible=True),
                 ]
             )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(GF2PolyError):
-            Alphabet([Generator("xi1", Multidegree(0, 1, 0))] * 2)
+            Alphabet([Generator("h(1,1)", Multidegree(1, 2, 0))] * 2)
+
+    def test_names_outside_the_grammar_rejected(self):
+        # cobar's xi1 is a power in its own coalgebra, not a generator name here
+        for name in ("xi1", "h(1)", "x(1,1)", "beta"):
+            with pytest.raises(GF2PolyError, match="grammar"):
+                Generator(name, Multidegree(0, 1, 0))
+        with pytest.raises(ParseError):
+            Polynomial.parse(laurent_alphabet(), "xi1")
 
     def test_stride_requires_invertible(self):
         with pytest.raises(GF2PolyError):
@@ -367,7 +382,9 @@ def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
     """count_window against enumerate_window: per-degree counts of the
     monomials free of `without` and of the odd ones among them, the
     clipped degrees, and the trust flag on every degree of the window and
-    a margin around it."""
+    a margin around it.  The two share one walk (_walk_parts), so the
+    relation here is tested by filtering the whole alphabet's monomials
+    by hand; brute_force_window checks that enumeration on its own."""
     wb = enumerate_window(alphabet, w)
     skip = None if without is None else alphabet.index(without)
     counts = count_window(Quotient(alphabet, () if skip is None else (((skip, 1),),)), w, odd)
@@ -394,7 +411,11 @@ def assert_counts_match_enumeration(alphabet, w, without=None, odd=()):
 
 
 class TestCountWindowOracle:
-    """count_window builds no monomial; enumerate_window is its oracle."""
+    """count_window builds no monomial; enumerate_window is its oracle.
+    Both read the parts of _walk_parts, so the independent checks of its
+    relation rule are the enumerate-and-filter oracles, here and in
+    TestQuotientCountOracle and TestPrunedWalkOracle, over a whole-alphabet
+    enumeration that brute_force_window checks."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_alphabets_and_windows(), st.integers(0, 5), st.integers(0, 63))
@@ -501,19 +522,24 @@ def assert_pruned_walk_matches_filter(alphabet, w, relations):
     """enumerate_window over the quotient against enumerate and filter:
     the same degrees, each bucket in the same order, and the truncated set
     of the whole alphabet."""
-    got = enumerate_window(Quotient(alphabet, tuple(relations)), w)
     want = quotient_basis_by_filter(alphabet, w, relations)
+    assert_same_bases(enumerate_window(Quotient(alphabet, tuple(relations)), w), want)
+    return want
+
+
+def assert_same_bases(got, want):
+    """The same degrees, each basis in the same order, and the same
+    truncated set."""
     assert got.degrees() == want.degrees()
     for d in want.degrees():
         assert got.basis(d) == want.basis(d), d
     assert got._truncated == want._truncated
-    return want
 
 
 class TestPrunedWalkOracle:
-    """enumerate_window prunes a part as soon as a relation divides it and
-    walks the rest of that subtree through its degrees alone; enumerating
-    the whole alphabet and filtering is its oracle."""
+    """enumerate_window drops a part as soon as a relation divides it and
+    keeps walking its degree alone, for the clipping; enumerating the whole
+    alphabet and filtering is its oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(windows_and_relations())
@@ -537,6 +563,49 @@ class TestPrunedWalkOracle:
                     clipped_by[tuple(d)] = clipped_by.get(tuple(d), False) or pres.is_reduced_monomial(m)
         assert set(clipped_by) == want._truncated
         assert not all(clipped_by.values())
+
+
+def assert_walk_matches_recursion(algebra, w):
+    """enumerate_window against the recursive walk of window_basis_by_recursion."""
+    want = window_basis_by_recursion(algebra, w)
+    assert_same_bases(enumerate_window(algebra, w), want)
+    return want
+
+
+class TestRecursiveWalkOracle:
+    """enumerate_window keeps the parts of the dynamic program it shares
+    with count_window and sorts each part degree's parts itself; a
+    recursive walk that tests each relation where its factor walked last is
+    placed, with one global sort of its part records, is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows_and_relations())
+    def test_random_windows_and_relations(self, case):
+        a, w, relations = case
+        assert_walk_matches_recursion(Quotient(a, tuple(relations)), w)
+
+    @pytest.mark.parametrize("t_max", [64, 128], ids=["t64", "t128"])
+    @pytest.mark.parametrize("tag, r", [("EndM", 3), ("M", 2)], ids=["E3-EndM", "E2-M"])
+    def test_workbench_pages(self, tag, r, t_max):
+        window = default_window(t_max)
+        want = assert_walk_matches_recursion(Workbench(window).presentation(tag, r).quotient, window)
+        assert want.degrees()
+
+    def test_decomposition_window(self):
+        bench = Workbench(default_window())
+        assert_walk_matches_recursion(bench.presentation("M", 3).quotient, bench._decomposition_window())
+
+    def test_mahowald_box(self):
+        tables = Workbench(default_window(128)).mahowald_tables()
+        pres = tables._page.presentation
+        want = assert_walk_matches_recursion(pres.quotient, _box_window(tables.p_max, tables.q_max))
+        assert not want._truncated
+
+    def test_e3_endm_relations_on_a_clipped_window(self):
+        w = TruncationWindow((-3, 3), (0, 6), (-15, 40), (-8, 8))
+        pres = Workbench(default_window(40, 6, -8, 8)).presentation("EndM", 3)
+        want = assert_walk_matches_recursion(pres.quotient, w)
+        assert want._truncated
 
 
 class TestLazyBasisOracle:

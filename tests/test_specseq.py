@@ -1053,17 +1053,20 @@ def box_page(bench):
 
 
 def test_no_low_w_monomial_past_the_decomposition_scan(low_w_bench):
-    """_cell_covered scans s up to the (c + 8) // 3 cut-off (or the
-    window's s_max, here 0) and takes every tridegree of the cell past it to
-    hold no monomial of w <= 2.  Enumeration finds none in the six
-    tridegrees past the scan, at every cell of the default decomposition
-    corner."""
+    """_cell_covered scans the s = -c mod 4 up to the (c + 8) // 3 cut-off
+    (or the window's s_max, here 0), c = stem - 2*filt, and takes every
+    other tridegree of the cell to hold no monomial of w <= 2.  Enumeration
+    finds none in the tridegrees the scan skips below the cut-off or in the
+    six past it, at every cell of the default decomposition corner."""
     bench = Workbench(default_window(64, 0, -16, 16))
+    cells = list(decomposition_cells(default_window()))
+    degrees = cell_degrees(bench, cells)
     probes = []
-    for (stem, filt), (visited, _, _) in watch_scan(bench, _TrustAll(), decomposition_cells(default_window())).items():
-        n = len(visited)
-        assert visited == [Multidegree(s, stem + s, filt - s) for s in range(n)]
-        probes += [Multidegree(s, stem + s, filt - s) for s in range(n, n + 6)]
+    for (stem, filt), (visited, _, _) in watch_scan(bench, _TrustAll(), cells).items():
+        passed, c = degrees[stem, filt], stem - 2 * filt
+        assert visited == [d for d in passed if (d.s + c) % 4 == 0]
+        probes += [d for d in passed if (d.s + c) % 4]
+        probes += [Multidegree(s, stem + s, filt - s) for s in range(len(passed), len(passed) + 6)]
     low = low_w_by_enumeration(low_w_bench, probes)
     assert not [d for d in probes if low[d] is not None and low[d] <= 2]
     assert len(probes) > 10000 and sum(w is not None for w in low.values()) > 1000
@@ -1114,29 +1117,35 @@ def test_decomposition_positive_quadrant_covered():
     assert bad == []
 
 
-def cell_scans(bench):
-    """Each cell of the check's box with the degrees its coverage scan
-    visits, in the order the scan of _cell_covered visits them."""
-    return {cell: visited for cell, (visited, _, _) in watch_scan(bench, _TrustAll()).items()}
+def cell_degrees(bench, cells=None):
+    """Each cell of the check's box (or of cells) with the tridegrees
+    (s, stem + s, filt - s) collapsing to it, in rising s up to the cut-off
+    of _cell_covered's scan: (c + 8) // 3 with c = stem - 2*filt, or the
+    window's s_max.  The scan visits those with s = -c mod 4."""
+    s_max = bench.window.s_range[1]
+    return {
+        (stem, filt): [Multidegree(s, stem + s, filt - s) for s in range(max(s_max, (stem - 2 * filt + 8) // 3) + 1)]
+        for stem, filt in (decomposition_cells(bench.window) if cells is None else cells)
+    }
 
 
 def scanned_degrees(bench):
-    """Every degree the coverage scan of mahowald_decomposition_check
-    visits, in order."""
-    return [d for read in cell_scans(bench).values() for d in read]
+    """Every tridegree the coverage scan of mahowald_decomposition_check
+    passes, visited or not, in order."""
+    return [d for degrees in cell_degrees(bench).values() for d in degrees]
 
 
 @pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
 def test_decomposition_sides_match_their_second_methods(window):
     """The report's two sides, built as dicts by the chart's rules, against
     a cell-by-cell reading: lhs is the sum of the whole page 4 of M over
-    the degrees the cell's scan visits, and rhs is the search over every
-    (p, q) of the tables."""
+    the tridegrees of the cell up to the scan's cut-off, and rhs is the
+    search over every (p, q) of the tables."""
     bench = Workbench(window)
     rows = {row.degree: row for row in bench.mahowald_decomposition_check().rows}
     whole = bench.page("M", 4)
     tables = bench.mahowald_tables()
-    scans = cell_scans(bench)
+    scans = cell_degrees(bench)
     assert len(rows) == len(scans)
     for (stem, filt), read in scans.items():
         row = rows[(filt, stem + filt)]
@@ -1149,7 +1158,7 @@ def test_decomposition_sides_match_their_second_methods(window):
 
 def box_and_whole_reads(bench):
     """dims_at of page 4 of M over the decomposition box and over the whole
-    window, at every degree the decomposition scan visits."""
+    window, at every tridegree the decomposition scan passes."""
     box = box_page(bench)
     whole = bench.page("M", 4)
     read = scanned_degrees(bench)
@@ -1157,11 +1166,12 @@ def box_and_whole_reads(bench):
 
 
 def test_decomposition_scan_reads_trust_only_where_a_low_w_monomial_can_lie():
-    """_cell_covered visits every tridegree of its s range, reads page 4's
-    trust only where a monomial of w <= 2 can lie, in scan order, and stops
-    at the first such tridegree that is untrusted.  On the default window:
-    27,030 tridegrees, 1,267 of them low-w, 962 trust reads and 395
-    uncovered cells."""
+    """_cell_covered visits the tridegrees of its s range with s = -c mod
+    4, reads page 4's trust only where a monomial of w <= 2 can lie, in
+    scan order, and stops at the first such tridegree that is untrusted.
+    On the default window: 6,783 tridegrees visited, 1,267 of them low-w
+    (as many as the 27,030 tridegrees of the whole s ranges hold), 962
+    trust reads and 395 uncovered cells."""
     bench = Workbench(default_window())
     box = box_page(bench)
     every = watch_scan(bench, _TrustAll())
@@ -1169,6 +1179,8 @@ def test_decomposition_scan_reads_trust_only_where_a_low_w_monomial_can_lie():
     visited = [d for v, _, _ in every.values() for d in v]
     low = [d for _, r, _ in every.values() for d in r]
     assert low == [d for d in visited if low_w_by_search(d)]
+    passed = scanned_degrees(bench)
+    assert (len(passed), sum(map(low_w_by_search, passed))) == (27030, len(low))
     for cell, (_, read, covered) in watched.items():
         trusted = [box.trusted(d) for d in read]
         assert all(trusted[:-1]), cell
@@ -1178,7 +1190,7 @@ def test_decomposition_scan_reads_trust_only_where_a_low_w_monomial_can_lie():
             assert read == every[cell][1][: len(read)] and not trusted[-1], cell
     reads = sum(len(read) for _, read, _ in watched.values())
     uncovered = sum(not covered for _, _, covered in watched.values())
-    assert (len(visited), len(low), reads, uncovered) == (27030, 1267, 962, 395)
+    assert (len(visited), len(low), reads, uncovered) == (6783, 1267, 962, 395)
 
 
 @pytest.mark.parametrize("window", [default_window(), default_window(40, 12, -3, 5)], ids=["default", "t40-v1"])
