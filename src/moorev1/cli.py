@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -110,7 +110,8 @@ class RunConfig:
         )
 
     def cache_key(self) -> str:
-        payload = asdict(self)
+        # every field is a scalar, so a shallow copy gives asdict's payload
+        payload = dict(vars(self))
         # the output directory and the cache switch do not affect content
         del payload["out"]
         del payload["no_cache"]
@@ -138,7 +139,10 @@ def _source_digest() -> str:
 # ---- configuration ----
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use and shared by every run() call
+    of the process: parse_args keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value file")
     common.add_argument("--t-max", type=int, dest="t_max")
@@ -518,7 +522,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     cache_entry = os.path.join(cache_dir, f"{_source_digest()}-{cfg.cache_key()}.entry")
     # an unreadable, malformed or altered entry is a miss and gets recomputed
     hit = False
-    if not cfg.no_cache and os.path.exists(cache_entry):
+    if not cfg.no_cache:
         try:
             with open(cache_entry, "rb") as f:
                 header = json.loads(f.readline())
@@ -529,8 +533,9 @@ def run(argv: Optional[List[str]] = None) -> int:
                     code, stdout = header["exit_code"], header["stdout"]
                     blobs = {rel: f.read(n) for rel, n in header["files"]}
                     hit = header.get("sha256") == _payload_digest(code, stdout.encode(), blobs)
-        # UnicodeEncodeError, from a lone surrogate, is a ValueError; nesting
-        # deeper than the parser's recursion limit raises RecursionError
+        # an absent entry raises FileNotFoundError, an OSError; a lone
+        # surrogate raises UnicodeEncodeError, a ValueError; nesting deeper
+        # than the parser's recursion limit raises RecursionError
         except (OSError, ValueError, RecursionError):
             pass
     if not hit:

@@ -109,7 +109,13 @@ def sufficient_h_index(t_max: int, v1_min: int) -> int:
 
 
 def sufficient_x_index(t_max: int, v1_min: int) -> int:
-    """Largest n for which x(n) (internal degree 2^(n+2)) fits under t_max."""
+    """Largest n for which x(n) (internal degree 2^(n+2)) fits under t_max.
+
+    The lowest monomial holding x(n) is x(n)*alpha*v1^min(v1_min, 0), of
+    internal degree 2^(n+2) - 1 + 2*min(v1_min, 0); the + 1 in the cap is
+    alpha's -1.  A larger cap only admits an x(n) that no monomial of the
+    window holds, so no page or report changes: the cap is tight for the
+    alphabet's size, not for correctness."""
     cap = t_max - 2 * min(v1_min, 0) + 1
     n = 0
     while 2 ** (n + 3) <= cap:

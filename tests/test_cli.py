@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -813,4 +815,75 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
     trees = {seed: _tree_bytes(tmp_path / seed) for seed in procs}
     assert {"ext-S.json", "ext-M.json", "ext-EndM.json", "page-M-r2.json"} <= set(trees["0"])
     assert trees["0"] == trees["12345"]
+
+
+def test_identity_check_row_is_pinned():
+    assert cli._identity_check_report().rows == [CheckRow("identity-vs-alpha-h11", (1, 2), 0, 0, "ok")]
+
+
+# ---- one parser per process ----
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_carries_nothing_past_errors_and_help(tmp_path, capsys):
+    """A usage error and --help on the shared parser leave the next op as
+    it would be first in a fresh process: exit code, stdout and files."""
+    argv = ["page", "--t-max", "16"]
+    assert run(["page", "--bogus"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert run(["page", "--help"]) == 0
+    assert "--spectrum" in capsys.readouterr().out
+    code = run([*argv, "--out", str(tmp_path / "here")])
+    out = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "moorev1", *argv, "--out", str(tmp_path / "fresh")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+    assert _tree_bytes(tmp_path / "here") == _tree_bytes(tmp_path / "fresh")
+
+
+def test_chart_target_is_not_carried_over(tmp_path, capsys):
+    assert run_in(tmp_path, "chart", "decomposition", "--t-max", "16") == 0
+    assert run_in(tmp_path, "chart", "--t-max", "16") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("chart page EndM r=2:")
+    assert cli._resolve(cli._build_parser().parse_args(["chart"])).what == "page"
+
+
+def test_spectrum_flag_is_not_carried_over(tmp_path, capsys):
+    """The config file's spectrum applies once the flag is gone: a
+    spectrum left behind by the last call would override it."""
+    config = tmp_path / "m.cfg"
+    config.write_text("spectrum = M\n")
+    assert run_in(tmp_path, "page", "--t-max", "16", "--spectrum", "EndM") == 0
+    assert run_in(tmp_path, "page", "--t-max", "16", "--config", str(config)) == 0
+    assert (tmp_path / "page-M-r2.json").exists()
+    assert capsys.readouterr().out.splitlines()[1].startswith("page M r=2:")
+
+
+def _asdict_cache_key(cfg):
+    """The cache key as computed from dataclasses.asdict."""
+    payload = asdict(cfg)
+    del payload["out"]
+    del payload["no_cache"]
+    payload["version"] = cli.__version__
+    payload["source"] = cli._source_digest()
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._DISPATCH))
+def test_cache_key_matches_the_asdict_formula(cmd):
+    cfg = cli._resolve(cli._build_parser().parse_args([cmd]))
+    assert cfg.cache_key() == _asdict_cache_key(cfg)
+
+
+def test_cache_key_matches_the_asdict_formula_with_every_field_set():
+    cfg = RunConfig(cmd="chart", t_max=40, s_max=6, v1_min=-3, v1_max=5, page=4,
+                    spectrum="M", format="txt", out="/elsewhere", no_cache=True,
+                    what="decomposition")
+    assert cfg.cache_key() == _asdict_cache_key(cfg)
 
