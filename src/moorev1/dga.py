@@ -20,10 +20,13 @@ from .gf2linalg import Subspace, column_space_basis, kernel_basis, rank, subquot
 from .gf2poly import (
     Alphabet,
     GF2PolyError,
+    Lane,
     Monomial,
     Multidegree,
     Polynomial,
     Quotient,
+    Run,
+    Runs,
     TruncationWindow,
     WindowBasis,
     WindowCounts,
@@ -340,34 +343,60 @@ class _DegreeHomology:
 
 class _PageDims:
     """A page known by (cycle dim, boundary dim) at exactly the trusted
-    degrees with a nonempty basis.  A degree is trusted when the basis is
-    complete at it and one shift to either side; the page's flag is its
-    presentation's."""
+    degrees with a nonempty basis, its degrees.  A degree is trusted when
+    the basis is complete at it and one shift to either side; the page's
+    flag is its presentation's.
 
-    def __init__(
-        self, pres: PagePresentation, trust: _WindowTrust, dims: Dict[Multidegree, Tuple[int, int]], shift: Multidegree
-    ):
+    A page answers _entry (the dims at one of its degrees, else None) and
+    _make_runs (its runs along a step), and has a step its runs are
+    natural along; a page with no v1 has none, and no runs.
+    """
+
+    def __init__(self, pres: PagePresentation, trust: _WindowTrust, shift: Multidegree):
         self.presentation = pres
         self.window = trust.window
         self.conditional = pres.conditional
         self._trust = trust
-        self._dims = dims
         self._shift = shift
+        self._runs: Dict[Multidegree, Runs] = {}
+
+    def runs(self, step: Multidegree) -> Runs:
+        """The maximal runs first + k*step of the page's degrees on which
+        the dims do not change, each decided once (see gf2poly.Runs)."""
+        got = self._runs.get(step)
+        if got is None:
+            got = self._runs[step] = self._make_runs(step)
+        return got
+
+    def trust_cuts(self, lanes: Dict[Lane, List[int]], step: Multidegree, offset=_NO_SHIFT) -> None:
+        """Add to each lane the positions where the trust at d + offset may
+        change (see _WindowTrust.trust_cuts)."""
+        self._trust.trust_cuts(lanes, self._shift, step, offset)
+
+    def _table(self) -> Dict[Multidegree, Tuple[int, int]]:
+        """The dims at every degree of the page, expanded off its runs
+        along its step."""
+        ds, dt, du = self.step
+        table = {}
+        for (s, t, u), n, dims in self.runs(self.step):
+            for k in range(n):
+                table[tuple.__new__(Multidegree, (s + k * ds, t + k * dt, u + k * du))] = dims
+        return table
 
     def trusted(self, d: Multidegree) -> bool:
         return self.dims_at(d) is not None
 
     def degrees(self) -> List[Multidegree]:
-        return sorted(self._dims)
+        return sorted(self._table())
 
     def dimensions(self) -> List[Tuple[Multidegree, int]]:
         """(d, dim(d)) for each d of degrees(), in its order."""
-        return [(d, cycles - boundaries) for d, (cycles, boundaries) in sorted(self._dims.items())]
+        return [(d, cycles - boundaries) for d, (cycles, boundaries) in sorted(self._table().items())]
 
     def dims_at(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
         """(cycle dim, boundary dim) at d, or None where d is not trusted:
         one trust test for a caller that would test trust and then read."""
-        got = self._dims.get(d)
+        got = self._entry(d)
         if got is None and self._trust.complete_around(d, self._shift):
             return (0, 0)
         return got
@@ -390,15 +419,22 @@ class PresentationPage(_PageDims):
     the basis."""
 
     def __init__(self, pres: PagePresentation, window: TruncationWindow):
-        counts = pres.basis_counts(window)
-        dims = {d: (counts.count(d), 0) for d in counts.degrees() if counts.complete(d)}
-        super().__init__(pres, counts, dims, _NO_SHIFT)
+        self._counts = counts = pres.basis_counts(window)
+        super().__init__(pres, counts, _NO_SHIFT)
+        v1 = pres.alphabet.v1
+        self.step = None if v1 is None else v1.degree.scaled(v1.stride)
+
+    def _entry(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
+        n = self._counts.count(d)
+        return (n, 0) if n and self._counts.complete(d) else None
+
+    def _make_runs(self, step: Multidegree) -> Runs:
+        # the counts of a presentation's basis split no parity
+        got = self._counts.runs(_NO_SHIFT, step)
+        return Runs(step, [Run(run.first, run.length, (run.value[0], 0)) for run in got if run.value[2]])
 
     def basis(self, d: Multidegree) -> Tuple[Monomial, ...]:
         return self.presentation.basis(self.window).basis(d)
-
-    def size(self, d: Multidegree) -> int:
-        return self.presentation.basis(self.window).size(d)
 
 
 class ComputedPage(_PageDims):
@@ -406,7 +442,11 @@ class ComputedPage(_PageDims):
     matrices of d that homology_page built for it.
 
     Dimensions are stored; cycle and boundary bases and representatives are
-    built from the matrices at the first degree that asks for them."""
+    built from the matrices at the first degree that asks for them.  Its
+    runs along step, the v1-orbit step homology_page shares matrices along,
+    are the chains of degrees that share their matrix and the one a shift
+    below it, so their dims too; along another step each degree is a run of
+    its own."""
 
     def __init__(
         self,
@@ -414,11 +454,26 @@ class ComputedPage(_PageDims):
         wb: WindowBasis,
         dims: Dict[Multidegree, Tuple[int, int]],
         matrices: Dict[Multidegree, List[int]],
+        chains: Sequence[Tuple[Multidegree, int]] = (),
+        step: Optional[Multidegree] = None,
     ):
-        super().__init__(pres, wb, dims, pres.degree_shift)
+        super().__init__(pres, wb, pres.degree_shift)
         self._wb = wb
+        self._dims = dims
         self._matrices = matrices
+        self._chains = chains  # (first degree, length) of each chain along step
+        self.step = step
         self._homology: Dict[Multidegree, _DegreeHomology] = {}
+
+    def _entry(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
+        return self._dims.get(d)
+
+    def _table(self) -> Dict[Multidegree, Tuple[int, int]]:
+        return self._dims
+
+    def _make_runs(self, step: Multidegree) -> Runs:
+        chains = self._chains if step == self.step else [(d, 1) for d in self._dims]
+        return Runs(step, [Run(first, n, self._dims[first]) for first, n in chains])
 
     def matrix(self, c: Multidegree) -> List[int]:
         """Rows (one per target monomial) of d from degree c to c + shift.
@@ -549,20 +604,26 @@ def homology_page(pres: PagePresentation, window: TruncationWindow) -> ComputedP
                 ) from None
     distinct = {id(rows): rows for rows in matrices.values()}
     ranks = {key: rank(rows) for key, rows in distinct.items()}
-    composed = set()  # the distinct (outgoing, incoming) pairs checked
+    # the distinct (outgoing, incoming) pairs, each checked once: a pair's
+    # degrees are one chain d, d + step, ... (each list is shared only with
+    # the degree one step below), which meets wanted in full, so in rising
+    # order its first degree comes first
+    chains: Dict[Tuple[int, int], List] = {}
     dims: Dict[Multidegree, Tuple[int, int]] = {}
     for d in wanted:
         out, inc = matrices[d], matrices[d - shift]
         pair = (id(out), id(inc))
-        if pair not in composed:
+        chain = chains.get(pair)
+        if chain is None:
             if not _composite_is_zero(out, inc):
                 raise PageRefusedError(
                     f"{label}: d squared is nonzero from degree {tuple(d - shift)} through {tuple(d)}",
                     pres.conditional,
                 )
-            composed.add(pair)
-        dims[d] = (size(d) - ranks[id(out)], ranks[id(inc)])
-    return ComputedPage(pres, wb, dims, matrices)
+            chain = chains[pair] = [d, 0, (size(d) - ranks[id(out)], ranks[id(inc)])]
+        chain[1] += 1
+        dims[d] = chain[2]
+    return ComputedPage(pres, wb, dims, matrices, [(d, n) for d, n, _ in chains.values()], step)
 
 
 class DimensionTable:

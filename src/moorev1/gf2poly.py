@@ -10,8 +10,9 @@ powers of the invertible generator).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 
 class GF2PolyError(Exception):
@@ -537,6 +538,141 @@ def _quotient(algebra: Algebra) -> Quotient:
     return algebra if isinstance(algebra, Quotient) else Quotient(algebra)
 
 
+_ORIGIN = (0, 0, 0)
+
+# a degree's lane under a step: the lane's first degree with 0 <= u < the
+# step's u, and a position k along it, the degree being first + k*step
+Lane = Tuple[int, int, int]
+
+
+def _lane(d: Tuple[int, int, int], step: Tuple[int, int, int]) -> Tuple[Lane, int]:
+    k = d[2] // step[2]
+    return (d[0] - k * step[0], d[1] - k * step[1], d[2] - k * step[2]), k
+
+
+def _add_cuts(
+    lanes: Dict[Lane, List[int]],
+    step: Tuple[int, int, int],
+    source: Dict[Lane, List[int]],
+    offset: Tuple[int, int, int] = _ORIGIN,
+    support: bool = False,
+) -> None:
+    """Add to lanes the cuts of source read at d + offset: the positions k
+    of d = first + k*step where something source files at d + offset may
+    change (source holds cuts by lane of the same step).  With support, the
+    lanes source's cuts fall on are added; else only lanes already there
+    get cuts."""
+    if not source:
+        return
+    ds, dt, du = offset
+    if support:
+        for (s, t, u), cuts in source.items():
+            lane, k = _lane((s - ds, t - dt, u - du), step)
+            lanes.setdefault(lane, []).extend([c + k for c in cuts])
+        return
+    ss, st, su = step
+    for (s, t, u), ks in lanes.items():
+        # _lane of d + offset, written out: this runs once per lane and read
+        k = (u + du) // su
+        cuts = source.get((s + ds - k * ss, t + dt - k * st, u + du - k * su))
+        if cuts:
+            ks.extend([c - k for c in cuts])
+
+
+def _edges(x: int, dx: int, lo: int, hi: int) -> Tuple[int, ...]:
+    """The k where x + k*dx enters and leaves [lo, hi]."""
+    if dx > 0:
+        return -((x - lo) // dx), (hi - x) // dx + 1
+    if dx < 0:
+        return -((hi - x) // -dx), (x - lo) // -dx + 1
+    return ()
+
+
+class Run(NamedTuple):
+    """first + k*step for k < length, the degrees of one run, and what
+    does not change along it."""
+
+    first: Multidegree
+    length: int
+    value: Any
+
+
+class Runs:
+    """The maximal runs of one step on which a value does not change,
+    filed by lane, so that the run holding a degree is one search away."""
+
+    def __init__(self, step: Multidegree, runs: Iterable[Run]):
+        self.step = step
+        lanes: Dict[Lane, List[Tuple[int, Run]]] = {}
+        for run in runs:
+            lane, k = _lane(run.first, step)
+            lanes.setdefault(lane, []).append((k, run))
+        for got in lanes.values():
+            got.sort(key=lambda kr: kr[0])
+        self._lanes = lanes  # lane -> (position of first, run) in rising position
+        self._starts = {lane: [k for k, _ in got] for lane, got in lanes.items()}
+        self._cuts: Optional[Dict[Lane, List[int]]] = None
+
+    def __iter__(self) -> Iterator[Run]:
+        for runs in self._lanes.values():
+            for _, run in runs:
+                yield run
+
+    def __len__(self) -> int:
+        return sum(map(len, self._starts.values()))
+
+    def at(self, d: Tuple[int, int, int]) -> Optional[Run]:
+        lane, k = _lane(d, self.step)
+        starts = self._starts.get(lane)
+        if starts:
+            i = bisect_right(starts, k) - 1
+            if i >= 0:
+                first, run = self._lanes[lane][i]
+                if k < first + run.length:
+                    return run
+        return None
+
+    def cuts(self) -> Dict[Lane, List[int]]:
+        """Where each run starts and ends, by lane (see _add_cuts)."""
+        if self._cuts is None:
+            self._cuts = {lane: [k for a, run in runs for k in (a, a + run.length)] for lane, runs in self._lanes.items()}
+        return self._cuts
+
+
+def spans(lanes: Dict[Lane, List[int]]) -> Dict[Lane, Tuple[int, int]]:
+    """The first and last cut of each lane, taken once the support is in:
+    no run reaches past them."""
+    return {lane: (min(ks), max(ks)) for lane, ks in lanes.items()}
+
+
+def segment_runs(
+    step: Multidegree, lanes: Dict[Lane, List[int]], span: Dict[Lane, Tuple[int, int]], value: Callable[[Multidegree], Any]
+) -> Runs:
+    """The maximal runs along lanes, within span, on which value is not
+    None and does not change, given cuts (positions on each lane) outside
+    which it cannot change: value is read once per stretch between cuts,
+    at its first degree, and equal neighbours are merged."""
+    ds, dt, du = step
+    out: List[Run] = []
+    for (s, t, u), ks in lanes.items():
+        lo, hi = span[s, t, u]
+        ks = sorted({k for k in ks if lo <= k <= hi})
+        got: List[list] = []
+        last = None
+        for a, b in zip(ks, ks[1:]):
+            d = tuple.__new__(Multidegree, (s + a * ds, t + a * dt, u + a * du))
+            v = value(d)
+            if v is None:
+                last = None
+            elif last is not None and last[2] == v:
+                last[1] += b - a
+            else:
+                last = [d, b - a, v]
+                got.append(last)
+        out.extend(Run(*run) for run in got)
+    return Runs(step, out)
+
+
 class _WindowTrust:
     """The completeness rule shared by the bases and the counts of a window.
 
@@ -554,6 +690,43 @@ class _WindowTrust:
         self._box = window.s_range + window.t_range + window.u_range
         # shift -> what _spread builds for it
         self._around: Dict[Tuple[int, int, int], Tuple[Set[Tuple[int, int, int]], Tuple[int, ...]]] = {}
+        self._clip_lanes: Dict[Tuple[int, int, int], Dict[Lane, List[int]]] = {}
+
+    def trust_cuts(
+        self, lanes: Dict[Lane, List[int]], shift: Tuple[int, int, int], step: Multidegree, offset=_ORIGIN
+    ) -> None:
+        """Add to each lane the positions where complete_around(d + offset,
+        shift) may change: where d + offset, or a degree one shift from it,
+        crosses the t or u range or a stretch of truncated degrees."""
+        clips = self._clip_lanes.get(step)
+        if clips is None:
+            clips = self._clip_lanes[step] = self._stretches(step)
+        _, _, t_lo, t_hi, u_lo, u_hi = self._box
+        ss, st, su = shift
+        os_, ot, ou = offset
+        for near in {offset, (os_ + ss, ot + st, ou + su), (os_ - ss, ot - st, ou - su)}:
+            _add_cuts(lanes, step, clips, near)
+            _, nt, nu = near
+            for (_, t, u), ks in lanes.items():
+                ks.extend(_edges(t + nt, step[1], t_lo, t_hi))
+                ks.extend(_edges(u + nu, step[2], u_lo, u_hi))
+
+    def _stretches(self, step: Multidegree) -> Dict[Lane, List[int]]:
+        """Where each stretch of consecutive truncated degrees starts and
+        ends, by lane of step."""
+        ks: Dict[Lane, List[int]] = {}
+        for d in self._truncated:
+            lane, k = _lane(d, step)
+            ks.setdefault(lane, []).append(k)
+        cuts: Dict[Lane, List[int]] = {}
+        for lane, got in ks.items():
+            got.sort()
+            out = cuts[lane] = [got[0]]
+            for a, b in zip(got, got[1:]):
+                if b != a + 1:
+                    out.extend((a + 1, b))
+            out.append(got[-1] + 1)
+        return cuts
 
     def _in_box(self, s: int, t: int, u: int) -> bool:
         """complete(d) for a d that is not truncated."""
@@ -653,32 +826,92 @@ class WindowBasis(_WindowTrust):
 
 class WindowCounts(_WindowTrust):
     """The number of window monomials at every degree, with the
-    completeness flags of the enumeration they count."""
+    completeness flags of the enumeration they count.
+
+    The counts are kept as count_window's walk yields them: each part
+    degree, at a position on its v1-line (_lane under v1's degree), with its
+    kept positions a..b in steps of v1's stride, its count n and the parity
+    of its parts at a (v1 flips it at every step when v1 is odd).  A degree
+    is counted by the pieces of its line, and runs decides a stretch of
+    a line once."""
 
     def __init__(
         self,
         window: TruncationWindow,
-        counts: Dict[Multidegree, int],
-        odd_counts: Dict[Multidegree, int],
+        lines: Dict[Lane, List[Tuple[int, int, int, int]]],
         truncated: Set[Tuple[int, int, int]],
         alphabet: Alphabet,
+        v1_odd: bool = False,
     ):
         super().__init__(window, truncated, alphabet)
-        self._counts = counts  # nonzero counts only
-        self._odd_counts = odd_counts
+        self._lines = lines  # line -> (a, b, n, parity at a), pieces with n > 0
+        v1 = alphabet.v1
+        self._v1 = (0, 0, 0) if v1 is None else v1.degree  # (0, 0, 0): each degree is its own line
+        self._stride = 1 if v1 is None else v1.stride
+        self._flip = int(v1_odd)
+        self._count_lanes: Dict[Multidegree, Dict[Lane, List[int]]] = {}
+
+    def _at(self, d: Tuple[int, int, int]) -> Tuple[int, int]:
+        """(count, odd count) at d."""
+        if self._v1[2]:
+            line, k = _lane(d, self._v1)
+        else:
+            line, k = tuple(d), 0
+        n = odd = 0
+        stride, flip = self._stride, self._flip
+        for a, b, m, parity in self._lines.get(line, ()):
+            if a <= k <= b and not (k - a) % stride:
+                n += m
+                if parity ^ (flip & (k - a)):
+                    odd += m
+        return n, odd
 
     def count(self, d: Multidegree) -> int:
-        return self._counts.get(d, 0)
+        return self._at(d)[0]
 
     def odd_count(self, d: Multidegree) -> int:
         """How many of the counted monomials at d are odd (see count_window)."""
-        return self._odd_counts.get(d, 0)
-
-    def degrees(self) -> List[Multidegree]:
-        return sorted(self._counts)
+        return self._at(d)[1]
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        stride = self._stride
+        return sum(n * ((b - a) // stride + 1) for pieces in self._lines.values() for a, b, n, _ in pieces)
+
+    def count_cuts(self, step: Multidegree, parity: bool = True) -> Dict[Lane, List[int]]:
+        """Where each piece starts and ends on the lanes of step, a multiple
+        m of v1's degree; m must be a multiple of v1's stride, so that a
+        piece's count holds along a lane, and with parity even when v1 is
+        odd, so that its parity holds too.  The positions of a piece on its
+        line are a, a + stride, ..., b, and position p = q*m + r sits at q on
+        the lane r steps of v1 up the line."""
+        (_, vt, vu), stride = self._v1, self._stride
+        m = step[2] // vu if vu else 0
+        if not m or step != self._v1.scaled(m) or m % stride or parity and self._flip & m:
+            raise GF2PolyError(f"runs of step {tuple(step)} do not fit v1's degree, stride and parity")
+        got = self._count_lanes.get(step)
+        if got is None:
+            got = self._count_lanes[step] = {}
+            for (s, t, u), pieces in self._lines.items():
+                for a, b, _, _ in pieces:
+                    for p in range(a, min(b, a + m - stride) + 1, stride):
+                        q, r = divmod(p, m)
+                        got.setdefault((s, t + vt * r, u + vu * r), []).extend((q, q + (b - p) // m + 1))
+        return got
+
+    def runs(self, shift: Multidegree, step: Multidegree) -> Runs:
+        """The maximal runs first + k*step of degrees with a nonzero count
+        on which the count, the odd count and complete_around(d, shift) do
+        not change; a run's value is (count, odd count, trusted)."""
+        lanes: Dict[Lane, List[int]] = {}
+        _add_cuts(lanes, step, self.count_cuts(step), support=True)
+        span = spans(lanes)
+        self.trust_cuts(lanes, shift, step)
+
+        def value(d):
+            n, odd = self._at(d)
+            return (n, odd, self.complete_around(d, shift)) if n else None
+
+        return segment_runs(step, lanes, span, value)
 
 
 class _PartPlan:
@@ -903,24 +1136,21 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
     generators named in `odd` add up to an odd number; odd_count reads how
     many are.
 
-    No monomial is built: _walk_parts counts the parts of each part degree
-    and parity, and each count is placed at the v1 exponents of its part
-    degree."""
+    No monomial is built and no count is placed: _walk_parts counts the
+    parts of each part degree and parity, and WindowCounts keeps each count
+    with the v1 exponents of its part degree, on the part degree's
+    v1-line."""
     quotient = _quotient(algebra)
     alphabet = quotient.alphabet
     plan = _PartPlan(alphabet, window)
     flips = {alphabet.index(name) for name in odd}
     truncated, found = _walk_parts(quotient, plan, flips, False)
-    v1_flip = 1 if alphabet.v1_index in flips else 0
+    v1_odd = alphabet.v1_index in flips
     vt, vu = plan.vt, plan.vu
-    counts: Dict[Multidegree, int] = {}
-    odd_counts: Dict[Multidegree, int] = {}
+    lines: Dict[Lane, List[Tuple[int, int, int, int]]] = {}
     for s, t, u, p, n, kept in found:
-        for j in kept:
-            # the Multidegree a page keeps as its key, built by tuple.__new__
-            # directly as in Multidegree.__add__
-            d = tuple.__new__(Multidegree, (s, t + vt * j, u + vu * j))
-            counts[d] = counts.get(d, 0) + n
-            if p ^ (v1_flip & j):
-                odd_counts[d] = odd_counts.get(d, 0) + n
-    return WindowCounts(window, counts, odd_counts, truncated, alphabet)
+        if kept:
+            k = u // vu if vu else 0
+            a = k + kept.start
+            lines.setdefault((s, t - vt * k, u - vu * k), []).append((a, k + kept[-1], n, p ^ (v1_odd & kept.start)))
+    return WindowCounts(window, lines, truncated, alphabet, v1_odd)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import replace
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .dga import (
     D2Report,
@@ -35,6 +35,7 @@ from .dga import (
     PageRefusedError,
     PresentationPage,
     UntrustedDegreeError,
+    _NO_SHIFT,
     _PageDims,
     d_squared_on_generators,
     homology_page,
@@ -44,13 +45,17 @@ from .gf2poly import (
     Alphabet,
     Generator,
     GF2PolyError,
+    Lane,
     Monomial,
     Multidegree,
     Polynomial,
     Quotient,
+    Run,
+    Runs,
     TruncationWindow,
     WindowBasis,
     WindowCounts,
+    _add_cuts,
     _name_rank,
     _xor,
     count_window,
@@ -58,6 +63,8 @@ from .gf2poly import (
     mono_divides,
     mono_mul,
     mono_str,
+    segment_runs,
+    spans,
 )
 from .mahowald import ZBHTables, zbh_bases
 
@@ -133,17 +140,15 @@ def w_of_v1_exponent(i: int) -> int:
 
 
 # multiplying by v1^W_PERIOD keeps w, so the w-sliced reports are decided
-# once per orbit of degrees under this step (Workbench._w_list)
+# once per run of degrees along this step (Workbench._w_runs).  A lane of it
+# is an orbit (s, t - 2u, u mod W_PERIOD): Workbench._pattern_count reads its
+# degree only through s, q = t - 2u + 3s - 5a and (u - (s - a)) mod
+# W_PERIOD, so it takes the same value, or refuses the same (p, q), along a
+# lane
 _W_STEP = V1_DEGREE.scaled(W_PERIOD)
-
-
-def _orbit(d: Multidegree) -> Tuple[int, int, int]:
-    """(s, t - 2u, u mod W_PERIOD): two degrees agree in it exactly when
-    they differ by a multiple of _W_STEP = (0, 2, 1) * W_PERIOD.
-    Workbench._pattern_count reads its degree only through s,
-    q = t - 2u + 3s - 5a and (u - (s - a)) mod W_PERIOD, so it takes the
-    same value, or refuses the same (p, q), at every degree of an orbit."""
-    return d.s, d.t - 2 * d.u, d.u % W_PERIOD
+# the step of the e3 comparison: E3(EndM)'s v1 has stride 2, and d2's
+# parity flips with each power of v1
+_E3_STEP = V1_DEGREE.scaled(2)
 
 
 def adams_bidegree(d: Multidegree) -> Tuple[int, int]:
@@ -186,24 +191,89 @@ def check_row(claim: str, degree: Tuple[int, ...], lhs: int, rhs: int, decided: 
     return CheckRow(claim, degree, lhs, rhs, status)
 
 
-class Report:
-    """A flat list of per-degree check rows with a pass/fail summary."""
+def check_group(claim: str, degrees: "DegreeRun", lhs: int, rhs: int) -> "CheckGroup":
+    """check_row's rule, decided once for the rows at every degree of a run."""
+    return CheckGroup(*check_row(claim, degrees, lhs, rhs))
 
-    def __init__(self, name: str, rows: List[CheckRow], conditional: bool = False):
+
+class DegreeRun:
+    """The degrees first + k*step for k < length, each with tail appended:
+    the degrees of one group of rows decided once along a run."""
+
+    __slots__ = ("first", "step", "length", "tail")
+
+    def __init__(self, run: Run, step: Multidegree, tail: Tuple[int, ...] = ()):
+        self.first, self.length = run.first, run.length
+        self.step, self.tail = step, tail
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        (s, t, u), (ds, dt, du), tail = self.first, self.step, self.tail
+        for k in range(self.length):
+            d = tuple.__new__(Multidegree, (s + k * ds, t + k * dt, u + k * du))
+            yield (*d, *tail) if tail else d
+
+
+class CheckGroup(NamedTuple):
+    """The rows (claim, d, lhs, rhs, status) for d in degrees."""
+
+    claim: str
+    degrees: Sequence[Tuple[int, ...]]
+    lhs: int
+    rhs: int
+    status: str
+
+
+def _row_order(row: CheckRow) -> Tuple[int, ...]:
+    return row.degree[:3]
+
+
+class Report:
+    """Check rows with a pass/fail summary, kept either as a list or, for a
+    report decided once per run, as groups (CheckGroup) of one verdict over
+    many degrees.  checked counts the rows and failures() builds only the
+    failing ones; rows is the whole list, a grouped report's expanded in
+    degree order, with the rows of one degree in the order of its groups."""
+
+    def __init__(self, name: str, rows: Sequence[CheckRow] = (), conditional: bool = False, groups=None):
         self.name = name
-        self.rows = rows
         self.conditional = conditional
+        self._grouped = groups is not None
+        self._items = list(rows) if groups is None else groups
+
+    @property
+    def groups(self) -> List[CheckGroup]:
+        if self._grouped:
+            return self._items
+        return [CheckGroup(r.claim, (r.degree,), r.lhs, r.rhs, r.status) for r in self._items]
+
+    @property
+    def rows(self) -> List[CheckRow]:
+        return self._expand(self._items)
+
+    @property
+    def checked(self) -> int:
+        return sum(len(g.degrees) for g in self._items) if self._grouped else len(self._items)
 
     @property
     def ok(self) -> bool:
-        return all(r.status == "ok" for r in self.rows)
+        return all(item.status == "ok" for item in self._items)
 
     def failures(self) -> List[CheckRow]:
-        return [r for r in self.rows if r.status != "ok"]
+        return self._expand([item for item in self._items if item.status != "ok"])
+
+    def _expand(self, items) -> List[CheckRow]:
+        if not self._grouped:
+            return items
+        rows = [CheckRow(claim, d, lhs, rhs, status) for claim, degrees, lhs, rhs, status in items for d in degrees]
+        rows.sort(key=_row_order)
+        return rows
 
     def __repr__(self) -> str:
         state = "ok" if self.ok else f"{len(self.failures())} failures"
-        return f"Report({self.name}: {len(self.rows)} rows, {state})"
+        return f"Report({self.name}: {self.checked} rows, {state})"
 
 
 def _parts_sum(count: int, total: int) -> bool:
@@ -245,26 +315,39 @@ class MatchedPage(_PageDims):
 
     def __init__(self, pres: PagePresentation, counts: WindowCounts, odd: FrozenSet[int]):
         # counts: the alpha-free monomials of a window, parity-split on odd
+        super().__init__(pres, counts, pres.degree_shift)
         a = pres.alphabet
-        (ds, dt, du), (a_s, a_t, a_u) = pres.degree_shift, a.generator("alpha").degree
-        # the degrees with a nonempty basis: N(d) > 0 or N(d - |alpha|) > 0
-        nonempty = set(counts.degrees())
-        nonempty.update([(s + a_s, t + a_t, u + a_u) for s, t, u in nonempty])
-        dims: Dict[Multidegree, Tuple[int, int]] = {}
-        for s, t, u in nonempty:
-            if counts.complete_around((s, t, u), pres.degree_shift):
-                even = counts.count((s, t, u)) - counts.odd_count((s, t, u))
-                dims[Multidegree(s, t, u)] = (
-                    even + counts.count((s - a_s, t - a_t, u - a_u)),
-                    counts.odd_count((s - ds, t - dt, u - du)),
-                )
-        super().__init__(pres, counts, dims, pres.degree_shift)
+        self._counts = counts
+        self._alpha = a.generator("alpha").degree
+        # d2's parity flips with each power of v1
+        self.step = a.v1.degree.scaled(2)
         self.conditional = True  # as every EndM page from r = 3 on
         self._mu = Polynomial.parse(a, D2_FACTOR).monomials_sorted()[0]
         self._odd = odd
         # the factors of mu a boundary mu*m must carry; v1 is invertible
         self._mu_cover = tuple((gi, e) for gi, e in self._mu if not a[gi].invertible)
         self._mu_parity = self._parity(self._mu)
+
+    def _entry(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
+        # a degree of the page has a nonempty basis, N(d) > 0 or N(d - |alpha|) > 0
+        counts = self._counts
+        n, n_odd = counts._at(d)
+        n_alpha = counts.count(d - self._alpha)
+        if not (n or n_alpha) or not counts.complete_around(d, self._shift):
+            return None
+        return n - n_odd + n_alpha, counts.odd_count(d - self._shift)
+
+    def _make_runs(self, step: Multidegree) -> Runs:
+        """Cut where N(d), N(d - |alpha|), N_o(d - shift) or the trust may
+        change, each read off the counts' pieces."""
+        cuts = self._counts.count_cuts(step)
+        lanes: Dict[Lane, List[int]] = {}
+        _add_cuts(lanes, step, cuts, support=True)
+        _add_cuts(lanes, step, cuts, _NO_SHIFT - self._alpha, support=True)
+        span = spans(lanes)
+        _add_cuts(lanes, step, cuts, _NO_SHIFT - self._shift)
+        self.trust_cuts(lanes, step)
+        return segment_runs(step, lanes, span, self._entry)
 
     def _parity(self, mono: Monomial) -> int:
         return sum(e for gi, e in mono if gi in self._odd) & 1
@@ -708,35 +791,31 @@ class Workbench:
         j, a, _ = walk or self._m_walk(mono)
         return w_of_v1_exponent(j) + a
 
+    def _w_runs(self) -> Runs:
+        """The runs of M's page 3 along _W_STEP, one w list each.
+
+        A run's degrees are complete and their bases have one nonzero size.
+        A complete degree holds every monomial of its degree, so multiplying
+        by v1^W_PERIOD (v1 is invertible) maps the basis at d - _W_STEP one
+        to one onto the basis at d, keeping the canonical order (v1
+        exponent, then the v1-free part), as homology_page's matrices do.
+        It adds W_PERIOD to the corrected v1 exponent j of _m_walk and keeps
+        the h(1,1) exponent, so it keeps w = w4(j) + a, w4 having period
+        W_PERIOD: the degrees of a run have one w list."""
+        return self.page("M", 3).runs(_W_STEP)
+
     def _w_list(self, d: Multidegree) -> List[int]:
         """w of each M basis monomial of degree d, in basis order, walked
-        once per v1-orbit: the list of d - _W_STEP is d's own (_w_shared)."""
-        got = self._w_lists.get(d)
-        if got is None:
-            got = self._w_shared(d)
-            if got is None:
-                got = [self.w_degree(m) for m in self.page("M", 3).basis(d)]
-            self._w_lists[d] = got
-        return got
-
-    def _w_shared(self, d: Multidegree) -> Optional[List[int]]:
-        """The very w list of d - _W_STEP when it is also d's, else None.
-
-        It is when both degrees are complete and their bases have the same
-        nonzero size (an empty list shares nothing, and the nonempty bases
-        end the walk down the orbit).  A complete degree holds every
-        monomial of its degree, so multiplying by v1^W_PERIOD (v1 is
-        invertible) maps the basis at d - _W_STEP one to one onto the basis
-        at d, keeping the canonical order (v1 exponent, then the v1-free
-        part), as homology_page's matrices do.  It adds W_PERIOD to the
-        corrected v1 exponent j of _m_walk and keeps the h(1,1) exponent, so
-        it keeps w = w4(j) + a, w4 having period W_PERIOD."""
+        once per run of _w_runs, at its first degree; a degree outside the
+        runs (no basis, or not complete) is walked at its own."""
         page = self.page("M", 3)
-        earlier = d - _W_STEP
-        size = page.size(d)
-        if size and page.trusted(d) and page.trusted(earlier) and page.size(earlier) == size:
-            return self._w_list(earlier)
-        return None
+        run = self._w_runs().at(d)
+        if run is None:
+            return [self.w_degree(m) for m in page.basis(d)]
+        got = self._w_lists.get(run.first)
+        if got is None:
+            got = self._w_lists[run.first] = [self.w_degree(m) for m in page.basis(run.first)]
+        return got
 
     def verify_w_grading(self) -> Report:
         """d3 raises w by exactly 1 on every in-window M basis monomial m.
@@ -748,42 +827,35 @@ class Workbench:
         each shift is w4(j + j_r) - w4(j) + a_r.  They are read off one image
         per key.
 
-        The rows are decided once per w list.  Where _w_list shares the
-        list of d - _W_STEP with d, v1^W_PERIOD maps the basis at d - _W_STEP
-        onto the basis at d in order and keeps each key (j mod 4, and the
-        odd set, whose v1 entry is bit 1 of j), so the (lhs, rhs) of the
-        rows at d are those of the list's first degree.  At that degree one
-        walk per monomial gives both its w and its key.  Page 4 of M is
-        built first, so a refused d3 fails here."""
+        The rows are decided once per run of _w_runs.  v1^W_PERIOD maps the
+        basis at d - _W_STEP onto the basis at d in order and keeps each key
+        (j mod 4, and the odd set, whose v1 entry is bit 1 of j), so the
+        (lhs, rhs) of the rows at every degree of a run are those of its
+        first degree.  There one walk per monomial gives both its w and its
+        key.  Page 4 of M is built first, so a refused d3 fails here."""
         self.page("M", 4)
         page = self.page("M", 3)
         shifts: Dict[Tuple[int, FrozenSet[int]], Set[int]] = {}
-        sides: Dict[int, List[Tuple[int, int]]] = {}  # id of a w list -> (lhs, rhs) of its rows
-        rows = []
-        for d in page.degrees():
+        groups = []
+        for run in self._w_runs():
+            d = run.first
+            basis = page.basis(d)
+            walks = [self._m_walk(mono) for mono in basis]
             w_list = self._w_lists.get(d)
             if w_list is None:
-                w_list = self._w_shared(d)
-            got = None if w_list is None else sides.get(id(w_list))
-            if got is None:
-                basis = page.basis(d)
-                walks = [self._m_walk(mono) for mono in basis]
-                if w_list is None:
-                    w_list = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
-                got = sides[id(w_list)] = []
-                for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
-                    key = (j % W_PERIOD, odd)
-                    shift = shifts.get(key)
-                    if shift is None:
-                        image = self.induced_d3m_monomial(mono).terms
-                        shift = shifts[key] = {self.w_degree(m) - w_in for m in image}
-                    if shift:
-                        # an image spread over several w reads -1, which
-                        # w_in + 1 >= 1 never equals
-                        got.append((w_in + 1, w_in + min(shift) if len(shift) == 1 else -1))
-            self._w_lists[d] = w_list
-            rows.extend(check_row("w-shift", d, lhs, rhs) for lhs, rhs in got)
-        return Report("w-grading", rows, conditional=True)
+                w_list = self._w_lists[d] = [self.w_degree(m, walk) for m, walk in zip(basis, walks)]
+            degrees = DegreeRun(run, _W_STEP)
+            for mono, (j, _, odd), w_in in zip(basis, walks, w_list):
+                key = (j % W_PERIOD, odd)
+                shift = shifts.get(key)
+                if shift is None:
+                    image = self.induced_d3m_monomial(mono).terms
+                    shift = shifts[key] = {self.w_degree(m) - w_in for m in image}
+                if shift:
+                    # an image spread over several w reads -1, which
+                    # w_in + 1 >= 1 never equals
+                    groups.append(check_group("w-shift", degrees, w_in + 1, w_in + min(shift) if len(shift) == 1 else -1))
+        return Report("w-grading", conditional=True, groups=groups)
 
     # ---- d squared ----
 
@@ -849,42 +921,73 @@ class Workbench:
         the presented page 3, at every degree trusted on both sides.  Both
         sides are counted, not enumerated: the homology off the d2 matching
         over the E2(EndM) alphabet, the presented page as the quotient of
-        the E3(EndM) alphabet by its relations."""
+        the E3(EndM) alphabet by its relations.  A row is decided once per
+        run along which neither page changes."""
         computed = self.page("EndM", 3)
         presented = PresentationPage(self.presentation("EndM", 3), self.window)
-        rows = []
-        for d in sorted(set(computed.degrees()) | set(presented.degrees())):
-            if computed.trusted(d) and presented.trusted(d):
-                rows.append(check_row("e3-presentation", d, computed.dim(d), presented.dim(d)))
-        return Report("e3-presentation", rows, conditional=True)
+        runs = [page.runs(_E3_STEP) for page in (computed, presented)]
+        lanes: Dict[Lane, List[int]] = {}
+        for got in runs:
+            _add_cuts(lanes, _E3_STEP, got.cuts(), support=True)
+        span = spans(lanes)
+        for page in (computed, presented):
+            page.trust_cuts(lanes, _E3_STEP)
+
+        def value(d):
+            lhs, rhs = (got.at(d) for got in runs)
+            if lhs is None and rhs is None:
+                return None
+            lhs = lhs.value if lhs else computed.dims_at(d)
+            rhs = rhs.value if rhs else presented.dims_at(d)
+            return None if lhs is None or rhs is None else (lhs[0] - lhs[1], rhs[0] - rhs[1])
+
+        groups = [
+            check_group("e3-presentation", DegreeRun(run, _E3_STEP), *run.value)
+            for run in segment_runs(_E3_STEP, lanes, span, value)
+        ]
+        return Report("e3-presentation", conditional=True, groups=groups)
 
     def verify_module_isomorphisms(self) -> Report:
         """dim E2(M) = dim E2(EndM)/(alpha) = dim E2(S)/(h(1,0)), degree by
-        degree.  The quotients are counted, not enumerated."""
+        degree, decided once per run along which no count changes.  The
+        quotients are counted, not enumerated."""
         m_page = self.page("M", 2)
         # the counts carry the trust of the whole EndM and S bases
         sphere = self.alphabet("S", 2)
         endm_free = self._alpha_free_endm()
         sphere_free = count_window(Quotient(sphere, tuple(Polynomial.parse(sphere, "h(1,0)").terms)), self.window)
-        rows = []
-        for d in m_page.degrees():
-            if not (endm_free.complete(d) and sphere_free.complete(d)):
-                continue
-            lhs = m_page.dim(d)
-            rows.append(check_row("m-vs-endm-mod-alpha", d, lhs, endm_free.count(d)))
-            rows.append(check_row("m-vs-s-mod-h10", d, lhs, sphere_free.count(d)))
-        return Report("module-isomorphisms", rows)
+        lanes: Dict[Lane, List[int]] = {}
+        _add_cuts(lanes, V1_DEGREE, m_page.runs(V1_DEGREE).cuts(), support=True)
+        span = spans(lanes)
+        for counts in (endm_free, sphere_free):
+            _add_cuts(lanes, V1_DEGREE, counts.count_cuts(V1_DEGREE, parity=False))
+            counts.trust_cuts(lanes, _NO_SHIFT, V1_DEGREE)
+
+        def value(d):
+            lhs = m_page._entry(d)
+            if lhs is None or not (endm_free.complete(d) and sphere_free.complete(d)):
+                return None
+            return lhs[0], endm_free.count(d), sphere_free.count(d)
+
+        groups = []
+        for run in segment_runs(V1_DEGREE, lanes, span, value):
+            degrees, (lhs, endm, sphere) = DegreeRun(run, V1_DEGREE), run.value
+            groups.append(check_group("m-vs-endm-mod-alpha", degrees, lhs, endm))
+            groups.append(check_group("m-vs-s-mod-h10", degrees, lhs, sphere))
+        return Report("module-isomorphisms", groups=groups)
 
     # ---- the w-sliced complex ----
 
-    def _slice_rank(self, d: Multidegree, n: int) -> int:
+    def _slice_rank(self, d: Multidegree, n: int, w_list: Optional[List[int]] = None) -> int:
         """Rank of d3 from slice n at d to slice n+1 at d+shift, read off the
         page-4 matrix at d (built at every trusted d and one shift below).
         It presumes the w grading, which verify_w_grading checks: then the
         slice-n columns meet only slice-n+1 rows.  The rank is a function of
         the matrix, the w list and n, so it is taken once per (matrix list,
-        w list, n): degrees of one v1-orbit share both lists."""
-        w_list = self._w_list(d)
+        w list, n): degrees of one v1-orbit share both lists.  w_list is
+        _w_list(d), read here unless the caller has it."""
+        if w_list is None:
+            w_list = self._w_list(d)
         if n not in w_list:
             return 0
         rows = self.page("M", 4).matrix(d)
@@ -895,22 +998,10 @@ class Workbench:
             got = self._slice_ranks[key] = rank([row & cols for row in rows])
         return got
 
-    def _slice_inputs(self, d: Multidegree) -> Tuple[int, ...]:
-        """What the slice dimensions at d read: the ids of its w list and,
-        where that list is nonempty, of its page-4 matrix; empty for an
-        empty list, whose slices are all 0.  A nonempty list is read only
-        at trusted degrees and one shift below them, which have a matrix."""
-        w_list = self._w_list(d)
-        return (id(w_list), id(self.page("M", 4).matrix(d))) if w_list else ()
-
-    def _slice_kernel_dim(self, d: Multidegree, n: int) -> int:
-        return self._w_list(d).count(n) - self._slice_rank(d, n)
-
-    def _slice_homology_dim(self, d: Multidegree, n: int) -> int:
-        h = self._slice_kernel_dim(d, n)
-        if n > 0:
-            h -= self._slice_rank(d - D3_SHIFT, n - 1)
-        return h
+    def _slice_kernel_dim(self, d: Multidegree, n: int, w_list: Optional[List[int]] = None) -> int:
+        if w_list is None:
+            w_list = self._w_list(d)
+        return w_list.count(n) - self._slice_rank(d, n, w_list)
 
     # ---- pattern counts off the squares-complex tables ----
 
@@ -970,43 +1061,45 @@ class Workbench:
         claim-i: kernel dimensions per slice;
         claim-ii: image dimensions per slice, with im = ker above slice 1.
 
-        Each row is written at its own degree, but the values of a degree
-        are computed once per distinct input.  They read the slices at d,
-        d - D3_SHIFT and, where page 4 trusts it, d + D3_SHIFT, each a
-        function of a w list and a page-4 matrix (_slice_inputs), and
-        pattern counts at d and d + D3_SHIFT, which read d through
-        _orbit(d) alone.  Two degrees with the same list objects, the same
-        trust one shift up and the same orbit have the same values.
+        The rows are decided once per run along _W_STEP.  They read the
+        slices at d, d - D3_SHIFT and, where page 4 trusts it, d + D3_SHIFT,
+        each a function of a w list (_w_runs) and a page-4 matrix (its
+        runs), and pattern counts at d and d + D3_SHIFT, which read d
+        through its lane of _W_STEP alone.  So the values
+        change only where a run of page 4 or of the w lists starts or ends
+        at one of those degrees, or page 4's trust at d + D3_SHIFT does.
         """
         page4 = self.page("M", 4)
-        values: Dict[tuple, List[Tuple[str, Optional[int], int, int]]] = {}
-        rows: List[CheckRow] = []
-        for d in page4.degrees():
-            d_next = d + D3_SHIFT
+        runs4 = page4.runs(_W_STEP)
+        lanes: Dict[Lane, List[int]] = {}
+        _add_cuts(lanes, _W_STEP, runs4.cuts(), support=True)
+        span = spans(lanes)
+        _add_cuts(lanes, _W_STEP, runs4.cuts(), D3_SHIFT)
+        page4.trust_cuts(lanes, _W_STEP, D3_SHIFT)
+
+        def value(d):
             # the image claim reads dimensions one shift up, so it needs
             # one more complete degree
-            up = page4.trusted(d_next)
-            key = (
-                self._slice_inputs(d),
-                self._slice_inputs(d - D3_SHIFT),
-                self._slice_inputs(d_next) if up else None,
-                _orbit(d),
-            )
-            got = values.get(key)
-            if got is None:
-                got = values[key] = self._e4_claim_values(d, up)
-            rows.extend(check_row(claim, d if n is None else (*d, n), lhs, rhs) for claim, n, lhs, rhs in got)
-        return Report("e4-claims", rows, conditional=True)
+            return self._e4_claim_values(d, page4.trusted(d + D3_SHIFT)) if page4._entry(d) else None
+
+        groups = []
+        for run in segment_runs(_W_STEP, lanes, span, value):
+            for claim, n, lhs, rhs in run.value:
+                groups.append(check_group(claim, DegreeRun(run, _W_STEP, () if n is None else (n,)), lhs, rhs))
+        return Report("e4-claims", conditional=True, groups=groups)
 
     def _e4_claim_values(self, d: Multidegree, up: bool) -> List[Tuple[str, Optional[int], int, int]]:
         """(claim, n, lhs, rhs) of each e4-claims row at d, in row order; n
         is None for the claims whose row is keyed by d alone.  up: whether
         page 4 trusts d + D3_SHIFT."""
         out: List[Tuple[str, Optional[int], int, int]] = []
-        n_here = set(self._w_list(d))
-        n_prev = set(self._w_list(d - D3_SHIFT))
-        for n in sorted(n_here | {n + 1 for n in n_prev}):
-            h = self._slice_homology_dim(d, n)
+        below = d - D3_SHIFT
+        w_here, w_below = self._w_list(d), self._w_list(below)
+        n_here = sorted(set(w_here))
+        for n in sorted(set(n_here) | {n + 1 for n in w_below}):
+            h = self._slice_kernel_dim(d, n, w_here)
+            if n > 0:
+                h -= self._slice_rank(below, n - 1, w_below)
             if n == 0:
                 out.append(("claim-1", None, h, self._zf(0, d)))
             elif n == 1:
@@ -1015,35 +1108,34 @@ class Workbench:
                 out.append(("claim-3", None, h, self._hf(2, d) + self._bv(2, d)))
             else:
                 out.append(("claim-4", None, h, 0))
-        for n in sorted(n_here):
-            ker = self._slice_kernel_dim(d, n)
+        for n in n_here:
+            ker = self._slice_kernel_dim(d, n, w_here)
             expect = self._zf(n, d) if n < 2 else self._zf(n, d) + self._bv(n, d)
             out.append(("claim-i", n, ker, expect))
         if up:
             d_next = d + D3_SHIFT
-            for n in sorted(n_here):
-                im = self._slice_rank(d, n)
+            w_next = self._w_list(d_next)
+            for n in n_here:
+                im = self._slice_rank(d, n, w_here)
                 if n < 2:
                     expect = self._bf(n + 1, d_next)
                 else:
-                    expect = self._slice_kernel_dim(d_next, n + 1)
+                    expect = self._slice_kernel_dim(d_next, n + 1, w_next)
                 out.append(("claim-ii", n, im, expect))
         return out
 
     def verify_e4_dimensions(self) -> Report:
         """dim of the computed page 4 of M equals the sum of the sliced
-        closed forms, degree by degree.  The closed forms are pattern
-        counts, so their sum is taken once per _orbit."""
+        closed forms, degree by degree, once per run of page 4 along
+        _W_STEP: the closed forms are pattern counts, which read a degree
+        through its lane alone."""
         page4 = self.page("M", 4)
-        closed: Dict[Tuple[int, int, int], int] = {}
-        rows = []
-        for d in page4.degrees():
-            orbit = _orbit(d)
-            rhs = closed.get(orbit)
-            if rhs is None:
-                rhs = closed[orbit] = self._zf(0, d) + self._hf(1, d) + self._hf(2, d) + self._bv(2, d)
-            rows.append(check_row("e4-closed-form", d, page4.dim(d), rhs))
-        return Report("e4-closed-form", rows, conditional=True)
+        groups = []
+        for run in page4.runs(_W_STEP):
+            d = run.first
+            rhs = self._zf(0, d) + self._hf(1, d) + self._hf(2, d) + self._bv(2, d)
+            groups.append(check_group("e4-closed-form", DegreeRun(run, _W_STEP), page4.dim(d), rhs))
+        return Report("e4-closed-form", conditional=True, groups=groups)
 
     # ---- survival fates ----
 
