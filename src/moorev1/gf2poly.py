@@ -618,9 +618,6 @@ class Runs:
             for _, run in runs:
                 yield run
 
-    def __len__(self) -> int:
-        return sum(map(len, self._starts.values()))
-
     def at(self, d: Tuple[int, int, int]) -> Optional[Run]:
         lane, k = _lane(d, self.step)
         starts = self._starts.get(lane)
@@ -714,18 +711,11 @@ class _WindowTrust:
     def _stretches(self, step: Multidegree) -> Dict[Lane, List[int]]:
         """Where each stretch of consecutive truncated degrees starts and
         ends, by lane of step."""
-        ks: Dict[Lane, List[int]] = {}
+        cuts: Dict[Lane, Set[int]] = {}
         for d in self._truncated:
             lane, k = _lane(d, step)
-            ks.setdefault(lane, []).append(k)
-        cuts: Dict[Lane, List[int]] = {}
-        for lane, got in ks.items():
-            got.sort()
-            out = cuts[lane] = [got[0]]
-            for a, b in zip(got, got[1:]):
-                if b != a + 1:
-                    out.extend((a + 1, b))
-            out.append(got[-1] + 1)
+            # the ends shared by two neighbours cancel
+            cuts.setdefault(lane, set()).symmetric_difference_update((k, k + 1))
         return cuts
 
     def _in_box(self, s: int, t: int, u: int) -> bool:
@@ -828,35 +818,28 @@ class WindowCounts(_WindowTrust):
     """The number of window monomials at every degree, with the
     completeness flags of the enumeration they count.
 
-    The counts are kept as count_window's walk yields them: each part
-    degree, at a position on its v1-line (_lane under v1's degree), with its
-    kept positions a..b in steps of v1's stride, its count n and the parity
-    of its parts at a (v1 flips it at every step when v1 is odd).  A degree
-    is counted by the pieces of its line, and runs decides a stretch of
-    a line once."""
+    The counts are kept as _walk_parts yields them: each part degree and
+    parity with its count n and kept v1 exponents, filed as a piece (a, b,
+    n, parity at a) of positions a, a + stride, ..., b on the part
+    degree's line (_lane under v1's degree; without v1, under (0, 0, 1), one
+    position per piece).  A degree is counted off the pieces of its line."""
 
-    def __init__(
-        self,
-        window: TruncationWindow,
-        lines: Dict[Lane, List[Tuple[int, int, int, int]]],
-        truncated: Set[Tuple[int, int, int]],
-        alphabet: Alphabet,
-        v1_odd: bool = False,
-    ):
+    def __init__(self, window: TruncationWindow, found: List[tuple], truncated, alphabet: Alphabet, v1_odd=False):
         super().__init__(window, truncated, alphabet)
-        self._lines = lines  # line -> (a, b, n, parity at a), pieces with n > 0
         v1 = alphabet.v1
-        self._v1 = (0, 0, 0) if v1 is None else v1.degree  # (0, 0, 0): each degree is its own line
+        self._v1 = Multidegree(0, 0, 1) if v1 is None else v1.degree
         self._stride = 1 if v1 is None else v1.stride
-        self._flip = int(v1_odd)
+        self._flip = int(v1_odd)  # the parity flips with each power of an odd v1
+        self._lines: Dict[Lane, List[Tuple[int, int, int, int]]] = {}
+        for s, t, u, p, n, kept in found:
+            if kept:
+                line, k = _lane((s, t, u), self._v1)
+                self._lines.setdefault(line, []).append((k + kept.start, k + kept[-1], n, p ^ (v1_odd & kept.start)))
         self._count_lanes: Dict[Multidegree, Dict[Lane, List[int]]] = {}
 
     def _at(self, d: Tuple[int, int, int]) -> Tuple[int, int]:
         """(count, odd count) at d."""
-        if self._v1[2]:
-            line, k = _lane(d, self._v1)
-        else:
-            line, k = tuple(d), 0
+        line, k = _lane(d, self._v1)
         n = odd = 0
         stride, flip = self._stride, self._flip
         for a, b, m, parity in self._lines.get(line, ()):
@@ -885,8 +868,8 @@ class WindowCounts(_WindowTrust):
         line are a, a + stride, ..., b, and position p = q*m + r sits at q on
         the lane r steps of v1 up the line."""
         (_, vt, vu), stride = self._v1, self._stride
-        m = step[2] // vu if vu else 0
-        if not m or step != self._v1.scaled(m) or m % stride or parity and self._flip & m:
+        m = step[2] // vu
+        if self.alphabet.v1 is None or step != self._v1.scaled(m) or m < 1 or m % stride or parity and self._flip & m:
             raise GF2PolyError(f"runs of step {tuple(step)} do not fit v1's degree, stride and parity")
         got = self._count_lanes.get(step)
         if got is None:
@@ -1145,12 +1128,4 @@ def count_window(algebra: Algebra, window: TruncationWindow, odd: Iterable[str] 
     plan = _PartPlan(alphabet, window)
     flips = {alphabet.index(name) for name in odd}
     truncated, found = _walk_parts(quotient, plan, flips, False)
-    v1_odd = alphabet.v1_index in flips
-    vt, vu = plan.vt, plan.vu
-    lines: Dict[Lane, List[Tuple[int, int, int, int]]] = {}
-    for s, t, u, p, n, kept in found:
-        if kept:
-            k = u // vu if vu else 0
-            a = k + kept.start
-            lines.setdefault((s, t - vt * k, u - vu * k), []).append((a, k + kept[-1], n, p ^ (v1_odd & kept.start)))
-    return WindowCounts(window, lines, truncated, alphabet, v1_odd)
+    return WindowCounts(window, found, truncated, alphabet, alphabet.v1_index in flips)

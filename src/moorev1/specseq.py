@@ -226,10 +226,6 @@ class CheckGroup(NamedTuple):
     status: str
 
 
-def _row_order(row: CheckRow) -> Tuple[int, ...]:
-    return row.degree[:3]
-
-
 class Report:
     """Check rows with a pass/fail summary, kept either as a list or, for a
     report decided once per run, as groups (CheckGroup) of one verdict over
@@ -240,14 +236,8 @@ class Report:
     def __init__(self, name: str, rows: Sequence[CheckRow] = (), conditional: bool = False, groups=None):
         self.name = name
         self.conditional = conditional
-        self._grouped = groups is not None
+        self.groups: Optional[List[CheckGroup]] = groups  # None: the rows are kept as they are
         self._items = list(rows) if groups is None else groups
-
-    @property
-    def groups(self) -> List[CheckGroup]:
-        if self._grouped:
-            return self._items
-        return [CheckGroup(r.claim, (r.degree,), r.lhs, r.rhs, r.status) for r in self._items]
 
     @property
     def rows(self) -> List[CheckRow]:
@@ -255,7 +245,7 @@ class Report:
 
     @property
     def checked(self) -> int:
-        return sum(len(g.degrees) for g in self._items) if self._grouped else len(self._items)
+        return len(self._items) if self.groups is None else sum(len(g.degrees) for g in self.groups)
 
     @property
     def ok(self) -> bool:
@@ -265,10 +255,10 @@ class Report:
         return self._expand([item for item in self._items if item.status != "ok"])
 
     def _expand(self, items) -> List[CheckRow]:
-        if not self._grouped:
+        if self.groups is None:
             return items
         rows = [CheckRow(claim, d, lhs, rhs, status) for claim, degrees, lhs, rhs, status in items for d in degrees]
-        rows.sort(key=_row_order)
+        rows.sort(key=lambda row: row.degree[:3])
         return rows
 
     def __repr__(self) -> str:

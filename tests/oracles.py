@@ -23,6 +23,7 @@ from moorev1.gf2poly import (
     WindowBasis,
     _PartPlan,
     _quotient,
+    _walk_parts,
     _xor,
     enumerate_window,
     mono_degree,
@@ -30,6 +31,7 @@ from moorev1.gf2poly import (
 )
 from moorev1.specseq import (
     D3_SHIFT,
+    CheckRow,
     DECOMPOSITION_FILT_MAX,
     DECOMPOSITION_STEM_MAX,
     check_row,
@@ -179,6 +181,25 @@ def placements_per_j(plan, s, t, u):
     return placed
 
 
+def counts_by_placement(algebra, window, odd=()):
+    """(count, odd count) at each degree with a count, each part degree
+    and parity of _walk_parts placed at every j that placements_per_j finds
+    inside the v1 range: WindowCounts files them as pieces of v1-lines
+    instead, and reads a degree off its line."""
+    quotient = _quotient(algebra)
+    alphabet = quotient.alphabet
+    plan = _PartPlan(alphabet, window)
+    flips = {alphabet.index(name) for name in odd}
+    v1_flip = 1 if alphabet.v1_index in flips else 0
+    table = {}
+    for s, t, u, p, n, _ in _walk_parts(quotient, plan, flips, False)[1]:
+        for j, d, clipped in placements_per_j(plan, s, t, u):
+            if not clipped:
+                count, odd_count = table.get(d, (0, 0))
+                table[d] = (count + n, odd_count + (n if p ^ (v1_flip & j) else 0))
+    return table
+
+
 def e3_endm_by_ranks(wb):
     """E3(EndM) as the homology of (E2(EndM), d2) over the Workbench window,
     by ranks of the d2 matrices, where page("EndM", 3) counts it off the d2
@@ -274,6 +295,63 @@ def e4_closed_form_rows_every_degree(bench):
     for d in page4.degrees():
         rhs = bench._zf(0, d) + bench._hf(1, d) + bench._hf(2, d) + bench._bv(2, d)
         rows.append(check_row("e4-closed-form", d, page4.dim(d), rhs))
+    return rows
+
+
+def e3_presentation_rows_every_degree(bench):
+    """Workbench.verify_e3_presentation's rows with each degree read on its
+    own: the computed page's dims at every degree with an E2(EndM) or an
+    E3(EndM) basis monomial, and the presented page as the size of the
+    enumerated E3(EndM) basis where it is complete.  The report counts both
+    and decides a run of degrees at once."""
+    computed = bench.page("EndM", 3)
+    e2, e3 = (bench.presentation("EndM", r).basis(bench.window) for r in (2, 3))
+    rows = []
+    for d in sorted(set(e2.degrees()) | set(e3.degrees())):
+        dims = computed.dims_at(d)
+        if dims is not None and e3.complete(d):
+            rows.append(check_row("e3-presentation", d, dims[0] - dims[1], e3.size(d)))
+    return rows
+
+
+def w_grading_rows_every_degree(bench):
+    """Workbench.verify_w_grading's rows with every image computed
+    symbolically, at every complete degree of the enumerated M basis: the
+    report reads one image per key and decides a run of degrees at once."""
+    basis = bench.presentation("M", 3).basis(bench.window)
+    rows = []
+    for d in basis.degrees():
+        if not basis.complete(d):
+            continue
+        for mono in basis.basis(d):
+            image = bench.induced_d3m_monomial(mono)
+            if image.is_zero():
+                continue
+            w_in = bench.w_degree(mono)
+            w_out = sorted({bench.w_degree(m) for m in image.terms})
+            rhs = w_out[0] if len(w_out) == 1 else -1
+            status = "ok" if w_out == [w_in + 1] else "mismatch"
+            rows.append(CheckRow("w-shift", tuple(d), w_in + 1, rhs, status))
+    return rows
+
+
+def module_isomorphism_rows_every_degree(bench):
+    """Workbench.verify_module_isomorphisms's rows off enumerated bases:
+    the size of E2(M)'s, and the monomials of E2(EndM)'s free of alpha and
+    of E2(S)'s free of h(1,0), at every degree where all three bases are
+    complete.  The report counts them, once per run of degrees."""
+    bases = {tag: bench.presentation(tag, 2).basis(bench.window) for tag in ("M", "EndM", "S")}
+
+    def free(tag, name, d):
+        gi = bench.alphabet(tag, 2).index(name)
+        return sum(1 for m in bases[tag].basis(d) if all(g != gi for g, _ in m))
+
+    rows = []
+    for d in bases["M"].degrees():
+        if all(basis.complete(d) for basis in bases.values()):
+            lhs = bases["M"].size(d)
+            rows.append(check_row("m-vs-endm-mod-alpha", d, lhs, free("EndM", "alpha", d)))
+            rows.append(check_row("m-vs-s-mod-h10", d, lhs, free("S", "h(1,0)", d)))
     return rows
 
 

@@ -16,6 +16,7 @@ from moorev1.gf2poly import (
     TruncationWindow,
     UnknownGeneratorError,
     _PartPlan,
+    _quotient,
     count_window,
     default_window,
     enumerate_window,
@@ -30,6 +31,7 @@ from moorev1.specseq import D2_SHIFT, D3_SHIFT, Workbench, sufficient_h_index, s
 from oracles import (
     complete_around_by_three,
     counts_by_enumeration,
+    counts_by_placement,
     placements_per_j,
     quotient_basis_by_filter,
     window_basis_by_recursion,
@@ -924,3 +926,78 @@ class TestPolynomialRingAxioms:
         assert p + zero == p
         assert p * one == p
         assert p * zero == zero
+
+
+def verify_count_calls(bench):
+    """(algebra, odd) of each count_window call of verify: the bases of
+    E2(M), E3(EndM) and E2(EndM), E2(EndM) over alpha split by the
+    generators with d2 != 0, and E2(S) over h(1,0)."""
+    endm = bench.presentation("EndM", 2)
+    a, sphere = endm.alphabet, bench.alphabet("S", 2)
+    odd = [g.name for gi, g in enumerate(a) if endm.derivation_value(gi, 1)]
+    return [
+        (bench.presentation("M", 2).quotient, ()),
+        (bench.presentation("EndM", 3).quotient, ()),
+        (endm.quotient, ()),
+        (Quotient(a, tuple(Polynomial.parse(a, "alpha").terms)), odd),
+        (Quotient(sphere, tuple(Polynomial.parse(sphere, "h(1,0)").terms)), ()),
+    ]
+
+
+def assert_runs_constant_and_maximal(counts, shift, step, placed):
+    """Every run of counts.runs(shift, step) holds one (count, odd count,
+    trust) at each of its degrees, the degree one step past either end
+    holds no count or another value, and the runs cover exactly the
+    degrees with a count."""
+
+    def value(d):
+        return (counts.count(d), counts.odd_count(d), counts.complete_around(d, shift))
+
+    covered = []
+    for run in counts.runs(shift, step):
+        degrees = [run.first + step.scaled(k) for k in range(run.length)]
+        assert run.value[0] and all(value(d) == run.value for d in degrees), run
+        for d in (degrees[0] - step, degrees[-1] + step):
+            assert not counts.count(d) or value(d) != run.value, (run, d)
+        covered.extend(degrees)
+    assert sorted(covered) == sorted(placed)
+
+
+# the windows WindowCounts is checked on at every degree of the box
+COUNT_WINDOWS = {
+    "default": default_window(),
+    "t128": default_window(128),
+    "v1[-3,5]": default_window(v1_min=-3, v1_max=5),
+}
+
+
+@pytest.mark.parametrize("window", COUNT_WINDOWS.values(), ids=COUNT_WINDOWS.keys())
+def test_counts_by_line_match_enumeration_and_placement(window):
+    """WindowCounts files each part degree's count on its v1-line and
+    places nothing: its counts, odd counts and total against the
+    enumerate-and-filter oracle and against placing each part degree at
+    every j of placements_per_j, at every degree of the box, the degrees
+    the v1 range clips included; and its runs along the steps verify reads,
+    each constant and maximal, with the trust of shifts 0 and D3_SHIFT."""
+    bench = Workbench(window)
+    v1 = Multidegree(0, 2, 1)
+    for algebra, odd in verify_count_calls(bench):
+        quotient = _quotient(algebra)
+        counts = count_window(quotient, window, odd)
+        placed = counts_by_placement(quotient, window, odd)
+        want, truncated = counts_by_enumeration(quotient.alphabet, window, quotient.relations)
+        assert {d: n for d, (n, _) in placed.items()} == want
+        assert counts._truncated == truncated
+        assert counts.total() == sum(want.values())
+        (s_lo, s_hi), (t_lo, t_hi), (u_lo, u_hi) = window.s_range, window.t_range, window.u_range
+        for d in itertools.product(range(s_lo, s_hi + 1), range(t_lo, t_hi + 1), range(u_lo, u_hi + 1)):
+            assert (counts.count(d), counts.odd_count(d)) == placed.get(d, (0, 0)), d
+            assert counts.complete(d) == (d not in truncated), d
+        stride = quotient.alphabet.v1.stride
+        for m in (1, 2, 4):
+            if m % stride or odd and m % 2:
+                with pytest.raises(GF2PolyError, match="do not fit"):
+                    counts.runs(D3_SHIFT, v1.scaled(m))
+                continue
+            for shift in (Multidegree(0, 0, 0), D3_SHIFT):
+                assert_runs_constant_and_maximal(counts, shift, v1.scaled(m), placed)

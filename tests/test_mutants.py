@@ -22,9 +22,9 @@ from moorev1.cli import run
 from moorev1.dga import PagePresentation, PageRefusedError
 from moorev1.gf2poly import Polynomial, _WindowTrust, default_window
 from moorev1.specseq import InducedD3Presentation, Workbench
-from oracles import induced_d3_by_lift
+from oracles import e3_presentation_rows_every_degree, induced_d3_by_lift, w_grading_rows_every_degree
 from test_cobar import non_coassociative_comodule
-from test_specseq import reference_w_grading_rows
+from test_specseq import assert_rows_match
 
 _build_presentation = Workbench._build_presentation
 _w_degree = Workbench.w_degree
@@ -340,7 +340,7 @@ def test_a_refused_m_page_stops_at_its_first_transported_ratio(tmp_path, monkeyp
 
 def test_w_grading_rows_match_symbolic_reference_under_every_mutant(monkeypatch):
     """verify_w_grading reads one image per key (j mod 4, odd set), and
-    reference_w_grading_rows computes the image of every monomial.  Under
+    w_grading_rows_every_degree computes the image of every monomial.  Under
     each mutant they give the same rows wherever page 4 of M builds; where
     it refuses, the report refuses with the same message."""
     refused, mismatched = set(), set()
@@ -356,9 +356,9 @@ def test_w_grading_rows_match_symbolic_reference_under_every_mutant(monkeypatch)
                 assert str(again.value) == str(exc), label
                 refused.add(label)
                 continue
-            rows = bench.verify_w_grading().rows
-            assert rows == reference_w_grading_rows(bench), label
-            if any(r.status == "mismatch" for r in rows):
+            report = bench.verify_w_grading()
+            assert_rows_match(report, w_grading_rows_every_degree(bench))
+            if not report.ok:
                 mismatched.add(label)
     assert set(TABLE_MUTANTS) < refused
     assert "w += #h(2,1)" in mismatched
@@ -382,3 +382,26 @@ def test_decompose_reads_no_refusal_above_its_box(tmp_path, monkeypatch):
                 Workbench(default_window(64)).page("M", 4)
     for name in ("decomposition.tsv", "decomposition.json"):
         assert (tmp_path / "mutant" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_e3_rows_match_every_degree_oracle_under_every_mutant(monkeypatch):
+    """verify_e3_presentation decides a run of degrees at once; under each
+    mutant that e3-presentation catches its rows, failing rows included,
+    are the every-degree oracle's, or both refuse page 3 of EndM."""
+    mismatched = set()
+    for label, ((target, attr, replacement), caught_by) in MUTANTS.items():
+        if "e3-presentation" not in caught_by:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(target, attr, replacement)
+            bench = Workbench(default_window(24, 6, -7, 9))
+            try:
+                report = bench.verify_e3_presentation()
+            except PageRefusedError:
+                with pytest.raises(PageRefusedError):
+                    e3_presentation_rows_every_degree(bench)
+                continue
+            assert_rows_match(report, e3_presentation_rows_every_degree(bench))
+            if report.failures():
+                mismatched.add(label)
+    assert len(mismatched) > 5

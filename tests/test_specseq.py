@@ -47,6 +47,7 @@ from oracles import (
     cell_covered_by_box,
     cell_rhs_over_every_p,
     e3_endm_by_ranks,
+    e3_presentation_rows_every_degree,
     e4_claim_rows_every_degree,
     e4_closed_form_rows_every_degree,
     homology_matrices_every_degree,
@@ -54,8 +55,10 @@ from oracles import (
     induced_d3m,
     low_w_by_enumeration,
     low_w_by_search,
+    module_isomorphism_rows_every_degree,
     parts_sum_by_search,
     project_to_m,
+    w_grading_rows_every_degree,
 )
 
 
@@ -676,23 +679,6 @@ def reference_slice_matrix(bench, d, n):
     return len(source), rows
 
 
-def reference_w_grading_rows(bench):
-    """verify_w_grading's rows with every image computed symbolically."""
-    page = bench.page("M", 3)
-    rows = []
-    for d in page.degrees():
-        for mono in page.basis(d):
-            image = bench.induced_d3m_monomial(mono)
-            if image.is_zero():
-                continue
-            w_in = bench.w_degree(mono)
-            w_out = sorted({bench.w_degree(m) for m in image.terms})
-            rhs = w_out[0] if len(w_out) == 1 else -1
-            status = "ok" if w_out == [w_in + 1] else "mismatch"
-            rows.append(CheckRow("w-shift", tuple(d), w_in + 1, rhs, status))
-    return rows
-
-
 @pytest.mark.parametrize("t_max", [24, 32])
 def test_slice_ranks_match_symbolic_assembly(t_max):
     # every (d, n) whose slice ranks verify_e4_claims reads: trusted d, and
@@ -726,7 +712,7 @@ def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
         patch.setattr(ComputedPage, "matrix", lambda page, d: matrices.append(d) or real_matrix(page, d))
         patch.setattr(bench, "induced_d3m_monomial", lambda m: images.append(m) or real_induced(m))
         got = bench.verify_w_grading().rows
-    assert got == reference_w_grading_rows(bench)
+    assert got == w_grading_rows_every_degree(bench)
     assert any(r.status == "mismatch" for r in got) == broken
     # one route: no page-4 matrix is read, and one image per key
     # (j mod 4, odd set) decides the rows of every monomial with that key
@@ -744,7 +730,7 @@ def test_w_grading_rows_match_symbolic_reference(monkeypatch, broken):
 @given(st.integers(-1, 32), st.integers(0, 6), st.integers(-9, 0), st.integers(0, 9))
 def test_w_grading_rows_match_symbolic_reference_on_random_windows(t_max, s_max, v1_min, v1_max):
     bench = Workbench(default_window(t_max, s_max, v1_min, v1_max))
-    assert bench.verify_w_grading().rows == reference_w_grading_rows(bench)
+    assert bench.verify_w_grading().rows == w_grading_rows_every_degree(bench)
 
 
 def test_each_slice_ranked_once(monkeypatch):
@@ -817,14 +803,25 @@ E4_WINDOWS = {
 }
 
 
+def assert_rows_match(report, want):
+    """A report decided once per run against the rows of its every-degree
+    oracle: the same rows in the same order, the same count, and the same
+    failing rows expanded from the failing groups alone."""
+    assert report.rows == want
+    assert report.checked == len(want)
+    assert report.failures() == [row for row in want if row.status != "ok"]
+
+
 @pytest.mark.parametrize("window", E4_WINDOWS.values(), ids=E4_WINDOWS.keys())
 def test_w_sliced_rows_match_every_degree_oracles(window):
-    """The three w-sliced reports, run in verify's order, decide once per
-    v1-orbit what the oracles compute at every degree."""
+    """The five reports decided once per run, in verify's order, against
+    what the oracles compute at every degree."""
     bench = Workbench(window)
-    assert bench.verify_w_grading().rows == reference_w_grading_rows(bench)
-    assert bench.verify_e4_claims().rows == e4_claim_rows_every_degree(bench)
-    assert bench.verify_e4_dimensions().rows == e4_closed_form_rows_every_degree(bench)
+    assert_rows_match(bench.verify_e3_presentation(), e3_presentation_rows_every_degree(bench))
+    assert_rows_match(bench.verify_w_grading(), w_grading_rows_every_degree(bench))
+    assert_rows_match(bench.verify_module_isomorphisms(), module_isomorphism_rows_every_degree(bench))
+    assert_rows_match(bench.verify_e4_claims(), e4_claim_rows_every_degree(bench))
+    assert_rows_match(bench.verify_e4_dimensions(), e4_closed_form_rows_every_degree(bench))
 
 
 @settings(max_examples=20, deadline=None)
@@ -832,8 +829,11 @@ def test_w_sliced_rows_match_every_degree_oracles(window):
 def test_e4_rows_match_every_degree_oracles_on_random_windows(t_max, s_max, v1_min, v1_max):
     # the claims first, so that their w lists come from _w_list alone
     bench = Workbench(default_window(t_max, s_max, v1_min, v1_max))
-    assert bench.verify_e4_claims().rows == e4_claim_rows_every_degree(bench)
-    assert bench.verify_e4_dimensions().rows == e4_closed_form_rows_every_degree(bench)
+    assert_rows_match(bench.verify_e4_claims(), e4_claim_rows_every_degree(bench))
+    assert_rows_match(bench.verify_e4_dimensions(), e4_closed_form_rows_every_degree(bench))
+    assert_rows_match(bench.verify_e3_presentation(), e3_presentation_rows_every_degree(bench))
+    assert_rows_match(bench.verify_w_grading(), w_grading_rows_every_degree(bench))
+    assert_rows_match(bench.verify_module_isomorphisms(), module_isomorphism_rows_every_degree(bench))
 
 
 def test_e4_closed_form_report(wb):
