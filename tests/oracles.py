@@ -243,8 +243,8 @@ def e4_claim_rows_every_degree(bench):
     """Workbench.verify_e4_claims's rows with each degree computed on its
     own: its w lists walked at their degrees, its slice ranks taken off the
     page-4 matrices at their degrees and its pattern counts read at it.
-    verify_e4_claims computes the values once per distinct input and shares
-    them along v1-orbits."""
+    verify_e4_claims computes the values once per run of degrees along
+    v1^4 on which none of its inputs changes."""
     page3, page4 = bench.page("M", 3), bench.page("M", 4)
     w_lists, ranks = {}, {}
 
@@ -289,7 +289,7 @@ def e4_claim_rows_every_degree(bench):
 
 def e4_closed_form_rows_every_degree(bench):
     """Workbench.verify_e4_dimensions's rows with the closed form summed at
-    every degree, where the report sums it once per v1-orbit."""
+    every degree, where the report sums it once per run along v1^4."""
     page4 = bench.page("M", 4)
     rows = []
     for d in page4.degrees():
