@@ -349,7 +349,7 @@ class _PageDims:
 
     A page answers _entry (the dims at one of its degrees, else None) and
     _make_runs (its runs along a step), and has a step its runs are
-    natural along; a page with no v1 has none, and no runs.
+    natural along.
     """
 
     def __init__(self, pres: PagePresentation, trust: _WindowTrust, shift: Multidegree):
@@ -422,7 +422,8 @@ class PresentationPage(_PageDims):
         self._counts = counts = pres.basis_counts(window)
         super().__init__(pres, counts, _NO_SHIFT)
         v1 = pres.alphabet.v1
-        self.step = None if v1 is None else v1.degree.scaled(v1.stride)
+        # without v1 a line of the counts runs along u (WindowCounts)
+        self.step = Multidegree(0, 0, 1) if v1 is None else v1.degree.scaled(v1.stride)
 
     def _entry(self, d: Tuple[int, int, int]) -> Optional[Tuple[int, int]]:
         n = self._counts.count(d)

@@ -560,16 +560,14 @@ def _add_cuts(
     """Add to lanes the cuts of source read at d + offset: the positions k
     of d = first + k*step where something source files at d + offset may
     change (source holds cuts by lane of the same step).  With support, the
-    lanes source's cuts fall on are added; else only lanes already there
-    get cuts."""
+    lanes source's cuts fall on are added first; else only lanes already
+    there get cuts."""
     if not source:
         return
     ds, dt, du = offset
     if support:
-        for (s, t, u), cuts in source.items():
-            lane, k = _lane((s - ds, t - dt, u - du), step)
-            lanes.setdefault(lane, []).extend([c + k for c in cuts])
-        return
+        for s, t, u in source:
+            lanes.setdefault(_lane((s - ds, t - dt, u - du), step)[0], [])
     ss, st, su = step
     for (s, t, u), ks in lanes.items():
         # _lane of d + offset, written out: this runs once per lane and read
@@ -835,7 +833,6 @@ class WindowCounts(_WindowTrust):
             if kept:
                 line, k = _lane((s, t, u), self._v1)
                 self._lines.setdefault(line, []).append((k + kept.start, k + kept[-1], n, p ^ (v1_odd & kept.start)))
-        self._count_lanes: Dict[Multidegree, Dict[Lane, List[int]]] = {}
 
     def _at(self, d: Tuple[int, int, int]) -> Tuple[int, int]:
         """(count, odd count) at d."""
@@ -862,23 +859,21 @@ class WindowCounts(_WindowTrust):
 
     def count_cuts(self, step: Multidegree, parity: bool = True) -> Dict[Lane, List[int]]:
         """Where each piece starts and ends on the lanes of step, a multiple
-        m of v1's degree; m must be a multiple of v1's stride, so that a
+        m of the line's step; m must be a multiple of v1's stride, so that a
         piece's count holds along a lane, and with parity even when v1 is
         odd, so that its parity holds too.  The positions of a piece on its
         line are a, a + stride, ..., b, and position p = q*m + r sits at q on
         the lane r steps of v1 up the line."""
         (_, vt, vu), stride = self._v1, self._stride
         m = step[2] // vu
-        if self.alphabet.v1 is None or step != self._v1.scaled(m) or m < 1 or m % stride or parity and self._flip & m:
+        if step != self._v1.scaled(m) or m < 1 or m % stride or parity and self._flip & m:
             raise GF2PolyError(f"runs of step {tuple(step)} do not fit v1's degree, stride and parity")
-        got = self._count_lanes.get(step)
-        if got is None:
-            got = self._count_lanes[step] = {}
-            for (s, t, u), pieces in self._lines.items():
-                for a, b, _, _ in pieces:
-                    for p in range(a, min(b, a + m - stride) + 1, stride):
-                        q, r = divmod(p, m)
-                        got.setdefault((s, t + vt * r, u + vu * r), []).extend((q, q + (b - p) // m + 1))
+        got: Dict[Lane, List[int]] = {}
+        for (s, t, u), pieces in self._lines.items():
+            for a, b, _, _ in pieces:
+                for p in range(a, min(b, a + m - stride) + 1, stride):
+                    q, r = divmod(p, m)
+                    got.setdefault((s, t + vt * r, u + vu * r), []).extend((q, q + (b - p) // m + 1))
         return got
 
     def runs(self, shift: Multidegree, step: Multidegree) -> Runs:

@@ -174,8 +174,9 @@ def pattern_stems(p: int, q: int, filt: int) -> Tuple[Tuple[int, ...], int]:
 
 
 class CheckRow(NamedTuple):
-    """One per-degree verdict.  degree is what the row's builder passed, so
-    rows at one degree share it; JSON writes it as a list."""
+    """One per-degree verdict.  degree is what the row's builder passed,
+    or, for a grouped report, a degree of its group; JSON writes it as a
+    list."""
 
     claim: str
     degree: Tuple[int, ...]

@@ -589,6 +589,17 @@ class TestRankNullityOracle:
 
 
 class TestPresentationPage:
+    def test_degrees_without_v1(self):
+        """A page over an alphabet with no v1 reads its degrees off runs
+        along u, one count per degree."""
+        a = Alphabet([g for g in quotient_alphabet(3) if not g.invertible])
+        pres = PagePresentation(a, SHIFT2, {}, relations=(((a.index("alpha"), 1), (a.index("h(1,1)"), 2)),))
+        w = default_window(t_max=20, s_max=4, v1_min=-4, v1_max=4)
+        page, wb = PresentationPage(pres, w), pres.basis(w)
+        want = [d for d in wb.degrees() if wb.complete(d)]
+        assert len(want) > 10 and page.degrees() == want
+        assert page.dimensions() == [(d, wb.size(d)) for d in want]
+
     def test_dims_and_trust(self):
         pres = quotient_presentation(2)
         w = default_window(t_max=20, s_max=4, v1_min=-4, v1_max=4)
