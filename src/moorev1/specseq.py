@@ -146,8 +146,8 @@ def w_of_v1_exponent(i: int) -> int:
 # W_PERIOD, so it takes the same value, or refuses the same (p, q), along a
 # lane
 _W_STEP = V1_DEGREE.scaled(W_PERIOD)
-# the step of the e3 comparison: E3(EndM)'s v1 has stride 2, and d2's
-# parity flips with each power of v1
+# the step of page 3 of EndM and of the e3 comparison: E3(EndM)'s v1 has
+# stride 2, and d2's parity flips with each power of v1
 _E3_STEP = V1_DEGREE.scaled(2)
 
 
@@ -310,8 +310,7 @@ class MatchedPage(_PageDims):
         a = pres.alphabet
         self._counts = counts
         self._alpha = a.generator("alpha").degree
-        # d2's parity flips with each power of v1
-        self.step = a.v1.degree.scaled(2)
+        self.step = _E3_STEP
         self.conditional = True  # as every EndM page from r = 3 on
         self._mu = Polynomial.parse(a, D2_FACTOR).monomials_sorted()[0]
         self._odd = odd
