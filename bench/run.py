@@ -24,8 +24,10 @@ go to a temporary directory that is removed afterwards; rungs with the
 same arguments share an output directory, every other rung has its own.
 Exits 1 when a rung does not exit 0.
 
-The layer below, the window walk, has its own micro-benchmarks in one
-process: `PYTHONPATH=src python -m pytest bench/micro_walk.py`.
+The layers below have their own micro-benchmarks in one process: the
+window walk in `bench/micro_walk.py`, the pages and the reports decided
+once per run in `bench/micro_pages.py` (`PYTHONPATH=src python -m pytest
+bench/micro_walk.py bench/micro_pages.py`).
 """
 from __future__ import annotations
 
